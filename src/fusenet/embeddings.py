@@ -41,11 +41,22 @@ class EmbeddingTable:
 
 @dataclass
 class EmbeddedSequence:
-    """Right-padded embedding matrix for one token sequence."""
+    """Right-padded embedding matrix for one token sequence.
+
+    A batch of sequences (see stack_sequences) has a leading axis on
+    both arrays.
+    """
 
     vectors: np.ndarray  # (max_seq_len, d)
     mask: np.ndarray  # (max_seq_len,) bool, True = real token
     oov_count: int = 0
+
+
+def stack_sequences(seqs: list[EmbeddedSequence]) -> EmbeddedSequence:
+    """One batch of equal-length sequences: vectors (B, T, d), mask (B, T)."""
+    return EmbeddedSequence(vectors=np.stack([s.vectors for s in seqs]),
+                            mask=np.stack([s.mask for s in seqs]),
+                            oov_count=sum(s.oov_count for s in seqs))
 
 
 def load_vec_file(path, vocab_limit: int | None = None) -> EmbeddingTable:

@@ -3,19 +3,23 @@
 Each layer is immutable during a (forward, backward) pair: forward
 returns an explicit cache, backward consumes it and returns input
 gradients plus a dict of parameter gradients shaped exactly like the
-parameters. Nothing here mutates parameters, so independent examples
-can be processed concurrently and their gradients summed afterwards.
+parameters. Nothing here mutates parameters.
+
+Every layer takes one example or a batch with a leading batch axis
+(B rows). A batch's parameter gradients are the sums of the rows'
+per-example gradients; the one-example shapes keep working unchanged.
 
 Weight convention follows the dense form y = act(W^T x + b) with W
 stored as (in, out). LSTM gates act on the concatenation [h_prev, x_t]
-through one (hidden+input, hidden) matrix per gate.
+through one fused (hidden+input, 4*hidden) matrix, so a step is one
+matrix product for all gates and all rows of a batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numcore import Rng, ShapeError, affine, glorot_uniform, sigmoid, softmax
+from .numcore import Rng, ShapeError, affine, glorot_uniform, sigmoid
 
 ACTIVATIONS = ("identity", "relu", "sigmoid", "tanh")
 
@@ -50,7 +54,11 @@ def _act_grad(name: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class DenseLayer:
-    """y = activation(W^T x + b) with W of shape (in, out)."""
+    """y = activation(W^T x + b) with W of shape (in, out).
+
+    ``x`` is one input of length in or a ``(B, in)`` batch of them;
+    backward sums the parameter gradients over the batch rows.
+    """
 
     def __init__(self, W: np.ndarray, b: np.ndarray, activation: str = "identity"):
         if activation not in ACTIVATIONS:
@@ -85,27 +93,40 @@ class DenseLayer:
         if dy.shape != cache["z"].shape:
             raise ShapeError(f"dense backward: grad{dy.shape} vs output{cache['z'].shape}")
         dz = dy * _act_grad(self.activation, cache["z"], cache["y"])
-        grads = {"W": np.outer(cache["x"], dz), "b": dz.copy()}
-        dx = self.W @ dz
+        rows = dz.reshape(-1, self.out_dim)
+        grads = {"W": cache["x"].reshape(-1, self.in_dim).T @ rows, "b": rows.sum(axis=0)}
+        dx = dz @ self.W.T
         return dx, grads
 
 
 class LstmCell:
-    """Single LSTM step over [h_prev, x_t] with one weight matrix per gate."""
+    """Single LSTM step over [h_prev, x_t] with the four gates fused.
+
+    ``W_all`` is one ``(hidden+input, 4*hidden)`` matrix holding the gate
+    blocks in GATES order, and ``b_all`` their ``(4*hidden,)`` biases.
+    ``W[g]``, ``b[g]`` and ``params()`` are column views into them, so
+    checkpoints and optimizers still see one block per gate. A step
+    takes one example (1-d vectors) or a batch (one example per row).
+    """
 
     GATES = ("i", "f", "o", "q")
 
     def __init__(self, weights: dict[str, np.ndarray], biases: dict[str, np.ndarray]):
-        shapes = {weights[g].shape for g in self.GATES}
+        shapes = {np.shape(weights[g]) for g in self.GATES}
         if len(shapes) != 1:
             raise ShapeError(f"lstm: gate weight shapes differ: {sorted(shapes)}")
-        self.W = {g: np.asarray(weights[g], dtype=np.float64) for g in self.GATES}
-        self.b = {g: np.asarray(biases[g], dtype=np.float64) for g in self.GATES}
-        concat_dim, hidden = self.W["i"].shape
+        concat_dim, hidden = next(iter(shapes))
         if concat_dim <= hidden:
             raise ShapeError(f"lstm: concat dim {concat_dim} must exceed hidden {hidden}")
         self.hidden_dim = hidden
         self.input_dim = concat_dim - hidden
+        self.W_all = np.concatenate(
+            [np.asarray(weights[g], dtype=np.float64) for g in self.GATES], axis=1)
+        self.b_all = np.concatenate([np.asarray(biases[g], dtype=np.float64) for g in self.GATES])
+        if self.b_all.shape != (4 * hidden,):
+            raise ShapeError(f"lstm: gate biases {self.b_all.shape} vs 4 x hidden {hidden}")
+        self.W = self._by_gate(self.W_all)
+        self.b = self._by_gate(self.b_all)
 
     @classmethod
     def init(cls, rng: Rng, input_dim: int, hidden_dim: int):
@@ -115,57 +136,60 @@ class LstmCell:
         biases["f"] = biases["f"] + 1.0  # open forget gate early in training
         return cls(weights, biases)
 
+    def _by_gate(self, fused: np.ndarray) -> dict[str, np.ndarray]:
+        h = self.hidden_dim
+        return {g: fused[..., k * h : (k + 1) * h] for k, g in enumerate(self.GATES)}
+
     def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for g in self.GATES:
-            out[f"W_{g}"] = self.W[g]
-        for g in self.GATES:
-            out[f"b_{g}"] = self.b[g]
+        return self.gate_blocks(self.W_all, self.b_all)
+
+    def gate_blocks(self, W: np.ndarray, b: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-gate views of arrays shaped like (W_all, b_all), keyed like params()."""
+        by_w, by_b = self._by_gate(W), self._by_gate(b)
+        out = {f"W_{g}": by_w[g] for g in self.GATES}
+        out.update({f"b_{g}": by_b[g] for g in self.GATES})
         return out
 
     def step(self, h_prev: np.ndarray, c_prev: np.ndarray, x_t: np.ndarray):
-        if h_prev.shape != (self.hidden_dim,) or x_t.shape != (self.input_dim,):
+        """(h, c, cache) after one step; cache["gates"] holds [i, f, o, q]."""
+        if (h_prev.shape[-1] != self.hidden_dim or x_t.shape[-1] != self.input_dim
+                or h_prev.shape[:-1] != x_t.shape[:-1]):
             raise ShapeError(
                 f"lstm step: h{h_prev.shape}, x{x_t.shape} vs "
                 f"hidden {self.hidden_dim}, input {self.input_dim}"
             )
-        u = np.concatenate([h_prev, x_t])
-        i = sigmoid(u @ self.W["i"] + self.b["i"])
-        f = sigmoid(u @ self.W["f"] + self.b["f"])
-        o = sigmoid(u @ self.W["o"] + self.b["o"])
-        q = np.tanh(u @ self.W["q"] + self.b["q"])
-        c = f * c_prev + i * q
-        tc = np.tanh(c)
-        h = o * tc
-        cache = {"u": u, "i": i, "f": f, "o": o, "q": q, "c_prev": c_prev, "tc": tc}
+        h3 = 3 * self.hidden_dim
+        u = np.concatenate([h_prev, x_t], axis=-1)
+        gates = u @ self.W_all + self.b_all
+        gates[..., :h3] = sigmoid(gates[..., :h3])
+        np.tanh(gates[..., h3:], out=gates[..., h3:])
+        by_gate = self._by_gate(gates)
+        c = by_gate["f"] * c_prev + by_gate["i"] * by_gate["q"]
+        h = by_gate["o"] * np.tanh(c)
+        cache = {"u": u, "gates": gates, "c_prev": c_prev, "c": c, **by_gate}
         return h, c, cache
 
     def step_backward(self, cache, dh: np.ndarray, dc: np.ndarray):
-        """Gradients for one step given dLoss/dh_t and dLoss/dc_t (from the future)."""
-        i, f, o, q, tc = cache["i"], cache["f"], cache["o"], cache["q"], cache["tc"]
-        do = dh * tc
-        dc_total = dc + dh * o * (1.0 - tc * tc)
-        di = dc_total * q
-        dq = dc_total * i
-        df = dc_total * cache["c_prev"]
-        dc_prev = dc_total * f
+        """Gradients for one step given dLoss/dh_t and dLoss/dc_t (from the future).
 
-        dz = {
-            "i": di * i * (1.0 - i),
-            "f": df * f * (1.0 - f),
-            "o": do * o * (1.0 - o),
-            "q": dq * (1.0 - q * q),
-        }
+        ``cache`` is the one step() returned. Returns (dh_prev, dc_prev, dx,
+        dW, db): dW and db are fused like W_all and b_all and summed over
+        batch rows (see gate_blocks).
+        """
+        h = self.hidden_dim
+        i, f, o, q = (cache[g] for g in self.GATES)
+        tc = np.tanh(cache["c"])
+        dc_total = dc + dh * o * (1.0 - tc * tc)
+        dz = np.empty_like(cache["gates"])
+        dz[..., :h] = dc_total * q * i * (1.0 - i)
+        dz[..., h : 2 * h] = dc_total * cache["c_prev"] * f * (1.0 - f)
+        dz[..., 2 * h : 3 * h] = dh * tc * o * (1.0 - o)
+        dz[..., 3 * h :] = dc_total * i * (1.0 - q * q)
+        du = dz @ self.W_all.T
         u = cache["u"]
-        grads = {}
-        du = np.zeros_like(u)
-        for g in self.GATES:
-            grads[f"W_{g}"] = np.outer(u, dz[g])
-            grads[f"b_{g}"] = dz[g].copy()
-            du += self.W[g] @ dz[g]
-        dh_prev = du[: self.hidden_dim]
-        dx = du[self.hidden_dim :]
-        return dh_prev, dc_prev, dx, grads
+        rows = dz.reshape(-1, 4 * h)
+        dW = u.reshape(-1, u.shape[-1]).T @ rows
+        return du[..., :h], dc_total * f, du[..., h:], dW, rows.sum(axis=0)
 
 
 class BiLstmEncoder:
@@ -173,6 +197,8 @@ class BiLstmEncoder:
 
     Padded positions are run through the recurrences like any other input
     (their vectors are zero); exclusion happens downstream at attention.
+    The input is one ``(T, input_dim)`` sequence or a ``(B, T, input_dim)``
+    batch; the output has the same leading axes.
     """
 
     def __init__(self, forward_cell: LstmCell, backward_cell: LstmCell):
@@ -202,60 +228,59 @@ class BiLstmEncoder:
             out[f"bwd.{name}"] = arr
         return out
 
+    def _directions(self, T: int):
+        """(name, cell, timesteps in processing order, output columns)."""
+        h = self.hidden_dim
+        return (("fwd", self.fwd, range(T), slice(0, h)),
+                ("bwd", self.bwd, range(T - 1, -1, -1), slice(h, 2 * h)))
+
     def forward(self, vectors: np.ndarray):
-        """vectors: (T, input_dim) -> H: (T, 2*hidden_dim), plus cache."""
-        if vectors.ndim != 2 or vectors.shape[1] != self.input_dim:
+        """vectors: (..., T, input_dim) -> H: (..., T, 2*hidden_dim), plus cache.
+
+        The cache holds the input, H and each step's cell state, nothing
+        per gate: backward recomputes a step's gates from [h_prev, x_t],
+        rebuilt from H and the input. Keeping the (..., 4*hidden) gate
+        activations of every step instead would triple the cache.
+        """
+        if vectors.ndim not in (2, 3) or vectors.shape[-1] != self.input_dim:
             raise ShapeError(f"bilstm: input {vectors.shape} vs input_dim {self.input_dim}")
-        T = vectors.shape[0]
-        h_dim = self.hidden_dim
-        H = np.zeros((T, 2 * h_dim))
-
-        fwd_caches = []
-        h = np.zeros(h_dim)
-        c = np.zeros(h_dim)
-        for t in range(T):
-            h, c, cache = self.fwd.step(h, c, vectors[t])
-            fwd_caches.append(cache)
-            H[t, :h_dim] = h
-
-        bwd_caches = []
-        h = np.zeros(h_dim)
-        c = np.zeros(h_dim)
-        for t in range(T - 1, -1, -1):
-            h, c, cache = self.bwd.step(h, c, vectors[t])
-            bwd_caches.append(cache)  # index k processed original step T-1-k
-            H[t, h_dim:] = h
-
-        return H, {"fwd": fwd_caches, "bwd": bwd_caches, "T": T}
+        lead, T = vectors.shape[:-2], vectors.shape[-2]
+        H = np.zeros((*lead, T, 2 * self.hidden_dim))
+        cache = {"X": vectors, "H": H}
+        for name, cell, times, cols in self._directions(T):
+            h = np.zeros((*lead, self.hidden_dim))
+            c = np.zeros((*lead, self.hidden_dim))
+            states = np.empty((T, *lead, self.hidden_dim))  # by processing order
+            for k, t in enumerate(times):
+                h, c, _ = cell.step(h, c, vectors[..., t, :])
+                states[k] = c
+                H[..., t, cols] = h
+            cache[name] = states
+        return H, cache
 
     def backward(self, cache, dH: np.ndarray):
         """Full BPTT; returns (dX, grads) with grads keyed like params()."""
-        T = cache["T"]
-        h_dim = self.hidden_dim
-        if dH.shape != (T, 2 * h_dim):
-            raise ShapeError(f"bilstm backward: grad {dH.shape} vs ({T}, {2 * h_dim})")
-        dX = np.zeros((T, self.input_dim))
-        grads = {name: np.zeros_like(arr) for name, arr in self.params().items()}
-
-        dh = np.zeros(h_dim)
-        dc = np.zeros(h_dim)
-        for t in range(T - 1, -1, -1):
-            dh_prev, dc, dx, g = self.fwd.step_backward(cache["fwd"][t], dH[t, :h_dim] + dh, dc)
-            dh = dh_prev
-            dX[t] += dx
-            for name, arr in g.items():
-                grads[f"fwd.{name}"] += arr
-
-        dh = np.zeros(h_dim)
-        dc = np.zeros(h_dim)
-        for k in range(T - 1, -1, -1):
-            t = T - 1 - k  # original timestep the backward cell saw at its step k
-            dh_prev, dc, dx, g = self.bwd.step_backward(cache["bwd"][k], dH[t, h_dim:] + dh, dc)
-            dh = dh_prev
-            dX[t] += dx
-            for name, arr in g.items():
-                grads[f"bwd.{name}"] += arr
-
+        X, H = cache["X"], cache["H"]
+        if dH.shape != H.shape:
+            raise ShapeError(f"bilstm backward: grad {dH.shape} vs {H.shape}")
+        dX = np.zeros_like(X)
+        grads = {}
+        zeros = np.zeros((*X.shape[:-2], self.hidden_dim))
+        for name, cell, times, cols in self._directions(X.shape[-2]):
+            states = cache[name]
+            dW = np.zeros_like(cell.W_all)
+            db = np.zeros_like(cell.b_all)
+            dh = dc = zeros
+            for k in range(len(times) - 1, -1, -1):
+                t = times[k]
+                h_prev = H[..., times[k - 1], cols] if k else zeros
+                _, _, step = cell.step(h_prev, states[k - 1] if k else zeros, X[..., t, :])
+                dh, dc, dx, step_dW, step_db = cell.step_backward(step, dH[..., t, cols] + dh, dc)
+                dX[..., t, :] += dx
+                dW += step_dW
+                db += step_db
+            for pname, arr in cell.gate_blocks(dW, db).items():
+                grads[f"{name}.{pname}"] = arr
         return dX, grads
 
 
@@ -265,7 +290,8 @@ class FeedforwardAttention:
     Scores are tanh(w . h_t + b), softmax-normalized over unmasked
     positions only; masked positions get exactly zero weight. The output
     is the weighted average of the rows, so it stays inside their convex
-    hull.
+    hull. A ``(B, T, dim)`` batch with a ``(B, T)`` mask reduces each
+    example independently to a ``(B, dim)`` output.
     """
 
     def __init__(self, w: np.ndarray, b: np.ndarray):
@@ -282,42 +308,40 @@ class FeedforwardAttention:
         return {"w": self.w, "b": self.b}
 
     def forward(self, H: np.ndarray, mask: np.ndarray):
-        if H.ndim != 2 or H.shape[1] != self.w.shape[0]:
+        if H.ndim not in (2, 3) or H.shape[-1] != self.w.shape[0]:
             raise ShapeError(f"attention: H{H.shape} vs w length {self.w.shape[0]}")
-        if mask.shape != (H.shape[0],):
-            raise ShapeError(f"attention: mask {mask.shape} vs {H.shape[0]} rows")
+        if mask.shape != H.shape[:-1]:
+            raise ShapeError(f"attention: mask {mask.shape} vs {H.shape[:-1]} rows")
         mask = mask.astype(bool)
-        if not mask.any():
-            raise AllMaskedError("attention: no unmasked positions to attend to")
+        live = mask.any(axis=-1)
+        if not np.all(live):
+            where = f" (batch row {int(np.argmin(live))})" if H.ndim == 3 else ""
+            raise AllMaskedError(f"attention: no unmasked positions to attend to{where}")
 
-        z = H @ self.w + self.b[0]
-        psi = np.tanh(z)
-        alphas = np.zeros(H.shape[0])
-        live = psi[mask]
-        e = np.exp(live - np.max(live))
-        alphas[mask] = e / np.sum(e)
-        a = alphas @ H
+        psi = np.tanh(H @ self.w + self.b[0])
+        peak = np.max(np.where(mask, psi, -np.inf), axis=-1, keepdims=True)
+        e = np.where(mask, np.exp(psi - peak), 0.0)
+        alphas = e / np.sum(e, axis=-1, keepdims=True)
+        a = np.einsum("...t,...td->...d", alphas, H)
         cache = {"H": H, "mask": mask, "psi": psi, "alphas": alphas}
         return a, alphas, cache
 
     def backward(self, cache, da: np.ndarray):
         """Gradients w.r.t. w, b and H given dLoss/da."""
         H, mask, psi, alphas = cache["H"], cache["mask"], cache["psi"], cache["alphas"]
-        if da.shape != (H.shape[1],):
-            raise ShapeError(f"attention backward: grad {da.shape} vs dim {H.shape[1]}")
-        dalpha = H @ da
-        dH = np.outer(alphas, da)
+        if da.shape != H.shape[:-2] + H.shape[-1:]:
+            raise ShapeError(f"attention backward: grad {da.shape} vs dim {H.shape[-1]}")
+        dalpha = np.einsum("...td,...d->...t", H, da)
         # Softmax over unmasked entries: dpsi_t = a_t * (dalpha_t - sum_s a_s dalpha_s)
-        inner = float(alphas @ dalpha)
+        inner = np.sum(alphas * dalpha, axis=-1, keepdims=True)
         dpsi = alphas * (dalpha - inner)
         dz = dpsi * (1.0 - psi * psi)
         dz[~mask] = 0.0
-        grads = {"w": H.T @ dz, "b": np.array([np.sum(dz)])}
-        dH += np.outer(dz, self.w)
+        width = H.shape[-1]
+        grads = {"w": np.einsum("td,t->d", H.reshape(-1, width), dz.reshape(-1)),
+                 "b": np.array([np.sum(dz)])}
+        # dH_t = alpha_t * da + dz_t * w, summed in one pass: two separate
+        # outer products would hold a (T, dim) temporary per example.
+        dH = np.einsum("...tk,...kd->...td", np.stack([alphas, dz], axis=-1),
+                       np.stack([da, np.broadcast_to(self.w, da.shape)], axis=-2))
         return dH, grads
-
-
-def softmax_head(head: DenseLayer, x: np.ndarray):
-    """Class probabilities from an identity-activation dense head."""
-    logits, cache = head.forward(x)
-    return softmax(logits), logits, cache

@@ -14,7 +14,7 @@ little-endian float64, so save -> load round-trips bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,8 +76,8 @@ class ModelConfig:
 
 @dataclass
 class Prediction:
-    probs: np.ndarray
-    top_k: list[int]
+    probs: np.ndarray  # (C,), or (B, C) for a batch
+    top_k: list  # class indices, or one list of them per batch row
 
 
 def head_input_dim(config: ModelConfig, variant: str) -> int:
@@ -236,57 +236,66 @@ def _branch_backward(branch: list[DenseLayer], caches, dout: np.ndarray, prefix:
 
 def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | None = None,
             k: int | None = None, dropout_rate: float = 0.0, drop_rng: Rng | None = None,
-            example_id: str | None = None):
-    """Run one example through the variant's branches and softmax head.
+            example_id=None):
+    """Run one example, or a batch of them, through the branches and softmax head.
+
+    A batch has a leading axis of B rows: ``num_x`` is (B, num_dim),
+    ``cat_x`` (B, cat_dim), and ``seq`` holds (B, T, embed_dim) vectors
+    with a (B, T) mask (see ``embeddings.stack_sequences``). Then the
+    prediction's probs are (B, C), its top_k has one list per row, and
+    ``example_id`` may be a list naming each row.
 
     Returns (Prediction, cache); the cache carries everything backward()
     needs. The prediction's top_k defaults to min(3, num_classes) entries.
     Dropout (inverted, per branch output) is applied only when a rate and
-    rng are given, i.e. during training.
+    rng are given, i.e. during training. Its masks are drawn row by row,
+    so a batch sees the same masks as its rows run one at a time in order.
     """
     cfg = model.config
     if k is None:
         k = min(3, cfg.num_classes)
-    parts = []
-    cache: dict = {"segments": [], "drop_masks": []}
-
-    def add_part(name, vec, branch_cache):
-        cache["segments"].append((name, len(vec)))
-        cache[name] = branch_cache
-        if dropout_rate > 0.0 and drop_rng is not None:
-            keep = 1.0 - dropout_rate
-            mask = (drop_rng.random(len(vec)) < keep) / keep
-            cache["drop_masks"].append(mask)
-            vec = vec * mask
-        else:
-            cache["drop_masks"].append(None)
-        parts.append(vec)
+    outputs = []  # (segment name, branch output, branch cache)
 
     if model.uses_tabular:
         if num_x is None or cat_x is None:
             raise ShapeError(f"variant {model.variant!r} requires numerical and categorical inputs")
-        if num_x.shape != (cfg.num_feature_dim,):
+        if num_x.ndim not in (1, 2) or num_x.shape[-1] != cfg.num_feature_dim:
             raise ShapeError(f"numerical input {num_x.shape} vs ({cfg.num_feature_dim},)")
-        if cat_x.shape != (cfg.cat_feature_dim,):
+        if cat_x.shape != num_x.shape[:-1] + (cfg.cat_feature_dim,):
             raise ShapeError(f"categorical input {cat_x.shape} vs ({cfg.cat_feature_dim},)")
-        num_out, num_caches = _run_branch(model.mlp_num, num_x)
-        add_part("mlp_num", num_out, num_caches)
-        cat_out, cat_caches = _run_branch(model.mlp_cat, cat_x)
-        add_part("mlp_cat", cat_out, cat_caches)
+        outputs.append(("mlp_num", *_run_branch(model.mlp_num, num_x)))
+        outputs.append(("mlp_cat", *_run_branch(model.mlp_cat, cat_x)))
 
     if model.uses_text:
         if seq is None:
             raise ShapeError(f"variant {model.variant!r} requires an embedded sequence")
+        if model.uses_tabular and seq.vectors.shape[:-2] != num_x.shape[:-1]:
+            raise ShapeError(f"sequence batch {seq.vectors.shape} vs features {num_x.shape}")
         try:
             H, enc_cache = model.encoder.forward(seq.vectors)
             a, _alphas, attn_cache = model.attention.forward(H, seq.mask)
         except AllMaskedError as err:
-            if example_id is not None:
-                raise AllMaskedError(f"example {example_id}: {err}") from err
-            raise
-        add_part("text", a, {"encoder": enc_cache, "attention": attn_cache})
+            if example_id is None:
+                raise
+            if not isinstance(example_id, str):
+                example_id = example_id[int(np.argmin(seq.mask.any(axis=-1)))]
+            raise AllMaskedError(f"example {example_id}: {err}") from err
+        outputs.append(("text", a, {"encoder": enc_cache, "attention": attn_cache}))
 
-    c = np.concatenate(parts)
+    parts = [out for _, out, _ in outputs]
+    widths = [out.shape[-1] for out in parts]
+    drop_masks = [None] * len(parts)
+    if dropout_rate > 0.0 and drop_rng is not None:
+        keep = 1.0 - dropout_rate
+        masks = (drop_rng.random(parts[0].shape[:-1] + (sum(widths),)) < keep) / keep
+        drop_masks = np.split(masks, np.cumsum(widths)[:-1], axis=-1)
+        parts = [part * mask for part, mask in zip(parts, drop_masks)]
+    cache: dict = {"segments": [(name, w) for (name, _, _), w in zip(outputs, widths)],
+                   "drop_masks": drop_masks}
+    for name, _, branch_cache in outputs:
+        cache[name] = branch_cache
+
+    c = np.concatenate(parts, axis=-1)
     logits, head_cache = model.head.forward(c)
     probs = softmax(logits)
     cache["head"] = head_cache
@@ -295,7 +304,7 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
 
 
 def backward(model: FusionModel, cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Parameter gradients for one example, keyed like param_blocks()."""
+    """Parameter gradients keyed like param_blocks(), summed over batch rows."""
     grads: dict[str, np.ndarray] = {}
     dc, head_grads = model.head.backward(cache["head"], dlogits)
     for pname, arr in head_grads.items():
@@ -303,7 +312,7 @@ def backward(model: FusionModel, cache, dlogits: np.ndarray) -> dict[str, np.nda
 
     offset = 0
     for (name, width), drop_mask in zip(cache["segments"], cache["drop_masks"]):
-        dseg = dc[offset : offset + width]
+        dseg = dc[..., offset : offset + width]
         offset += width
         if drop_mask is not None:
             dseg = dseg * drop_mask
@@ -321,12 +330,14 @@ def backward(model: FusionModel, cache, dlogits: np.ndarray) -> dict[str, np.nda
     return grads
 
 
-def topk_indices(probs: np.ndarray, k: int) -> list[int]:
-    """Indices of the k largest entries; ties go to the lower index."""
-    if not 1 <= k <= probs.shape[0]:
-        raise ValueError(f"k must be in [1, {probs.shape[0]}], got {k}")
-    order = np.argsort(-probs, kind="stable")
-    return [int(i) for i in order[:k]]
+def topk_indices(probs: np.ndarray, k: int):
+    """Indices of the k largest entries; ties go to the lower index.
+
+    For (B, C) probabilities, one list per row.
+    """
+    if not 1 <= k <= probs.shape[-1]:
+        raise ValueError(f"k must be in [1, {probs.shape[-1]}], got {k}")
+    return np.argsort(-probs, axis=-1, kind="stable")[..., :k].tolist()
 
 
 def predict_topk(model: FusionModel, num_x=None, cat_x=None, seq=None, k: int = 3,
@@ -434,6 +445,3 @@ def clone(model: FusionModel) -> FusionModel:
     out.set_param_blocks(model.copy_param_blocks())
     return out
 
-
-def with_seed(config: ModelConfig, seed: int) -> ModelConfig:
-    return replace(config, seed=seed)

@@ -18,65 +18,42 @@ class ShapeError(ValueError):
     """Raised when operands disagree on dimensions; names both shapes."""
 
 
-def as_tensor1d(values) -> Tensor1D:
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ShapeError(f"expected a 1-d tensor, got shape {arr.shape}")
-    return arr
+def affine(W: Tensor2D, x, b: Tensor1D):
+    """W^T x + b for W of shape (in, out) and b of length out.
 
-
-def as_tensor2d(values) -> Tensor2D:
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"expected a 2-d tensor, got shape {arr.shape}")
-    return arr
-
-
-def assert_finite(arr: np.ndarray, what: str = "tensor") -> None:
-    if not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"{what} contains non-finite entries")
-
-
-def affine(W: Tensor2D, x: Tensor1D, b: Tensor1D) -> Tensor1D:
-    """W^T x + b for W of shape (in, out), x of length in, b of length out."""
-    if W.ndim != 2 or x.ndim != 1 or b.ndim != 1:
+    ``x`` is one input of length in, or a batch of them as rows of a
+    ``(B, in)`` matrix, which gives a ``(B, out)`` result.
+    """
+    if W.ndim != 2 or x.ndim not in (1, 2) or b.ndim != 1:
         raise ShapeError(
-            f"affine expects (2d, 1d, 1d), got W{W.shape}, x{x.shape}, b{b.shape}"
+            f"affine expects (2d, 1d or 2d, 1d), got W{W.shape}, x{x.shape}, b{b.shape}"
         )
-    if W.shape[0] != x.shape[0]:
-        raise ShapeError(f"affine: W has {W.shape[0]} rows but x has length {x.shape[0]}")
+    if W.shape[0] != x.shape[-1]:
+        raise ShapeError(f"affine: W has {W.shape[0]} rows but x has length {x.shape[-1]}")
     if W.shape[1] != b.shape[0]:
         raise ShapeError(f"affine: W has {W.shape[1]} cols but b has length {b.shape[0]}")
     return x @ W + b
 
 
-def softmax(z: Tensor1D) -> Tensor1D:
-    """Stable softmax (max-subtracted). Rejects empty input."""
+def softmax(z):
+    """Stable softmax (max-subtracted) over the last axis. Rejects empty input."""
     z = np.asarray(z, dtype=np.float64)
     if z.size == 0:
         raise ValueError("softmax of an empty vector is undefined")
-    shifted = z - np.max(z)
-    e = np.exp(shifted)
-    return e / np.sum(e)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def sigmoid(z):
     z = np.asarray(z, dtype=np.float64)
-    # Split by sign so exp never overflows.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows, and equals exp(-z) where z >= 0 and
+    # exp(z) elsewhere: 1 / (1 + exp(-z)) and exp(z) / (1 + exp(z)).
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def tanh_act(z):
     return np.tanh(np.asarray(z, dtype=np.float64))
-
-
-def relu(z):
-    return np.maximum(np.asarray(z, dtype=np.float64), 0.0)
 
 
 class Rng:

@@ -1,11 +1,12 @@
 """Mini-batch cross-entropy training and the gradient-checking harness.
 
 Training is deterministic given the config seed: shuffling, dropout and
-initialization all derive from it, batches are visited in shuffled order
-and per-example gradients are summed in example-index order before the
-optimizer step. Gradients are global-norm clipped (exploding recurrent
-gradients are the known failure mode). The returned model is the
-best-validation checkpoint, scored by top-3 accuracy after each epoch.
+initialization all derive from it, and batches are visited in shuffled
+order. Each mini-batch runs as one batched forward and one batched
+backward pass, whose gradients are the mean over the batch rows.
+Gradients are global-norm clipped (exploding recurrent gradients are the
+known failure mode). The returned model is the best-validation
+checkpoint, scored by top-3 accuracy after each epoch.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import PreparedDataset
-from .embeddings import EmbeddedSequence
+from .embeddings import EmbeddedSequence, stack_sequences
 from .model import (FusionModel, ModelConfig, backward, build_variant, clone,
                     forward)
 from .numcore import Rng
 
 GRAD_EPS = 1e-8  # denominator floor in relative-error comparisons
+SCORE_CHUNK = 32  # rows per batched forward when scoring validation
 
 
 class TrainingAbort(RuntimeError):
@@ -85,6 +87,27 @@ def cross_entropy(probs: np.ndarray, label: int, floor: float = 1e-12) -> float:
     return -math.log(max(float(probs[label]), floor))
 
 
+def batch_loss(probs: np.ndarray, labels: np.ndarray, weights: np.ndarray | None = None,
+               floor: float = 1e-12) -> tuple[float, np.ndarray]:
+    """Mean class-weighted cross-entropy of (B, C) probs, and its logit gradient.
+
+    Each row contributes ``weights[label] * cross_entropy`` (weight 1 when
+    ``weights`` is None); the gradient w.r.t. the logits is the same
+    mean of the rows' ``weights[label] * (probs - onehot(label))``.
+    """
+    labels = np.asarray(labels)
+    n, classes = probs.shape
+    if labels.shape != (n,) or np.any((labels < 0) | (labels >= classes)):
+        raise ValueError(f"labels {labels} out of range for {classes} classes")
+    rows = np.arange(n)
+    w = np.ones(n) if weights is None else weights[labels]
+    loss = float(np.sum(w * -np.log(np.maximum(probs[rows, labels], floor)))) / n
+    dlogits = probs.copy()
+    dlogits[rows, labels] -= 1.0
+    dlogits *= (w / n)[:, None]
+    return loss, dlogits
+
+
 class _Sgd:
     def __init__(self, lr: float):
         self.lr = lr
@@ -135,10 +158,11 @@ def clip_grads_(grads: dict[str, np.ndarray], max_norm: float) -> float:
     return norm
 
 
-def _example_inputs(model: FusionModel, data: PreparedDataset, i: int):
-    seq = data.seqs[i] if model.uses_text else None
-    num = data.num[i] if model.uses_tabular else None
-    cat = data.cat[i] if model.uses_tabular else None
+def _batch_inputs(model: FusionModel, data: PreparedDataset, rows: np.ndarray):
+    """Feature rows and stacked sequences of the examples at indices ``rows``."""
+    num = data.num[rows] if model.uses_tabular else None
+    cat = data.cat[rows] if model.uses_tabular else None
+    seq = stack_sequences([data.seqs[i] for i in rows]) if model.uses_text else None
     return num, cat, seq
 
 
@@ -158,21 +182,38 @@ def _check_dims(model: FusionModel, data: PreparedDataset, split: str) -> None:
     if model.uses_text:
         if len(data.seqs) != len(data):
             raise ValueError(f"{split}: missing embedded sequences")
-        if data.seqs and data.seqs[0].vectors.shape != (cfg.max_seq_len, cfg.embed_dim):
-            raise ValueError(
-                f"{split}: sequence shape {data.seqs[0].vectors.shape} vs "
-                f"({cfg.max_seq_len}, {cfg.embed_dim})"
-            )
+        # Every sequence, not just the first: batches stack them.
+        for ex_id, seq in zip(data.ids, data.seqs):
+            if (seq.vectors.shape != (cfg.max_seq_len, cfg.embed_dim)
+                    or seq.mask.shape != (cfg.max_seq_len,)):
+                raise ValueError(
+                    f"{split}: example {ex_id}: sequence shape {seq.vectors.shape} vs "
+                    f"({cfg.max_seq_len}, {cfg.embed_dim})"
+                )
 
 
 def _validation_topk_accuracy(model: FusionModel, data: PreparedDataset, k: int) -> float:
     hits = 0
-    for i in range(len(data)):
-        num, cat, seq = _example_inputs(model, data, i)
-        pred, _ = forward(model, num, cat, seq, k=k, example_id=data.ids[i])
-        if int(data.labels[i]) in pred.top_k:
-            hits += 1
+    for start in range(0, len(data), SCORE_CHUNK):
+        rows = np.arange(start, min(start + SCORE_CHUNK, len(data)))
+        num, cat, seq = _batch_inputs(model, data, rows)
+        pred = forward(model, num, cat, seq, k=k, example_id=[data.ids[i] for i in rows])[0]
+        hits += sum(int(label) in top for label, top in zip(data.labels[rows], pred.top_k))
     return hits / len(data)
+
+
+def _batch_gradients(model: FusionModel, data: PreparedDataset, rows: np.ndarray,
+                     weights: np.ndarray | None, dropout_rate: float, drop_rng: Rng):
+    """Mean loss and gradients of one mini-batch: one forward, one backward.
+
+    The forward cache dies when this returns, so the next batch's
+    forward never holds two of them at once.
+    """
+    num, cat, seq = _batch_inputs(model, data, rows)
+    pred, cache = forward(model, num, cat, seq, dropout_rate=dropout_rate, drop_rng=drop_rng,
+                          example_id=[data.ids[i] for i in rows])
+    loss, dlogits = batch_loss(pred.probs, data.labels[rows], weights)
+    return loss, backward(model, cache, dlogits)
 
 
 def train(model: FusionModel, train_set: PreparedDataset, val_set: PreparedDataset,
@@ -207,41 +248,19 @@ def train(model: FusionModel, train_set: PreparedDataset, val_set: PreparedDatas
         order = shuffle_rng.permutation(n)
         loss_sum = 0.0
         for batch_idx, start in enumerate(range(0, n, cfg.batch_size)):
-            batch = order[start : start + cfg.batch_size]
-            grad_sum = {name: np.zeros_like(arr) for name, arr in blocks}
-            batch_loss = 0.0
-            for i in batch:
-                i = int(i)
-                num, cat, seq = _example_inputs(work, train_set, i)
-                pred, cache = forward(
-                    work, num, cat, seq,
-                    dropout_rate=cfg.dropout_rate, drop_rng=drop_rng,
-                    example_id=train_set.ids[i],
-                )
-                label = int(train_set.labels[i])
-                w = float(weights[label]) if weights is not None else 1.0
-                batch_loss += w * cross_entropy(pred.probs, label)
-                dlogits = pred.probs.copy()
-                dlogits[label] -= 1.0
-                if w != 1.0:
-                    dlogits *= w
-                for name, g in backward(work, cache, dlogits).items():
-                    grad_sum[name] += g
-            scale = 1.0 / len(batch)
-            for g in grad_sum.values():
-                g *= scale
-            batch_loss *= scale
-            loss_sum += batch_loss * len(batch)
-
-            if not math.isfinite(batch_loss):
+            rows = order[start : start + cfg.batch_size]
+            loss, grads = _batch_gradients(work, train_set, rows, weights, cfg.dropout_rate,
+                                           drop_rng)
+            if not math.isfinite(loss):
                 raise TrainingAbort(f"non-finite loss in epoch {epoch} batch {batch_idx}")
-            for name, g in grad_sum.items():
-                if not np.all(np.isfinite(g)):
+            loss_sum += loss * len(rows)
+            for name, _ in blocks:
+                if not np.all(np.isfinite(grads[name])):
                     raise TrainingAbort(
                         f"non-finite gradient in block {name} (epoch {epoch} batch {batch_idx})"
                     )
-            clip_grads_(grad_sum, cfg.clip_norm)
-            optimizer.step(blocks, grad_sum)
+            clip_grads_(grads, cfg.clip_norm)
+            optimizer.step(blocks, grads)
 
         val_acc = _validation_topk_accuracy(work, val_set, val_k)
         epoch_loss = loss_sum / n
@@ -290,17 +309,18 @@ def numeric_gradient(loss_fn, arr: np.ndarray, step: float = 1e-5) -> np.ndarray
     """Central finite differences of loss_fn w.r.t. every entry of arr.
 
     ``arr`` is perturbed in place and restored; loss_fn must re-read it.
+    It may be a view (an LSTM gate block is a column slice of its fused
+    matrix), so entries are addressed by index, never through a reshape.
     """
-    grad = np.zeros_like(arr)
-    flat = arr.reshape(-1)
-    for j in range(flat.shape[0]):
-        original = flat[j]
-        flat[j] = original + step
+    grad = np.zeros(arr.shape)
+    for idx in np.ndindex(arr.shape):
+        original = arr[idx]
+        arr[idx] = original + step
         up = loss_fn()
-        flat[j] = original - step
+        arr[idx] = original - step
         down = loss_fn()
-        flat[j] = original
-        grad.reshape(-1)[j] = (up - down) / (2.0 * step)
+        arr[idx] = original
+        grad[idx] = (up - down) / (2.0 * step)
     return grad
 
 
@@ -432,7 +452,8 @@ def layer_grad_checks(seed: int, step: float = 1e-5) -> dict[str, float]:
         return float(h @ r_h + c @ r_c)
 
     _, _, cache = cell.step(h_prev, c_prev, x_t)
-    dh_prev, dc_prev, dx, grads = cell.step_backward(cache, r_h, r_c)
+    dh_prev, dc_prev, dx, dW, db = cell.step_backward(cache, r_h, r_c)
+    grads = cell.gate_blocks(dW, db)
     pairs = [(grads[n], cell.params()[n]) for n in grads]
     pairs += [(dh_prev, h_prev), (dc_prev, c_prev), (dx, x_t)]
     check("lstm_step", lstm_loss, pairs)
