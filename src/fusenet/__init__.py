@@ -12,9 +12,9 @@ differences.
 from .dataset import CLASS_NAMES, Example, FeaturePipeline, load_jsonl, save_jsonl, split
 from .embeddings import EmbeddedSequence, EmbeddingTable, embed_sequence, load_vec_file
 from .metrics import EvalReport, report, topk_accuracy, topk_recall
-from .model import (FusionModel, ModelConfig, Prediction, build, build_mlp_only,
-                    build_text_only, build_variant, forward, load, predict_topk, save)
-from .numcore import Rng, affine, sigmoid, softmax, tanh_act
+from .model import (FusionModel, ModelConfig, Prediction, build_variant, forward, load,
+                    predict_topk, save)
+from .numcore import Rng, affine, sigmoid, softmax
 from .synth import generate_synthetic
 from .textprep import TokenSequence, normalize, tokenize
 from .training import TrainConfig, TrainReport, cross_entropy, grad_check, train
@@ -25,9 +25,9 @@ __all__ = [
     "CLASS_NAMES", "Example", "FeaturePipeline", "load_jsonl", "save_jsonl", "split",
     "EmbeddedSequence", "EmbeddingTable", "embed_sequence", "load_vec_file",
     "EvalReport", "report", "topk_accuracy", "topk_recall",
-    "FusionModel", "ModelConfig", "Prediction", "build", "build_mlp_only",
-    "build_text_only", "build_variant", "forward", "load", "predict_topk", "save",
-    "Rng", "affine", "sigmoid", "softmax", "tanh_act",
+    "FusionModel", "ModelConfig", "Prediction", "build_variant", "forward", "load",
+    "predict_topk", "save",
+    "Rng", "affine", "sigmoid", "softmax",
     "generate_synthetic",
     "TokenSequence", "normalize", "tokenize",
     "TrainConfig", "TrainReport", "cross_entropy", "grad_check", "train",

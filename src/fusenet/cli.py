@@ -44,6 +44,15 @@ def _nonneg_float(value: str) -> float:
     return out
 
 
+def _read_json(path: str, what: str, parse):
+    """``parse`` applied to the JSON document at ``path``; a bad one names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse(json.load(fh))
+        except ValueError as err:
+            raise ValueError(f"{what} {path}: {err}") from None
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -225,12 +234,15 @@ def _print_report_table(rep: metrics.EvalReport) -> None:
     print("weighted-recall identity: ok (checked to 1e-12)")
 
 
+def _read_pipeline(args) -> ds.FeaturePipeline:
+    path = args.pipeline or (args.model + ".pipeline.json")
+    return _read_json(path, "feature pipeline", ds.FeaturePipeline.from_json)
+
+
 def _cmd_eval(parser, args) -> int:
     if args.compare:
-        reports = []
-        for path in args.compare:
-            with open(path, encoding="utf-8") as fh:
-                reports.append((path, metrics.from_json(json.load(fh))))
+        reports = [(path, _read_json(path, "report", metrics.from_json))
+                   for path in args.compare]
         reports.sort(key=lambda item: item[1].accuracy)
         width = max(len(p) for p, _ in reports) + 2
         print(f"{'report'.ljust(width)}  top-k accuracy")
@@ -245,9 +257,7 @@ def _cmd_eval(parser, args) -> int:
         parser.error(f"--split must be one of all/train/val/test, got {args.split!r}")
 
     model = modelmod.load(args.model)
-    pipeline_path = args.pipeline or (args.model + ".pipeline.json")
-    with open(pipeline_path, encoding="utf-8") as fh:
-        pipeline = ds.FeaturePipeline.from_json(json.load(fh))
+    pipeline = _read_pipeline(args)
     if args.split == "all":
         examples = ds.load_jsonl(args.data)
     else:
@@ -283,22 +293,14 @@ def _cmd_predict(parser, args) -> int:
     if model.uses_tabular:
         if not args.features:
             parser.error(f"--features is required for variant {model.variant!r}")
-        pipeline_path = args.pipeline or (args.model + ".pipeline.json")
-        with open(pipeline_path, encoding="utf-8") as fh:
-            pipeline = ds.FeaturePipeline.from_json(json.load(fh))
-        with open(args.features, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        for field in ("numerical", "categorical"):
-            if field not in doc:
-                raise ValueError(f"feature file {args.features} is missing field {field!r}")
-        pairs = [(str(n), str(v)) for n, v in doc["categorical"]]
-        num_raw = np.asarray(doc["numerical"], dtype=np.float64).reshape(1, -1)
-        if num_raw.shape[1] != pipeline.num_dim:
+        pipeline = _read_pipeline(args)
+        numerical, pairs = _read_json(args.features, "feature file", ds.parse_features)
+        if len(numerical) != pipeline.num_dim:
             raise ValueError(
-                f"feature file has {num_raw.shape[1]} numerical values, "
+                f"feature file {args.features}: {len(numerical)} numerical values, "
                 f"pipeline expects {pipeline.num_dim}"
             )
-        num_x = pipeline.scaler.transform(num_raw)[0]
+        num_x = pipeline.scaler.transform(np.array([numerical]))[0]
         cat_x = pipeline.encoder.transform_one(pairs)
 
     seq = None

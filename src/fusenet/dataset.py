@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,40 +62,54 @@ class Example:
         return CLASS_INDEX[self.label]
 
 
-def _validate_record(record: dict, lineno: int) -> Example:
+def is_finite_number(v) -> bool:
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+
+
+def parse_features(record) -> tuple[list[float], list[tuple[str, str]]]:
+    """The validated ``numerical`` and ``categorical`` fields of a record.
+
+    ``numerical`` must be a list of finite numbers and ``categorical`` a
+    list of [name, value] string pairs; a DatasetError names the field.
+    """
+    if not isinstance(record, dict):
+        raise DatasetError("expected a JSON object")
+    for key in ("numerical", "categorical"):
+        if key not in record:
+            raise DatasetError(f"missing field {key!r}")
+    numerical = record["numerical"]
+    if not isinstance(numerical, list):
+        raise DatasetError("numerical must be a list")
+    for v in numerical:
+        if not is_finite_number(v):
+            raise DatasetError(f"numerical entry {v!r} is not a finite number")
+    categorical = record["categorical"]
+    if not isinstance(categorical, list):
+        raise DatasetError("categorical must be a list of [name, value] pairs")
+    for item in categorical:
+        if not (isinstance(item, (list, tuple)) and len(item) == 2
+                and all(isinstance(s, str) for s in item)):
+            raise DatasetError(f"categorical entry {item!r} is not a [name, value] string pair")
+    return [float(v) for v in numerical], [(name, value) for name, value in categorical]
+
+
+def _validate_record(record, lineno: int) -> Example:
     def fail(msg):
         raise DatasetError(f"line {lineno}: {msg}")
 
-    for key in ("id", "text", "numerical", "categorical", "label"):
+    try:
+        numerical, categorical = parse_features(record)
+    except DatasetError as err:
+        fail(str(err))
+    for key in ("id", "text", "label"):
         if key not in record:
             fail(f"missing field {key!r}")
     if not isinstance(record["id"], str) or not isinstance(record["text"], str):
         fail("id and text must be strings")
-    numerical = record["numerical"]
-    if not isinstance(numerical, list):
-        fail("numerical must be a list")
-    for v in numerical:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-            fail(f"non-numeric numerical entry {v!r}")
-    categorical = record["categorical"]
-    if not isinstance(categorical, list):
-        fail("categorical must be a list of [name, value] pairs")
-    pairs = []
-    for item in categorical:
-        if not isinstance(item, (list, tuple)) or len(item) != 2 or not all(
-            isinstance(s, str) for s in item
-        ):
-            fail(f"bad categorical entry {item!r}")
-        pairs.append((item[0], item[1]))
     if record["label"] not in CLASS_INDEX:
         fail(f"unknown label {record['label']!r}")
-    return Example(
-        id=record["id"],
-        text=record["text"],
-        numerical=[float(v) for v in numerical],
-        categorical=pairs,
-        label=record["label"],
-    )
+    return Example(id=record["id"], text=record["text"], numerical=numerical,
+                   categorical=categorical, label=record["label"])
 
 
 def load_jsonl(path) -> list[Example]:
@@ -236,27 +250,37 @@ class FeaturePipeline:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "FeaturePipeline":
+    def from_json(cls, doc) -> "FeaturePipeline":
+        """Inverse of to_json; a DatasetError names a missing or mistyped field."""
+        if not isinstance(doc, dict):
+            raise DatasetError("expected a JSON object")
         if doc.get("version") != 1:
             raise DatasetError(f"unsupported pipeline version {doc.get('version')!r}")
-        scaler = FeatureScaler(
-            np.array(doc["numerical_mean"], dtype=np.float64),
-            np.array(doc["numerical_std"], dtype=np.float64),
-            np.array(doc["numerical_constant"], dtype=bool),
-        )
-        encoder = OneHotEncoder([(f["name"], list(f["categories"])) for f in doc["categorical"]])
+
+        def list_field(key, ok, what):
+            if key not in doc:
+                raise DatasetError(f"missing field {key!r}")
+            if not isinstance(doc[key], list) or not all(ok(v) for v in doc[key]):
+                raise DatasetError(f"field {key!r} must be a list of {what}")
+            return doc[key]
+
+        mean = list_field("numerical_mean", is_finite_number, "finite numbers")
+        std = list_field("numerical_std", lambda v: is_finite_number(v) and v > 0,
+                         "positive finite numbers")
+        constant = list_field("numerical_constant", lambda v: isinstance(v, bool), "booleans")
+        if not len(mean) == len(std) == len(constant):
+            raise DatasetError("fields 'numerical_mean', 'numerical_std' and "
+                               "'numerical_constant' differ in length")
+        features = list_field(
+            "categorical",
+            lambda f: isinstance(f, dict) and isinstance(f.get("name"), str)
+            and isinstance(f.get("categories"), list)
+            and all(isinstance(c, str) for c in f["categories"]),
+            '{"name": string, "categories": [string, ...]} objects')
+        scaler = FeatureScaler(np.array(mean, dtype=np.float64), np.array(std, dtype=np.float64),
+                               np.array(constant, dtype=bool))
+        encoder = OneHotEncoder([(f["name"], list(f["categories"])) for f in features])
         return cls(scaler=scaler, encoder=encoder)
-
-
-def fit_transform_features(train: list[Example], *others: list[Example]):
-    """Fit on train only, transform every split; returns (pipeline, tensors).
-
-    tensors is a list of (numerical, categorical) matrix pairs, one per
-    split, train first.
-    """
-    pipeline = FeaturePipeline.fit(train)
-    tensors = [pipeline.transform(split) for split in (train, *others)]
-    return pipeline, tensors
 
 
 def split(examples: list[Example], fractions=(0.6, 0.2, 0.2), seed: int = 0):
@@ -286,35 +310,54 @@ def split(examples: list[Example], fractions=(0.6, 0.2, 0.2), seed: int = 0):
 
 @dataclass
 class PreparedDataset:
-    """Model-ready view of a split: tensors plus embedded token sequences."""
+    """Model-ready view of a split: feature matrices plus embedded text.
+
+    ``seqs`` holds all N sequences as one (N, max_seq_len, d) array with
+    an (N, max_seq_len) mask, or is None when no embedding table was given.
+    """
 
     ids: list[str]
     labels: np.ndarray  # (n,) int class indices
     num: np.ndarray  # (n, num_dim) standardized
     cat: np.ndarray  # (n, cat_dim) one-hot blocks
-    seqs: list[EmbeddedSequence] = field(default_factory=list)
-    oov_total: int = 0
+    seqs: EmbeddedSequence | None = None
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    @property
+    def oov_total(self) -> int:
+        return self.seqs.oov_count if self.seqs is not None else 0
+
+    def inputs(self, model, rows) -> tuple:
+        """``(num, cat, seq)`` of the examples ``rows`` selects, as ``model.forward`` takes them.
+
+        ``rows`` is one index, a slice (views, no copy) or an index array.
+        A branch ``model`` does not use gets None.
+        """
+        tabular = model.uses_tabular
+        return (self.num[rows] if tabular else None, self.cat[rows] if tabular else None,
+                self.seqs[rows] if model.uses_text else None)
 
 
 def prepare(examples: list[Example], pipeline: FeaturePipeline,
             table: EmbeddingTable | None, max_seq_len: int) -> PreparedDataset:
     """Normalize/tokenize/embed text and transform features for one split.
 
-    ``table`` may be None for tabular-only experiments; seqs stays empty.
+    ``table`` may be None for tabular-only experiments; seqs is then None.
+    Rows are embedded one at a time into text arrays allocated once for
+    the whole split.
     """
     num, cat = pipeline.transform(examples)
     labels = np.array([ex.label_index for ex in examples], dtype=np.int64)
-    seqs: list[EmbeddedSequence] = []
-    oov_total = 0
+    seqs = None
     if table is not None:
-        for ex in examples:
+        seqs = EmbeddedSequence(vectors=np.zeros((len(examples), max_seq_len, table.dim)),
+                                mask=np.zeros((len(examples), max_seq_len), dtype=bool))
+        for i, ex in enumerate(examples):
             seq = embed_sequence(table, tokenize(normalize(ex.text), max_seq_len), max_seq_len)
-            oov_total += seq.oov_count
-            seqs.append(seq)
-    return PreparedDataset(
-        ids=[ex.id for ex in examples], labels=labels, num=num, cat=cat,
-        seqs=seqs, oov_total=oov_total,
-    )
+            seqs.vectors[i] = seq.vectors
+            seqs.mask[i] = seq.mask
+            seqs.oov_count += seq.oov_count
+    return PreparedDataset(ids=[ex.id for ex in examples], labels=labels, num=num, cat=cat,
+                           seqs=seqs)

@@ -41,22 +41,20 @@ class EmbeddingTable:
 
 @dataclass
 class EmbeddedSequence:
-    """Right-padded embedding matrix for one token sequence.
+    """Right-padded embedding matrix for one token sequence, or for N of them.
 
-    A batch of sequences (see stack_sequences) has a leading axis on
-    both arrays.
+    A dataset or batch of sequences has a leading axis on both arrays;
+    indexing it with a row, a slice or an index array gives that row or
+    batch (a view, for a row or a slice).
     """
 
-    vectors: np.ndarray  # (max_seq_len, d)
-    mask: np.ndarray  # (max_seq_len,) bool, True = real token
+    vectors: np.ndarray  # (max_seq_len, d), or (N, max_seq_len, d)
+    mask: np.ndarray  # (max_seq_len,) or (N, max_seq_len) bool, True = real token
     oov_count: int = 0
 
-
-def stack_sequences(seqs: list[EmbeddedSequence]) -> EmbeddedSequence:
-    """One batch of equal-length sequences: vectors (B, T, d), mask (B, T)."""
-    return EmbeddedSequence(vectors=np.stack([s.vectors for s in seqs]),
-                            mask=np.stack([s.mask for s in seqs]),
-                            oov_count=sum(s.oov_count for s in seqs))
+    def __getitem__(self, rows) -> "EmbeddedSequence":
+        """The selected rows; OOV counts belong to the whole and are not carried over."""
+        return EmbeddedSequence(vectors=self.vectors[rows], mask=self.mask[rows])
 
 
 def load_vec_file(path, vocab_limit: int | None = None) -> EmbeddingTable:

@@ -14,11 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dataset import CLASS_NAMES, PreparedDataset
-from .model import FusionModel, predict_topk
+from .dataset import CLASS_NAMES, PreparedDataset, is_finite_number
+from .model import FusionModel, forward
 from .parallel import ordered_map
 
 REPORT_VERSION = 1
+SCORE_CHUNK = 32  # rows per batched forward when scoring a dataset
+
+
+class ReportError(ValueError):
+    """An inconsistent report, or report JSON with a missing or mistyped field."""
 
 
 def _check_predictions(preds, labels) -> None:
@@ -68,13 +73,13 @@ class EvalReport:
             if recall is not None
         )
         if abs(weighted - self.accuracy) > 1e-12:
-            raise ValueError(
+            raise ReportError(
                 f"report identity violated: weighted recall {weighted!r} "
                 f"vs accuracy {self.accuracy!r}"
             )
         for recall in self.per_class_recall:
             if recall is not None and not 0.0 <= recall <= 1.0:
-                raise ValueError(f"recall out of range: {recall}")
+                raise ReportError(f"recall out of range: {recall}")
 
     def recall_of(self, class_name: str):
         return self.per_class_recall[self.class_names.index(class_name)]
@@ -103,18 +108,26 @@ def compute_report(preds, labels, k: int, class_names=CLASS_NAMES) -> EvalReport
     )
 
 
+def predict_all(model: FusionModel, data: PreparedDataset, k: int) -> list[list[int]]:
+    """Top-k class indices of every example in ``data``, in order.
+
+    Scores SCORE_CHUNK rows per forward. A row whose text is all padding
+    raises AllMaskedError naming that example.
+    """
+
+    def score(start: int) -> list[list[int]]:
+        rows = slice(start, start + SCORE_CHUNK)
+        num, cat, seq = data.inputs(model, rows)
+        return forward(model, num, cat, seq, k=k, example_id=data.ids[rows])[0].top_k
+
+    chunks = ordered_map(score, range(0, len(data), SCORE_CHUNK))
+    return [top for chunk in chunks for top in chunk]
+
+
 def report(model: FusionModel, prepared: PreparedDataset, k: int = 3,
            class_names=CLASS_NAMES) -> EvalReport:
-    """Predict every example (fanning out over threads) and aggregate."""
-
-    def predict_one(i: int):
-        seq = prepared.seqs[i] if model.uses_text else None
-        num = prepared.num[i] if model.uses_tabular else None
-        cat = prepared.cat[i] if model.uses_tabular else None
-        return predict_topk(model, num, cat, seq, k=k, example_id=prepared.ids[i]).top_k
-
-    preds = ordered_map(predict_one, list(range(len(prepared))))
-    return compute_report(preds, prepared.labels, k, class_names)
+    """Predict every example (see predict_all) and aggregate."""
+    return compute_report(predict_all(model, prepared, k), prepared.labels, k, class_names)
 
 
 def to_json(rep: EvalReport) -> dict:
@@ -130,9 +143,35 @@ def to_json(rep: EvalReport) -> dict:
     }
 
 
-def from_json(doc: dict) -> EvalReport:
+def _is_count(v) -> bool:
+    return not isinstance(v, bool) and isinstance(v, int) and v >= 0
+
+
+def _is_class_entry(e) -> bool:
+    return (isinstance(e, dict) and isinstance(e.get("name"), str) and _is_count(e.get("n_k"))
+            and "recall" in e and (e["recall"] is None or is_finite_number(e["recall"])))
+
+
+def from_json(doc) -> EvalReport:
+    """Inverse of to_json; a ReportError names a missing or mistyped field."""
+    if not isinstance(doc, dict):
+        raise ReportError("expected a JSON object")
     if doc.get("version") != REPORT_VERSION:
-        raise ValueError(f"unsupported report version {doc.get('version')!r}")
+        raise ReportError(f"unsupported report version {doc.get('version')!r}")
+    positive = (lambda v: _is_count(v) and v >= 1, "a positive integer")
+    fields = {
+        "k": positive,
+        "n": positive,
+        "accuracy": (is_finite_number, "a finite number"),
+        "per_class": (lambda v: isinstance(v, list) and all(map(_is_class_entry, v)),
+                      'a list of {"name": string, "n_k": count, '
+                      '"recall": finite number or null} objects'),
+    }
+    for key, (ok, what) in fields.items():
+        if key not in doc:
+            raise ReportError(f"missing field {key!r}")
+        if not ok(doc[key]):
+            raise ReportError(f"field {key!r} must be {what}")
     per_class = doc["per_class"]
     return EvalReport(
         k=doc["k"],

@@ -183,7 +183,10 @@ def _init_branch(rng: Rng, in_dim: int, hidden: int, activation: str) -> list[De
     ]
 
 
-def _build(config: ModelConfig, variant: str, rng: Rng | None) -> FusionModel:
+def build_variant(config: ModelConfig, variant: str, rng: Rng | None = None) -> FusionModel:
+    """A fresh model of ``variant``, seeded by ``config.seed`` unless ``rng`` is given."""
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}")
     rng = rng if rng is not None else Rng(config.seed)
     mlp_num = mlp_cat = encoder = attention = None
     if variant in ("fusion", "mlp"):
@@ -196,24 +199,6 @@ def _build(config: ModelConfig, variant: str, rng: Rng | None) -> FusionModel:
     head = DenseLayer.init(rng.child(4), head_input_dim(config, variant),
                            config.num_classes, "identity")
     return FusionModel(config, variant, mlp_num, mlp_cat, encoder, attention, head)
-
-
-def build(config: ModelConfig, rng: Rng | None = None) -> FusionModel:
-    return _build(config, "fusion", rng)
-
-
-def build_mlp_only(config: ModelConfig, rng: Rng | None = None) -> FusionModel:
-    return _build(config, "mlp", rng)
-
-
-def build_text_only(config: ModelConfig, rng: Rng | None = None) -> FusionModel:
-    return _build(config, "text", rng)
-
-
-def build_variant(config: ModelConfig, variant: str, rng: Rng | None = None) -> FusionModel:
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}")
-    return _build(config, variant, rng)
 
 
 def _run_branch(branch: list[DenseLayer], x: np.ndarray):
@@ -241,7 +226,7 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
 
     A batch has a leading axis of B rows: ``num_x`` is (B, num_dim),
     ``cat_x`` (B, cat_dim), and ``seq`` holds (B, T, embed_dim) vectors
-    with a (B, T) mask (see ``embeddings.stack_sequences``). Then the
+    with a (B, T) mask (rows of ``PreparedDataset.seqs``, for one). Then the
     prediction's probs are (B, C), its top_k has one list per row, and
     ``example_id`` may be a list naming each row.
 

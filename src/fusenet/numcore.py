@@ -9,6 +9,7 @@ platform.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 Tensor1D = np.ndarray
 Tensor2D = np.ndarray
@@ -52,10 +53,6 @@ def sigmoid(z):
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def tanh_act(z):
-    return np.tanh(np.asarray(z, dtype=np.float64))
-
-
 class Rng:
     """Seeded, platform-independent random source (PCG64).
 
@@ -66,8 +63,8 @@ class Rng:
     def __init__(self, seed: int, _spawn_key: tuple = ()):
         self.seed = int(seed)
         self._spawn_key = _spawn_key
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=_spawn_key)
-        self._gen = np.random.Generator(np.random.PCG64(seq))
+        seq = SeedSequence(entropy=self.seed, spawn_key=_spawn_key)
+        self._gen = Generator(PCG64(seq))
 
     def child(self, key: int) -> "Rng":
         """Independent stream addressed by (seed, ...keys); order-insensitive."""

@@ -1,34 +1,12 @@
-"""Bounded fan-out over independent examples.
+"""The map the dataset scorer runs its chunks through.
 
-FUSENET_THREADS caps the worker count (default: machine cores). Results
-always come back in input order, so aggregation downstream is identical
-whatever the worker count.
+It is serial: each chunk is already one batched forward, and fanning
+chunks out over threads made scoring slower. The map stays a named
+function so benchmark tracing can time the scoring loop as one span.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 
-ENV_VAR = "FUSENET_THREADS"
-
-
-def max_workers() -> int:
-    raw = os.environ.get(ENV_VAR)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}")
-        if value < 1:
-            raise ValueError(f"{ENV_VAR} must be >= 1, got {value}")
-        return value
-    return os.cpu_count() or 1
-
-
-def ordered_map(fn, items: list) -> list:
-    workers = min(max_workers(), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def ordered_map(fn, items) -> list:
+    return [fn(item) for item in items]

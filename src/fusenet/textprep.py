@@ -14,7 +14,6 @@ hyphens survive so embedding-table hits stay high.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -118,17 +117,6 @@ def tokenize(normalized: str, max_seq_len: int = DEFAULT_MAX_SEQ_LEN) -> TokenSe
         if word:
             tokens.append(word)
     return TokenSequence(tokens=tokens[:max_seq_len], original_len=len(tokens))
-
-
-def hash_tokens(tokens: list[str], salt: str = "") -> list[str]:
-    """Optional stable token-hashing mode (off by default everywhere).
-
-    Maps each token to a 12-hex-digit digest. The embedding path requires
-    plain tokens; this exists for pipelines that must not persist words.
-    """
-    return [
-        hashlib.sha256((salt + tok).encode("utf-8")).hexdigest()[:12] for tok in tokens
-    ]
 
 
 def contains_pii(text: str) -> bool:

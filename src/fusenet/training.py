@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import PreparedDataset
-from .embeddings import EmbeddedSequence, stack_sequences
+from .embeddings import EmbeddedSequence
+from .metrics import predict_all, topk_accuracy
 from .model import (FusionModel, ModelConfig, backward, build_variant, clone,
                     forward)
 from .numcore import Rng
 
 GRAD_EPS = 1e-8  # denominator floor in relative-error comparisons
-SCORE_CHUNK = 32  # rows per batched forward when scoring validation
 
 
 class TrainingAbort(RuntimeError):
@@ -158,14 +158,6 @@ def clip_grads_(grads: dict[str, np.ndarray], max_norm: float) -> float:
     return norm
 
 
-def _batch_inputs(model: FusionModel, data: PreparedDataset, rows: np.ndarray):
-    """Feature rows and stacked sequences of the examples at indices ``rows``."""
-    num = data.num[rows] if model.uses_tabular else None
-    cat = data.cat[rows] if model.uses_tabular else None
-    seq = stack_sequences([data.seqs[i] for i in rows]) if model.uses_text else None
-    return num, cat, seq
-
-
 def _check_dims(model: FusionModel, data: PreparedDataset, split: str) -> None:
     cfg = model.config
     if len(data) == 0:
@@ -180,26 +172,18 @@ def _check_dims(model: FusionModel, data: PreparedDataset, split: str) -> None:
                 f"{split}: categorical width {data.cat.shape[1]} vs model {cfg.cat_feature_dim}"
             )
     if model.uses_text:
-        if len(data.seqs) != len(data):
+        if data.seqs is None:
             raise ValueError(f"{split}: missing embedded sequences")
-        # Every sequence, not just the first: batches stack them.
-        for ex_id, seq in zip(data.ids, data.seqs):
-            if (seq.vectors.shape != (cfg.max_seq_len, cfg.embed_dim)
-                    or seq.mask.shape != (cfg.max_seq_len,)):
-                raise ValueError(
-                    f"{split}: example {ex_id}: sequence shape {seq.vectors.shape} vs "
-                    f"({cfg.max_seq_len}, {cfg.embed_dim})"
-                )
+        expected = (len(data), cfg.max_seq_len, cfg.embed_dim)
+        if data.seqs.vectors.shape != expected or data.seqs.mask.shape != expected[:2]:
+            raise ValueError(
+                f"{split}: sequences {data.seqs.vectors.shape} with mask "
+                f"{data.seqs.mask.shape} vs {expected}"
+            )
 
 
 def _validation_topk_accuracy(model: FusionModel, data: PreparedDataset, k: int) -> float:
-    hits = 0
-    for start in range(0, len(data), SCORE_CHUNK):
-        rows = np.arange(start, min(start + SCORE_CHUNK, len(data)))
-        num, cat, seq = _batch_inputs(model, data, rows)
-        pred = forward(model, num, cat, seq, k=k, example_id=[data.ids[i] for i in rows])[0]
-        hits += sum(int(label) in top for label, top in zip(data.labels[rows], pred.top_k))
-    return hits / len(data)
+    return topk_accuracy(predict_all(model, data, k), data.labels)
 
 
 def _batch_gradients(model: FusionModel, data: PreparedDataset, rows: np.ndarray,
@@ -209,7 +193,7 @@ def _batch_gradients(model: FusionModel, data: PreparedDataset, rows: np.ndarray
     The forward cache dies when this returns, so the next batch's
     forward never holds two of them at once.
     """
-    num, cat, seq = _batch_inputs(model, data, rows)
+    num, cat, seq = data.inputs(model, rows)
     pred, cache = forward(model, num, cat, seq, dropout_rate=dropout_rate, drop_rng=drop_rng,
                           example_id=[data.ids[i] for i in rows])
     loss, dlogits = batch_loss(pred.probs, data.labels[rows], weights)

@@ -224,7 +224,7 @@ def test_criterion_6_determinism_and_round_trips(tmp_path):
     fusion_config = mm.ModelConfig(num_feature_dim=6, cat_feature_dim=5, embed_dim=4,
                                    lstm_hidden=4, mlp_hidden=6, num_classes=13,
                                    max_seq_len=5, seed=8)
-    model = mm.build(fusion_config)
+    model = mm.build_variant(fusion_config, "fusion")
     model_path = tmp_path / "fusion.afn"
     mm.save(model, model_path)
     loaded = mm.load(model_path)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fusenet.dataset import PreparedDataset
-from fusenet.embeddings import EmbeddedSequence, stack_sequences
+from fusenet.embeddings import EmbeddedSequence
 from fusenet.layers import AllMaskedError, LstmCell
 from fusenet.model import VARIANTS, backward, build_variant, forward, load, save
 from fusenet.numcore import Rng, sigmoid
@@ -25,13 +25,12 @@ CLASS_WEIGHTS = np.array([0.5, 2.0, 1.0, 3.0, 0.25])  # small_check_config has 5
 
 
 def ragged_batch(seed, config):
+    """Features, one (B, T, d) sequence batch (row j is ``seqs[j]``) and labels."""
     rng = Rng(seed).child(41)
-    seqs = []
-    for n in LENGTHS:
-        vectors = rng.normal((config.max_seq_len, config.embed_dim))
-        mask = np.arange(config.max_seq_len) < n
-        vectors[~mask] = 0.0
-        seqs.append(EmbeddedSequence(vectors=vectors, mask=mask))
+    vectors = np.stack([rng.normal((config.max_seq_len, config.embed_dim)) for _ in LENGTHS])
+    mask = np.arange(config.max_seq_len) < np.array(LENGTHS)[:, None]
+    vectors[~mask] = 0.0
+    seqs = EmbeddedSequence(vectors=vectors, mask=mask)
     num = rng.normal((len(LENGTHS), config.num_feature_dim))
     cat = (rng.random((len(LENGTHS), config.cat_feature_dim)) < 0.5).astype(np.float64)
     labels = rng.integers(0, config.num_classes, len(LENGTHS))
@@ -42,8 +41,7 @@ def ragged_batch(seed, config):
 def test_batch_gradient_matches_finite_differences(weights):
     config = small_check_config(seed=2)
     model = build_variant(config, "fusion")
-    num, cat, seqs, labels = ragged_batch(2, config)
-    seq = stack_sequences(seqs)
+    num, cat, seq, labels = ragged_batch(2, config)
 
     def loss():
         return batch_loss(forward(model, num, cat, seq)[0].probs, labels, weights)[0]
@@ -61,7 +59,7 @@ def test_batch_equals_sum_of_examples(variant, weights):
     config = small_check_config(seed=4)
     model = build_variant(config, variant)
     num, cat, seqs, labels = ragged_batch(4, config)
-    pred, cache = forward(model, num, cat, stack_sequences(seqs))
+    pred, cache = forward(model, num, cat, seqs)
     loss, dlogits = batch_loss(pred.probs, labels, weights)
     grads = backward(model, cache, dlogits)
 
@@ -88,7 +86,7 @@ def test_batch_dropout_masks_match_rows_run_in_order():
     config = small_check_config(seed=6)
     model = build_variant(config, "fusion")
     num, cat, seqs, _ = ragged_batch(6, config)
-    batched, _ = forward(model, num, cat, stack_sequences(seqs), dropout_rate=0.5,
+    batched, _ = forward(model, num, cat, seqs, dropout_rate=0.5,
                          drop_rng=Rng(9))
     rng = Rng(9)
     for j in range(len(LENGTHS)):
@@ -128,11 +126,11 @@ def _reference_text_vector(model, vectors, mask):
 def test_fused_text_branch_matches_per_gate_reference():
     config = small_check_config(seed=8)
     model = build_variant(config, "text")
-    _, _, seqs, _ = ragged_batch(8, config)
-    seq = stack_sequences(seqs)
+    _, _, seq, _ = ragged_batch(8, config)
     H, _ = model.encoder.forward(seq.vectors)
     a, _, _ = model.attention.forward(H, seq.mask)
-    for j, one in enumerate(seqs):
+    for j in range(len(LENGTHS)):
+        one = seq[j]
         ref = _reference_text_vector(model, one.vectors, one.mask)
         assert np.max(np.abs(a[j] - ref)) <= 1e-12
 
@@ -151,10 +149,10 @@ def test_gate_blocks_are_views_of_the_fused_matrix():
 def test_all_masked_row_names_its_example():
     config = small_check_config(seed=1)
     model = build_variant(config, "fusion")
-    num, cat, seqs, _ = ragged_batch(1, config)
-    seqs[1].mask[:] = False
+    num, cat, seq, _ = ragged_batch(1, config)
+    seq.mask[1] = False
     with pytest.raises(AllMaskedError, match="example b:"):
-        forward(model, num, cat, stack_sequences(seqs), example_id=["a", "b", "c"])
+        forward(model, num, cat, seq, example_id=["a", "b", "c"])
 
 
 # Written by the per-gate, per-example implementation that preceded the
@@ -181,10 +179,17 @@ def test_v1_checkpoint_bytes_and_predictions_unchanged(tmp_path):
     assert np.max(np.abs(pred.probs - expected)) <= 1e-12
 
 
-def test_train_names_an_example_whose_sequence_cannot_be_stacked():
+@pytest.mark.parametrize("bad", ["rows", "length", "width", "mask"])
+def test_train_names_the_split_whose_sequence_array_has_the_wrong_shape(bad):
     config = small_check_config(seed=3)
-    num, cat, seqs, labels = ragged_batch(3, config)
-    seqs[2] = EmbeddedSequence(seqs[2].vectors[:4], seqs[2].mask[:4])
-    data = PreparedDataset(ids=["a", "b", "c"], labels=labels, num=num, cat=cat, seqs=seqs)
-    with pytest.raises(ValueError, match="example c: sequence shape"):
-        train(build_variant(config, "fusion"), data, data, TrainConfig(epochs=1))
+    num, cat, seq, labels = ragged_batch(3, config)
+    good = PreparedDataset(ids=["a", "b", "c"], labels=labels, num=num, cat=cat, seqs=seq)
+    wrong = {"rows": seq[:2], "length": EmbeddedSequence(seq.vectors[:, :4], seq.mask[:, :4]),
+             "width": EmbeddedSequence(seq.vectors[..., :-1], seq.mask),
+             "mask": EmbeddedSequence(seq.vectors, seq.mask[:, :4])}[bad]
+    data = PreparedDataset(ids=["a", "b", "c"], labels=labels, num=num, cat=cat, seqs=wrong)
+    model = build_variant(config, "fusion")
+    with pytest.raises(ValueError, match="^validation: sequences"):
+        train(model, good, data, TrainConfig(epochs=1))
+    with pytest.raises(ValueError, match="^train: sequences"):
+        train(model, data, good, TrainConfig(epochs=1))

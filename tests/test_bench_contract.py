@@ -144,7 +144,7 @@ TRACED_TARGETS = [
 
 # Installs the benchmark's wrappers in a fresh interpreter (they replace
 # module attributes for the life of the process), then runs one batched
-# forward through them.
+# forward and one metrics.report over a 40-row set through them.
 _TRACE_SCRIPT = """
 import json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
@@ -153,17 +153,23 @@ import fusenet.cli
 import tracing
 rec = tracing.Recorder()
 tracing.install(rec)
-from fusenet import embeddings, model, numcore, training
+from fusenet import dataset, embeddings, metrics, model, numcore, training
 cfg = training.small_check_config(0)
 m = model.build_variant(cfg, "fusion")
 rng = numcore.Rng(1)
-mask = [[True] * cfg.max_seq_len, [True] + [False] * (cfg.max_seq_len - 1)]
-seqs = [embeddings.EmbeddedSequence(rng.normal((cfg.max_seq_len, cfg.embed_dim)), np.array(row))
-        for row in mask]
-model.forward(m, rng.normal((2, cfg.num_feature_dim)), rng.normal((2, cfg.cat_feature_dim)),
-              embeddings.stack_sequences(seqs))
-print(json.dumps({"installed": rec.installed, "counts": rec.counts,
-                  "spans": sorted({s[2] for s in rec.spans})}))
+mask = np.array([[True] * cfg.max_seq_len, [True] + [False] * (cfg.max_seq_len - 1)])
+seq = embeddings.EmbeddedSequence(rng.normal((2, cfg.max_seq_len, cfg.embed_dim)), mask)
+model.forward(m, rng.normal((2, cfg.num_feature_dim)), rng.normal((2, cfg.cat_feature_dim)), seq)
+forward_counts = dict(rec.counts)
+n = 40
+data = dataset.PreparedDataset(
+    ids=[str(i) for i in range(n)], labels=np.arange(n) % cfg.num_classes,
+    num=rng.normal((n, cfg.num_feature_dim)), cat=rng.normal((n, cfg.cat_feature_dim)),
+    seqs=embeddings.EmbeddedSequence(rng.normal((n, cfg.max_seq_len, cfg.embed_dim)),
+                                     np.ones((n, cfg.max_seq_len), dtype=bool)))
+metrics.report(m, data, k=3, class_names=[str(c) for c in range(cfg.num_classes)])
+print(json.dumps({"installed": rec.installed, "counts": forward_counts,
+                  "spans": [s[2] for s in rec.spans]}))
 """
 
 
@@ -179,5 +185,10 @@ def test_tracer_installs_every_target():
     assert counts["layers.bilstm.live"] == 5 + 1
     assert counts["layers.lstm_step.calls"] == 2 * 5  # one call per step for the whole batch
     assert counts["numcore.sigmoid.calls"] == 2 * 5
+    spans = result["spans"]
     assert {"model.forward", "layers.bilstm.fwd", "layers.attention.fwd",
-            "layers.dense.fwd"} <= set(result["spans"])
+            "layers.dense.fwd"} <= set(spans)
+    # metrics.report maps its two chunks (32 and 8 rows) through parallel.ordered_map,
+    # the span the benchmark's eval-bulk attribution reads.
+    assert spans.count("metrics.report") == 1 and spans.count("parallel.ordered_map") == 1
+    assert spans.count("model.forward") == 1 + 2

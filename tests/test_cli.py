@@ -5,7 +5,7 @@ import pytest
 
 from fusenet import cli
 from fusenet.dataset import CLASS_NAMES
-from fusenet.model import build_text_only, load, save
+from fusenet.model import build_variant, load, save
 from fusenet.training import small_check_config
 
 
@@ -188,6 +188,19 @@ class TestEval:
         accs = [float(line.split()[1]) for line in lines[1:4]]
         assert accs == sorted(accs)
 
+    def test_compare_names_a_report_missing_a_field(self, workspace, tmp_path, capsys):
+        good = str(tmp_path / "good.json")
+        assert cli.main(["eval", "--model", workspace["checkpoints"]["mlp"],
+                         "--data", workspace["data"], "--split", "val", "--out", good]) == 0
+        doc = json.loads(open(good).read())
+        del doc["per_class"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["eval", "--compare", good, str(bad)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(bad) in err[0] and "'per_class'" in err[0]
+
     def test_requires_model_and_data_without_compare(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["eval", "--k", "3"])
@@ -197,7 +210,7 @@ class TestEval:
 class TestPredict:
     def test_uniform_model_prints_first_three_classes_in_order(self, tmp_path, capsys):
         config = small_check_config(0)
-        model = build_text_only(config)
+        model = build_variant(config, "text")
         for _, arr in model.param_blocks():
             arr[...] = 0.0
         # A 13-class uniform head: rebuild with the real class count.
@@ -205,7 +218,7 @@ class TestPredict:
         config13 = ModelConfig(num_feature_dim=6, cat_feature_dim=5, embed_dim=8,
                                lstm_hidden=4, mlp_hidden=6, num_classes=13,
                                max_seq_len=12, seed=0)
-        model = build_text_only(config13)
+        model = build_variant(config13, "text")
         for _, arr in model.param_blocks():
             arr[...] = 0.0
         path = str(tmp_path / "uniform.afn")
@@ -252,6 +265,41 @@ class TestPredict:
         ])
         assert code == 1
         assert "categorical" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"numerical": [float("nan")] + [0.0] * 19, "categorical": []}, "numerical"),
+        ({"numerical": [float("inf")] + [0.0] * 19, "categorical": []}, "numerical"),
+        ({"numerical": "0.0", "categorical": []}, "numerical"),
+        ({"numerical": [0.0] * 20, "categorical": [["account_state", 3]]}, "categorical"),
+        ({"numerical": [0.0] * 20, "categorical": ["account_state"]}, "categorical"),
+    ], ids=["nan", "infinity", "not-a-list", "non-string-value", "not-a-pair"])
+    def test_bad_feature_values_name_file_and_field(self, workspace, tmp_path, capsys, doc,
+                                                    field):
+        features = tmp_path / "bad.json"
+        features.write_text(json.dumps(doc))  # writes NaN and Infinity as bare tokens
+        code = cli.main([
+            "predict", "--model", workspace["checkpoints"]["mlp"],
+            "--features", str(features),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(features) in err[0] and field in err[0]
+
+    def test_pipeline_missing_a_field_is_named(self, workspace, tmp_path, capsys):
+        mlp = workspace["checkpoints"]["mlp"]
+        doc = json.loads(open(mlp + ".pipeline.json", encoding="utf-8").read())
+        del doc["numerical_std"]
+        pipeline = tmp_path / "pipeline.json"
+        pipeline.write_text(json.dumps(doc))
+        features = tmp_path / "features.json"
+        features.write_text(json.dumps({"numerical": [0.0] * 20, "categorical": []}))
+        code = cli.main(["predict", "--model", mlp, "--pipeline", str(pipeline),
+                         "--features", str(features)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1 and len(err) == 1
+        assert str(pipeline) in err[0] and "'numerical_std'" in err[0]
 
 
 class TestGradcheckCommand:

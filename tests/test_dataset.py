@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fusenet.dataset import (CLASS_NAMES, DatasetError, Example, FeaturePipeline,
-                             FeatureScaler, OneHotEncoder, fit_transform_features,
-                             load_jsonl, prepare, save_jsonl, split)
+                             FeatureScaler, OneHotEncoder, load_jsonl, prepare, save_jsonl,
+                             split)
 from fusenet.embeddings import random_table
 from fusenet.numcore import Rng
 
@@ -48,6 +48,13 @@ class TestJsonl:
         lines[1] = json.dumps(doc)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetError, match="line 2"):
+            load_jsonl(path)
+
+    def test_line_that_is_not_an_object_named(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        save_jsonl([make_example(0)], path)
+        path.write_text(path.read_text() + "5\n")
+        with pytest.raises(DatasetError, match="line 2: expected a JSON object"):
             load_jsonl(path)
 
     def test_missing_field_named(self, tmp_path):
@@ -107,13 +114,14 @@ class TestOneHot:
         vec = enc.transform_one([("state", "b"), ("size", "s")])
         assert vec.tolist() == [0.0, 1.0, 1.0, 0.0]
 
-    def test_fit_transform_features_api(self):
+    def test_pipeline_fit_on_train_transforms_another_split(self):
         train = [make_example(i) for i in range(4)]
         test = [make_example(10, cats=[("state", "never-seen")])]
-        pipeline, tensors = fit_transform_features(train, test)
-        assert isinstance(pipeline, FeaturePipeline)
-        (num_tr, cat_tr), (num_te, cat_te) = tensors
+        pipeline = FeaturePipeline.fit(train)
+        num_tr, cat_tr = pipeline.transform(train)
+        num_te, cat_te = pipeline.transform(test)
         assert num_tr.shape == (4, 2) and cat_tr.shape == (4, 2)
+        assert num_te.shape == (1, 2) and cat_te.shape == (1, 2)
         assert not cat_te.any()
 
     def test_pipeline_json_round_trip(self):
@@ -123,6 +131,27 @@ class TestOneHot:
         num_a, cat_a = pipeline.transform(train)
         num_b, cat_b = clone.transform(train)
         assert np.array_equal(num_a, num_b) and np.array_equal(cat_a, cat_b)
+
+    @pytest.mark.parametrize("field, value", [
+        ("numerical_std", None), ("numerical_mean", None), ("numerical_constant", None),
+        ("categorical", None), ("numerical_std", [1.0, 0.0]), ("numerical_mean", "0"),
+        ("numerical_constant", [0, 1]), ("categorical", [{"name": "state"}]),
+    ], ids=["no-std", "no-mean", "no-constant", "no-categorical", "zero-std", "string-mean",
+            "int-constant", "entry-without-categories"])
+    def test_pipeline_json_missing_or_mistyped_field_named(self, field, value):
+        doc = FeaturePipeline.fit([make_example(i) for i in range(4)]).to_json()
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        with pytest.raises(DatasetError, match=f"'{field}'"):
+            FeaturePipeline.from_json(doc)
+
+    def test_pipeline_json_field_lengths_must_agree(self):
+        doc = FeaturePipeline.fit([make_example(i) for i in range(4)]).to_json()
+        doc["numerical_std"] = doc["numerical_std"][:1]
+        with pytest.raises(DatasetError, match="differ in length"):
+            FeaturePipeline.from_json(doc)
 
     def test_empty_train_rejected(self):
         with pytest.raises(DatasetError):
@@ -174,12 +203,20 @@ class TestPrepare:
         table = random_table(["hello", "loan"], 4, seed=0)
         prep = prepare(examples, pipeline, table, max_seq_len=5)
         assert prep.num.shape == (6, 2)
-        assert len(prep.seqs) == 6
-        assert prep.seqs[0].vectors.shape == (5, 4)
+        assert prep.seqs.vectors.shape == (6, 5, 4)
+        assert prep.seqs.mask.shape == (6, 5)
+        assert prep.seqs.mask[:, :3].all() and not prep.seqs.mask[:, 3:].any()
+        # One row is a view of the dataset's arrays, in one-example shapes.
+        row = prep.seqs[2]
+        assert row.vectors.shape == (5, 4) and row.mask.shape == (5,)
+        assert np.shares_memory(row.vectors, prep.seqs.vectors)
+        assert np.array_equal(row.vectors[0], table.lookup("hello"))
+        assert not row.vectors[2].any()  # "fee" is OOV: a zero row under a true mask
         assert prep.oov_total == 6  # "fee" is OOV once per example
 
     def test_no_table_skips_text(self):
         examples = [make_example(i) for i in range(3)]
         pipeline = FeaturePipeline.fit(examples)
         prep = prepare(examples, pipeline, None, max_seq_len=5)
-        assert prep.seqs == []
+        assert prep.seqs is None
+        assert prep.oov_total == 0

@@ -3,10 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from fusenet.dataset import CLASS_NAMES
-from fusenet.metrics import (EvalReport, compute_report, from_json, to_json,
+from fusenet import metrics
+from fusenet.dataset import CLASS_NAMES, PreparedDataset
+from fusenet.embeddings import EmbeddedSequence
+from fusenet.layers import AllMaskedError
+from fusenet.metrics import (EvalReport, ReportError, compute_report, from_json, to_json,
                              topk_accuracy, topk_recall)
+from fusenet.model import ModelConfig, build_variant, forward, predict_topk
 from fusenet.numcore import Rng
+from fusenet.training import _validation_topk_accuracy
 
 
 def brute_force_recall(preds, labels, class_idx):
@@ -159,6 +164,21 @@ class TestReport:
         assert doc["version"] == 1
         assert {"name", "n_k", "recall"} <= set(doc["per_class"][0])
 
+    @pytest.mark.parametrize("field, value", [
+        ("per_class", None), ("k", None), ("n", None), ("accuracy", None),
+        ("per_class", [{"name": "x", "n_k": 1}]), ("k", "3"), ("n", 0), ("accuracy", "1"),
+        ("accuracy", float("nan")), ("per_class", [{"name": "x", "n_k": 1, "recall": "all"}]),
+    ], ids=["no-per_class", "no-k", "no-n", "no-accuracy", "entry-without-recall",
+            "string-k", "zero-n", "string-accuracy", "nan-accuracy", "string-recall"])
+    def test_json_missing_or_mistyped_field_named(self, field, value):
+        doc = to_json(compute_report([[0, 1, 2]], [0], k=3))
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        with pytest.raises(ReportError, match=f"'{field}'"):
+            from_json(doc)
+
     def test_json_version_checked(self):
         rep = compute_report([[0, 1, 2]], [0], k=3)
         doc = to_json(rep)
@@ -167,25 +187,51 @@ class TestReport:
             from_json(doc)
 
 
-def test_report_identical_under_any_thread_count(monkeypatch):
-    # FUSENET_THREADS caps the evaluation fan-out; results never depend on it.
-    from fusenet.dataset import PreparedDataset
-    from fusenet.metrics import report
-    from fusenet.model import ModelConfig, build_mlp_only
-
-    rng = Rng(60)
-    n = 40
-    config = ModelConfig(num_feature_dim=4, cat_feature_dim=2, embed_dim=1,
-                         lstm_hidden=1, mlp_hidden=6, num_classes=13, max_seq_len=1, seed=2)
-    model = build_mlp_only(config)
+def ragged_fusion_set(n=40, seed=60):
+    """A small 13-class fusion model and n rows with text lengths 1..T."""
+    config = ModelConfig(num_feature_dim=4, cat_feature_dim=2, embed_dim=3, lstm_hidden=4,
+                         mlp_hidden=6, num_classes=13, max_seq_len=5, seed=2)
+    rng = Rng(seed)
+    lengths = 1 + np.arange(n) % config.max_seq_len
+    mask = np.arange(config.max_seq_len) < lengths[:, None]
+    vectors = rng.normal((n, config.max_seq_len, config.embed_dim)) * mask[..., None]
     data = PreparedDataset(
         ids=[f"t{i}" for i in range(n)],
-        labels=np.array([int(rng.integers(0, 13)) for _ in range(n)]),
+        labels=rng.integers(0, 13, n),
         num=rng.normal((n, 4)),
         cat=(rng.random((n, 2)) < 0.5).astype(float),
+        seqs=EmbeddedSequence(vectors=vectors, mask=mask),
     )
-    results = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("FUSENET_THREADS", threads)
-        results.append(report(model, data, k=3))
-    assert results[0] == results[1]
+    return build_variant(config, "fusion"), data
+
+
+def one_at_a_time(model, data, k):
+    return [predict_topk(model, *data.inputs(model, j), k=k).top_k for j in range(len(data))]
+
+
+def test_report_scores_chunks_and_matches_one_example_predictions(monkeypatch):
+    model, data = ragged_fusion_set()
+    expected = one_at_a_time(model, data, 3)
+    batch_rows = []
+
+    def counting_forward(model, num_x, cat_x, seq, **kwargs):
+        batch_rows.append(len(num_x))
+        return forward(model, num_x, cat_x, seq, **kwargs)
+
+    monkeypatch.setattr(metrics, "forward", counting_forward)
+    assert metrics.predict_all(model, data, 3) == expected
+    assert batch_rows == [metrics.SCORE_CHUNK, 40 - metrics.SCORE_CHUNK]
+    assert metrics.report(model, data, k=3) == compute_report(expected, data.labels, 3)
+
+
+def test_validation_accuracy_is_topk_accuracy_of_the_same_predictions():
+    model, data = ragged_fusion_set()
+    accuracy = _validation_topk_accuracy(model, data, 3)
+    assert accuracy == topk_accuracy(one_at_a_time(model, data, 3), data.labels)
+
+
+def test_report_names_an_all_masked_example():
+    model, data = ragged_fusion_set()
+    data.seqs.mask[35] = False
+    with pytest.raises(AllMaskedError, match="example t35:"):
+        metrics.report(model, data, k=3)

@@ -4,8 +4,7 @@ import pytest
 from fusenet.embeddings import EmbeddedSequence
 from fusenet.layers import AllMaskedError
 from fusenet.model import (ConfigError, CorruptModelError, ModelLoadError,
-                           ModelConfig, VersionError, backward, build,
-                           build_mlp_only, build_text_only, build_variant,
+                           ModelConfig, VersionError, backward, build_variant,
                            forward, head_input_dim, load, predict_topk, save,
                            topk_indices)
 from fusenet.numcore import Rng
@@ -35,8 +34,8 @@ def random_inputs(seed, config):
 
 class TestBuild:
     def test_same_seed_bit_identical(self):
-        a = build(small_config())
-        b = build(small_config())
+        a = build_variant(small_config(), "fusion")
+        b = build_variant(small_config(), "fusion")
         for (name_a, arr_a), (name_b, arr_b) in zip(a.param_blocks(), b.param_blocks()):
             assert name_a == name_b
             assert np.array_equal(arr_a, arr_b)
@@ -45,11 +44,11 @@ class TestBuild:
         config = ModelConfig(num_feature_dim=100, cat_feature_dim=20, embed_dim=300,
                              lstm_hidden=64, mlp_hidden=64)
         assert head_input_dim(config, "fusion") == 64 + 64 + 128 == 256
-        model = build(config)
+        model = build_variant(config, "fusion")
         assert model.head.in_dim == 256
 
     def test_injected_head_mismatch_is_a_construction_error(self):
-        model = build(small_config())
+        model = build_variant(small_config(), "fusion")
         model.head.W = np.zeros((model.head.in_dim + 1, model.config.num_classes))
         with pytest.raises(ConfigError):
             model.validate_shapes()
@@ -63,7 +62,7 @@ class TestBuild:
 
 class TestForward:
     def test_zero_parameters_give_uniform_probs(self):
-        model = build(small_config())
+        model = build_variant(small_config(), "fusion")
         for _, arr in model.param_blocks():
             arr[...] = 0.0
         num, cat, seq = random_inputs(0, model.config)
@@ -72,7 +71,7 @@ class TestForward:
         assert pred.top_k == [0, 1, 2]
 
     def test_all_masked_error_carries_example_id(self):
-        model = build(small_config())
+        model = build_variant(small_config(), "fusion")
         num, cat, seq = random_inputs(1, model.config)
         seq.mask[:] = False
         with pytest.raises(AllMaskedError, match="example case-7"):
@@ -82,7 +81,7 @@ class TestForward:
         assert grad_check("fusion", seed=0).max_rel_err < 1e-4
 
     def test_probs_sum_to_one(self):
-        model = build(small_config())
+        model = build_variant(small_config(), "fusion")
         for seed in range(5):
             num, cat, seq = random_inputs(seed, model.config)
             pred, _ = forward(model, num, cat, seq)
@@ -91,15 +90,15 @@ class TestForward:
 
 class TestVariants:
     def test_text_only_head_dim(self):
-        model = build_text_only(small_config())
+        model = build_variant(small_config(), "text")
         assert model.head.in_dim == 2 * model.config.lstm_hidden
 
     def test_mlp_only_head_dim(self):
-        model = build_mlp_only(small_config())
+        model = build_variant(small_config(), "mlp")
         assert model.head.in_dim == 2 * model.config.mlp_hidden
 
     def test_mlp_only_ignores_text(self):
-        model = build_mlp_only(small_config())
+        model = build_variant(small_config(), "mlp")
         num, cat, seq = random_inputs(2, model.config)
         p1, _ = forward(model, num, cat, seq)
         seq2 = random_seq(Rng(99), model.config)
@@ -107,7 +106,7 @@ class TestVariants:
         assert np.array_equal(p1.probs, p2.probs)
 
     def test_text_only_requires_sequence(self):
-        model = build_text_only(small_config())
+        model = build_variant(small_config(), "text")
         with pytest.raises(Exception):
             forward(model, None, None, None)
 
@@ -135,7 +134,7 @@ class TestTopK:
             assert topk_indices(probs, k) == oracle
 
     def test_k_out_of_range(self):
-        model = build_mlp_only(small_config())
+        model = build_variant(small_config(), "mlp")
         num, cat, _ = random_inputs(3, model.config)
         with pytest.raises(ValueError):
             predict_topk(model, num, cat, None, k=14)
@@ -147,7 +146,7 @@ class TestProperties:
     def test_branch_independence_via_zeroed_text_rows(self):
         # With the text segment's head rows zeroed, the output is a
         # function of the tabular inputs only.
-        model = build(small_config())
+        model = build_variant(small_config(), "fusion")
         text_width = 2 * model.config.lstm_hidden
         model.head.W[-text_width:, :] = 0.0
         num, cat, seq = random_inputs(4, model.config)
@@ -157,7 +156,7 @@ class TestProperties:
 
     def test_argmax_stable_under_positive_scaling(self):
         config = small_config()
-        model = build(config)
+        model = build_variant(config, "fusion")
         model.head.b[...] = 0.0
         rng = Rng(6).child(1)
         for seed in range(10):
@@ -169,7 +168,7 @@ class TestProperties:
 
 class TestSaveLoad:
     def test_round_trip_bit_identical_forward(self, tmp_path):
-        model = build(small_config())
+        model = build_variant(small_config(), "fusion")
         path = tmp_path / "model.afn"
         save(model, path)
         loaded = load(path)
@@ -190,7 +189,7 @@ class TestSaveLoad:
         assert loaded.variant == "text"
 
     def test_truncated_file_is_corrupt_error(self, tmp_path):
-        model = build(small_config())
+        model = build_variant(small_config(), "fusion")
         path = tmp_path / "model.afn"
         save(model, path)
         data = path.read_bytes()
@@ -199,7 +198,7 @@ class TestSaveLoad:
             load(path)
 
     def test_version_bump_is_version_error(self, tmp_path):
-        model = build(small_config())
+        model = build_variant(small_config(), "fusion")
         path = tmp_path / "model.afn"
         save(model, path)
         data = path.read_bytes().replace(b"afn-checkpoint 1\n", b"afn-checkpoint 2\n", 1)
@@ -208,7 +207,7 @@ class TestSaveLoad:
             load(path)
 
     def test_shape_mismatch_names_field(self, tmp_path):
-        model = build(small_config())
+        model = build_variant(small_config(), "fusion")
         path = tmp_path / "model.afn"
         save(model, path)
         data = path.read_bytes().replace(b"block mlp_num.0.W 6 6\n", b"block mlp_num.0.W 6 7\n", 1)
@@ -225,7 +224,7 @@ class TestSaveLoad:
 
 def test_cross_entropy_gradient_identity_at_logits():
     # d loss / d logits == probs - onehot(label), via finite differences.
-    model = build_mlp_only(small_config(mlp_activation="tanh"))
+    model = build_variant(small_config(mlp_activation="tanh"), "mlp")
     rng = Rng(12).child(2)
     num = rng.normal(model.config.num_feature_dim)
     cat = rng.normal(model.config.cat_feature_dim)

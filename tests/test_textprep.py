@@ -3,8 +3,7 @@ import re
 import pytest
 
 from fusenet.numcore import Rng
-from fusenet.textprep import (CONTRACTIONS, TokenSequence, contains_pii,
-                              hash_tokens, normalize, tokenize)
+from fusenet.textprep import CONTRACTIONS, TokenSequence, contains_pii, normalize, tokenize
 
 
 class TestNormalizeGolden:
@@ -135,13 +134,3 @@ class TestTokenize:
         with pytest.raises(ValueError):
             tokenize("hello", max_seq_len=0)
 
-
-class TestHashingMode:
-    def test_stable_and_distinct(self):
-        once = hash_tokens(["loan", "fee"])
-        assert once == hash_tokens(["loan", "fee"])
-        assert once[0] != once[1]
-        assert all(len(h) == 12 for h in once)
-
-    def test_salt_changes_digests(self):
-        assert hash_tokens(["loan"], salt="a") != hash_tokens(["loan"], salt="b")

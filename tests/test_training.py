@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fusenet.dataset import PreparedDataset
-from fusenet.model import ModelConfig, build_mlp_only, build_variant, forward
+from fusenet.model import ModelConfig, build_variant, forward
 from fusenet.numcore import Rng
 from fusenet.training import (TrainConfig, TrainingAbort, _Adam, cross_entropy,
                               grad_check, train, write_report)
@@ -73,7 +73,7 @@ class TestTrain:
     def test_separable_toy_loss_decreases_and_fits(self):
         data = toy_tabular()
         val = toy_tabular(n_per_class=10, seed=1)
-        model = build_mlp_only(toy_config())
+        model = build_variant(toy_config(), "mlp")
         cfg = TrainConfig(epochs=10, batch_size=16, learning_rate=1e-2, seed=0)
         best, report = train(model, data, val, cfg)
         losses = [e.train_loss for e in report.epochs]
@@ -86,7 +86,7 @@ class TestTrain:
 
     def test_zero_learning_rate_leaves_parameters_bit_identical(self):
         data = toy_tabular(n_per_class=8)
-        model = build_mlp_only(toy_config())
+        model = build_variant(toy_config(), "mlp")
         before = model.copy_param_blocks()
         cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=0.0, seed=0)
         best, _ = train(model, data, data, cfg)
@@ -96,13 +96,13 @@ class TestTrain:
     def test_same_seed_same_report(self):
         data = toy_tabular(n_per_class=12)
         cfg = TrainConfig(epochs=3, batch_size=8, learning_rate=1e-3, seed=7)
-        _, r1 = train(build_mlp_only(toy_config()), data, data, cfg)
-        _, r2 = train(build_mlp_only(toy_config()), data, data, cfg)
+        _, r1 = train(build_variant(toy_config(), "mlp"), data, data, cfg)
+        _, r2 = train(build_variant(toy_config(), "mlp"), data, data, cfg)
         assert r1.deterministic_fields() == r2.deterministic_fields()
 
     def test_full_batch_step_decreases_loss_at_small_lr(self):
         data = toy_tabular(n_per_class=10)
-        model = build_mlp_only(toy_config())
+        model = build_variant(toy_config(), "mlp")
 
         def frozen_loss(m):
             return sum(
@@ -120,7 +120,7 @@ class TestTrain:
     def test_early_stopping_returns_best_checkpoint(self):
         data = toy_tabular(n_per_class=20)
         val = toy_tabular(n_per_class=10, seed=3)
-        model = build_mlp_only(toy_config())
+        model = build_variant(toy_config(), "mlp")
         cfg = TrainConfig(epochs=12, batch_size=16, learning_rate=5e-3, seed=2,
                           early_stop_patience=2)
         best, report = train(model, data, val, cfg)
@@ -136,7 +136,7 @@ class TestTrain:
 
     def test_nan_abort_names_block_and_batch(self):
         data = toy_tabular(n_per_class=8)
-        model = build_mlp_only(toy_config())
+        model = build_variant(toy_config(), "mlp")
         model.head.W[0, 0] = np.nan
         cfg = TrainConfig(epochs=1, batch_size=4, learning_rate=1e-3, seed=0)
         with pytest.raises(TrainingAbort, match="batch 0"):
@@ -144,7 +144,7 @@ class TestTrain:
 
     def test_dims_validated_before_training(self):
         data = toy_tabular(n_per_class=8)
-        wrong = build_mlp_only(toy_config())
+        wrong = build_variant(toy_config(), "mlp")
         bad = PreparedDataset(ids=data.ids, labels=data.labels,
                               num=data.num[:, :3], cat=data.cat)
         with pytest.raises(ValueError, match="numerical width"):
@@ -152,7 +152,7 @@ class TestTrain:
 
     def test_input_model_is_not_mutated(self):
         data = toy_tabular(n_per_class=8)
-        model = build_mlp_only(toy_config())
+        model = build_variant(toy_config(), "mlp")
         before = model.copy_param_blocks()
         train(model, data, data, TrainConfig(epochs=2, learning_rate=1e-2, seed=0))
         for name, arr in model.param_blocks():
@@ -162,8 +162,8 @@ class TestTrain:
         data = toy_tabular(n_per_class=12)
         cfg = TrainConfig(epochs=3, batch_size=8, learning_rate=1e-3, seed=5,
                           dropout_rate=0.5)
-        best1, r1 = train(build_mlp_only(toy_config()), data, data, cfg)
-        best2, r2 = train(build_mlp_only(toy_config()), data, data, cfg)
+        best1, r1 = train(build_variant(toy_config(), "mlp"), data, data, cfg)
+        best2, r2 = train(build_variant(toy_config(), "mlp"), data, data, cfg)
         assert r1.deterministic_fields() == r2.deterministic_fields()
         # Inference applies no dropout: repeated forwards agree bit-for-bit.
         p1, _ = forward(best1, data.num[0], data.cat[0], None)
@@ -209,7 +209,7 @@ class TestGradCheckHarness:
 
 def test_write_report(tmp_path):
     data = toy_tabular(n_per_class=8)
-    _, report = train(build_mlp_only(toy_config()), data, data,
+    _, report = train(build_variant(toy_config(), "mlp"), data, data,
                       TrainConfig(epochs=2, learning_rate=1e-3, seed=0))
     path = tmp_path / "report.txt"
     write_report(report, path)
