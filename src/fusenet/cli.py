@@ -234,6 +234,16 @@ def _print_report_table(rep: metrics.EvalReport) -> None:
     print("weighted-recall identity: ok (checked to 1e-12)")
 
 
+def _load_table(path: str, model: modelmod.FusionModel) -> emb.EmbeddingTable:
+    """The ``--embeddings`` table, checked against the width the model was trained on."""
+    table = emb.load_vec_file(path)
+    want = model.config.embed_dim
+    if len(table) == 0 or table.dim != want:
+        raise ValueError(f"--embeddings {path}: {len(table)} vectors of width {table.dim}, "
+                         f"the model needs vectors of width {want}")
+    return table
+
+
 def _read_pipeline(args) -> ds.FeaturePipeline:
     path = args.pipeline or (args.model + ".pipeline.json")
     return _read_json(path, "feature pipeline", ds.FeaturePipeline.from_json)
@@ -268,7 +278,7 @@ def _cmd_eval(parser, args) -> int:
     if model.uses_text:
         if not args.embeddings:
             parser.error(f"--embeddings is required to evaluate variant {model.variant!r}")
-        table = emb.load_vec_file(args.embeddings)
+        table = _load_table(args.embeddings, model)
     prepared = ds.prepare(examples, pipeline, table, model.config.max_seq_len)
     rep = metrics.report(model, prepared, k=args.k)
     _print_report_table(rep)
@@ -307,8 +317,11 @@ def _cmd_predict(parser, args) -> int:
     if model.uses_text:
         if not args.embeddings:
             parser.error(f"--embeddings is required for variant {model.variant!r}")
-        table = emb.load_vec_file(args.embeddings)
         tokens = tokenize(normalize(args.text), model.config.max_seq_len)
+        if not tokens.tokens:
+            raise ValueError(f"--text {args.text!r} has no tokens after normalization, "
+                             "so attention has no unmasked positions")
+        table = _load_table(args.embeddings, model)
         seq = emb.embed_sequence(table, tokens, model.config.max_seq_len)
 
     pred = modelmod.predict_topk(model, num_x, cat_x, seq, k=k)

@@ -10,12 +10,19 @@ with a true mask entry and are counted, never silently dropped.
 
 from __future__ import annotations
 
+import itertools
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numcore import Rng
 from .textprep import TokenSequence
+
+
+# Rows of a .vec file parsed and checked together.
+VEC_CHUNK_ROWS = 1024
 
 
 class VecParseError(ValueError):
@@ -60,9 +67,11 @@ class EmbeddedSequence:
 def load_vec_file(path, vocab_limit: int | None = None) -> EmbeddingTable:
     """Read a .vec file, keeping the first min(V, vocab_limit) rows.
 
-    Duplicate words keep their first occurrence. Raises VecParseError
-    with a line number on a malformed header, a row with the wrong
-    number of components, or non-finite values.
+    Rows are read ``VEC_CHUNK_ROWS`` at a time and every row is checked,
+    each check one pass over the chunk. Duplicate words keep their first
+    occurrence. Raises VecParseError naming the first bad line in file
+    order: a malformed header, a file that ends early, a row with the
+    wrong number of fields, or a non-numeric or non-finite value.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
@@ -76,34 +85,86 @@ def load_vec_file(path, vocab_limit: int | None = None) -> EmbeddingTable:
         if declared_v < 0 or dim < 1:
             raise VecParseError(f"line 1: invalid header values V={declared_v} d={dim}")
 
-        want = declared_v if vocab_limit is None else min(declared_v, vocab_limit)
+        want = declared_v if vocab_limit is None else max(min(declared_v, vocab_limit), 0)
+        matrix = np.empty((_rows_to_allocate(fh, dim, want), dim))
         vocab: dict[str, int] = {}
-        rows = []
-        for lineno in range(2, want + 2):
-            line = fh.readline()
-            if not line:
-                raise VecParseError(
+        for start in range(0, want, VEC_CHUNK_ROWS):
+            size = min(VEC_CHUNK_ROWS, want - start)
+            lines = []
+            try:
+                for line in itertools.islice(fh, size):
+                    lines.append(line)
+            except UnicodeDecodeError as err:
+                # Rows before the undecodable text come first in file order.
+                raise _row_error(lines, start + 2, dim) or err
+            chunk = _parse_chunk(lines, dim) if len(lines) == size else None
+            if chunk is None:
+                lineno = start + 2 + len(lines)
+                raise _row_error(lines, start + 2, dim) or VecParseError(
                     f"line {lineno}: file ends after {lineno - 2} of {want} rows"
                 )
-            fields = line.rstrip("\n").split(" ")
-            if len(fields) != dim + 1:
-                raise VecParseError(
-                    f"line {lineno}: expected a word plus {dim} values, got {len(fields)} fields"
-                )
-            word = fields[0]
-            try:
-                vec = np.array(fields[1:], dtype=np.float64)
-            except ValueError:
-                raise VecParseError(f"line {lineno}: non-numeric vector component")
-            if not np.all(np.isfinite(vec)):
-                raise VecParseError(f"line {lineno}: non-finite vector component")
-            if word in vocab:
-                continue
-            vocab[word] = len(rows)
-            rows.append(vec)
+            words, values = chunk
+            first = len(vocab)
+            keep = []
+            for i, word in enumerate(words):
+                if word not in vocab:
+                    vocab[word] = len(vocab)
+                    keep.append(i)
+            matrix[first:len(vocab)] = values if len(keep) == size else values[keep]
 
-    matrix = np.vstack(rows) if rows else np.zeros((0, dim))
-    return EmbeddingTable(vocab=vocab, matrix=matrix, dim=dim)
+    return EmbeddingTable(vocab=vocab, matrix=matrix[:len(vocab)], dim=dim)
+
+
+def _rows_to_allocate(fh, dim: int, want: int) -> int:
+    """``want``, capped at the most rows a regular file's bytes can hold.
+
+    A row that passes has ``dim`` spaces, ``dim`` non-empty values and a
+    newline (the last row may lack it), so a header that claims more rows
+    than the file holds fails as truncated before its claim is allocated.
+    """
+    info = os.fstat(fh.fileno())
+    if not stat.S_ISREG(info.st_mode):
+        return want
+    return min(want, (info.st_size + 1) // (2 * dim + 1))
+
+
+def _parse_chunk(lines: list[str], dim: int):
+    """Words and ``(len(lines), dim)`` values, or None when any row fails a check.
+
+    When every row has exactly ``dim`` spaces, the chunk joined by spaces
+    splits into ``dim + 1`` fields per row: the word, then its values.
+    A row's last value keeps the line's newline, which float conversion
+    ignores as it ignores any surrounding whitespace.
+    """
+    if not all(line.count(" ") == dim for line in lines):
+        return None
+    fields = " ".join(lines).split(" ")
+    words = fields[:: dim + 1]
+    del fields[:: dim + 1]
+    try:
+        values = np.array(fields, dtype=np.float64)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return words, values.reshape(len(lines), dim)
+
+
+def _row_error(lines: list[str], first_lineno: int, dim: int) -> VecParseError | None:
+    """The error of the first bad row among ``lines``, in file order, or None."""
+    for lineno, line in enumerate(lines, start=first_lineno):
+        fields = line.rstrip("\n").split(" ")
+        if len(fields) != dim + 1:
+            return VecParseError(
+                f"line {lineno}: expected a word plus {dim} values, got {len(fields)} fields"
+            )
+        try:
+            vec = np.array(fields[1:], dtype=np.float64)
+        except ValueError:
+            return VecParseError(f"line {lineno}: non-numeric vector component")
+        if not np.isfinite(vec).all():
+            return VecParseError(f"line {lineno}: non-finite vector component")
+    return None
 
 
 def write_vec_file(path, words, matrix: np.ndarray) -> None:

@@ -172,6 +172,20 @@ class TestEval:
             "--split", "val",
         ]) == 0
 
+    @pytest.mark.parametrize("content", ["2 3\nloan 1 0 0\nhelp 0 1 0\n", "0 8\n"],
+                             ids=["narrower", "empty"])
+    def test_embeddings_that_do_not_fit_the_model_are_named(self, workspace, tmp_path, capsys,
+                                                            content):
+        vec = tmp_path / "other.vec"
+        vec.write_text(content)
+        code = cli.main(["eval", "--model", workspace["checkpoints"]["text"],
+                         "--data", workspace["data"], "--embeddings", str(vec)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: --embeddings {vec}: ")
+        assert f"width {content.split()[1]}," in err[0] and err[0].endswith("width 8")
+
     def test_compare_prints_ordering(self, workspace, tmp_path, capsys):
         paths = []
         for i, split in enumerate(("train", "val", "test")):
@@ -242,6 +256,27 @@ class TestPredict:
         ])
         assert code == 1
         assert "unmasked" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "?! ..."])
+    def test_text_without_tokens_fails_before_reading_embeddings(self, workspace, tmp_path,
+                                                                 capsys, text):
+        missing = str(tmp_path / "never-written.vec")
+        code = cli.main(["predict", "--model", workspace["checkpoints"]["text"],
+                         "--embeddings", missing, "--text", text])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1 and len(err) == 1
+        assert "--text" in err[0] and "unmasked" in err[0] and missing not in err[0]
+
+    def test_embeddings_narrower_than_the_model_are_named(self, workspace, tmp_path, capsys):
+        vec = tmp_path / "narrow.vec"
+        vec.write_text("2 3\nloan 1 0 0\nhelp 0 1 0\n")
+        code = cli.main(["predict", "--model", workspace["checkpoints"]["text"],
+                         "--embeddings", str(vec), "--text", "help with my loan"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --embeddings {vec}: 2 vectors of width 3, the model needs vectors of width 8"
+        ]
 
     def test_class_names_come_from_fixed_vocabulary(self, workspace, tmp_path, capsys):
         features = tmp_path / "features.json"

@@ -41,6 +41,9 @@ class TestLoadVecFile:
     def test_wrong_component_count_names_line(self, tmp_path):
         with pytest.raises(VecParseError, match="line 3"):
             load_vec_file(write(tmp_path, "2 3\napple 1 0 0\nbanana 0 1\n"))
+        blank = "^line 3: expected a word plus 3 values, got 1 fields$"
+        with pytest.raises(VecParseError, match=blank):
+            load_vec_file(write(tmp_path, "3 3\napple 1 0 0\n\ncherry 0 0 1\n"))
 
     def test_truncated_file_names_line(self, tmp_path):
         with pytest.raises(VecParseError, match="line 3"):
@@ -49,6 +52,12 @@ class TestLoadVecFile:
     def test_non_numeric_component(self, tmp_path):
         with pytest.raises(VecParseError, match="line 2"):
             load_vec_file(write(tmp_path, "1 2\napple x 0\n"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+    def test_non_finite_component_names_line(self, tmp_path, value):
+        content = f"3 2\napple 1 0\nbanana 0 {value}\ncherry 1 1\n"
+        with pytest.raises(VecParseError, match="^line 3: non-finite vector component$"):
+            load_vec_file(write(tmp_path, content))
 
     def test_round_trip_100_words(self, tmp_path):
         rng = Rng(31)

@@ -1,0 +1,235 @@
+"""The chunked .vec parser against the per-row parser it replaced.
+
+``reference_load_vec_file`` reads, converts and checks one row at a time
+and is kept here only as the oracle. On every file below both parsers
+must give the same vocabulary order, the same matrix bytes and width,
+or the same error message.
+"""
+
+import numpy as np
+import pytest
+
+from fusenet.embeddings import VEC_CHUNK_ROWS, EmbeddingTable, VecParseError, load_vec_file
+
+
+def reference_load_vec_file(path, vocab_limit=None):
+    """Per-row .vec reader: the oracle for ``load_vec_file``."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline()
+        parts = header.split()
+        if len(parts) != 2:
+            raise VecParseError(f"line 1: expected header 'V d', got {header.strip()!r}")
+        try:
+            declared_v, dim = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise VecParseError(f"line 1: non-integer header fields in {header.strip()!r}")
+        if declared_v < 0 or dim < 1:
+            raise VecParseError(f"line 1: invalid header values V={declared_v} d={dim}")
+
+        want = declared_v if vocab_limit is None else min(declared_v, vocab_limit)
+        vocab: dict[str, int] = {}
+        rows = []
+        for lineno in range(2, want + 2):
+            line = fh.readline()
+            if not line:
+                raise VecParseError(
+                    f"line {lineno}: file ends after {lineno - 2} of {want} rows"
+                )
+            fields = line.rstrip("\n").split(" ")
+            if len(fields) != dim + 1:
+                raise VecParseError(
+                    f"line {lineno}: expected a word plus {dim} values, got {len(fields)} fields"
+                )
+            word = fields[0]
+            try:
+                vec = np.array(fields[1:], dtype=np.float64)
+            except ValueError:
+                raise VecParseError(f"line {lineno}: non-numeric vector component")
+            if not np.all(np.isfinite(vec)):
+                raise VecParseError(f"line {lineno}: non-finite vector component")
+            if word in vocab:
+                continue
+            vocab[word] = len(rows)
+            rows.append(vec)
+
+    matrix = np.vstack(rows) if rows else np.zeros((0, dim))
+    return EmbeddingTable(vocab=vocab, matrix=matrix, dim=dim)
+
+
+def outcome(loader, path, vocab_limit):
+    try:
+        table = loader(path, vocab_limit=vocab_limit)
+    except VecParseError as err:
+        return "error", str(err)
+    assert table.matrix.dtype == np.float64
+    return list(table.vocab.items()), table.matrix.shape, table.matrix.tobytes(), table.dim
+
+
+def assert_same(path, vocab_limit=None):
+    got = outcome(load_vec_file, path, vocab_limit)
+    want = outcome(reference_load_vec_file, path, vocab_limit)
+    assert got == want
+    return got
+
+
+# ---------------------------------------------------------------------------
+# Generated files. A row index is 0-based; its line number is index + 2.
+
+BAD_ROWS = {
+    "short": lambda word, vals: " ".join([word, *vals[:-1]]),
+    "long": lambda word, vals: " ".join([word, *vals, "0.5"]),
+    "blank": lambda word, vals: "",
+    "double-space": lambda word, vals: " ".join([word, *vals]).replace(" ", "  ", 1),
+    "tab": lambda word, vals: word + "\t" + " ".join(vals),
+    "non-numeric": lambda word, vals: " ".join([word, "x", *vals[1:]]),
+    "empty-field": lambda word, vals: " ".join([word, *vals[:-1], ""]),
+    "nan": lambda word, vals: " ".join([word, *vals[:-1], "nan"]),
+    "inf": lambda word, vals: " ".join([word, "-inf", *vals[1:]]),
+    "overflow": lambda word, vals: " ".join([word, *vals[:-1], "1e999"]),
+}
+
+
+def make_rows(rng, n, dim):
+    words = [f"w{i}" for i in range(n)]
+    values = rng.normal(size=(n, dim))
+    return [[word, [repr(float(v)) for v in row]] for word, row in zip(words, values)]
+
+
+def write_vec(path, rows, dim, declared=None, bad=None, newline="\n", final_newline=True):
+    """Write ``rows`` under a header of ``declared`` rows (default all).
+
+    ``bad`` maps a row index to the kind of damage written in its place.
+    """
+    bad = bad or {}
+    lines = [f"{len(rows) if declared is None else declared} {dim}"]
+    for i, (word, vals) in enumerate(rows):
+        lines.append(BAD_ROWS[bad[i]](word, vals) if i in bad else " ".join([word, *vals]))
+    text = newline.join(lines) + (newline if final_newline else "")
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+@pytest.fixture
+def vec(tmp_path):
+    rng = np.random.default_rng(11)
+
+    def build(n, dim=3, **kwargs):
+        return write_vec(tmp_path / "t.vec", make_rows(rng, n, dim), dim, **kwargs)
+    return build
+
+
+@pytest.mark.parametrize("n", [0, 1, VEC_CHUNK_ROWS - 1, VEC_CHUNK_ROWS, VEC_CHUNK_ROWS + 1, 2100])
+def test_well_formed_sizes(vec, n):
+    vocab, shape, _, dim = assert_same(vec(n))
+    assert len(vocab) == n and shape == (n, 3) and dim == 3
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+@pytest.mark.parametrize("index", [VEC_CHUNK_ROWS - 1, VEC_CHUNK_ROWS])
+def test_bad_row_either_side_of_a_chunk_boundary(vec, kind, index):
+    got = assert_same(vec(2100, bad={index: kind}))
+    assert got[0] == "error" and got[1].startswith(f"line {index + 2}: ")
+
+
+@pytest.mark.parametrize("first, second", [("nan", "short"), ("non-numeric", "inf"),
+                                           ("blank", "non-numeric"), ("overflow", "long")])
+def test_first_of_two_bad_rows_in_one_chunk_wins(vec, first, second):
+    got = assert_same(vec(2100, bad={1100: first, 1500: second}))
+    assert got[1].startswith("line 1102: ")
+
+
+def test_duplicates_within_and_across_chunks_keep_the_first(tmp_path):
+    rows = make_rows(np.random.default_rng(3), 2100, 4)
+    for dup, orig in [(1500, 10), (1501, 10), (2000, 1499), (30, 5)]:
+        rows[dup][0] = rows[orig][0]
+    vocab, shape, _, _ = assert_same(write_vec(tmp_path / "d.vec", rows, 4))
+    assert shape == (2096, 4) and len(vocab) == 2096
+
+
+@pytest.mark.parametrize("limit", [0, 1, 1500, 2100, 5000, -1])
+def test_vocab_limit(vec, limit):
+    # A bad row beyond the limit is never read.
+    path = vec(2100, bad={1600: "non-numeric"})
+    got = assert_same(path, vocab_limit=limit)
+    assert (got[0] == "error") == (limit > 1600)
+
+
+def test_rows_after_the_declared_count_are_ignored(vec):
+    vocab, shape, _, _ = assert_same(vec(1100, declared=1030, bad={1030: "blank", 1050: "nan"}))
+    assert len(vocab) == 1030 and shape == (1030, 3)
+
+
+@pytest.mark.parametrize("rows", [0, 500, VEC_CHUNK_ROWS, 1500])
+def test_truncated_file(vec, rows):
+    got = assert_same(vec(rows, declared=2100))
+    assert got == ("error", f"line {rows + 2}: file ends after {rows} of 2100 rows")
+
+
+def test_bad_row_before_the_early_end_is_named_first(vec):
+    got = assert_same(vec(1500, declared=2100, bad={1400: "inf"}))
+    assert got[1] == "line 1402: non-finite vector component"
+
+
+def test_header_claiming_far_more_rows_than_the_file_holds(vec):
+    got = assert_same(vec(3, declared=10**15))
+    assert got == ("error", f"line 5: file ends after 3 of {10**15} rows")
+
+
+@pytest.mark.parametrize("newline, final", [("\n", False), ("\r\n", True), ("\r\n", False),
+                                            ("\r", True)])
+def test_line_endings(vec, newline, final):
+    vocab, _, _, _ = assert_same(vec(1100, newline=newline, final_newline=final))
+    assert len(vocab) == 1100
+
+
+def test_blank_row(vec):
+    got = assert_same(vec(1100, bad={700: "blank"}))
+    assert got == ("error", "line 702: expected a word plus 3 values, got 1 fields")
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_malformed_files(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 2300))
+    dim = int(rng.integers(1, 5))
+    kinds = sorted(BAD_ROWS)
+    bad = {int(rng.integers(0, n)): kinds[int(rng.integers(len(kinds)))]
+           for _ in range(int(rng.integers(0, 3)))} if n else {}
+    rows = make_rows(rng, n, dim)
+    for _ in range(int(rng.integers(0, 4))):
+        if n:
+            rows[int(rng.integers(n))][0] = rows[int(rng.integers(n))][0]
+    declared = max(n + int(rng.integers(-5, 6)), 0) if rng.random() < 0.3 else None
+    path = write_vec(tmp_path / "r.vec", rows, dim, declared=declared, bad=bad,
+                     newline=["\n", "\r\n"][int(rng.integers(2))],
+                     final_newline=bool(rng.integers(2)))
+    limit = int(rng.integers(0, n + 2)) if rng.random() < 0.3 else None
+    assert_same(path, vocab_limit=limit)
+
+
+def test_shortest_possible_rows(tmp_path):
+    # One-character words and values, an empty word and no final newline:
+    # the file's bytes bound the rows allocated, and must never cut them.
+    words = [chr(c) for c in range(33, 127)]
+    text = f"{len(words) + 1} 1\n" + "\n".join(f"{w} {i % 10}" for i, w in enumerate(words))
+    path = tmp_path / "short.vec"
+    path.write_text(text + "\n 7", encoding="utf-8")
+    vocab, shape, _, _ = assert_same(path)
+    assert shape == (95, 1)
+
+
+@pytest.mark.parametrize("bad", [{3: "nan"}, {}], ids=["bad-row-first", "decode-error"])
+def test_undecodable_text_later_in_the_chunk(tmp_path, bad):
+    # The invalid byte sits past the reader's first 8 KB buffer but inside
+    # the first chunk: a bad row before it is still the error reported.
+    rows = make_rows(np.random.default_rng(5), 2000, 2)
+    rows[900][0] = "undecodable"
+    path = write_vec(tmp_path / "u.vec", rows, 2, bad=bad)
+    path.write_bytes(path.read_bytes().replace(b"undecodable", b"w\xff"))
+    errors = []
+    for loader in (load_vec_file, reference_load_vec_file):
+        with pytest.raises(ValueError) as exc:
+            loader(path)
+        errors.append((type(exc.value), str(exc.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] is (VecParseError if bad else UnicodeDecodeError)
