@@ -152,6 +152,22 @@ _TRAIN_SPECS = {
 }
 
 
+def _load_table(path: str, model: modelmod.FusionModel | None = None) -> emb.EmbeddingTable:
+    """The ``--embeddings`` table, not empty and as wide as ``model`` was trained on.
+
+    Every error names the file.
+    """
+    try:
+        table = emb.load_vec_file(path)
+    except emb.VecParseError as err:
+        raise emb.VecParseError(f"--embeddings {path}: {err}") from None
+    want = table.dim if model is None else model.config.embed_dim
+    if len(table) == 0 or table.dim != want:
+        raise ValueError(f"--embeddings {path}: {len(table)} vectors of width {table.dim}, "
+                         f"the model needs vectors of width {want}")
+    return table
+
+
 def _load_splits(data_path: str, split_seed: int):
     examples = ds.load_jsonl(data_path)
     return ds.split(examples, SPLIT_FRACTIONS, seed=split_seed)
@@ -166,7 +182,7 @@ def _cmd_train(parser, args) -> int:
 
     train_ex, val_ex, test_ex = _load_splits(args.data, args.split_seed)
     pipeline = ds.FeaturePipeline.fit(train_ex)
-    table = emb.load_vec_file(args.embeddings) if args.embeddings else None
+    table = _load_table(args.embeddings) if args.embeddings else None
 
     config = modelmod.ModelConfig(
         num_feature_dim=max(pipeline.num_dim, 1),
@@ -234,14 +250,11 @@ def _print_report_table(rep: metrics.EvalReport) -> None:
     print("weighted-recall identity: ok (checked to 1e-12)")
 
 
-def _load_table(path: str, model: modelmod.FusionModel) -> emb.EmbeddingTable:
-    """The ``--embeddings`` table, checked against the width the model was trained on."""
-    table = emb.load_vec_file(path)
-    want = model.config.embed_dim
-    if len(table) == 0 or table.dim != want:
-        raise ValueError(f"--embeddings {path}: {len(table)} vectors of width {table.dim}, "
-                         f"the model needs vectors of width {want}")
-    return table
+def _load_model(path: str) -> modelmod.FusionModel:
+    try:
+        return modelmod.load(path)
+    except modelmod.ModelLoadError as err:
+        raise type(err)(f"--model {path}: {err}") from None
 
 
 def _read_pipeline(args) -> ds.FeaturePipeline:
@@ -266,7 +279,7 @@ def _cmd_eval(parser, args) -> int:
     if args.split not in ("all", "train", "val", "test"):
         parser.error(f"--split must be one of all/train/val/test, got {args.split!r}")
 
-    model = modelmod.load(args.model)
+    model = _load_model(args.model)
     pipeline = _read_pipeline(args)
     if args.split == "all":
         examples = ds.load_jsonl(args.data)
@@ -294,7 +307,7 @@ def _cmd_eval(parser, args) -> int:
 # predict
 
 def _cmd_predict(parser, args) -> int:
-    model = modelmod.load(args.model)
+    model = _load_model(args.model)
     k = args.k
     if not 1 <= k <= model.config.num_classes:
         parser.error(f"--k must be in [1, {model.config.num_classes}], got {k}")

@@ -71,8 +71,16 @@ def load_vec_file(path, vocab_limit: int | None = None) -> EmbeddingTable:
     each check one pass over the chunk. Duplicate words keep their first
     occurrence. Raises VecParseError naming the first bad line in file
     order: a malformed header, a file that ends early, a row with the
-    wrong number of fields, or a non-numeric or non-finite value.
+    wrong number of fields, or a non-numeric or non-finite value. Text
+    that is not UTF-8 is a VecParseError naming the line that holds it.
     """
+    try:
+        return _read_vec_file(path, vocab_limit)
+    except UnicodeDecodeError:
+        raise _undecodable_line(path) from None
+
+
+def _read_vec_file(path, vocab_limit: int | None) -> EmbeddingTable:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         parts = header.split()
@@ -113,6 +121,22 @@ def load_vec_file(path, vocab_limit: int | None = None) -> EmbeddingTable:
             matrix[first:len(vocab)] = values if len(keep) == size else values[keep]
 
     return EmbeddingTable(vocab=vocab, matrix=matrix[:len(vocab)], dim=dim)
+
+
+def _undecodable_line(path) -> VecParseError:
+    """The error naming the first line of ``path`` that is not valid UTF-8.
+
+    A text reader decodes ahead of the line it returns, so the line is
+    found again from the file's bytes, split at the same line endings.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as err:
+                return VecParseError(
+                    f"line {lineno}: not valid UTF-8 ({err.reason} at byte {err.start + 1})")
+    return VecParseError("not valid UTF-8")
 
 
 def _rows_to_allocate(fh, dim: int, want: int) -> int:

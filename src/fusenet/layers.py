@@ -10,12 +10,18 @@ Every layer takes one example or a batch with a leading batch axis
 per-example gradients; the one-example shapes keep working unchanged.
 
 Weight convention follows the dense form y = act(W^T x + b) with W
-stored as (in, out). LSTM gates act on the concatenation [h_prev, x_t]
-through one fused (hidden+input, 4*hidden) matrix, so a step is one
-matrix product for all gates and all rows of a batch.
+stored as (in, out). LSTM gates act on [h_prev, x_t] through one fused
+(hidden+input, 4*hidden) matrix whose first hidden rows (W_h) take
+h_prev and the rest (W_x) take x_t. The encoder computes x_t @ W_x for
+every timestep before its time loop, so a step adds one h_prev @ W_h
+product for all gates and all rows of a batch (the fused RNN layout of
+Appleyard et al. 2016, arXiv:1604.01946). Its backward reads the gate
+activations forward kept instead of recomputing them.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -99,14 +105,58 @@ class DenseLayer:
         return dx, grads
 
 
+def _lstm_gates_(z: np.ndarray, c_prev: np.ndarray):
+    """Activate gate pre-activations ``z`` (..., 4*hidden) in place; return (h, c).
+
+    Afterwards ``z`` holds the activations [i, f, o, q] in GATES order.
+    This and ``_lstm_gates_backward_`` are the only copy of the LSTM gate
+    math: ``LstmCell.step`` and the encoder's time loop both call them.
+    """
+    n = z.shape[-1] // 4
+    z[..., : 3 * n] = sigmoid(z[..., : 3 * n])
+    np.tanh(z[..., 3 * n :], out=z[..., 3 * n :])
+    i, f, o, q = z[..., :n], z[..., n : 2 * n], z[..., 2 * n : 3 * n], z[..., 3 * n :]
+    c = f * c_prev + i * q
+    return o * np.tanh(c), c
+
+
+def _lstm_gates_backward_(g: np.ndarray, c_prev: np.ndarray, c: np.ndarray,
+                          dh: np.ndarray, dc: np.ndarray) -> np.ndarray:
+    """Overwrite the activations ``g`` = [i, f, o, q] with dLoss/dz in place.
+
+    ``dh`` and ``dc`` are dLoss/dh_t and dLoss/dc_t (from the output and
+    the future); returns dLoss/dc_prev.
+    """
+    n = g.shape[-1] // 4
+    i, f, o, q = g[..., :n], g[..., n : 2 * n], g[..., 2 * n : 3 * n], g[..., 3 * n :]
+    tc = np.tanh(c)
+    dc_total = dh * o
+    dc_total *= 1.0 - tc * tc
+    dc_total += dc
+    dc_prev = dc_total * f
+    # d/dz of sigmoid gates is g * (1 - g), times what each gate scales:
+    # dz_i = dc_total*q*i*(1-i), dz_f = dc_total*c_prev*f*(1-f), dz_o = dh*tc*o*(1-o).
+    scale = np.concatenate([dc_total * q, dc_total * c_prev, dh * tc], axis=-1)
+    np.multiply(q, q, out=q)
+    np.subtract(1.0, q, out=q)
+    q *= dc_total * i  # dz_q = dc_total*i*(1-q^2)
+    sig = g[..., : 3 * n]
+    scale *= sig
+    np.subtract(1.0, sig, out=sig)
+    sig *= scale
+    return dc_prev
+
+
 class LstmCell:
     """Single LSTM step over [h_prev, x_t] with the four gates fused.
 
     ``W_all`` is one ``(hidden+input, 4*hidden)`` matrix holding the gate
     blocks in GATES order, and ``b_all`` their ``(4*hidden,)`` biases.
-    ``W[g]``, ``b[g]`` and ``params()`` are column views into them, so
-    checkpoints and optimizers still see one block per gate. A step
-    takes one example (1-d vectors) or a batch (one example per row).
+    Its first ``hidden`` rows (``W_h``) act on h_prev and the rest
+    (``W_x``) on x_t. ``W[g]``, ``b[g]`` and ``params()`` are column
+    views into them, so checkpoints and optimizers still see one block
+    per gate. A step takes one example (1-d vectors) or a batch (one
+    example per row).
     """
 
     GATES = ("i", "f", "o", "q")
@@ -136,6 +186,14 @@ class LstmCell:
         biases["f"] = biases["f"] + 1.0  # open forget gate early in training
         return cls(weights, biases)
 
+    @property
+    def W_h(self) -> np.ndarray:
+        return self.W_all[: self.hidden_dim]
+
+    @property
+    def W_x(self) -> np.ndarray:
+        return self.W_all[self.hidden_dim :]
+
     def _by_gate(self, fused: np.ndarray) -> dict[str, np.ndarray]:
         h = self.hidden_dim
         return {g: fused[..., k * h : (k + 1) * h] for k, g in enumerate(self.GATES)}
@@ -151,45 +209,39 @@ class LstmCell:
         return out
 
     def step(self, h_prev: np.ndarray, c_prev: np.ndarray, x_t: np.ndarray):
-        """(h, c, cache) after one step; cache["gates"] holds [i, f, o, q]."""
+        """(h, c, cache) after one step; cache["gates"] holds [i, f, o, q].
+
+        The gates are x_t @ W_x + b, then + h_prev @ W_h, as in the
+        encoder's time loop.
+        """
         if (h_prev.shape[-1] != self.hidden_dim or x_t.shape[-1] != self.input_dim
                 or h_prev.shape[:-1] != x_t.shape[:-1]):
             raise ShapeError(
                 f"lstm step: h{h_prev.shape}, x{x_t.shape} vs "
                 f"hidden {self.hidden_dim}, input {self.input_dim}"
             )
-        h3 = 3 * self.hidden_dim
-        u = np.concatenate([h_prev, x_t], axis=-1)
-        gates = u @ self.W_all + self.b_all
-        gates[..., :h3] = sigmoid(gates[..., :h3])
-        np.tanh(gates[..., h3:], out=gates[..., h3:])
-        by_gate = self._by_gate(gates)
-        c = by_gate["f"] * c_prev + by_gate["i"] * by_gate["q"]
-        h = by_gate["o"] * np.tanh(c)
-        cache = {"u": u, "gates": gates, "c_prev": c_prev, "c": c, **by_gate}
+        gates = x_t @ self.W_x
+        gates += self.b_all
+        gates += h_prev @ self.W_h
+        h, c = _lstm_gates_(gates, c_prev)
+        cache = {"h_prev": h_prev, "x": x_t, "gates": gates, "c_prev": c_prev, "c": c,
+                 **self._by_gate(gates)}
         return h, c, cache
 
     def step_backward(self, cache, dh: np.ndarray, dc: np.ndarray):
         """Gradients for one step given dLoss/dh_t and dLoss/dc_t (from the future).
 
-        ``cache`` is the one step() returned. Returns (dh_prev, dc_prev, dx,
-        dW, db): dW and db are fused like W_all and b_all and summed over
-        batch rows (see gate_blocks).
+        ``cache`` is the one step() returned, and is left unchanged.
+        Returns (dh_prev, dc_prev, dx, dW, db): dW and db are fused like
+        W_all and b_all and summed over batch rows (see gate_blocks).
         """
-        h = self.hidden_dim
-        i, f, o, q = (cache[g] for g in self.GATES)
-        tc = np.tanh(cache["c"])
-        dc_total = dc + dh * o * (1.0 - tc * tc)
-        dz = np.empty_like(cache["gates"])
-        dz[..., :h] = dc_total * q * i * (1.0 - i)
-        dz[..., h : 2 * h] = dc_total * cache["c_prev"] * f * (1.0 - f)
-        dz[..., 2 * h : 3 * h] = dh * tc * o * (1.0 - o)
-        dz[..., 3 * h :] = dc_total * i * (1.0 - q * q)
-        du = dz @ self.W_all.T
-        u = cache["u"]
-        rows = dz.reshape(-1, 4 * h)
-        dW = u.reshape(-1, u.shape[-1]).T @ rows
-        return du[..., :h], dc_total * f, du[..., h:], dW, rows.sum(axis=0)
+        dz = cache["gates"].copy()
+        dc_prev = _lstm_gates_backward_(dz, cache["c_prev"], cache["c"], dh, dc)
+        rows = dz.reshape(-1, 4 * self.hidden_dim)
+        h_prev = cache["h_prev"].reshape(-1, self.hidden_dim)
+        x = cache["x"].reshape(-1, self.input_dim)
+        dW = np.concatenate([h_prev.T @ rows, x.T @ rows])
+        return dz @ self.W_h.T, dc_prev, dz @ self.W_x.T, dW, rows.sum(axis=0)
 
 
 class BiLstmEncoder:
@@ -237,51 +289,76 @@ class BiLstmEncoder:
     def forward(self, vectors: np.ndarray):
         """vectors: (..., T, input_dim) -> H: (..., T, 2*hidden_dim), plus cache.
 
-        The cache holds the input, H and each step's cell state, nothing
-        per gate: backward recomputes a step's gates from [h_prev, x_t],
-        rebuilt from H and the input. Keeping the (..., 4*hidden) gate
-        activations of every step instead would triple the cache.
+        Per direction, one ``X @ W_x + b`` product over all timesteps fills
+        a time-major ``(T, ..., 4*hidden)`` gate buffer; each step adds
+        ``h_prev @ W_h`` and activates its gates in place. The cache keeps
+        the input, H, and per direction every step's gate activations and
+        cell state, which backward reads instead of recomputing them.
+        Backward overwrites those gates, so a cache serves one backward.
         """
         if vectors.ndim not in (2, 3) or vectors.shape[-1] != self.input_dim:
             raise ShapeError(f"bilstm: input {vectors.shape} vs input_dim {self.input_dim}")
         lead, T = vectors.shape[:-2], vectors.shape[-2]
-        H = np.zeros((*lead, T, 2 * self.hidden_dim))
-        cache = {"X": vectors, "H": H}
-        for name, cell, times, cols in self._directions(T):
-            h = np.zeros((*lead, self.hidden_dim))
-            c = np.zeros((*lead, self.hidden_dim))
-            states = np.empty((T, *lead, self.hidden_dim))  # by processing order
-            for k, t in enumerate(times):
-                h, c, _ = cell.step(h, c, vectors[..., t, :])
-                states[k] = c
+        n = self.hidden_dim
+        # (T, rows, input_dim): the product runs as one small BLAS call per
+        # timestep, single-threaded like the h_prev @ W_h calls of the loop.
+        X = np.moveaxis(vectors, -2, 0).reshape(T, math.prod(lead), self.input_dim)
+        H = np.empty((*lead, T, 2 * n))
+        gates = np.empty((2, T, *lead, 4 * n))
+        states = np.empty((2, T, *lead, n))
+        for d, (_, cell, times, cols) in enumerate(self._directions(T)):
+            np.matmul(X, cell.W_x, out=gates[d].reshape(X.shape[:2] + (4 * n,)))
+            gates[d] += cell.b_all
+            h = c = np.zeros((*lead, n))
+            W_h = cell.W_h
+            for t in times:
+                z = gates[d, t]
+                z += h @ W_h
+                h, c = _lstm_gates_(z, c)
+                states[d, t] = c
                 H[..., t, cols] = h
-            cache[name] = states
-        return H, cache
+        return H, {"X": X, "H": H, "gates": gates, "states": states}
 
     def backward(self, cache, dH: np.ndarray):
-        """Full BPTT; returns (dX, grads) with grads keyed like params()."""
+        """Full BPTT; returns (dX, grads) with grads keyed like params().
+
+        Each step's dLoss/dz overwrites that step's kept gates. The loop
+        adds the step's weight gradients and carries ``dz @ W_h^T``; the
+        bias and input gradients are one sum and one product per direction
+        after it.
+        """
         X, H = cache["X"], cache["H"]
         if dH.shape != H.shape:
             raise ShapeError(f"bilstm backward: grad {dH.shape} vs {H.shape}")
-        dX = np.zeros_like(X)
+        if "gates" not in cache:
+            raise ValueError("bilstm backward: cache already used; backward overwrites its gates")
+        gates, states = cache.pop("gates"), cache["states"]
+        lead, T = H.shape[:-2], H.shape[-2]
+        n = self.hidden_dim
+        dX = np.zeros(X.shape)
         grads = {}
-        zeros = np.zeros((*X.shape[:-2], self.hidden_dim))
-        for name, cell, times, cols in self._directions(X.shape[-2]):
-            states = cache[name]
+        zeros = np.zeros((*lead, n))
+        for d, (name, cell, times, cols) in enumerate(self._directions(T)):
+            dH_t = np.moveaxis(dH[..., cols], -2, 0)
+            W_hT = cell.W_h.T
             dW = np.zeros_like(cell.W_all)
-            db = np.zeros_like(cell.b_all)
+            dW_h, dW_x = dW[:n], dW[n:]
             dh = dc = zeros
-            for k in range(len(times) - 1, -1, -1):
+            for k in range(T - 1, -1, -1):
                 t = times[k]
-                h_prev = H[..., times[k - 1], cols] if k else zeros
-                _, _, step = cell.step(h_prev, states[k - 1] if k else zeros, X[..., t, :])
-                dh, dc, dx, step_dW, step_db = cell.step_backward(step, dH[..., t, cols] + dh, dc)
-                dX[..., t, :] += dx
-                dW += step_dW
-                db += step_db
-            for pname, arr in cell.gate_blocks(dW, db).items():
+                dz = gates[d, t]
+                dc = _lstm_gates_backward_(dz, states[d, times[k - 1]] if k else zeros,
+                                           states[d, t], dH_t[t] + dh, dc)
+                rows = dz.reshape(-1, 4 * n)
+                dW_x += X[t].T @ rows
+                if k:  # the first step's h_prev is zero
+                    dW_h += H[..., times[k - 1], cols].reshape(-1, n).T @ rows
+                    dh = dz @ W_hT
+            dz = gates[d].reshape(X.shape[:2] + (4 * n,))
+            dX += np.matmul(dz, cell.W_x.T)
+            for pname, arr in cell.gate_blocks(dW, dz.sum(axis=(0, 1))).items():
                 grads[f"{name}.{pname}"] = arr
-        return dX, grads
+        return np.moveaxis(dX.reshape(T, *lead, self.input_dim), 0, -2), grads
 
 
 class FeedforwardAttention:

@@ -357,7 +357,10 @@ def _read_line(fh, what: str) -> str:
     raw = fh.readline()
     if not raw:
         raise CorruptModelError(f"file ends before {what}")
-    return raw.decode("ascii").rstrip("\n")
+    try:
+        return raw.decode("ascii").rstrip("\n")
+    except UnicodeDecodeError:
+        raise CorruptModelError(f"non-ASCII bytes in the line read for {what}") from None
 
 
 def load(path) -> FusionModel:
@@ -403,7 +406,10 @@ def load(path) -> FusionModel:
                 raise CorruptModelError(f"expected a block declaration, got {decl!r}")
             if decl[1] != name:
                 raise ModelLoadError(f"block order mismatch: got {decl[1]!r}, expected {name!r}")
-            shape = tuple(int(d) for d in decl[2:])
+            try:
+                shape = tuple(int(d) for d in decl[2:])
+            except ValueError:
+                raise CorruptModelError(f"{name}: non-integer shape in {decl!r}") from None
             if shape != ref.shape:
                 raise ModelLoadError(f"{name}: file shape {shape}, expected {ref.shape}")
             nbytes = int(np.prod(shape)) * 8

@@ -350,3 +350,65 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert "FAILED" in captured.err
         assert "FAIL" in captured.out
+
+
+class TestInputFilesAreNamed:
+    """A bad --embeddings or --model file is one error line naming the file, exit 1."""
+
+    BAD_VECS = {
+        "non-finite": (b"2 8\nloan 1 0 0 0 0 0 0 0\nhelp nan 1 0 0 0 0 0 0\n",
+                       "line 3: non-finite vector component"),
+        "invalid-utf8": (b"2 8\nloan 1 0 0 0 0 0 0 0\nhe\xffp 0 1 0 0 0 0 0 0\n",
+                         "line 3: not valid UTF-8 (invalid start byte at byte 3)"),
+    }
+
+    def run(self, capsys, argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert code == 1 and len(err) == 1, captured.err
+        return err[0]
+
+    def commands(self, workspace, vec, tmp_path):
+        return {
+            "train": ["train", "--data", workspace["data"], "--variant", "text",
+                      "--embeddings", vec, "--out", str(tmp_path / "m.afn"), "--epochs", "1"],
+            "eval": ["eval", "--model", workspace["checkpoints"]["text"],
+                     "--data", workspace["data"], "--embeddings", vec],
+            "predict": ["predict", "--model", workspace["checkpoints"]["text"],
+                        "--embeddings", vec, "--text", "help with my loan"],
+        }
+
+    @pytest.mark.parametrize("command", ["train", "eval", "predict"])
+    @pytest.mark.parametrize("kind", sorted(BAD_VECS))
+    def test_malformed_vec_is_named(self, workspace, tmp_path, capsys, command, kind):
+        content, message = self.BAD_VECS[kind]
+        vec = tmp_path / "bad.vec"
+        vec.write_bytes(content)
+        argv = self.commands(workspace, str(vec), tmp_path)[command]
+        assert self.run(capsys, argv) == f"error: --embeddings {vec}: {message}"
+
+    def test_train_rejects_an_empty_vec_by_name(self, workspace, tmp_path, capsys):
+        vec = tmp_path / "empty.vec"
+        vec.write_text("0 16\n")
+        argv = self.commands(workspace, str(vec), tmp_path)["train"]
+        assert self.run(capsys, argv) == (
+            f"error: --embeddings {vec}: 0 vectors of width 16, "
+            "the model needs vectors of width 16")
+        assert not (tmp_path / "m.afn").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("damage, message", [
+        (lambda d: d.replace(b"variant text", b"variant t\xffxt", 1),
+         "non-ASCII bytes in the line read for end of header"),
+        (lambda d: d.replace(b"afn-checkpoint 1", b"afn-checkpoint 2", 1),
+         "checkpoint format version 2 unsupported (expected 1)"),
+        (lambda d: d[:-5], "head.b: truncated payload (99 of 104 bytes)"),
+    ], ids=["non-ascii", "version", "truncated"])
+    def test_damaged_checkpoint_is_named(self, workspace, tmp_path, capsys, command, damage,
+                                         message):
+        model = tmp_path / "damaged.afn"
+        model.write_bytes(damage(open(workspace["checkpoints"]["text"], "rb").read()))
+        argv = self.commands(workspace, workspace["vec"], tmp_path)[command]
+        argv[argv.index("--model") + 1] = str(model)
+        assert self.run(capsys, argv) == f"error: --model {model}: {message}"

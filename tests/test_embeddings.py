@@ -59,6 +59,17 @@ class TestLoadVecFile:
         with pytest.raises(VecParseError, match="^line 3: non-finite vector component$"):
             load_vec_file(write(tmp_path, content))
 
+    @pytest.mark.parametrize("content, line", [
+        (b"2 \xff3\napple 1 0 0\nbanana 0 1 0\n", 1),
+        (b"2 3\r\napple 1 0 0\r\nban\xe1na 0 1 0\r\n", 3),
+        (b"2 3\rapple 1 0 0\rbanana 0 1 0\r\xc3", 4),
+    ], ids=["header", "crlf-row", "cr-after-rows"])
+    def test_invalid_utf8_names_line(self, tmp_path, content, line):
+        path = tmp_path / "vectors.vec"
+        path.write_bytes(content)
+        with pytest.raises(VecParseError, match=f"^line {line}: not valid UTF-8 "):
+            load_vec_file(path)
+
     def test_round_trip_100_words(self, tmp_path):
         rng = Rng(31)
         words = [f"word{i}" for i in range(100)]
