@@ -16,7 +16,7 @@ from fusenet.training import grad_check, layer_grad_checks
 rng = Rng(0)
 
 print("=== LSTM cell: zero weights force analytic gate values ===")
-cell = LstmCell({g: np.zeros((5, 3)) for g in "ifoq"}, {g: np.zeros(3) for g in "ifoq"})
+cell = LstmCell(np.zeros((5, 12)), np.zeros(12))  # (hidden+input, 4*hidden) fused gates
 c_prev = np.array([0.4, -1.2, 2.0])
 h, c, cache = cell.step(np.zeros(3), c_prev, np.zeros(2))
 print(f"  gates i=f=o={cache['i'][0]:.1f}, candidate q={cache['q'][0]:.1f}")

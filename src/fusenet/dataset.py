@@ -106,6 +106,8 @@ def _validate_record(record, lineno: int) -> Example:
             fail(f"missing field {key!r}")
     if not isinstance(record["id"], str) or not isinstance(record["text"], str):
         fail("id and text must be strings")
+    if not isinstance(record["label"], str):
+        fail("label must be a string")
     if record["label"] not in CLASS_INDEX:
         fail(f"unknown label {record['label']!r}")
     return Example(id=record["id"], text=record["text"], numerical=numerical,

@@ -153,38 +153,31 @@ class LstmCell:
     ``W_all`` is one ``(hidden+input, 4*hidden)`` matrix holding the gate
     blocks in GATES order, and ``b_all`` their ``(4*hidden,)`` biases.
     Its first ``hidden`` rows (``W_h``) act on h_prev and the rest
-    (``W_x``) on x_t. ``W[g]``, ``b[g]`` and ``params()`` are column
-    views into them, so checkpoints and optimizers still see one block
-    per gate. A step takes one example (1-d vectors) or a batch (one
-    example per row).
+    (``W_x``) on x_t. ``params()`` are column views into them, so
+    checkpoints still see one block per gate. A step takes one example
+    (1-d vectors) or a batch (one example per row).
     """
 
     GATES = ("i", "f", "o", "q")
 
-    def __init__(self, weights: dict[str, np.ndarray], biases: dict[str, np.ndarray]):
-        shapes = {np.shape(weights[g]) for g in self.GATES}
-        if len(shapes) != 1:
-            raise ShapeError(f"lstm: gate weight shapes differ: {sorted(shapes)}")
-        concat_dim, hidden = next(iter(shapes))
-        if concat_dim <= hidden:
-            raise ShapeError(f"lstm: concat dim {concat_dim} must exceed hidden {hidden}")
+    def __init__(self, W_all: np.ndarray, b_all: np.ndarray):
+        if W_all.ndim != 2 or W_all.shape[1] % 4 or b_all.shape != W_all.shape[1:]:
+            raise ShapeError(f"lstm: fused gates W{W_all.shape}, b{b_all.shape}")
+        hidden = W_all.shape[1] // 4
+        if W_all.shape[0] <= hidden:
+            raise ShapeError(f"lstm: concat dim {W_all.shape[0]} must exceed hidden {hidden}")
         self.hidden_dim = hidden
-        self.input_dim = concat_dim - hidden
-        self.W_all = np.concatenate(
-            [np.asarray(weights[g], dtype=np.float64) for g in self.GATES], axis=1)
-        self.b_all = np.concatenate([np.asarray(biases[g], dtype=np.float64) for g in self.GATES])
-        if self.b_all.shape != (4 * hidden,):
-            raise ShapeError(f"lstm: gate biases {self.b_all.shape} vs 4 x hidden {hidden}")
-        self.W = self._by_gate(self.W_all)
-        self.b = self._by_gate(self.b_all)
+        self.input_dim = W_all.shape[0] - hidden
+        self.W_all = np.asarray(W_all, dtype=np.float64)
+        self.b_all = np.asarray(b_all, dtype=np.float64)
 
     @classmethod
     def init(cls, rng: Rng, input_dim: int, hidden_dim: int):
         concat = input_dim + hidden_dim
-        weights = {g: glorot_uniform(rng, concat, hidden_dim) for g in cls.GATES}
-        biases = {g: np.zeros(hidden_dim) for g in cls.GATES}
-        biases["f"] = biases["f"] + 1.0  # open forget gate early in training
-        return cls(weights, biases)
+        W_all = np.concatenate([glorot_uniform(rng, concat, hidden_dim) for _ in cls.GATES], axis=1)
+        b_all = np.zeros(4 * hidden_dim)
+        b_all[hidden_dim : 2 * hidden_dim] = 1.0  # open forget gate early in training
+        return cls(W_all, b_all)
 
     @property
     def W_h(self) -> np.ndarray:

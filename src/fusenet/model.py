@@ -7,19 +7,26 @@ Branch outputs are concatenated in the fixed order
 [numerical, categorical, text]; the baselines drop branches and shrink
 the head accordingly but reuse the identical layer code.
 
+All parameters live in one float64 vector, ``theta``; every layer array
+is a view of it, and ``backward`` returns one gradient of the same layout.
+
 Checkpoints are a self-describing container: a diff-able text header
 (format version, variant, config) followed by named parameter blocks of
-little-endian float64, so save -> load round-trips bit-exactly.
+little-endian float64, so save -> load round-trips bit-exactly. The
+loader checks the size the header implies against the file before it
+allocates ``theta``.
 """
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embeddings import EmbeddedSequence
-from .layers import AllMaskedError, BiLstmEncoder, DenseLayer, FeedforwardAttention
+from .layers import AllMaskedError, BiLstmEncoder, DenseLayer, FeedforwardAttention, LstmCell
 from .numcore import Rng, ShapeError, softmax
 
 FORMAT_VERSION = 1
@@ -86,21 +93,68 @@ def head_input_dim(config: ModelConfig, variant: str) -> int:
     return {"fusion": tabular + text, "mlp": tabular, "text": text}[variant]
 
 
-class FusionModel:
-    """Parameters of one variant; immutable during forward/backward."""
+def _array_shapes(config: ModelConfig, variant: str) -> list[tuple[int, ...]]:
+    """Shapes of the layer arrays in ``theta`` order: each layer's weight, then its bias."""
+    shapes: list[tuple[int, ...]] = []
+    if variant in ("fusion", "mlp"):
+        h = config.mlp_hidden
+        for in_dim in (config.num_feature_dim, config.cat_feature_dim):
+            shapes += [(in_dim, h), (h,), (h, h), (h,)]
+    if variant in ("fusion", "text"):
+        E, H = config.embed_dim, config.lstm_hidden
+        shapes += [(H + E, 4 * H), (4 * H,)] * 2 + [(2 * H,), (1,)]
+    return shapes + [(head_input_dim(config, variant), config.num_classes), (config.num_classes,)]
 
-    def __init__(self, config: ModelConfig, variant: str, mlp_num, mlp_cat,
-                 encoder, attention, head: DenseLayer):
+
+def param_count(config: ModelConfig, variant: str) -> int:
+    """Length of the flat parameter vector of ``variant`` at ``config``."""
+    return sum(math.prod(shape) for shape in _array_shapes(config, variant))
+
+
+def _check_flat(vec: np.ndarray, size: int, what: str) -> None:
+    if vec.dtype != np.float64 or vec.shape != (size,) or not vec.flags.c_contiguous:
+        raise ShapeError(f"{what}: {vec.dtype} {vec.shape}, not contiguous float64 ({size},)")
+
+
+class FusionModel:
+    """The layers of one variant, every layer array a view of the flat ``theta``.
+
+    Parameters are immutable during forward/backward.
+    """
+
+    def __init__(self, config: ModelConfig, variant: str, theta: np.ndarray):
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}")
+        shapes = _array_shapes(config, variant)
+        sizes = [math.prod(shape) for shape in shapes]
+        _check_flat(theta, sum(sizes), f"theta of variant {variant!r}")
         self.config = config
         self.variant = variant
-        self.mlp_num = mlp_num
-        self.mlp_cat = mlp_cat
-        self.encoder = encoder
-        self.attention = attention
-        self.head = head
-        self.validate_shapes()
+        self.theta = theta
+        arrays = iter(part.reshape(shape) for part, shape
+                      in zip(np.split(theta, np.cumsum(sizes)[:-1]), shapes))
+        pairs = zip(arrays, arrays)  # (weight, bias) of each layer in turn
+        self.mlp_num = self.mlp_cat = self.encoder = self.attention = None
+        if self.uses_tabular:
+            act = config.mlp_activation
+            self.mlp_num = [DenseLayer(*next(pairs), act) for _ in range(2)]
+            self.mlp_cat = [DenseLayer(*next(pairs), act) for _ in range(2)]
+        if self.uses_text:
+            self.encoder = BiLstmEncoder(LstmCell(*next(pairs)), LstmCell(*next(pairs)))
+            self.attention = FeedforwardAttention(*next(pairs))
+        self.head = DenseLayer(*next(pairs), "identity")
+        # Every block as (name, shape, strides, byte offset in theta): once in
+        # the serialized order, once in the order backward() computes them.
+        base = theta.__array_interface__["data"][0]
+        *branches, head = self.branches()
+
+        def layout(layers):
+            return [(f"{prefix}.{pname}", arr.shape, arr.strides,
+                     arr.__array_interface__["data"][0] - base)
+                    for prefix, layer in layers for pname, arr in layer.params().items()]
+
+        self._blocks = layout(pair for branch in branches + [head] for pair in branch)
+        self._grad_blocks = layout(head + [pair for branch in branches for pair in branch[::-1]])
 
     @property
     def uses_tabular(self) -> bool:
@@ -110,77 +164,36 @@ class FusionModel:
     def uses_text(self) -> bool:
         return self.variant in ("fusion", "text")
 
-    def validate_shapes(self) -> None:
-        cfg = self.config
+    def branches(self) -> list[list[tuple[str, object]]]:
+        """(block-name prefix, layer) of each branch in head-input order, then of the head."""
+        out = []
         if self.uses_tabular:
-            for branch, name, in_dim in (
-                (self.mlp_num, "mlp_num", cfg.num_feature_dim),
-                (self.mlp_cat, "mlp_cat", cfg.cat_feature_dim),
-            ):
-                if branch is None or len(branch) != 2:
-                    raise ConfigError(f"{name}: expected two dense layers")
-                if branch[0].in_dim != in_dim or branch[0].out_dim != cfg.mlp_hidden:
-                    raise ConfigError(
-                        f"{name}.0: got {branch[0].in_dim}x{branch[0].out_dim}, "
-                        f"expected {in_dim}x{cfg.mlp_hidden}"
-                    )
-                if branch[1].in_dim != cfg.mlp_hidden or branch[1].out_dim != cfg.mlp_hidden:
-                    raise ConfigError(f"{name}.1: inconsistent with mlp_hidden {cfg.mlp_hidden}")
+            out += [[(f"{name}.{idx}", layer) for idx, layer in enumerate(getattr(self, name))]
+                    for name in ("mlp_num", "mlp_cat")]
         if self.uses_text:
-            if self.encoder is None or self.attention is None:
-                raise ConfigError("text branch requires encoder and attention")
-            if self.encoder.input_dim != cfg.embed_dim or self.encoder.hidden_dim != cfg.lstm_hidden:
-                raise ConfigError(
-                    f"encoder dims {self.encoder.input_dim}/{self.encoder.hidden_dim} "
-                    f"vs config {cfg.embed_dim}/{cfg.lstm_hidden}"
-                )
-            if self.attention.w.shape[0] != 2 * cfg.lstm_hidden:
-                raise ConfigError(
-                    f"attention width {self.attention.w.shape[0]} vs {2 * cfg.lstm_hidden}"
-                )
-        expected = head_input_dim(cfg, self.variant)
-        if self.head.in_dim != expected or self.head.out_dim != cfg.num_classes:
-            raise ConfigError(
-                f"head: got {self.head.in_dim}x{self.head.out_dim}, "
-                f"expected {expected}x{cfg.num_classes}"
-            )
-        if self.head.activation != "identity":
-            raise ConfigError("head must use identity activation (softmax is applied after)")
+            out.append([("encoder", self.encoder), ("attention", self.attention)])
+        return out + [[("head", self.head)]]
 
-    def param_blocks(self) -> list[tuple[str, np.ndarray]]:
-        """All learnable parameters as (name, array), in the serialized order."""
-        blocks: list[tuple[str, np.ndarray]] = []
-        if self.uses_tabular:
-            for branch_name, branch in (("mlp_num", self.mlp_num), ("mlp_cat", self.mlp_cat)):
-                for idx, layer in enumerate(branch):
-                    for pname, arr in layer.params().items():
-                        blocks.append((f"{branch_name}.{idx}.{pname}", arr))
-        if self.uses_text:
-            for pname, arr in self.encoder.params().items():
-                blocks.append((f"encoder.{pname}", arr))
-            for pname, arr in self.attention.params().items():
-                blocks.append((f"attention.{pname}", arr))
-        for pname, arr in self.head.params().items():
-            blocks.append((f"head.{pname}", arr))
-        return blocks
+    def _views(self, layout, vec: np.ndarray) -> list[tuple[str, np.ndarray]]:
+        _check_flat(vec, self.theta.size, "vector laid out like theta")
+        return [(name, np.ndarray(shape, np.float64, vec, offset, strides))
+                for name, shape, strides, offset in layout]
 
-    def set_param_blocks(self, values: dict[str, np.ndarray]) -> None:
-        """Overwrite parameters in place from a name -> array mapping."""
-        for name, arr in self.param_blocks():
-            new = values[name]
-            if new.shape != arr.shape:
-                raise ShapeError(f"{name}: got {new.shape}, expected {arr.shape}")
-            arr[...] = new
+    def param_blocks(self, vec: np.ndarray | None = None) -> list[tuple[str, np.ndarray]]:
+        """All learnable parameters as (name, view of theta), in the serialized order.
 
-    def copy_param_blocks(self) -> dict[str, np.ndarray]:
-        return {name: arr.copy() for name, arr in self.param_blocks()}
+        Given ``vec``, a vector laid out like ``theta`` (a gradient, say),
+        the same-named views of ``vec`` instead. An LSTM gate block is a
+        column view of its direction's fused matrix.
+        """
+        return self._views(self._blocks, self.theta if vec is None else vec)
 
-
-def _init_branch(rng: Rng, in_dim: int, hidden: int, activation: str) -> list[DenseLayer]:
-    return [
-        DenseLayer.init(rng, in_dim, hidden, activation),
-        DenseLayer.init(rng, hidden, hidden, activation),
-    ]
+    def grad_blocks(self, grad: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views of ``grad`` in the order backward() computes them: the head,
+        then each branch from its last layer to its first. The pre-clip norm
+        sums per-block terms in this order, so clipping keeps its exact values.
+        """
+        return dict(self._views(self._grad_blocks, grad))
 
 
 def build_variant(config: ModelConfig, variant: str, rng: Rng | None = None) -> FusionModel:
@@ -188,17 +201,23 @@ def build_variant(config: ModelConfig, variant: str, rng: Rng | None = None) -> 
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
     rng = rng if rng is not None else Rng(config.seed)
-    mlp_num = mlp_cat = encoder = attention = None
+    fresh = []
     if variant in ("fusion", "mlp"):
-        act = config.mlp_activation
-        mlp_num = _init_branch(rng.child(0), config.num_feature_dim, config.mlp_hidden, act)
-        mlp_cat = _init_branch(rng.child(1), config.cat_feature_dim, config.mlp_hidden, act)
+        h, act = config.mlp_hidden, config.mlp_activation
+        for key, in_dim in enumerate((config.num_feature_dim, config.cat_feature_dim)):
+            branch_rng = rng.child(key)
+            fresh += [DenseLayer.init(branch_rng, in_dim, h, act),
+                      DenseLayer.init(branch_rng, h, h, act)]
     if variant in ("fusion", "text"):
-        encoder = BiLstmEncoder.init(rng.child(2), config.embed_dim, config.lstm_hidden)
-        attention = FeedforwardAttention.init(rng.child(3), 2 * config.lstm_hidden)
-    head = DenseLayer.init(rng.child(4), head_input_dim(config, variant),
-                           config.num_classes, "identity")
-    return FusionModel(config, variant, mlp_num, mlp_cat, encoder, attention, head)
+        fresh += [BiLstmEncoder.init(rng.child(2), config.embed_dim, config.lstm_hidden),
+                  FeedforwardAttention.init(rng.child(3), 2 * config.lstm_hidden)]
+    fresh.append(DenseLayer.init(rng.child(4), head_input_dim(config, variant),
+                                 config.num_classes, "identity"))
+    model = FusionModel(config, variant, np.zeros(param_count(config, variant)))
+    values = [arr for layer in fresh for arr in layer.params().values()]
+    for (_, view), arr in zip(model.param_blocks(), values, strict=True):
+        view[...] = arr
+    return model
 
 
 def _run_branch(branch: list[DenseLayer], x: np.ndarray):
@@ -208,15 +227,6 @@ def _run_branch(branch: list[DenseLayer], x: np.ndarray):
         out, cache = layer.forward(out)
         caches.append(cache)
     return out, caches
-
-
-def _branch_backward(branch: list[DenseLayer], caches, dout: np.ndarray, prefix: str, grads: dict):
-    d = dout
-    for idx in range(len(branch) - 1, -1, -1):
-        d, layer_grads = branch[idx].backward(caches[idx], d)
-        for pname, arr in layer_grads.items():
-            grads[f"{prefix}.{idx}.{pname}"] = arr
-    return d
 
 
 def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | None = None,
@@ -239,7 +249,7 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
     cfg = model.config
     if k is None:
         k = min(3, cfg.num_classes)
-    outputs = []  # (segment name, branch output, branch cache)
+    outputs = []  # (branch output, its layers' caches), in branches() order
 
     if model.uses_tabular:
         if num_x is None or cat_x is None:
@@ -248,8 +258,8 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
             raise ShapeError(f"numerical input {num_x.shape} vs ({cfg.num_feature_dim},)")
         if cat_x.shape != num_x.shape[:-1] + (cfg.cat_feature_dim,):
             raise ShapeError(f"categorical input {cat_x.shape} vs ({cfg.cat_feature_dim},)")
-        outputs.append(("mlp_num", *_run_branch(model.mlp_num, num_x)))
-        outputs.append(("mlp_cat", *_run_branch(model.mlp_cat, cat_x)))
+        outputs.append(_run_branch(model.mlp_num, num_x))
+        outputs.append(_run_branch(model.mlp_cat, cat_x))
 
     if model.uses_text:
         if seq is None:
@@ -265,9 +275,9 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
             if not isinstance(example_id, str):
                 example_id = example_id[int(np.argmin(seq.mask.any(axis=-1)))]
             raise AllMaskedError(f"example {example_id}: {err}") from err
-        outputs.append(("text", a, {"encoder": enc_cache, "attention": attn_cache}))
+        outputs.append((a, [enc_cache, attn_cache]))
 
-    parts = [out for _, out, _ in outputs]
+    parts = [out for out, _ in outputs]
     widths = [out.shape[-1] for out in parts]
     drop_masks = [None] * len(parts)
     if dropout_rate > 0.0 and drop_rng is not None:
@@ -275,10 +285,8 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
         masks = (drop_rng.random(parts[0].shape[:-1] + (sum(widths),)) < keep) / keep
         drop_masks = np.split(masks, np.cumsum(widths)[:-1], axis=-1)
         parts = [part * mask for part, mask in zip(parts, drop_masks)]
-    cache: dict = {"segments": [(name, w) for (name, _, _), w in zip(outputs, widths)],
-                   "drop_masks": drop_masks}
-    for name, _, branch_cache in outputs:
-        cache[name] = branch_cache
+    cache: dict = {"branches": [branch_cache for _, branch_cache in outputs],
+                   "widths": widths, "drop_masks": drop_masks}
 
     c = np.concatenate(parts, axis=-1)
     logits, head_cache = model.head.forward(c)
@@ -288,31 +296,28 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
     return Prediction(probs=probs, top_k=topk_indices(probs, k)), cache
 
 
-def backward(model: FusionModel, cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Parameter gradients keyed like param_blocks(), summed over batch rows."""
-    grads: dict[str, np.ndarray] = {}
-    dc, head_grads = model.head.backward(cache["head"], dlogits)
-    for pname, arr in head_grads.items():
-        grads[f"head.{pname}"] = arr
+def backward(model: FusionModel, cache, dlogits: np.ndarray) -> np.ndarray:
+    """The parameter gradient, summed over batch rows, as one vector laid out like theta.
 
-    offset = 0
-    for (name, width), drop_mask in zip(cache["segments"], cache["drop_masks"]):
-        dseg = dc[..., offset : offset + width]
-        offset += width
-        if drop_mask is not None:
-            dseg = dseg * drop_mask
-        if name == "mlp_num":
-            _branch_backward(model.mlp_num, cache[name], dseg, "mlp_num", grads)
-        elif name == "mlp_cat":
-            _branch_backward(model.mlp_cat, cache[name], dseg, "mlp_cat", grads)
-        else:
-            dH, attn_grads = model.attention.backward(cache["text"]["attention"], dseg)
-            for pname, arr in attn_grads.items():
-                grads[f"attention.{pname}"] = arr
-            _dX, enc_grads = model.encoder.backward(cache["text"]["encoder"], dH)
-            for pname, arr in enc_grads.items():
-                grads[f"encoder.{pname}"] = arr
-    return grads
+    ``model.param_blocks(grad)`` names its blocks.
+    """
+    grad = np.zeros_like(model.theta)
+    views = model.grad_blocks(grad)
+
+    def chain(branch, caches, d):
+        for (prefix, layer), layer_cache in zip(reversed(branch), reversed(caches)):
+            d, layer_grads = layer.backward(layer_cache, d)
+            for pname, arr in layer_grads.items():
+                views[f"{prefix}.{pname}"][...] = arr
+        return d
+
+    *branches, head = model.branches()
+    dc = chain(head, [cache["head"]], dlogits)
+    dsegs = np.split(dc, np.cumsum(cache["widths"])[:-1], axis=-1)
+    for branch, caches, dseg, drop_mask in zip(branches, cache["branches"], dsegs,
+                                               cache["drop_masks"]):
+        chain(branch, caches, dseg if drop_mask is None else dseg * drop_mask)
+    return grad
 
 
 def topk_indices(probs: np.ndarray, k: int):
@@ -393,14 +398,20 @@ def load(path) -> FusionModel:
         if variant not in VARIANTS:
             raise ModelLoadError(f"unknown variant {variant!r}")
 
-        skeleton = build_variant(config, variant)
-        expected = skeleton.param_blocks()
-        if n_blocks != len(expected):
-            raise ModelLoadError(
-                f"header declares {n_blocks} blocks, variant {variant!r} has {len(expected)}"
+        size = param_count(config, variant)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if 8 * size > left:
+            raise CorruptModelError(
+                f"size mismatch: variant {variant!r} at the header's dimensions has {size} "
+                f"parameters ({8 * size} bytes), but only {left} bytes follow the header"
             )
-        values: dict[str, np.ndarray] = {}
-        for name, ref in expected:
+        model = FusionModel(config, variant, np.empty(size))
+        blocks = model.param_blocks()
+        if n_blocks != len(blocks):
+            raise ModelLoadError(
+                f"header declares {n_blocks} blocks, variant {variant!r} has {len(blocks)}"
+            )
+        for name, view in blocks:
             decl = _read_line(fh, f"block {name}").split()
             if len(decl) < 2 or decl[0] != "block":
                 raise CorruptModelError(f"expected a block declaration, got {decl!r}")
@@ -410,29 +421,23 @@ def load(path) -> FusionModel:
                 shape = tuple(int(d) for d in decl[2:])
             except ValueError:
                 raise CorruptModelError(f"{name}: non-integer shape in {decl!r}") from None
-            if shape != ref.shape:
-                raise ModelLoadError(f"{name}: file shape {shape}, expected {ref.shape}")
-            nbytes = int(np.prod(shape)) * 8
+            if shape != view.shape:
+                raise ModelLoadError(f"{name}: file shape {shape}, expected {view.shape}")
+            nbytes = view.size * 8
             payload = fh.read(nbytes)
             if len(payload) != nbytes:
                 raise CorruptModelError(
                     f"{name}: truncated payload ({len(payload)} of {nbytes} bytes)"
                 )
-            arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
+            arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
             if not np.all(np.isfinite(arr)):
                 raise ModelLoadError(f"{name}: non-finite parameter values")
-            values[name] = arr
+            view[...] = arr
         if fh.read(1):
             raise CorruptModelError("trailing bytes after final block")
-
-    skeleton.set_param_blocks(values)
-    skeleton.validate_shapes()
-    return skeleton
+    return model
 
 
 def clone(model: FusionModel) -> FusionModel:
-    """Fresh model of the same variant/config with copied parameters."""
-    out = build_variant(model.config, model.variant)
-    out.set_param_blocks(model.copy_param_blocks())
-    return out
-
+    """A model of the same variant and config on a copy of ``theta``."""
+    return FusionModel(model.config, model.variant, model.theta.copy())

@@ -20,8 +20,7 @@ import numpy as np
 from .dataset import PreparedDataset
 from .embeddings import EmbeddedSequence
 from .metrics import predict_all, topk_accuracy
-from .model import (FusionModel, ModelConfig, backward, build_variant, clone,
-                    forward)
+from .model import FusionModel, ModelConfig, backward, build_variant, clone, forward
 from .numcore import Rng
 
 GRAD_EPS = 1e-8  # denominator floor in relative-error comparisons
@@ -112,45 +111,44 @@ class _Sgd:
     def __init__(self, lr: float):
         self.lr = lr
 
-    def step(self, blocks, grads):
-        for name, arr in blocks:
-            arr -= self.lr * grads[name]
+    def step(self, theta: np.ndarray, grad: np.ndarray):
+        theta -= self.lr * grad
 
 
 class _Adam:
-    def __init__(self, lr: float, beta1: float, beta2: float, eps: float):
+    def __init__(self, lr: float, beta1: float, beta2: float, eps: float, size: int):
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
 
-    def step(self, blocks, grads):
+    def step(self, theta: np.ndarray, grad: np.ndarray):
         self.t += 1
         bc1 = 1.0 - self.b1**self.t
         bc2 = 1.0 - self.b2**self.t
-        for name, arr in blocks:
-            g = grads[name]
-            m = self.m.setdefault(name, np.zeros_like(arr))
-            v = self.v.setdefault(name, np.zeros_like(arr))
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            arr -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        self.m *= self.b1
+        self.m += (1.0 - self.b1) * grad
+        self.v *= self.b2
+        self.v += (1.0 - self.b2) * grad * grad
+        update = self.m / bc1  # lr * (m / bc1) / (sqrt(v / bc2) + eps), in place
+        update *= self.lr
+        denom = self.v / bc2
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
+        theta -= update
 
 
-def _make_optimizer(cfg: TrainConfig):
+def _make_optimizer(cfg: TrainConfig, size: int):
     if cfg.optimizer == "sgd":
         return _Sgd(cfg.learning_rate)
-    return _Adam(cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
-
-
-def global_norm(grads: dict[str, np.ndarray]) -> float:
-    return math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    return _Adam(cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps, size)
 
 
 def clip_grads_(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    norm = global_norm(grads)
+    """Scale ``grads`` in place to a global norm of at most ``max_norm``; return
+    the norm before clipping, summed block by block in the dict's order."""
+    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if norm > max_norm:
         scale = max_norm / norm
         for g in grads.values():
@@ -188,7 +186,7 @@ def _validation_topk_accuracy(model: FusionModel, data: PreparedDataset, k: int)
 
 def _batch_gradients(model: FusionModel, data: PreparedDataset, rows: np.ndarray,
                      weights: np.ndarray | None, dropout_rate: float, drop_rng: Rng):
-    """Mean loss and gradients of one mini-batch: one forward, one backward.
+    """Mean loss and flat gradient of one mini-batch: one forward, one backward.
 
     The forward cache dies when this returns, so the next batch's
     forward never holds two of them at once.
@@ -214,14 +212,13 @@ def train(model: FusionModel, train_set: PreparedDataset, val_set: PreparedDatas
             )
 
     work = clone(model)
-    blocks = work.param_blocks()
-    optimizer = _make_optimizer(cfg)
+    optimizer = _make_optimizer(cfg, work.theta.size)
     shuffle_rng = Rng(cfg.seed).child(0)
     drop_rng = Rng(cfg.seed).child(1)
     val_k = min(3, work.config.num_classes)
 
     report = TrainReport()
-    best_params: dict[str, np.ndarray] | None = None
+    best_theta = work.theta.copy()
     best_acc = -1.0
     best_loss = math.inf
     since_best = 0
@@ -233,18 +230,19 @@ def train(model: FusionModel, train_set: PreparedDataset, val_set: PreparedDatas
         loss_sum = 0.0
         for batch_idx, start in enumerate(range(0, n, cfg.batch_size)):
             rows = order[start : start + cfg.batch_size]
-            loss, grads = _batch_gradients(work, train_set, rows, weights, cfg.dropout_rate,
-                                           drop_rng)
+            loss, grad = _batch_gradients(work, train_set, rows, weights, cfg.dropout_rate,
+                                          drop_rng)
             if not math.isfinite(loss):
                 raise TrainingAbort(f"non-finite loss in epoch {epoch} batch {batch_idx}")
             loss_sum += loss * len(rows)
-            for name, _ in blocks:
-                if not np.all(np.isfinite(grads[name])):
-                    raise TrainingAbort(
-                        f"non-finite gradient in block {name} (epoch {epoch} batch {batch_idx})"
-                    )
-            clip_grads_(grads, cfg.clip_norm)
-            optimizer.step(blocks, grads)
+            if not np.all(np.isfinite(grad)):
+                name = next(name for name, g in work.param_blocks(grad)
+                            if not np.all(np.isfinite(g)))
+                raise TrainingAbort(
+                    f"non-finite gradient in block {name} (epoch {epoch} batch {batch_idx})"
+                )
+            clip_grads_(work.grad_blocks(grad), cfg.clip_norm)
+            optimizer.step(work.theta, grad)
 
         val_acc = _validation_topk_accuracy(work, val_set, val_k)
         epoch_loss = loss_sum / n
@@ -262,7 +260,7 @@ def train(model: FusionModel, train_set: PreparedDataset, val_set: PreparedDatas
         if improved_val or (val_acc == best_acc and epoch_loss < best_loss):
             best_acc = val_acc
             best_loss = epoch_loss
-            best_params = work.copy_param_blocks()
+            best_theta[...] = work.theta
             report.best_epoch = epoch
         if improved_val:
             since_best = 0
@@ -271,9 +269,7 @@ def train(model: FusionModel, train_set: PreparedDataset, val_set: PreparedDatas
             if since_best >= cfg.early_stop_patience:
                 break
 
-    best = build_variant(work.config, work.variant)
-    best.set_param_blocks(best_params)
-    return best, report
+    return FusionModel(work.config, work.variant, best_theta), report
 
 
 def write_report(report: TrainReport, path) -> None:
@@ -357,7 +353,7 @@ def grad_check(variant: str = "fusion", seed: int = 0, step: float = 1e-5) -> Gr
     pred, cache = forward(model, num_in, cat_in, seq_in)
     dlogits = pred.probs.copy()
     dlogits[label] -= 1.0
-    analytic = backward(model, cache, dlogits)
+    analytic = dict(model.param_blocks(backward(model, cache, dlogits)))
 
     per_block: dict[str, float] = {}
     for name, arr in model.param_blocks():

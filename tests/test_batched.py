@@ -47,7 +47,8 @@ def test_batch_gradient_matches_finite_differences(weights):
         return batch_loss(forward(model, num, cat, seq)[0].probs, labels, weights)[0]
 
     pred, cache = forward(model, num, cat, seq)
-    analytic = backward(model, cache, batch_loss(pred.probs, labels, weights)[1])
+    analytic = dict(model.param_blocks(backward(model, cache, batch_loss(pred.probs, labels,
+                                                                          weights)[1])))
     for name, arr in model.param_blocks():
         err = max_relative_error(analytic[name], numeric_gradient(loss, arr))
         assert err < 1e-4, (name, err)
@@ -61,12 +62,12 @@ def test_batch_equals_sum_of_examples(variant, weights):
     num, cat, seqs, labels = ragged_batch(4, config)
     pred, cache = forward(model, num, cat, seqs)
     loss, dlogits = batch_loss(pred.probs, labels, weights)
-    grads = backward(model, cache, dlogits)
+    grad = backward(model, cache, dlogits)
 
     n = len(LENGTHS)
     w = np.ones(config.num_classes) if weights is None else weights
     ref_loss = 0.0
-    ref_grads = {name: np.zeros(arr.shape) for name, arr in model.param_blocks()}
+    ref_grad = np.zeros_like(model.theta)
     for j, label in enumerate(labels):
         one, one_cache = forward(model, num[j], cat[j], seqs[j])
         assert np.max(np.abs(one.probs - pred.probs[j])) <= 1e-12
@@ -74,12 +75,10 @@ def test_batch_equals_sum_of_examples(variant, weights):
         ref_loss += w[label] * cross_entropy(one.probs, int(label)) / n
         d = one.probs.copy()
         d[label] -= 1.0
-        for name, g in backward(model, one_cache, d * (w[label] / n)).items():
-            ref_grads[name] += g
+        ref_grad += backward(model, one_cache, d * (w[label] / n))
     assert abs(loss - ref_loss) <= 1e-12
-    assert set(grads) == set(ref_grads)
-    for name, ref in ref_grads.items():
-        assert np.max(np.abs(grads[name] - ref)) <= 1e-12, name
+    for (name, g), (_, ref) in zip(model.param_blocks(grad), model.param_blocks(ref_grad)):
+        assert np.max(np.abs(g - ref)) <= 1e-12, name
 
 
 def test_batch_dropout_masks_match_rows_run_in_order():
@@ -102,12 +101,13 @@ def _reference_text_vector(model, vectors, mask):
         h = np.zeros(enc.hidden_dim)
         c = np.zeros(enc.hidden_dim)
         out = {}
+        p = cell.params()
         for t in order:
             u = np.concatenate([h, vectors[t]])
-            i = sigmoid(u @ cell.W["i"] + cell.b["i"])
-            f = sigmoid(u @ cell.W["f"] + cell.b["f"])
-            o = sigmoid(u @ cell.W["o"] + cell.b["o"])
-            q = np.tanh(u @ cell.W["q"] + cell.b["q"])
+            i = sigmoid(u @ p["W_i"] + p["b_i"])
+            f = sigmoid(u @ p["W_f"] + p["b_f"])
+            o = sigmoid(u @ p["W_o"] + p["b_o"])
+            q = np.tanh(u @ p["W_q"] + p["b_q"])
             c = f * c + i * q
             h = o * np.tanh(c)
             out[t] = h
@@ -142,8 +142,8 @@ def test_gate_blocks_are_views_of_the_fused_matrix():
     assert list(params) == ["W_i", "W_f", "W_o", "W_q", "b_i", "b_f", "b_o", "b_q"]
     params["W_o"] -= 1.0  # an optimizer's in-place update
     params["b_q"][...] = 7.0  # a checkpoint load
-    assert np.array_equal(cell.W_all[:, 10:15], cell.W["o"])
-    assert np.all(cell.b_all[15:] == 7.0) and np.all(cell.b["q"] == 7.0)
+    assert np.array_equal(cell.W_all[:, 10:15], cell.params()["W_o"])
+    assert np.all(cell.b_all[15:] == 7.0) and np.all(cell.params()["b_q"] == 7.0)
 
 
 def test_all_masked_row_names_its_example():

@@ -118,6 +118,20 @@ class TestTrain:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_label_that_is_a_list_is_one_named_error(self, workspace, tmp_path, capsys):
+        lines = open(workspace["data"], encoding="utf-8").read().splitlines()
+        doc = json.loads(lines[4])
+        doc["label"] = [doc["label"]]
+        lines[4] = json.dumps(doc)
+        data = tmp_path / "bad.jsonl"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = cli.main(["train", "--data", str(data), "--variant", "mlp",
+                         "--out", str(tmp_path / "x.afn"), "--epochs", "1"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "line 5: label must be a string" in err[0]
+
     def test_config_file_merged_under_flags(self, workspace, tmp_path, capsys):
         config = tmp_path / "train.cfg"
         config.write_text("epochs=1\nmlp_hidden=4\n")

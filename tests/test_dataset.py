@@ -50,6 +50,19 @@ class TestJsonl:
         with pytest.raises(DatasetError, match="line 2"):
             load_jsonl(path)
 
+    @pytest.mark.parametrize("label", [["Other"], {"name": "Other"}, 3, None],
+                             ids=["list", "object", "number", "null"])
+    def test_label_that_is_not_a_string_names_line(self, tmp_path, label):
+        path = tmp_path / "bad.jsonl"
+        save_jsonl([make_example(0), make_example(1)], path)
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[1])
+        doc["label"] = label
+        lines[1] = json.dumps(doc)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match="^line 2: label must be a string$"):
+            load_jsonl(path)
+
     def test_line_that_is_not_an_object_named(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         save_jsonl([make_example(0)], path)

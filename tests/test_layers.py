@@ -48,10 +48,7 @@ class TestLstmCell:
     def test_zero_everything_forced_values(self):
         h = np.zeros(3)
         c = np.zeros(3)
-        cell = LstmCell(
-            {g: np.zeros((5, 3)) for g in LstmCell.GATES},
-            {g: np.zeros(3) for g in LstmCell.GATES},
-        )
+        cell = LstmCell(np.zeros((5, 12)), np.zeros(12))
         h1, c1, cache = cell.step(h, c, np.array([1.0, -2.0]))
         assert np.array_equal(cache["i"], np.full(3, 0.5))
         assert np.array_equal(cache["f"], np.full(3, 0.5))
@@ -62,10 +59,7 @@ class TestLstmCell:
 
     def test_zero_weights_nonzero_cell_state(self):
         c_prev = np.array([0.4, -1.2, 2.0])
-        cell = LstmCell(
-            {g: np.zeros((5, 3)) for g in LstmCell.GATES},
-            {g: np.zeros(3) for g in LstmCell.GATES},
-        )
+        cell = LstmCell(np.zeros((5, 12)), np.zeros(12))
         h1, c1, _ = cell.step(np.zeros(3), c_prev, np.zeros(2))
         assert np.allclose(c1, 0.5 * c_prev, atol=1e-15)
         assert np.allclose(h1, 0.5 * np.tanh(0.5 * c_prev), atol=1e-15)
@@ -87,8 +81,8 @@ class TestLstmCell:
 
     def test_forget_bias_initialized_to_one(self):
         cell = LstmCell.init(Rng(1), 3, 4)
-        assert np.array_equal(cell.b["f"], np.ones(4))
-        assert not cell.b["i"].any()
+        assert np.array_equal(cell.params()["b_f"], np.ones(4))
+        assert not cell.params()["b_i"].any()
 
 
 class TestBiLstm:
@@ -101,10 +95,7 @@ class TestBiLstm:
         assert np.array_equal(H[0], np.concatenate([hf, hb]))
 
     def test_zero_weight_cells_output_zero(self):
-        zero_cell = lambda: LstmCell(
-            {g: np.zeros((7, 4)) for g in LstmCell.GATES},
-            {g: np.zeros(4) for g in LstmCell.GATES},
-        )
+        zero_cell = lambda: LstmCell(np.zeros((7, 16)), np.zeros(16))
         enc = BiLstmEncoder(zero_cell(), zero_cell())
         H, _ = enc.forward(Rng(10).normal((5, 3)))
         assert not H.any()

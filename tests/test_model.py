@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fusenet.embeddings import EmbeddedSequence
 from fusenet.layers import AllMaskedError
-from fusenet.model import (ConfigError, CorruptModelError, ModelLoadError,
-                           ModelConfig, VersionError, backward, build_variant,
-                           forward, head_input_dim, load, predict_topk, save,
+from fusenet.model import (ConfigError, CorruptModelError, FusionModel, ModelLoadError,
+                           ModelConfig, VersionError, backward, build_variant, clone,
+                           forward, head_input_dim, load, param_count, predict_topk, save,
                            topk_indices)
-from fusenet.numcore import Rng
-from fusenet.training import cross_entropy, grad_check
+from fusenet.numcore import Rng, ShapeError
+from fusenet.training import (cross_entropy, grad_check, max_relative_error,
+                              numeric_gradient)
 
 
 def small_config(**overrides):
@@ -47,11 +50,16 @@ class TestBuild:
         model = build_variant(config, "fusion")
         assert model.head.in_dim == 256
 
-    def test_injected_head_mismatch_is_a_construction_error(self):
-        model = build_variant(small_config(), "fusion")
-        model.head.W = np.zeros((model.head.in_dim + 1, model.config.num_classes))
-        with pytest.raises(ConfigError):
-            model.validate_shapes()
+    def test_theta_of_the_wrong_size_is_a_construction_error(self):
+        config = small_config()
+        size = param_count(config, "fusion")
+        for theta in (np.zeros(size + 1), np.zeros(size - 1), np.zeros(size, dtype=np.float32)):
+            with pytest.raises(ShapeError, match=str(size)):
+                FusionModel(config, "fusion", theta)
+        model = build_variant(config, "fusion")
+        for vec in (np.zeros(size, dtype=np.int64), np.zeros(2 * size)[::2]):
+            with pytest.raises(ShapeError):
+                model.param_blocks(vec)
 
     def test_invalid_dims_rejected(self):
         with pytest.raises(ConfigError):
@@ -166,18 +174,91 @@ class TestProperties:
             assert int(np.argmax(logits1)) == int(np.argmax(logits2))
 
 
+def assert_blocks_tile(blocks, vec):
+    """Every block is a view of ``vec``, and together they cover each entry once."""
+    owner = np.zeros(vec.shape, dtype=int)
+    for name, arr in blocks:
+        assert np.shares_memory(arr, vec), name
+        marker = vec.copy()
+        arr[...] = np.nan  # mark the block's entries through the view
+        owner += np.isnan(vec)
+        vec[...] = marker
+    assert sum(arr.size for _, arr in blocks) == vec.size
+    assert np.all(owner == 1)
+
+
 class TestSaveLoad:
     def test_round_trip_bit_identical_forward(self, tmp_path):
-        model = build_variant(small_config(), "fusion")
-        path = tmp_path / "model.afn"
+        for variant in ("fusion", "mlp", "text"):
+            self.check_round_trip_and_layout(variant, tmp_path)
+
+    def check_round_trip_and_layout(self, variant, tmp_path):
+        model = build_variant(small_config(), variant)
+        path = tmp_path / f"{variant}.afn"
         save(model, path)
         loaded = load(path)
         num, cat, seq = random_inputs(5, model.config)
-        p1, _ = forward(model, num, cat, seq)
+        p1, cache = forward(model, num, cat, seq)
         p2, _ = forward(loaded, num, cat, seq)
         assert np.array_equal(p1.probs, p2.probs)
+        assert np.array_equal(model.theta, loaded.theta)
         for (na, a), (nb, b) in zip(model.param_blocks(), loaded.param_blocks()):
             assert na == nb and np.array_equal(a, b)
+
+        # One flat vector: the blocks tile theta, and gradients share its layout.
+        assert model.theta.shape == (param_count(model.config, variant),)
+        assert_blocks_tile(model.param_blocks(), model.theta)
+        assert_blocks_tile(loaded.param_blocks(), loaded.theta)
+        dlogits = p1.probs.copy()
+        dlogits[2] -= 1.0
+        grad = backward(model, cache, dlogits)
+        assert grad.shape == model.theta.shape and not np.shares_memory(grad, model.theta)
+        assert_blocks_tile(model.param_blocks(grad), grad)
+        # The norm's summation order: the head first, as backward computes it.
+        assert list(model.grad_blocks(grad))[:2] == ["head.W", "head.b"]
+        assert {n: a.shape for n, a in model.grad_blocks(grad).items()} == {
+            n: a.shape for n, a in model.param_blocks()}
+        assert all(np.shares_memory(a, grad) for a in model.grad_blocks(grad).values())
+
+        # Copies own their memory.
+        copy = clone(model)
+        assert not np.shares_memory(copy.theta, model.theta)
+        assert np.array_equal(copy.theta, model.theta)
+        copy.head.b[0] += 1.0
+        assert not np.array_equal(copy.theta, model.theta)
+
+        if variant == "mlp":
+            return
+        # An LSTM gate block is a column view of its direction's fused matrix,
+        # and finite differences through that view match the flat gradient.
+        blocks = dict(model.param_blocks())
+        gate = blocks["encoder.bwd.W_o"]
+        W_all = model.encoder.bwd.W_all
+        assert not gate.flags.c_contiguous and np.shares_memory(gate, W_all)
+        assert np.shares_memory(W_all, model.theta)
+        label = 2
+
+        def loss():
+            return cross_entropy(forward(model, num, cat, seq)[0].probs, label)
+
+        analytic = dict(model.param_blocks(grad))["encoder.bwd.W_o"]
+        assert max_relative_error(analytic, numeric_gradient(loss, gate)) < 1e-4
+
+    @pytest.mark.parametrize("hidden", [400, 100_000])
+    def test_header_claiming_a_larger_model_fails_before_allocating(self, hidden, tmp_path):
+        path = tmp_path / "model.afn"
+        save(build_variant(small_config(), "fusion"), path)
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"lstm_hidden 4\n", f"lstm_hidden {hidden}\n".encode(), 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptModelError, match="size mismatch") as err:
+                load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(param_count(small_config(lstm_hidden=hidden), "fusion")) in str(err.value)
+        assert peak < 1_000_000
 
     def test_config_round_trips(self, tmp_path):
         config = small_config(mlp_activation="tanh", seed=9)

@@ -1,13 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from fusenet import training
 from fusenet.dataset import PreparedDataset
-from fusenet.model import ModelConfig, build_variant, forward
+from fusenet.embeddings import EmbeddedSequence
+from fusenet.model import ModelConfig, build_variant, clone, forward, save
 from fusenet.numcore import Rng
 from fusenet.training import (TrainConfig, TrainingAbort, _Adam, cross_entropy,
-                              grad_check, train, write_report)
+                              grad_check, small_check_config, train, write_report)
 
 
 def toy_tabular(n_per_class=40, num_classes=2, seed=0):
@@ -60,13 +63,12 @@ class TestAdam:
     def test_first_step_bounded_by_learning_rate(self):
         rng = Rng(21)
         lr = 0.17
-        opt = _Adam(lr, 0.9, 0.999, 1e-8)
-        blocks = [("w", rng.normal((6, 4))), ("b", rng.normal(4) * 100)]
-        before = {n: a.copy() for n, a in blocks}
-        grads = {"w": rng.normal((6, 4)) * 10, "b": rng.normal(4) * 0.001}
-        opt.step(blocks, grads)
-        for name, arr in blocks:
-            assert np.max(np.abs(arr - before[name])) <= lr * (1 + 1e-8)
+        opt = _Adam(lr, 0.9, 0.999, 1e-8, 28)
+        theta = np.concatenate([rng.normal(24), rng.normal(4) * 100])
+        before = theta.copy()
+        grad = np.concatenate([rng.normal(24) * 10, rng.normal(4) * 0.001])
+        opt.step(theta, grad)
+        assert np.max(np.abs(theta - before)) <= lr * (1 + 1e-8)
 
 
 class TestTrain:
@@ -87,11 +89,9 @@ class TestTrain:
     def test_zero_learning_rate_leaves_parameters_bit_identical(self):
         data = toy_tabular(n_per_class=8)
         model = build_variant(toy_config(), "mlp")
-        before = model.copy_param_blocks()
         cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=0.0, seed=0)
         best, _ = train(model, data, data, cfg)
-        for name, arr in best.param_blocks():
-            assert np.array_equal(arr, before[name]), name
+        assert np.array_equal(best.theta, model.theta)
 
     def test_same_seed_same_report(self):
         data = toy_tabular(n_per_class=12)
@@ -150,13 +150,17 @@ class TestTrain:
         with pytest.raises(ValueError, match="numerical width"):
             train(wrong, bad, bad, TrainConfig(epochs=1))
 
-    def test_input_model_is_not_mutated(self):
+    def test_input_model_is_not_mutated(self, monkeypatch):
         data = toy_tabular(n_per_class=8)
         model = build_variant(toy_config(), "mlp")
-        before = model.copy_param_blocks()
-        train(model, data, data, TrainConfig(epochs=2, learning_rate=1e-2, seed=0))
-        for name, arr in model.param_blocks():
-            assert np.array_equal(arr, before[name])
+        before = model.theta.copy()
+        working = []
+        monkeypatch.setattr(training, "clone", lambda m: working.append(clone(m)) or working[-1])
+        best, _ = train(model, data, data, TrainConfig(epochs=2, learning_rate=1e-2, seed=0))
+        assert np.array_equal(model.theta, before)
+        # The kept snapshot is a copy of neither the input nor the working model.
+        for other in (model, *working):
+            assert not np.shares_memory(best.theta, other.theta)
 
     def test_dropout_training_is_deterministic_and_off_at_eval(self):
         data = toy_tabular(n_per_class=12)
@@ -217,3 +221,48 @@ def test_write_report(tmp_path):
     assert lines[0].startswith("# epoch")
     assert len([l for l in lines if not l.startswith("#")]) == len(report.epochs)
     assert lines[-1] == f"# best_epoch\t{report.best_epoch}"
+
+
+# SHA-256 of the checkpoints the test below trains. Any change to the
+# forward or backward pass, the gradient norm, clipping or the optimizer
+# update that moves a parameter by one ulp changes them.
+TRAINED_SHA256 = {
+    "adam": "c2c89be28feca1fd2e40494f16520e2ec429378b26d531bbf0fe50d9c87f4181",
+    "sgd": "67c7530acc87a11e5b1dfd51e42cd97e1d9ef733f4595581d200f3727ecba59e",
+}
+
+
+@pytest.mark.parametrize("optimizer", sorted(TRAINED_SHA256))
+def test_trained_checkpoint_bytes_are_pinned(optimizer, tmp_path, monkeypatch):
+    config = small_check_config(seed=3)
+    rng = Rng(3).child(5)
+    n, T = 48, config.max_seq_len
+    vectors = rng.normal((n, T, config.embed_dim))
+    mask = np.arange(T) < rng.integers(1, T + 1, n)[:, None]
+    vectors[~mask] = 0.0
+    data = PreparedDataset(
+        ids=[f"row-{i}" for i in range(n)],
+        labels=rng.integers(0, config.num_classes, n),
+        num=rng.normal((n, config.num_feature_dim)),
+        cat=(rng.random((n, config.cat_feature_dim)) < 0.5).astype(np.float64),
+        seqs=EmbeddedSequence(vectors=vectors, mask=mask),
+    )
+    train_set, val_set = (PreparedDataset(data.ids[rows], data.labels[rows], data.num[rows],
+                                          data.cat[rows], data.seqs[rows])
+                          for rows in (slice(0, 36), slice(36, n)))
+    norms = []
+    clip = training.clip_grads_
+
+    def recording_clip(*args, **kwargs):
+        norms.append(clip(*args, **kwargs))
+        return norms[-1]
+
+    monkeypatch.setattr(training, "clip_grads_", recording_clip)
+    cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=0.05, optimizer=optimizer,
+                      clip_norm=0.5, dropout_rate=0.2, seed=3, early_stop_patience=5)
+    best, _ = train(build_variant(config, "fusion"), train_set, val_set, cfg)
+    assert len(norms) == 2 * 5
+    assert sum(norm > cfg.clip_norm for norm in norms) >= 5  # clipping fired
+    path = tmp_path / "trained.afn"
+    save(best, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRAINED_SHA256[optimizer]
