@@ -44,6 +44,14 @@ def _nonneg_float(value: str) -> float:
     return out
 
 
+def _one_of(*allowed: str):
+    def convert(value: str) -> str:
+        if value not in allowed:
+            raise argparse.ArgumentTypeError(f"must be one of {'/'.join(allowed)}, got {value!r}")
+        return value
+    return convert
+
+
 def _read_json(path: str, what: str, parse):
     """``parse`` applied to the JSON document at ``path``; a bad one names the file."""
     with open(path, encoding="utf-8") as fh:
@@ -67,6 +75,14 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def _add_knobs(p: argparse.ArgumentParser, specs: dict[str, tuple]) -> None:
+    """One ``--dest-name`` flag per knob, plus ``--config``; defaults are merged later."""
+    for dest, (convert, default, about) in specs.items():
+        p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=convert, default=None,
+                       help=f"{about} (default {default})" if about else f"default {default}")
+    p.add_argument("--config", default=None, help="flat key=value defaults file")
+
+
 def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
                   specs: dict[str, tuple]) -> None:
     """Fill unset knobs from the config file, then from built-in defaults."""
@@ -81,7 +97,7 @@ def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
         unknown = set(file_values) - set(specs)
         if unknown:
             parser.error(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for dest, (convert, default) in specs.items():
+    for dest, (convert, default, _) in specs.items():
         if getattr(args, dest) is not None:
             continue
         if dest in file_values:
@@ -96,13 +112,15 @@ def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
 # ---------------------------------------------------------------------------
 # synth
 
+# Each knob: dest -> (converter, default, help). A knob is a flag and a
+# --config key of the same name.
 _SYNTH_SPECS = {
-    "n": (_positive_int, 1300),
-    "noise": (_fraction, 0.05),
-    "seed": (int, 5),
-    "num_dim": (_positive_int, synth.DEFAULT_NUM_DIM),
-    "vec_dim": (_positive_int, 16),
-    "vec_seed": (int, 7),
+    "n": (_positive_int, 1300, None),
+    "noise": (_fraction, 0.05, "template/profile flip probability, in [0,1)"),
+    "seed": (int, 5, None),
+    "num_dim": (_positive_int, synth.DEFAULT_NUM_DIM, None),
+    "vec_dim": (_positive_int, 16, None),
+    "vec_seed": (int, 7, None),
 }
 
 
@@ -138,17 +156,17 @@ def _cmd_synth(parser, args) -> int:
 # train
 
 _TRAIN_SPECS = {
-    "epochs": (_positive_int, 12),
-    "batch_size": (_positive_int, 32),
-    "lr": (_nonneg_float, 3e-3),
-    "optimizer": (str, "adam"),
-    "dropout": (_fraction, 0.0),
-    "patience": (_positive_int, 5),
-    "seed": (int, 0),
-    "split_seed": (int, 0),
-    "lstm_hidden": (_positive_int, 64),
-    "mlp_hidden": (_positive_int, 64),
-    "max_seq_len": (_positive_int, 100),
+    "epochs": (_positive_int, 12, None),
+    "batch_size": (_positive_int, 32, None),
+    "lr": (_nonneg_float, 3e-3, None),
+    "optimizer": (_one_of("adam", "sgd"), "adam", "adam or sgd"),
+    "dropout": (_fraction, 0.0, None),
+    "patience": (_positive_int, 5, None),
+    "seed": (int, 0, None),
+    "split_seed": (int, 0, None),
+    "lstm_hidden": (_positive_int, 64, None),
+    "mlp_hidden": (_positive_int, 64, None),
+    "max_seq_len": (_positive_int, 100, None),
 }
 
 
@@ -227,9 +245,9 @@ def _cmd_train(parser, args) -> int:
 # eval
 
 _EVAL_SPECS = {
-    "k": (_positive_int, 3),
-    "split": (str, "all"),
-    "split_seed": (int, 0),
+    "k": (_positive_int, 3, None),
+    "split": (_one_of("all", "train", "val", "test"), "all", "all, train, val or test"),
+    "split_seed": (int, 0, None),
 }
 
 
@@ -276,8 +294,6 @@ def _cmd_eval(parser, args) -> int:
     if not args.model or not args.data:
         parser.error("--model and --data are required unless --compare is used")
     _merge_config(parser, args, _EVAL_SPECS)
-    if args.split not in ("all", "train", "val", "test"):
-        parser.error(f"--split must be one of all/train/val/test, got {args.split!r}")
 
     model = _load_model(args.model)
     pipeline = _read_pipeline(args)
@@ -348,36 +364,27 @@ def _cmd_predict(parser, args) -> int:
 
 def _cmd_gradcheck(parser, args) -> int:
     tolerance = args.tolerance
-    seeds = list(range(args.seeds))
     failures: list[str] = []
-
-    layer_worst: dict[str, float] = {}
-    for seed in seeds:
-        for name, err in training.layer_grad_checks(seed).items():
-            layer_worst[name] = max(layer_worst.get(name, 0.0), err)
-    for name in sorted(layer_worst):
-        err = layer_worst[name]
-        status = "ok" if err < tolerance else "FAIL"
-        print(f"layer {name:<24} max_rel_err {err:.3e}  {status}")
-        if err >= tolerance:
-            failures.append(f"layer {name}")
-
-    for variant in modelmod.VARIANTS:
-        block_worst: dict[str, float] = {}
-        for seed in seeds:
-            result = training.grad_check(variant, seed=seed)
-            for name, err in result.per_block.items():
-                block_worst[name] = max(block_worst.get(name, 0.0), err)
-        for name in sorted(block_worst):
-            err = block_worst[name]
-            status = "ok" if err < tolerance else "FAIL"
-            print(f"{variant:<7} {name:<24} max_rel_err {err:.3e}  {status}")
-            if err >= tolerance:
-                failures.append(f"{variant}:{name}")
+    # (printed prefix, failure prefix, seed -> {name: max relative error})
+    checks = [("layer", "layer ", training.layer_grad_checks)] + [
+        (f"{variant:<7}", f"{variant}:",
+         lambda seed, variant=variant: training.grad_check(variant, seed=seed).per_block)
+        for variant in modelmod.VARIANTS
+    ]
+    for prefix, fail_prefix, run in checks:
+        worst: dict[str, float] = {}
+        for seed in range(args.seeds):
+            for name, err in run(seed).items():
+                worst[name] = max(worst.get(name, 0.0), err)
+        for name in sorted(worst):
+            ok = worst[name] < tolerance
+            print(f"{prefix} {name:<24} max_rel_err {worst[name]:.3e}  {'ok' if ok else 'FAIL'}")
+            if not ok:
+                failures.append(fail_prefix + name)
     if failures:
         print(f"gradcheck FAILED for: {', '.join(failures)}", file=sys.stderr)
         return 1
-    print(f"gradcheck passed: all blocks under {tolerance:g} across {len(seeds)} seeds")
+    print(f"gradcheck passed: all blocks under {tolerance:g} across {args.seeds} seeds")
     return 0
 
 
@@ -392,34 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset plus manifest")
     p.add_argument("--out", required=True, help="output JSONL path")
-    p.add_argument("--n", type=_positive_int, default=None)
-    p.add_argument("--noise", type=_fraction, default=None,
-                   help="template/profile flip probability, in [0,1)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--num-dim", dest="num_dim", type=_positive_int, default=None)
     p.add_argument("--vec-out", dest="vec_out", default=None,
                    help="also write a synthetic .vec embedding file here")
-    p.add_argument("--vec-dim", dest="vec_dim", type=_positive_int, default=None)
-    p.add_argument("--vec-seed", dest="vec_seed", type=int, default=None)
-    p.add_argument("--config", default=None, help="flat key=value defaults file")
+    _add_knobs(p, _SYNTH_SPECS)
 
     p = sub.add_parser("train", help="train one model variant")
     p.add_argument("--data", required=True)
     p.add_argument("--variant", required=True, choices=modelmod.VARIANTS)
     p.add_argument("--embeddings", default=None, help=".vec file (fusion/text variants)")
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--epochs", type=_positive_int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=_positive_int, default=None)
-    p.add_argument("--lr", type=_nonneg_float, default=None)
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default=None)
-    p.add_argument("--dropout", type=_fraction, default=None)
-    p.add_argument("--patience", type=_positive_int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--split-seed", dest="split_seed", type=int, default=None)
-    p.add_argument("--lstm-hidden", dest="lstm_hidden", type=_positive_int, default=None)
-    p.add_argument("--mlp-hidden", dest="mlp_hidden", type=_positive_int, default=None)
-    p.add_argument("--max-seq-len", dest="max_seq_len", type=_positive_int, default=None)
-    p.add_argument("--config", default=None)
+    _add_knobs(p, _TRAIN_SPECS)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint or compare report files")
     p.add_argument("--model", default=None)
@@ -427,13 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", default=None)
     p.add_argument("--pipeline", default=None,
                    help="feature pipeline JSON (default: <model>.pipeline.json)")
-    p.add_argument("--k", type=_positive_int, default=None)
-    p.add_argument("--split", default=None, help="all/train/val/test (default all)")
-    p.add_argument("--split-seed", dest="split_seed", type=int, default=None)
     p.add_argument("--out", default=None, help="write the report JSON here")
     p.add_argument("--compare", nargs="+", default=None,
                    help="compare existing report JSON files instead of evaluating")
-    p.add_argument("--config", default=None)
+    _add_knobs(p, _EVAL_SPECS)
 
     p = sub.add_parser("predict", help="classify a single inquiry")
     p.add_argument("--model", required=True)

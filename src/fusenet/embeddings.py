@@ -64,8 +64,8 @@ class EmbeddedSequence:
         return EmbeddedSequence(vectors=self.vectors[rows], mask=self.mask[rows])
 
 
-def load_vec_file(path, vocab_limit: int | None = None) -> EmbeddingTable:
-    """Read a .vec file, keeping the first min(V, vocab_limit) rows.
+def load_vec_file(path) -> EmbeddingTable:
+    """Read a .vec file: the header's V rows, and nothing after them.
 
     Rows are read ``VEC_CHUNK_ROWS`` at a time and every row is checked,
     each check one pass over the chunk. Duplicate words keep their first
@@ -75,12 +75,12 @@ def load_vec_file(path, vocab_limit: int | None = None) -> EmbeddingTable:
     that is not UTF-8 is a VecParseError naming the line that holds it.
     """
     try:
-        return _read_vec_file(path, vocab_limit)
+        return _read_vec_file(path)
     except UnicodeDecodeError:
         raise _undecodable_line(path) from None
 
 
-def _read_vec_file(path, vocab_limit: int | None) -> EmbeddingTable:
+def _read_vec_file(path) -> EmbeddingTable:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         parts = header.split()
@@ -93,11 +93,10 @@ def _read_vec_file(path, vocab_limit: int | None) -> EmbeddingTable:
         if declared_v < 0 or dim < 1:
             raise VecParseError(f"line 1: invalid header values V={declared_v} d={dim}")
 
-        want = declared_v if vocab_limit is None else max(min(declared_v, vocab_limit), 0)
-        matrix = np.empty((_rows_to_allocate(fh, dim, want), dim))
+        matrix = np.empty((_rows_to_allocate(fh, dim, declared_v), dim))
         vocab: dict[str, int] = {}
-        for start in range(0, want, VEC_CHUNK_ROWS):
-            size = min(VEC_CHUNK_ROWS, want - start)
+        for start in range(0, declared_v, VEC_CHUNK_ROWS):
+            size = min(VEC_CHUNK_ROWS, declared_v - start)
             lines = []
             try:
                 for line in itertools.islice(fh, size):
@@ -109,7 +108,7 @@ def _read_vec_file(path, vocab_limit: int | None) -> EmbeddingTable:
             if chunk is None:
                 lineno = start + 2 + len(lines)
                 raise _row_error(lines, start + 2, dim) or VecParseError(
-                    f"line {lineno}: file ends after {lineno - 2} of {want} rows"
+                    f"line {lineno}: file ends after {lineno - 2} of {declared_v} rows"
                 )
             words, values = chunk
             first = len(vocab)
@@ -220,14 +219,16 @@ def embed_sequence(
     """Map tokens to table rows, right-padded to ``max_seq_len``.
 
     OOV tokens become zero rows with a true mask entry (neutral under
-    attention); padding rows are zero with a false mask entry.
+    attention); padding rows are zero with a false mask entry. Text with
+    no tokens embeds as one OOV token, so attention always has a position.
     """
     if len(table) == 0:
         raise ValueError("embedding table is empty")
     vectors = np.zeros((max_seq_len, table.dim))
     mask = np.zeros(max_seq_len, dtype=bool)
     oov = 0
-    for t, tok in enumerate(seq.tokens[:max_seq_len]):
+    # None is no word of any table, so empty text is one OOV position.
+    for t, tok in enumerate(seq.tokens[:max_seq_len] or [None]):
         mask[t] = True
         row = table.lookup(tok)
         if row is None:

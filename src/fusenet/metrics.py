@@ -86,25 +86,27 @@ class EvalReport:
 
 
 def compute_report(preds, labels, k: int, class_names=CLASS_NAMES) -> EvalReport:
-    """Aggregate predictions into an EvalReport (identity-checked)."""
+    """Aggregate predictions into an EvalReport (identity-checked).
+
+    One pass counts each class's cases and top-k hits; recall and
+    accuracy are the same fractions topk_recall and topk_accuracy give.
+    """
     _check_predictions(preds, labels)
     if len(labels) == 0:
         raise ValueError("cannot build a report from an empty set")
-    labels = [int(label) for label in labels]
     n_k = [0] * len(class_names)
-    for label in labels:
+    hits = [0] * len(class_names)
+    for p, label in zip(preds, labels):
+        label = int(label)
         n_k[label] += 1
-    per_class = [
-        topk_recall(preds, labels, idx) if n_k[idx] else None
-        for idx in range(len(class_names))
-    ]
+        hits[label] += label in p
     return EvalReport(
         k=k,
         n=len(labels),
         class_names=tuple(class_names),
         n_k=n_k,
-        per_class_recall=per_class,
-        accuracy=topk_accuracy(preds, labels),
+        per_class_recall=[h / nk if nk else None for h, nk in zip(hits, n_k)],
+        accuracy=sum(hits) / len(labels),
     )
 
 

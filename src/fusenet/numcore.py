@@ -1,9 +1,7 @@
 """Dense numeric kernels every layer is built on.
 
-Everything is float64 and row-major: a "Tensor2D" is a C-contiguous
-``(rows, cols)`` ndarray, a "Tensor1D" a ``(n,)`` ndarray. The seeded
-generator wraps PCG64 so the same seed yields the same stream on every
-platform.
+Everything is float64 and row-major. The seeded generator wraps PCG64 so
+the same seed yields the same stream on every platform.
 """
 
 from __future__ import annotations
@@ -11,15 +9,12 @@ from __future__ import annotations
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
-Tensor1D = np.ndarray
-Tensor2D = np.ndarray
-
 
 class ShapeError(ValueError):
     """Raised when operands disagree on dimensions; names both shapes."""
 
 
-def affine(W: Tensor2D, x, b: Tensor1D):
+def affine(W: np.ndarray, x, b: np.ndarray):
     """W^T x + b for W of shape (in, out) and b of length out.
 
     ``x`` is one input of length in, or a batch of them as rows of a
@@ -85,11 +80,8 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def choice(self, seq, size=None, replace=True):
-        return self._gen.choice(seq, size=size, replace=replace)
 
-
-def glorot_uniform(rng: Rng, fan_in: int, fan_out: int) -> Tensor2D:
+def glorot_uniform(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
     """Glorot/Xavier uniform init for a (fan_in, fan_out) weight matrix."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, (fan_in, fan_out))

@@ -268,31 +268,14 @@ def generate_synthetic(n: int, noise: float, seed: int,
     return examples, manifest
 
 
-def _source_ceiling(obs_of: dict[str, str], noise: float) -> tuple[float, float]:
-    """Bayes-optimal (top1, top3) accuracy when only this source is seen.
+def _ceiling(noise: float, *sources: dict[str, str]) -> tuple[float, float]:
+    """Bayes-optimal (top1, top3) accuracy when only ``sources`` are seen.
 
-    The observation is the pool/profile identity; within a pool or
-    profile nothing else depends on the class, so this is the sufficient
-    statistic. Flips move the observation to a uniformly random other
-    class's assignment with probability ``noise``.
+    Each source maps a class to its pool or profile; the observation is
+    that identity, since within a pool or profile nothing else depends on
+    the class. Flips move each source's observation, independently, to a
+    uniformly random other class's assignment with probability ``noise``.
     """
-    prior = 1.0 / len(CLASS_NAMES)
-    observations = sorted(set(obs_of.values()))
-    top1 = 0.0
-    top3 = 0.0
-    for obs in observations:
-        joint = []
-        for c in CLASS_NAMES:
-            own = 1.0 if obs_of[c] == obs else 0.0
-            others = sum(1 for o in CLASS_NAMES if o != c and obs_of[o] == obs)
-            joint.append(prior * ((1.0 - noise) * own + noise * others / 12.0))
-        joint.sort(reverse=True)
-        top1 += joint[0]
-        top3 += sum(joint[:3])
-    return top1, top3
-
-
-def _fused_ceiling(noise: float) -> tuple[float, float]:
     prior = 1.0 / len(CLASS_NAMES)
 
     def obs_prob(assign: dict[str, str], c: str, obs: str) -> float:
@@ -300,17 +283,15 @@ def _fused_ceiling(noise: float) -> tuple[float, float]:
         others = sum(1 for o in CLASS_NAMES if o != c and assign[o] == obs)
         return (1.0 - noise) * own + noise * others / 12.0
 
-    pools = sorted(set(CLASS_TEXT_POOL.values()))
-    profiles = sorted(set(CLASS_PROFILE.values()))
     top1 = 0.0
     top3 = 0.0
-    for pool, profile in itertools.product(pools, profiles):
-        joint = [
-            prior
-            * obs_prob(CLASS_TEXT_POOL, c, pool)
-            * obs_prob(CLASS_PROFILE, c, profile)
-            for c in CLASS_NAMES
-        ]
+    for obs in itertools.product(*(sorted(set(src.values())) for src in sources)):
+        joint = []
+        for c in CLASS_NAMES:
+            p = prior
+            for src, o in zip(sources, obs):
+                p *= obs_prob(src, c, o)
+            joint.append(p)
         joint.sort(reverse=True)
         top1 += joint[0]
         top3 += sum(joint[:3])
@@ -319,9 +300,9 @@ def _fused_ceiling(noise: float) -> tuple[float, float]:
 
 def bayes_ceilings(noise: float) -> dict[str, float]:
     """Exact best-achievable accuracies under the generative construction."""
-    text_top1, text_top3 = _source_ceiling(CLASS_TEXT_POOL, noise)
-    sig_top1, sig_top3 = _source_ceiling(CLASS_PROFILE, noise)
-    fused_top1, fused_top3 = _fused_ceiling(noise)
+    text_top1, text_top3 = _ceiling(noise, CLASS_TEXT_POOL)
+    sig_top1, sig_top3 = _ceiling(noise, CLASS_PROFILE)
+    fused_top1, fused_top3 = _ceiling(noise, CLASS_TEXT_POOL, CLASS_PROFILE)
     return {
         "text_only_top1": text_top1,
         "text_only_top3": text_top3,

@@ -24,6 +24,8 @@ from .model import FusionModel, ModelConfig, backward, build_variant, clone, for
 from .numcore import Rng
 
 GRAD_EPS = 1e-8  # denominator floor in relative-error comparisons
+LOSS_FLOOR = 1e-12  # smallest probability the cross-entropy takes the log of
+FD_STEP = 1e-5  # central finite-difference step
 
 
 class TrainingAbort(RuntimeError):
@@ -36,14 +38,10 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 1e-3
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     dropout_rate: float = 0.0
     early_stop_patience: int = 5
     clip_norm: float = 5.0
     seed: int = 0
-    class_weights: list[float] | None = None
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -80,30 +78,27 @@ class TrainReport:
         )
 
 
-def cross_entropy(probs: np.ndarray, label: int, floor: float = 1e-12) -> float:
+def cross_entropy(probs: np.ndarray, label: int) -> float:
     if not 0 <= label < probs.shape[0]:
         raise ValueError(f"label {label} out of range for {probs.shape[0]} classes")
-    return -math.log(max(float(probs[label]), floor))
+    return -math.log(max(float(probs[label]), LOSS_FLOOR))
 
 
-def batch_loss(probs: np.ndarray, labels: np.ndarray, weights: np.ndarray | None = None,
-               floor: float = 1e-12) -> tuple[float, np.ndarray]:
-    """Mean class-weighted cross-entropy of (B, C) probs, and its logit gradient.
+def batch_loss(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of (B, C) probs, and its logit gradient.
 
-    Each row contributes ``weights[label] * cross_entropy`` (weight 1 when
-    ``weights`` is None); the gradient w.r.t. the logits is the same
-    mean of the rows' ``weights[label] * (probs - onehot(label))``.
+    The gradient w.r.t. the logits is the mean of the rows'
+    ``probs - onehot(label)``.
     """
     labels = np.asarray(labels)
     n, classes = probs.shape
     if labels.shape != (n,) or np.any((labels < 0) | (labels >= classes)):
         raise ValueError(f"labels {labels} out of range for {classes} classes")
     rows = np.arange(n)
-    w = np.ones(n) if weights is None else weights[labels]
-    loss = float(np.sum(w * -np.log(np.maximum(probs[rows, labels], floor)))) / n
+    loss = float(np.sum(-np.log(np.maximum(probs[rows, labels], LOSS_FLOOR)))) / n
     dlogits = probs.copy()
     dlogits[rows, labels] -= 1.0
-    dlogits *= (w / n)[:, None]
+    dlogits *= 1.0 / n  # not /= n, whose last bit differs from the pinned checkpoints'
     return loss, dlogits
 
 
@@ -116,25 +111,27 @@ class _Sgd:
 
 
 class _Adam:
-    def __init__(self, lr: float, beta1: float, beta2: float, eps: float, size: int):
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float, size: int):
+        self.lr = lr
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
 
     def step(self, theta: np.ndarray, grad: np.ndarray):
         self.t += 1
-        bc1 = 1.0 - self.b1**self.t
-        bc2 = 1.0 - self.b2**self.t
-        self.m *= self.b1
-        self.m += (1.0 - self.b1) * grad
-        self.v *= self.b2
-        self.v += (1.0 - self.b2) * grad * grad
+        bc1 = 1.0 - self.BETA1**self.t
+        bc2 = 1.0 - self.BETA2**self.t
+        self.m *= self.BETA1
+        self.m += (1.0 - self.BETA1) * grad
+        self.v *= self.BETA2
+        self.v += (1.0 - self.BETA2) * grad * grad
         update = self.m / bc1  # lr * (m / bc1) / (sqrt(v / bc2) + eps), in place
         update *= self.lr
         denom = self.v / bc2
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += self.EPS
         update /= denom
         theta -= update
 
@@ -142,7 +139,7 @@ class _Adam:
 def _make_optimizer(cfg: TrainConfig, size: int):
     if cfg.optimizer == "sgd":
         return _Sgd(cfg.learning_rate)
-    return _Adam(cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps, size)
+    return _Adam(cfg.learning_rate, size)
 
 
 def clip_grads_(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -185,7 +182,7 @@ def _validation_topk_accuracy(model: FusionModel, data: PreparedDataset, k: int)
 
 
 def _batch_gradients(model: FusionModel, data: PreparedDataset, rows: np.ndarray,
-                     weights: np.ndarray | None, dropout_rate: float, drop_rng: Rng):
+                     dropout_rate: float, drop_rng: Rng):
     """Mean loss and flat gradient of one mini-batch: one forward, one backward.
 
     The forward cache dies when this returns, so the next batch's
@@ -194,7 +191,7 @@ def _batch_gradients(model: FusionModel, data: PreparedDataset, rows: np.ndarray
     num, cat, seq = data.inputs(model, rows)
     pred, cache = forward(model, num, cat, seq, dropout_rate=dropout_rate, drop_rng=drop_rng,
                           example_id=[data.ids[i] for i in rows])
-    loss, dlogits = batch_loss(pred.probs, data.labels[rows], weights)
+    loss, dlogits = batch_loss(pred.probs, data.labels[rows])
     return loss, backward(model, cache, dlogits)
 
 
@@ -203,13 +200,6 @@ def train(model: FusionModel, train_set: PreparedDataset, val_set: PreparedDatas
     """Train a working copy of ``model``; return (best checkpoint, report)."""
     _check_dims(model, train_set, "train")
     _check_dims(model, val_set, "validation")
-    weights = None
-    if cfg.class_weights is not None:
-        weights = np.asarray(cfg.class_weights, dtype=np.float64)
-        if weights.shape != (model.config.num_classes,):
-            raise ValueError(
-                f"class_weights length {weights.shape} vs {model.config.num_classes} classes"
-            )
 
     work = clone(model)
     optimizer = _make_optimizer(cfg, work.theta.size)
@@ -230,8 +220,7 @@ def train(model: FusionModel, train_set: PreparedDataset, val_set: PreparedDatas
         loss_sum = 0.0
         for batch_idx, start in enumerate(range(0, n, cfg.batch_size)):
             rows = order[start : start + cfg.batch_size]
-            loss, grad = _batch_gradients(work, train_set, rows, weights, cfg.dropout_rate,
-                                          drop_rng)
+            loss, grad = _batch_gradients(work, train_set, rows, cfg.dropout_rate, drop_rng)
             if not math.isfinite(loss):
                 raise TrainingAbort(f"non-finite loss in epoch {epoch} batch {batch_idx}")
             loss_sum += loss * len(rows)
@@ -285,7 +274,7 @@ def write_report(report: TrainReport, path) -> None:
 # Gradient checking
 
 
-def numeric_gradient(loss_fn, arr: np.ndarray, step: float = 1e-5) -> np.ndarray:
+def numeric_gradient(loss_fn, arr: np.ndarray) -> np.ndarray:
     """Central finite differences of loss_fn w.r.t. every entry of arr.
 
     ``arr`` is perturbed in place and restored; loss_fn must re-read it.
@@ -295,12 +284,12 @@ def numeric_gradient(loss_fn, arr: np.ndarray, step: float = 1e-5) -> np.ndarray
     grad = np.zeros(arr.shape)
     for idx in np.ndindex(arr.shape):
         original = arr[idx]
-        arr[idx] = original + step
+        arr[idx] = original + FD_STEP
         up = loss_fn()
-        arr[idx] = original - step
+        arr[idx] = original - FD_STEP
         down = loss_fn()
         arr[idx] = original
-        grad[idx] = (up - down) / (2.0 * step)
+        grad[idx] = (up - down) / (2.0 * FD_STEP)
     return grad
 
 
@@ -329,7 +318,7 @@ def small_check_config(seed: int) -> ModelConfig:
     )
 
 
-def grad_check(variant: str = "fusion", seed: int = 0, step: float = 1e-5) -> GradCheckResult:
+def grad_check(variant: str = "fusion", seed: int = 0) -> GradCheckResult:
     """Analytic vs numeric gradients of the full loss for a small model."""
     config = small_check_config(seed)
     model = build_variant(config, variant)
@@ -357,7 +346,7 @@ def grad_check(variant: str = "fusion", seed: int = 0, step: float = 1e-5) -> Gr
 
     per_block: dict[str, float] = {}
     for name, arr in model.param_blocks():
-        numeric = numeric_gradient(loss, arr, step)
+        numeric = numeric_gradient(loss, arr)
         per_block[name] = max_relative_error(analytic[name], numeric)
     return GradCheckResult(
         variant=variant,
@@ -366,7 +355,7 @@ def grad_check(variant: str = "fusion", seed: int = 0, step: float = 1e-5) -> Gr
     )
 
 
-def layer_grad_checks(seed: int, step: float = 1e-5) -> dict[str, float]:
+def layer_grad_checks(seed: int) -> dict[str, float]:
     """Finite-difference checks of each layer type in isolation.
 
     The scalar loss is a random linear functional of the layer output, so
@@ -382,7 +371,7 @@ def layer_grad_checks(seed: int, step: float = 1e-5) -> dict[str, float]:
     def check(name, loss_fn, pairs):
         worst = 0.0
         for analytic, arr in pairs:
-            numeric = numeric_gradient(loss_fn, arr, step)
+            numeric = numeric_gradient(loss_fn, arr)
             worst = max(worst, max_relative_error(analytic, numeric))
         results[name] = worst
 
@@ -403,11 +392,11 @@ def layer_grad_checks(seed: int, step: float = 1e-5) -> dict[str, float]:
 
     # Dense relu at an input verified to sit away from the kink: a
     # perturbation of one weight moves each pre-activation by at most
-    # step * max|x|, so any |z| above that bound cannot flip sign.
+    # FD_STEP * max|x|, so any |z| above that bound cannot flip sign.
     layer = DenseLayer.init(rng.child(1), 6, 4, "relu")
     x = rng.normal(6)
     _, cache = layer.forward(x)
-    margin = step * (1.0 + float(np.max(np.abs(x))) + float(np.max(np.abs(layer.W))))
+    margin = FD_STEP * (1.0 + float(np.max(np.abs(x))) + float(np.max(np.abs(layer.W))))
     if float(np.min(np.abs(cache["z"]))) > 10.0 * margin:
         r = rng.normal(4)
 

@@ -21,7 +21,9 @@ from fusenet.training import (TrainConfig, batch_loss, cross_entropy, max_relati
                               numeric_gradient, small_check_config, train)
 
 LENGTHS = (5, 1, 3)
-CLASS_WEIGHTS = np.array([0.5, 2.0, 1.0, 3.0, 0.25])  # small_check_config has 5 classes
+# Per-class scales of a row's loss and logit gradient, so backward sees
+# rows of unequal upstream scale (small_check_config has 5 classes).
+CLASS_WEIGHTS = np.array([0.5, 2.0, 1.0, 3.0, 0.25])
 
 
 def ragged_batch(seed, config):
@@ -37,6 +39,16 @@ def ragged_batch(seed, config):
     return num, cat, seqs, labels
 
 
+def scaled_loss(probs, labels, weights):
+    """``batch_loss``, with row j's loss and logit gradient scaled by ``weights[labels[j]]``."""
+    loss, dlogits = batch_loss(probs, labels)
+    if weights is None:
+        return loss, dlogits
+    w = weights[labels]
+    per_row = [cross_entropy(p, int(label)) for p, label in zip(probs, labels)]
+    return float(np.mean(w * per_row)), dlogits * w[:, None]
+
+
 @pytest.mark.parametrize("weights", [None, CLASS_WEIGHTS], ids=["unweighted", "class-weighted"])
 def test_batch_gradient_matches_finite_differences(weights):
     config = small_check_config(seed=2)
@@ -44,11 +56,11 @@ def test_batch_gradient_matches_finite_differences(weights):
     num, cat, seq, labels = ragged_batch(2, config)
 
     def loss():
-        return batch_loss(forward(model, num, cat, seq)[0].probs, labels, weights)[0]
+        return scaled_loss(forward(model, num, cat, seq)[0].probs, labels, weights)[0]
 
     pred, cache = forward(model, num, cat, seq)
-    analytic = dict(model.param_blocks(backward(model, cache, batch_loss(pred.probs, labels,
-                                                                          weights)[1])))
+    analytic = dict(model.param_blocks(backward(model, cache, scaled_loss(pred.probs, labels,
+                                                                           weights)[1])))
     for name, arr in model.param_blocks():
         err = max_relative_error(analytic[name], numeric_gradient(loss, arr))
         assert err < 1e-4, (name, err)
@@ -61,7 +73,7 @@ def test_batch_equals_sum_of_examples(variant, weights):
     model = build_variant(config, variant)
     num, cat, seqs, labels = ragged_batch(4, config)
     pred, cache = forward(model, num, cat, seqs)
-    loss, dlogits = batch_loss(pred.probs, labels, weights)
+    loss, dlogits = scaled_loss(pred.probs, labels, weights)
     grad = backward(model, cache, dlogits)
 
     n = len(LENGTHS)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fusenet import cli
+from fusenet import dataset as ds
 from fusenet.dataset import CLASS_NAMES
 from fusenet.model import build_variant, load, save
 from fusenet.training import small_check_config
@@ -132,6 +133,30 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "line 5: label must be a string" in err[0]
 
+    def test_text_without_tokens_trains_and_evaluates(self, workspace, tmp_path, capsys):
+        # Text that normalizes to no tokens embeds as one OOV position, so
+        # attention has somewhere to attend and the run goes on.
+        train_ex, val_ex, _ = ds.split(ds.load_jsonl(workspace["data"]), cli.SPLIT_FRACTIONS,
+                                       seed=0)
+        empty = {train_ex[0].id, val_ex[0].id}
+        lines = open(workspace["data"], encoding="utf-8").read().splitlines()
+        for i, line in enumerate(lines):
+            doc = json.loads(line)
+            if doc["id"] in empty:
+                doc["text"] = "?! ..."
+                lines[i] = json.dumps(doc)
+        data = tmp_path / "empty-text.jsonl"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = str(tmp_path / "t.afn")
+        assert cli.main(["train", "--data", str(data), "--variant", "text",
+                         "--embeddings", workspace["vec"], "--out", out, "--epochs", "1",
+                         "--lstm-hidden", "4", "--max-seq-len", "12"]) == 0
+        assert "1 OOV tokens in train, 1 in validation" in capsys.readouterr().out
+        report = tmp_path / "t.report.json"
+        assert cli.main(["eval", "--model", out, "--data", str(data), "--embeddings",
+                         workspace["vec"], "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["n"] == len(lines)
+
     def test_config_file_merged_under_flags(self, workspace, tmp_path, capsys):
         config = tmp_path / "train.cfg"
         config.write_text("epochs=1\nmlp_hidden=4\n")
@@ -155,6 +180,70 @@ class TestTrain:
             cli.main(["train", "--data", workspace["data"], "--variant", "mlp",
                       "--out", str(tmp_path / "x"), "--config", str(config)])
         assert exc.value.code == 2
+
+
+# A value other than the default, and a bad value, for every knob in the
+# three spec tables. A knob added to a table must be added here too.
+KNOB_VALUES = {
+    ("synth", "n"): ("200", "0"),
+    ("synth", "noise"): ("0.1", "1.5"),
+    ("synth", "seed"): ("9", "x"),
+    ("synth", "num_dim"): ("24", "0"),
+    ("synth", "vec_dim"): ("8", "-3"),
+    ("synth", "vec_seed"): ("3", "1.5"),
+    ("train", "epochs"): ("3", "0"),
+    ("train", "batch_size"): ("8", "eight"),
+    ("train", "lr"): ("0.01", "-1"),
+    ("train", "optimizer"): ("sgd", "adagrad"),
+    ("train", "dropout"): ("0.25", "1"),
+    ("train", "patience"): ("2", "-1"),
+    ("train", "seed"): ("4", "4.5"),
+    ("train", "split_seed"): ("6", "abc"),
+    ("train", "lstm_hidden"): ("4", "0"),
+    ("train", "mlp_hidden"): ("8", "-8"),
+    ("train", "max_seq_len"): ("12", "1e3"),
+    ("eval", "k"): ("5", "0"),
+    ("eval", "split"): ("test", "holdout"),
+    ("eval", "split_seed"): ("2", "two"),
+}
+SPECS = {"synth": cli._SYNTH_SPECS, "train": cli._TRAIN_SPECS, "eval": cli._EVAL_SPECS}
+REQUIRED = {
+    "synth": ["--out", "x.jsonl"],
+    "train": ["--data", "x.jsonl", "--variant", "mlp", "--out", "x.afn"],
+    "eval": ["--model", "x.afn", "--data", "x.jsonl"],
+}
+
+
+def parse_knobs(command, argv):
+    parser = cli.build_parser()
+    args = parser.parse_args([command, *REQUIRED[command], *argv])
+    cli._merge_config(parser, args, SPECS[command])
+    return args
+
+
+class TestKnobs:
+    def test_every_knob_has_test_values(self):
+        assert set(KNOB_VALUES) == {(cmd, dest) for cmd, specs in SPECS.items() for dest in specs}
+
+    @pytest.mark.parametrize("command, dest", sorted(KNOB_VALUES))
+    def test_flag_and_config_key_parse_alike(self, tmp_path, command, dest):
+        good, _ = KNOB_VALUES[command, dest]
+        config = tmp_path / "knob.cfg"
+        config.write_text(f"{dest} = {good}\n")
+        from_flag = getattr(parse_knobs(command, ["--" + dest.replace("_", "-"), good]), dest)
+        from_file = getattr(parse_knobs(command, ["--config", str(config)]), dest)
+        assert from_flag == from_file != SPECS[command][dest][1]
+
+    @pytest.mark.parametrize("command, dest", sorted(KNOB_VALUES))
+    def test_bad_value_is_usage_error_both_ways(self, tmp_path, capsys, command, dest):
+        _, bad = KNOB_VALUES[command, dest]
+        config = tmp_path / "knob.cfg"
+        config.write_text(f"{dest}={bad}\n")
+        for argv in (["--" + dest.replace("_", "-"), bad], ["--config", str(config)]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, *REQUIRED[command], *argv])
+            assert exc.value.code == 2
+            assert bad in capsys.readouterr().err
 
 
 class TestEval:

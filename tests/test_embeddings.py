@@ -22,8 +22,9 @@ class TestLoadVecFile:
         assert np.array_equal(table.lookup("banana"), [0, 1, 0])
 
     def test_vocab_limit(self, tmp_path):
-        path = write(tmp_path, "2 3\napple 1 0 0\nbanana 0 1 0\n")
-        table = load_vec_file(path, vocab_limit=1)
+        # The header's V is the only vocabulary limit: rows after it are never read.
+        path = write(tmp_path, "1 3\napple 1 0 0\nbanana 0 1 0\n")
+        table = load_vec_file(path)
         assert len(table) == 1
         assert table.lookup("banana") is None
 
@@ -92,6 +93,14 @@ class TestEmbedSequence:
         seq = embed_sequence(tiny_table, TokenSequence(["zzzz"], 1), max_seq_len=1)
         assert np.array_equal(seq.vectors, [[0, 0, 0]])
         assert seq.mask.tolist() == [True]
+        assert seq.oov_count == 1
+
+    def test_text_without_tokens_is_one_oov_position(self):
+        # A table holding the empty word must not give it to empty text.
+        table = EmbeddingTable(vocab={"": 0}, matrix=np.ones((1, 3)), dim=3)
+        seq = embed_sequence(table, TokenSequence([], 0), max_seq_len=3)
+        assert np.array_equal(seq.vectors, np.zeros((3, 3)))
+        assert seq.mask.tolist() == [True, False, False]
         assert seq.oov_count == 1
 
     def test_mask_count_matches_real_tokens(self, tiny_table):

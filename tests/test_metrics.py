@@ -126,6 +126,19 @@ class TestReport:
             )
             assert abs(weighted - rep.accuracy) <= 1e-12
 
+    def test_counts_match_topk_recall_and_accuracy_exactly(self):
+        rng = Rng(58)
+        for _ in range(50):
+            preds, labels = random_prediction_set(rng, int(rng.integers(1, 60)))
+            rep = compute_report(preds, labels, k=3)
+            assert rep.n_k == [labels.count(idx) for idx in range(13)]
+            assert rep.per_class_recall == [topk_recall(preds, labels, idx) for idx in range(13)]
+            assert rep.accuracy == topk_accuracy(preds, labels)
+
+    def test_repeated_class_in_a_prediction_rejected(self):
+        with pytest.raises(ValueError, match="repeats a class"):
+            compute_report([[0, 1, 2], [3, 3, 4]], [0, 3], k=3)
+
     def test_identity_violation_rejected(self):
         with pytest.raises(ValueError, match="identity"):
             EvalReport(k=3, n=2, class_names=("a", "b"), n_k=[1, 1],

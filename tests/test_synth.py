@@ -78,6 +78,19 @@ class TestPlantedStructure:
         assert ceilings["text_only_top1"] == pytest.approx(8 / 13, abs=1e-12)
         assert ceilings["text_only_top3"] == pytest.approx(10 / 13, abs=1e-12)
 
+    def test_ceilings_pinned_to_the_bit(self):
+        # float.hex at noise 0.05: the manifest's ceilings are bit-stable, so
+        # the fused product must stay (prior * p_text) * p_signal.
+        assert {key: value.hex() for key, value in bayes_ceilings(0.05).items()} == {
+            "text_only_top1": "0x1.2c24c24c24c25p-1",
+            "text_only_top3": "0x1.7ae9ae9ae9ae9p-1",
+            "signals_only_top1": "0x1.2c24c24c24c25p-1",
+            "signals_only_top3": "0x1.7ae9ae9ae9aeap-1",
+            "fusion_top1": "0x1.e1be5be5be5bcp-1",
+            "fusion_top3": "0x1.efa22d5608948p-1",
+            "chance_top3": "0x1.d89d89d89d89ep-3",
+        }
+
     def test_ceilings_monotone_in_noise(self):
         c0 = bayes_ceilings(0.0)
         c1 = bayes_ceilings(0.2)

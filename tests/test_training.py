@@ -63,7 +63,7 @@ class TestAdam:
     def test_first_step_bounded_by_learning_rate(self):
         rng = Rng(21)
         lr = 0.17
-        opt = _Adam(lr, 0.9, 0.999, 1e-8, 28)
+        opt = _Adam(lr, 28)
         theta = np.concatenate([rng.normal(24), rng.normal(4) * 100])
         before = theta.copy()
         grad = np.concatenate([rng.normal(24) * 10, rng.normal(4) * 0.001])

@@ -12,7 +12,7 @@ import pytest
 from fusenet.embeddings import VEC_CHUNK_ROWS, EmbeddingTable, VecParseError, load_vec_file
 
 
-def reference_load_vec_file(path, vocab_limit=None):
+def reference_load_vec_file(path):
     """Per-row .vec reader: the oracle for ``load_vec_file``."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
@@ -26,14 +26,13 @@ def reference_load_vec_file(path, vocab_limit=None):
         if declared_v < 0 or dim < 1:
             raise VecParseError(f"line 1: invalid header values V={declared_v} d={dim}")
 
-        want = declared_v if vocab_limit is None else min(declared_v, vocab_limit)
         vocab: dict[str, int] = {}
         rows = []
-        for lineno in range(2, want + 2):
+        for lineno in range(2, declared_v + 2):
             line = fh.readline()
             if not line:
                 raise VecParseError(
-                    f"line {lineno}: file ends after {lineno - 2} of {want} rows"
+                    f"line {lineno}: file ends after {lineno - 2} of {declared_v} rows"
                 )
             fields = line.rstrip("\n").split(" ")
             if len(fields) != dim + 1:
@@ -56,18 +55,18 @@ def reference_load_vec_file(path, vocab_limit=None):
     return EmbeddingTable(vocab=vocab, matrix=matrix, dim=dim)
 
 
-def outcome(loader, path, vocab_limit):
+def outcome(loader, path):
     try:
-        table = loader(path, vocab_limit=vocab_limit)
+        table = loader(path)
     except VecParseError as err:
         return "error", str(err)
     assert table.matrix.dtype == np.float64
     return list(table.vocab.items()), table.matrix.shape, table.matrix.tobytes(), table.dim
 
 
-def assert_same(path, vocab_limit=None):
-    got = outcome(load_vec_file, path, vocab_limit)
-    want = outcome(reference_load_vec_file, path, vocab_limit)
+def assert_same(path):
+    got = outcome(load_vec_file, path)
+    want = outcome(reference_load_vec_file, path)
     assert got == want
     return got
 
@@ -148,10 +147,11 @@ def test_duplicates_within_and_across_chunks_keep_the_first(tmp_path):
 
 @pytest.mark.parametrize("limit", [0, 1, 1500, 2100, 5000, -1])
 def test_vocab_limit(vec, limit):
-    # A bad row beyond the limit is never read.
-    path = vec(2100, bad={1600: "non-numeric"})
-    got = assert_same(path, vocab_limit=limit)
-    assert (got[0] == "error") == (limit > 1600)
+    # The header's V is the only vocabulary limit: a bad row beyond it is
+    # never read, and a negative V is a header error.
+    path = vec(2100, declared=limit, bad={1600: "non-numeric"})
+    got = assert_same(path)
+    assert (got[0] == "error") == (limit > 1600 or limit < 0)
 
 
 def test_rows_after_the_declared_count_are_ignored(vec):
@@ -203,8 +203,7 @@ def test_random_malformed_files(tmp_path, seed):
     path = write_vec(tmp_path / "r.vec", rows, dim, declared=declared, bad=bad,
                      newline=["\n", "\r\n"][int(rng.integers(2))],
                      final_newline=bool(rng.integers(2)))
-    limit = int(rng.integers(0, n + 2)) if rng.random() < 0.3 else None
-    assert_same(path, vocab_limit=limit)
+    assert_same(path)
 
 
 def test_shortest_possible_rows(tmp_path):
