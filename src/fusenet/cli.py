@@ -63,6 +63,7 @@ def _read_json(path: str, what: str, parse):
 
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -71,7 +72,11 @@ def _read_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in set_on:
+                raise ValueError(f"{path}:{lineno}: key {key!r} already set on line {set_on[key]}")
+            set_on[key] = lineno
+            values[key] = value.strip()
     return values
 
 
@@ -275,6 +280,11 @@ def _load_model(path: str) -> modelmod.FusionModel:
         raise type(err)(f"--model {path}: {err}") from None
 
 
+def _check_k(parser, k: int, model: modelmod.FusionModel) -> None:
+    if not 1 <= k <= model.config.num_classes:
+        parser.error(f"--k must be in [1, {model.config.num_classes}], got {k}")
+
+
 def _read_pipeline(args) -> ds.FeaturePipeline:
     path = args.pipeline or (args.model + ".pipeline.json")
     return _read_json(path, "feature pipeline", ds.FeaturePipeline.from_json)
@@ -296,6 +306,7 @@ def _cmd_eval(parser, args) -> int:
     _merge_config(parser, args, _EVAL_SPECS)
 
     model = _load_model(args.model)
+    _check_k(parser, args.k, model)
     pipeline = _read_pipeline(args)
     if args.split == "all":
         examples = ds.load_jsonl(args.data)
@@ -324,9 +335,7 @@ def _cmd_eval(parser, args) -> int:
 
 def _cmd_predict(parser, args) -> int:
     model = _load_model(args.model)
-    k = args.k
-    if not 1 <= k <= model.config.num_classes:
-        parser.error(f"--k must be in [1, {model.config.num_classes}], got {k}")
+    _check_k(parser, args.k, model)
 
     num_x = cat_x = None
     if model.uses_tabular:
@@ -353,7 +362,7 @@ def _cmd_predict(parser, args) -> int:
         table = _load_table(args.embeddings, model)
         seq = emb.embed_sequence(table, tokens, model.config.max_seq_len)
 
-    pred = modelmod.predict_topk(model, num_x, cat_x, seq, k=k)
+    pred = modelmod.predict_topk(model, num_x, cat_x, seq, k=args.k)
     for idx in pred.top_k:
         print(f"{ds.CLASS_NAMES[idx]}\t{pred.probs[idx]:.6f}")
     return 0

@@ -279,7 +279,7 @@ class BiLstmEncoder:
         return (("fwd", self.fwd, range(T), slice(0, h)),
                 ("bwd", self.bwd, range(T - 1, -1, -1), slice(h, 2 * h)))
 
-    def forward(self, vectors: np.ndarray):
+    def forward(self, vectors: np.ndarray, keep: bool = True):
         """vectors: (..., T, input_dim) -> H: (..., T, 2*hidden_dim), plus cache.
 
         Per direction, one ``X @ W_x + b`` product over all timesteps fills
@@ -288,6 +288,10 @@ class BiLstmEncoder:
         the input, H, and per direction every step's gate activations and
         cell state, which backward reads instead of recomputing them.
         Backward overwrites those gates, so a cache serves one backward.
+
+        With ``keep=False`` (scoring) both directions reuse one gate buffer,
+        no cell states are kept, and the cache is None. The steps are the
+        same, so H is bit-identical to ``keep=True``.
         """
         if vectors.ndim not in (2, 3) or vectors.shape[-1] != self.input_dim:
             raise ShapeError(f"bilstm: input {vectors.shape} vs input_dim {self.input_dim}")
@@ -297,20 +301,22 @@ class BiLstmEncoder:
         # timestep, single-threaded like the h_prev @ W_h calls of the loop.
         X = np.moveaxis(vectors, -2, 0).reshape(T, math.prod(lead), self.input_dim)
         H = np.empty((*lead, T, 2 * n))
-        gates = np.empty((2, T, *lead, 4 * n))
-        states = np.empty((2, T, *lead, n))
+        gates = np.empty((2 if keep else 1, T, *lead, 4 * n))
+        states = np.empty((2, T, *lead, n)) if keep else None
         for d, (_, cell, times, cols) in enumerate(self._directions(T)):
-            np.matmul(X, cell.W_x, out=gates[d].reshape(X.shape[:2] + (4 * n,)))
-            gates[d] += cell.b_all
+            buf = gates[d if keep else 0]
+            np.matmul(X, cell.W_x, out=buf.reshape(X.shape[:2] + (4 * n,)))
+            buf += cell.b_all
             h = c = np.zeros((*lead, n))
             W_h = cell.W_h
             for t in times:
-                z = gates[d, t]
+                z = buf[t]
                 z += h @ W_h
                 h, c = _lstm_gates_(z, c)
-                states[d, t] = c
+                if keep:
+                    states[d, t] = c
                 H[..., t, cols] = h
-        return H, {"X": X, "H": H, "gates": gates, "states": states}
+        return H, ({"X": X, "H": H, "gates": gates, "states": states} if keep else None)
 
     def backward(self, cache, dH: np.ndarray):
         """Full BPTT; returns (dX, grads) with grads keyed like params().
@@ -320,6 +326,8 @@ class BiLstmEncoder:
         bias and input gradients are one sum and one product per direction
         after it.
         """
+        if cache is None:
+            raise ValueError("bilstm backward: forward ran with keep=False and kept no cache")
         X, H = cache["X"], cache["H"]
         if dH.shape != H.shape:
             raise ShapeError(f"bilstm backward: grad {dH.shape} vs {H.shape}")

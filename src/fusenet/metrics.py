@@ -19,7 +19,7 @@ from .model import FusionModel, forward
 from .parallel import ordered_map
 
 REPORT_VERSION = 1
-SCORE_CHUNK = 32  # rows per batched forward when scoring a dataset
+SCORE_CHUNK = 64  # rows per cache-free forward when scoring a dataset
 
 
 class ReportError(ValueError):
@@ -113,14 +113,14 @@ def compute_report(preds, labels, k: int, class_names=CLASS_NAMES) -> EvalReport
 def predict_all(model: FusionModel, data: PreparedDataset, k: int) -> list[list[int]]:
     """Top-k class indices of every example in ``data``, in order.
 
-    Scores SCORE_CHUNK rows per forward. A row whose text is all padding
-    raises AllMaskedError naming that example.
+    Scores SCORE_CHUNK rows per forward, keeping no backward cache. A row
+    whose text is all padding raises AllMaskedError naming that example.
     """
 
     def score(start: int) -> list[list[int]]:
         rows = slice(start, start + SCORE_CHUNK)
         num, cat, seq = data.inputs(model, rows)
-        return forward(model, num, cat, seq, k=k, example_id=data.ids[rows])[0].top_k
+        return forward(model, num, cat, seq, k=k, example_id=data.ids[rows], keep=False)[0].top_k
 
     chunks = ordered_map(score, range(0, len(data), SCORE_CHUNK))
     return [top for chunk in chunks for top in chunk]

@@ -231,7 +231,7 @@ def _run_branch(branch: list[DenseLayer], x: np.ndarray):
 
 def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | None = None,
             k: int | None = None, dropout_rate: float = 0.0, drop_rng: Rng | None = None,
-            example_id=None):
+            example_id=None, keep: bool = True):
     """Run one example, or a batch of them, through the branches and softmax head.
 
     A batch has a leading axis of B rows: ``num_x`` is (B, num_dim),
@@ -245,6 +245,8 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
     Dropout (inverted, per branch output) is applied only when a rate and
     rng are given, i.e. during training. Its masks are drawn row by row,
     so a batch sees the same masks as its rows run one at a time in order.
+    ``keep=False`` is for scoring: the encoder keeps no backward cache, so
+    backward() cannot run on the returned cache.
     """
     cfg = model.config
     if k is None:
@@ -267,7 +269,7 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
         if model.uses_tabular and seq.vectors.shape[:-2] != num_x.shape[:-1]:
             raise ShapeError(f"sequence batch {seq.vectors.shape} vs features {num_x.shape}")
         try:
-            H, enc_cache = model.encoder.forward(seq.vectors)
+            H, enc_cache = model.encoder.forward(seq.vectors, keep)
             a, _alphas, attn_cache = model.attention.forward(H, seq.mask)
         except AllMaskedError as err:
             if example_id is None:
@@ -281,8 +283,8 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
     widths = [out.shape[-1] for out in parts]
     drop_masks = [None] * len(parts)
     if dropout_rate > 0.0 and drop_rng is not None:
-        keep = 1.0 - dropout_rate
-        masks = (drop_rng.random(parts[0].shape[:-1] + (sum(widths),)) < keep) / keep
+        survive = 1.0 - dropout_rate
+        masks = (drop_rng.random(parts[0].shape[:-1] + (sum(widths),)) < survive) / survive
         drop_masks = np.split(masks, np.cumsum(widths)[:-1], axis=-1)
         parts = [part * mask for part, mask in zip(parts, drop_masks)]
     cache: dict = {"branches": [branch_cache for _, branch_cache in outputs],
@@ -334,7 +336,7 @@ def predict_topk(model: FusionModel, num_x=None, cat_x=None, seq=None, k: int = 
                  example_id: str | None = None) -> Prediction:
     if not 1 <= k <= model.config.num_classes:
         raise ValueError(f"k must be in [1, {model.config.num_classes}], got {k}")
-    pred, _ = forward(model, num_x, cat_x, seq, k=k, example_id=example_id)
+    pred, _ = forward(model, num_x, cat_x, seq, k=k, example_id=example_id, keep=False)
     return pred
 
 

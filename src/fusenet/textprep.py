@@ -64,13 +64,17 @@ _CONTRACTION_RE = re.compile(
 
 _WS_RE = re.compile(r"\s+")
 
+# Every PII pattern needs a digit (Unicode, as ``\d`` in the patterns), "@" or "$".
+_PII_CHAR_RE = re.compile(r"[\d@$]")
+
 
 def _redact_pii(s: str) -> str:
     # Iterate to a fixpoint: a replacement can expose a new match (for
     # example the tail of a run-together pair of addresses). Each pass
-    # removes at least one digit/@/$ and inserts none, so this terminates.
+    # removes at least one digit/@/$ and inserts none, so this terminates;
+    # text with none of them left cannot match again.
     prev = None
-    while s != prev:
+    while s != prev and _PII_CHAR_RE.search(s):
         prev = s
         s = _EMAIL_RE.sub("this email address", s)
         for date_re in _DATE_RES:
@@ -95,7 +99,8 @@ def normalize(text: str) -> str:
     s = _WS_RE.sub(" ", s).strip()
     s = _redact_pii(s)
     s = s.lower()
-    s = _CONTRACTION_RE.sub(lambda m: CONTRACTIONS[m.group(1)], s)
+    if "'" in s:  # every contraction has an apostrophe
+        s = _CONTRACTION_RE.sub(lambda m: CONTRACTIONS[m.group(1)], s)
     return _WS_RE.sub(" ", s).strip()
 
 

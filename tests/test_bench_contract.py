@@ -144,7 +144,7 @@ TRACED_TARGETS = [
 
 # Installs the benchmark's wrappers in a fresh interpreter (they replace
 # module attributes for the life of the process), then runs one batched
-# forward and one metrics.report over a 40-row set through them.
+# forward and one metrics.report over SCORE_CHUNK + 8 rows through them.
 _TRACE_SCRIPT = """
 import json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
@@ -161,7 +161,7 @@ mask = np.array([[True] * cfg.max_seq_len, [True] + [False] * (cfg.max_seq_len -
 seq = embeddings.EmbeddedSequence(rng.normal((2, cfg.max_seq_len, cfg.embed_dim)), mask)
 model.forward(m, rng.normal((2, cfg.num_feature_dim)), rng.normal((2, cfg.cat_feature_dim)), seq)
 forward_counts = dict(rec.counts)
-n = 40
+n = metrics.SCORE_CHUNK + 8
 data = dataset.PreparedDataset(
     ids=[str(i) for i in range(n)], labels=np.arange(n) % cfg.num_classes,
     num=rng.normal((n, cfg.num_feature_dim)), cat=rng.normal((n, cfg.cat_feature_dim)),
@@ -190,7 +190,7 @@ def test_tracer_installs_every_target():
     spans = result["spans"]
     assert {"model.forward", "layers.bilstm.fwd", "layers.attention.fwd",
             "layers.dense.fwd"} <= set(spans)
-    # metrics.report maps its two chunks (32 and 8 rows) through parallel.ordered_map,
+    # metrics.report maps its two chunks (SCORE_CHUNK and 8 rows) through parallel.ordered_map,
     # the span the benchmark's eval-bulk attribution reads.
     assert spans.count("metrics.report") == 1 and spans.count("parallel.ordered_map") == 1
     assert spans.count("model.forward") == 1 + 2

@@ -6,7 +6,8 @@ recompute a step's gates in backward, accumulating the weight gradients
 step by step. They are kept here only as the oracle. The encoder hoists
 ``X @ W_x`` out of the time loop and keeps the gate activations instead;
 on every input below both must give the same H, dX and 16 gradient
-blocks to within 1e-12.
+blocks to within 1e-12. The cache-free forward (``keep=False``) must
+give the same H as the cached one, bit for bit.
 """
 
 import numpy as np
@@ -93,6 +94,8 @@ def oracle_backward(enc, cache, dH):
 
 def assert_matches_oracle(enc, X, dH):
     H, cache = enc.forward(X)
+    H_free, no_cache = enc.forward(X, keep=False)
+    assert no_cache is None and np.array_equal(H_free, H)
     dX, grads = enc.backward(cache, dH)
     ref_H, ref_cache = oracle_forward(enc, X)
     ref_dX, ref_grads = oracle_backward(enc, ref_cache, dH)
@@ -155,4 +158,11 @@ def test_a_cache_serves_one_backward():
     H, cache = enc.forward(X)
     enc.backward(cache, np.ones_like(H))
     with pytest.raises(ValueError, match="already used"):
+        enc.backward(cache, np.ones_like(H))
+
+
+def test_a_cache_free_forward_cannot_run_backward():
+    enc = encoder(14, E=4, n=3)
+    H, cache = enc.forward(Rng(15).normal((2, 5, 4)), keep=False)
+    with pytest.raises(ValueError, match="keep=False"):
         enc.backward(cache, np.ones_like(H))

@@ -181,6 +181,17 @@ class TestTrain:
                       "--out", str(tmp_path / "x"), "--config", str(config)])
         assert exc.value.code == 2
 
+    def test_config_key_set_twice_is_usage_error(self, workspace, tmp_path, capsys):
+        config = tmp_path / "twice.cfg"
+        config.write_text("epochs=1\n# comment\nmlp_hidden=4\n epochs = 2\n")
+        out = tmp_path / "x.afn"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--data", workspace["data"], "--variant", "mlp",
+                      "--out", str(out), "--config", str(config)])
+        assert exc.value.code == 2
+        assert f"{config}:4: key 'epochs' already set on line 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # A value other than the default, and a bad value, for every knob in the
 # three spec tables. A knob added to a table must be added here too.
@@ -317,6 +328,16 @@ class TestEval:
         assert cli.main(["eval", "--compare", good, str(bad)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and str(bad) in err[0] and "'per_class'" in err[0]
+
+    def test_k_above_class_count_is_usage_error_before_reading_data(self, workspace, tmp_path,
+                                                                   capsys):
+        missing = str(tmp_path / "never-written.jsonl")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--model", workspace["checkpoints"]["mlp"],
+                      "--data", missing, "--k", "20"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--k must be in [1, 13], got 20" in err and missing not in err
 
     def test_requires_model_and_data_without_compare(self):
         with pytest.raises(SystemExit) as exc:

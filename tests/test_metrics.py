@@ -9,7 +9,7 @@ from fusenet.embeddings import EmbeddedSequence
 from fusenet.layers import AllMaskedError
 from fusenet.metrics import (EvalReport, ReportError, compute_report, from_json, to_json,
                              topk_accuracy, topk_recall)
-from fusenet.model import ModelConfig, build_variant, forward, predict_topk
+from fusenet.model import ModelConfig, backward, build_variant, forward, predict_topk
 from fusenet.numcore import Rng
 from fusenet.training import _validation_topk_accuracy
 
@@ -223,7 +223,7 @@ def one_at_a_time(model, data, k):
 
 
 def test_report_scores_chunks_and_matches_one_example_predictions(monkeypatch):
-    model, data = ragged_fusion_set()
+    model, data = ragged_fusion_set(metrics.SCORE_CHUNK + 8)
     expected = one_at_a_time(model, data, 3)
     batch_rows = []
 
@@ -233,8 +233,19 @@ def test_report_scores_chunks_and_matches_one_example_predictions(monkeypatch):
 
     monkeypatch.setattr(metrics, "forward", counting_forward)
     assert metrics.predict_all(model, data, 3) == expected
-    assert batch_rows == [metrics.SCORE_CHUNK, 40 - metrics.SCORE_CHUNK]
+    assert batch_rows == [metrics.SCORE_CHUNK, 8]
     assert metrics.report(model, data, k=3) == compute_report(expected, data.labels, 3)
+
+
+def test_cache_free_forward_scores_bit_identically_and_cannot_run_backward():
+    model, data = ragged_fusion_set()
+    num, cat, seq = data.inputs(model, slice(None))
+    kept, cache = forward(model, num, cat, seq)
+    free, free_cache = forward(model, num, cat, seq, keep=False)
+    assert np.array_equal(free.probs, kept.probs) and free.top_k == kept.top_k
+    backward(model, cache, np.ones_like(kept.probs))
+    with pytest.raises(ValueError, match="keep=False"):
+        backward(model, free_cache, np.ones_like(free.probs))
 
 
 def test_validation_accuracy_is_topk_accuracy_of_the_same_predictions():
