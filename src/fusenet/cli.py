@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -44,6 +45,13 @@ def _nonneg_float(value: str) -> float:
     return out
 
 
+def _positive_float(value: str) -> float:
+    out = float(value)
+    if not (math.isfinite(out) and out > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {value}")
+    return out
+
+
 def _one_of(*allowed: str):
     def convert(value: str) -> str:
         if value not in allowed:
@@ -64,8 +72,13 @@ def _read_json(path: str, what: str, parse):
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     set_on: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    # Undecodable bytes become lone surrogates, which re-encoding finds line by line.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -73,6 +86,8 @@ def _read_config_file(path: str) -> dict[str, str]:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
+            if not key:
+                raise ValueError(f"{path}:{lineno}: empty key")
             if key in set_on:
                 raise ValueError(f"{path}:{lineno}: key {key!r} already set on line {set_on[key]}")
             set_on[key] = lineno
@@ -205,6 +220,11 @@ def _cmd_train(parser, args) -> int:
 
     train_ex, val_ex, test_ex = _load_splits(args.data, args.split_seed)
     pipeline = ds.FeaturePipeline.fit(train_ex)
+    if args.variant in ("fusion", "mlp"):
+        for what, width in (("numerical", pipeline.num_dim), ("categorical", pipeline.cat_dim)):
+            if width == 0:
+                raise ValueError(f"--data {args.data}: the train split has no {what} features, "
+                                 f"which variant {args.variant!r} needs")
     table = _load_table(args.embeddings) if args.embeddings else None
 
     config = modelmod.ModelConfig(
@@ -285,9 +305,17 @@ def _check_k(parser, k: int, model: modelmod.FusionModel) -> None:
         parser.error(f"--k must be in [1, {model.config.num_classes}], got {k}")
 
 
-def _read_pipeline(args) -> ds.FeaturePipeline:
+def _read_pipeline(args, model: modelmod.FusionModel) -> ds.FeaturePipeline:
+    """The feature pipeline, as wide as ``model``'s tabular inputs; errors name the file."""
     path = args.pipeline or (args.model + ".pipeline.json")
-    return _read_json(path, "feature pipeline", ds.FeaturePipeline.from_json)
+    pipeline = _read_json(path, "feature pipeline", ds.FeaturePipeline.from_json)
+    cfg = model.config
+    widths = (pipeline.num_dim, pipeline.cat_dim)
+    if model.uses_tabular and widths != (cfg.num_feature_dim, cfg.cat_feature_dim):
+        raise ValueError(f"feature pipeline {path}: {widths[0]} numerical and {widths[1]} "
+                         f"categorical features, the model takes {cfg.num_feature_dim} "
+                         f"and {cfg.cat_feature_dim}")
+    return pipeline
 
 
 def _cmd_eval(parser, args) -> int:
@@ -307,7 +335,7 @@ def _cmd_eval(parser, args) -> int:
 
     model = _load_model(args.model)
     _check_k(parser, args.k, model)
-    pipeline = _read_pipeline(args)
+    pipeline = _read_pipeline(args, model)
     if args.split == "all":
         examples = ds.load_jsonl(args.data)
     else:
@@ -319,7 +347,10 @@ def _cmd_eval(parser, args) -> int:
         if not args.embeddings:
             parser.error(f"--embeddings is required to evaluate variant {model.variant!r}")
         table = _load_table(args.embeddings, model)
-    prepared = ds.prepare(examples, pipeline, table, model.config.max_seq_len)
+    try:
+        prepared = ds.prepare(examples, pipeline, table, model.config.max_seq_len)
+    except ds.DatasetError as err:
+        raise ds.DatasetError(f"--data {args.data}: {err}") from None
     rep = metrics.report(model, prepared, k=args.k)
     _print_report_table(rep)
     if args.out:
@@ -341,7 +372,7 @@ def _cmd_predict(parser, args) -> int:
     if model.uses_tabular:
         if not args.features:
             parser.error(f"--features is required for variant {model.variant!r}")
-        pipeline = _read_pipeline(args)
+        pipeline = _read_pipeline(args, model)
         numerical, pairs = _read_json(args.features, "feature file", ds.parse_features)
         if len(numerical) != pipeline.num_dim:
             raise ValueError(
@@ -440,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, default=3)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every gradient")
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=_positive_float, default=1e-4)
     p.add_argument("--seeds", type=_positive_int, default=10)
 
     return parser

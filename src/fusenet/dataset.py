@@ -235,9 +235,14 @@ class FeaturePipeline:
         return self.encoder.dim
 
     def transform(self, examples: list[Example]) -> tuple[np.ndarray, np.ndarray]:
+        """(standardized numerical, one-hot categorical) rows; a DatasetError names
+        the first example whose numerical width is not the pipeline's."""
+        for ex in examples:
+            if len(ex.numerical) != self.num_dim:
+                raise DatasetError(f"example {ex.id!r}: {len(ex.numerical)} numerical values, "
+                                   f"the feature pipeline takes {self.num_dim}")
         num = np.array([ex.numerical for ex in examples], dtype=np.float64)
-        if num.size == 0:
-            num = np.zeros((0, self.num_dim))
+        num = num.reshape(len(examples), self.num_dim)
         return self.scaler.transform(num), self.encoder.transform(examples)
 
     def to_json(self) -> dict:

@@ -2,8 +2,9 @@
 
 Each layer is immutable during a (forward, backward) pair: forward
 returns an explicit cache, backward consumes it and returns input
-gradients plus a dict of parameter gradients shaped exactly like the
-parameters. Nothing here mutates parameters.
+gradients plus a dict of parameter gradients keyed and shaped exactly
+like the layer's ``params()``, for every layer (the LSTM's are its fused
+``W_all``/``b_all``). Nothing here mutates parameters.
 
 Every layer takes one example or a batch with a leading batch axis
 (B rows). A batch's parameter gradients are the sums of the rows'
@@ -153,9 +154,8 @@ class LstmCell:
     ``W_all`` is one ``(hidden+input, 4*hidden)`` matrix holding the gate
     blocks in GATES order, and ``b_all`` their ``(4*hidden,)`` biases.
     Its first ``hidden`` rows (``W_h``) act on h_prev and the rest
-    (``W_x``) on x_t. ``params()`` are column views into them, so
-    checkpoints still see one block per gate. A step takes one example
-    (1-d vectors) or a batch (one example per row).
+    (``W_x``) on x_t. ``params()`` are these two arrays. A step takes one
+    example (1-d vectors) or a batch (one example per row).
     """
 
     GATES = ("i", "f", "o", "q")
@@ -187,22 +187,12 @@ class LstmCell:
     def W_x(self) -> np.ndarray:
         return self.W_all[self.hidden_dim :]
 
-    def _by_gate(self, fused: np.ndarray) -> dict[str, np.ndarray]:
-        h = self.hidden_dim
-        return {g: fused[..., k * h : (k + 1) * h] for k, g in enumerate(self.GATES)}
-
     def params(self) -> dict[str, np.ndarray]:
-        return self.gate_blocks(self.W_all, self.b_all)
-
-    def gate_blocks(self, W: np.ndarray, b: np.ndarray) -> dict[str, np.ndarray]:
-        """Per-gate views of arrays shaped like (W_all, b_all), keyed like params()."""
-        by_w, by_b = self._by_gate(W), self._by_gate(b)
-        out = {f"W_{g}": by_w[g] for g in self.GATES}
-        out.update({f"b_{g}": by_b[g] for g in self.GATES})
-        return out
+        return {"W_all": self.W_all, "b_all": self.b_all}
 
     def step(self, h_prev: np.ndarray, c_prev: np.ndarray, x_t: np.ndarray):
-        """(h, c, cache) after one step; cache["gates"] holds [i, f, o, q].
+        """(h, c, cache) after one step; cache["gates"] holds [i, f, o, q],
+        and cache["i"] ... cache["q"] are its four column views.
 
         The gates are x_t @ W_x + b, then + h_prev @ W_h, as in the
         encoder's time loop.
@@ -218,15 +208,15 @@ class LstmCell:
         gates += h_prev @ self.W_h
         h, c = _lstm_gates_(gates, c_prev)
         cache = {"h_prev": h_prev, "x": x_t, "gates": gates, "c_prev": c_prev, "c": c,
-                 **self._by_gate(gates)}
+                 **dict(zip(self.GATES, np.split(gates, 4, axis=-1)))}
         return h, c, cache
 
     def step_backward(self, cache, dh: np.ndarray, dc: np.ndarray):
         """Gradients for one step given dLoss/dh_t and dLoss/dc_t (from the future).
 
         ``cache`` is the one step() returned, and is left unchanged.
-        Returns (dh_prev, dc_prev, dx, dW, db): dW and db are fused like
-        W_all and b_all and summed over batch rows (see gate_blocks).
+        Returns (dh_prev, dc_prev, dx, dW, db): dW and db are shaped like
+        W_all and b_all and summed over batch rows.
         """
         dz = cache["gates"].copy()
         dc_prev = _lstm_gates_backward_(dz, cache["c_prev"], cache["c"], dh, dc)
@@ -266,12 +256,8 @@ class BiLstmEncoder:
         return 2 * self.hidden_dim
 
     def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, arr in self.fwd.params().items():
-            out[f"fwd.{name}"] = arr
-        for name, arr in self.bwd.params().items():
-            out[f"bwd.{name}"] = arr
-        return out
+        return {f"{d}.{name}": arr for d, cell in (("fwd", self.fwd), ("bwd", self.bwd))
+                for name, arr in cell.params().items()}
 
     def _directions(self, T: int):
         """(name, cell, timesteps in processing order, output columns)."""
@@ -357,8 +343,7 @@ class BiLstmEncoder:
                     dh = dz @ W_hT
             dz = gates[d].reshape(X.shape[:2] + (4 * n,))
             dX += np.matmul(dz, cell.W_x.T)
-            for pname, arr in cell.gate_blocks(dW, dz.sum(axis=(0, 1))).items():
-                grads[f"{name}.{pname}"] = arr
+            grads[f"{name}.W_all"], grads[f"{name}.b_all"] = dW, dz.sum(axis=(0, 1))
         return np.moveaxis(dX.reshape(T, *lead, self.input_dim), 0, -2), grads
 
 

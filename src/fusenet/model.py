@@ -8,13 +8,15 @@ Branch outputs are concatenated in the fixed order
 the head accordingly but reuse the identical layer code.
 
 All parameters live in one float64 vector, ``theta``; every layer array
-is a view of it, and ``backward`` returns one gradient of the same layout.
+is a view of it, and ``backward`` concatenates the layers' gradients into
+one vector of the same layout.
 
 Checkpoints are a self-describing container: a diff-able text header
 (format version, variant, config) followed by named parameter blocks of
-little-endian float64, so save -> load round-trips bit-exactly. The
-loader checks the size the header implies against the file before it
-allocates ``theta``.
+little-endian float64, so save -> load round-trips bit-exactly. A block
+is a layer array, except that each fused LSTM matrix and bias is stored
+as one block per gate (``_checkpoint_blocks``). The loader checks the
+size the header implies against the file before it allocates ``theta``.
 """
 
 from __future__ import annotations
@@ -111,6 +113,17 @@ def param_count(config: ModelConfig, variant: str) -> int:
     return sum(math.prod(shape) for shape in _array_shapes(config, variant))
 
 
+def _checkpoint_blocks(name: str, arr: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    """The checkpoint blocks of one layer array: the array itself, except that
+    a fused LSTM ``W_all``/``b_all`` becomes its four gate column views,
+    ``W_i`` ... ``W_q`` or ``b_i`` ... ``b_q`` in GATES order."""
+    stem, _, kind = name.rpartition(".")
+    if kind not in ("W_all", "b_all"):
+        return [(name, arr)]
+    return [(f"{stem}.{kind[0]}_{gate}", part)
+            for gate, part in zip(LstmCell.GATES, np.split(arr, 4, axis=-1))]
+
+
 def _check_flat(vec: np.ndarray, size: int, what: str) -> None:
     if vec.dtype != np.float64 or vec.shape != (size,) or not vec.flags.c_contiguous:
         raise ShapeError(f"{what}: {vec.dtype} {vec.shape}, not contiguous float64 ({size},)")
@@ -149,9 +162,9 @@ class FusionModel:
         *branches, head = self.branches()
 
         def layout(layers):
-            return [(f"{prefix}.{pname}", arr.shape, arr.strides,
-                     arr.__array_interface__["data"][0] - base)
-                    for prefix, layer in layers for pname, arr in layer.params().items()]
+            return [(name, arr.shape, arr.strides, arr.__array_interface__["data"][0] - base)
+                    for prefix, layer in layers for pname, fused in layer.params().items()
+                    for name, arr in _checkpoint_blocks(f"{prefix}.{pname}", fused)]
 
         self._blocks = layout(pair for branch in branches + [head] for pair in branch)
         self._grad_blocks = layout(head + [pair for branch in branches for pair in branch[::-1]])
@@ -213,11 +226,8 @@ def build_variant(config: ModelConfig, variant: str, rng: Rng | None = None) -> 
                   FeedforwardAttention.init(rng.child(3), 2 * config.lstm_hidden)]
     fresh.append(DenseLayer.init(rng.child(4), head_input_dim(config, variant),
                                  config.num_classes, "identity"))
-    model = FusionModel(config, variant, np.zeros(param_count(config, variant)))
-    values = [arr for layer in fresh for arr in layer.params().values()]
-    for (_, view), arr in zip(model.param_blocks(), values, strict=True):
-        view[...] = arr
-    return model
+    theta = np.concatenate([arr.ravel() for layer in fresh for arr in layer.params().values()])
+    return FusionModel(config, variant, theta)
 
 
 def _run_branch(branch: list[DenseLayer], x: np.ndarray):
@@ -301,16 +311,15 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
 def backward(model: FusionModel, cache, dlogits: np.ndarray) -> np.ndarray:
     """The parameter gradient, summed over batch rows, as one vector laid out like theta.
 
-    ``model.param_blocks(grad)`` names its blocks.
+    Each layer's gradients come back keyed like its ``params()``, and are
+    concatenated in ``theta`` order. ``model.param_blocks(grad)`` names
+    the blocks.
     """
-    grad = np.zeros_like(model.theta)
-    views = model.grad_blocks(grad)
+    grads = {}  # block-name prefix -> that layer's gradients
 
     def chain(branch, caches, d):
         for (prefix, layer), layer_cache in zip(reversed(branch), reversed(caches)):
-            d, layer_grads = layer.backward(layer_cache, d)
-            for pname, arr in layer_grads.items():
-                views[f"{prefix}.{pname}"][...] = arr
+            d, grads[prefix] = layer.backward(layer_cache, d)
         return d
 
     *branches, head = model.branches()
@@ -319,7 +328,8 @@ def backward(model: FusionModel, cache, dlogits: np.ndarray) -> np.ndarray:
     for branch, caches, dseg, drop_mask in zip(branches, cache["branches"], dsegs,
                                                cache["drop_masks"]):
         chain(branch, caches, dseg if drop_mask is None else dseg * drop_mask)
-    return grad
+    return np.concatenate([grads[prefix][pname].ravel() for branch in branches + [head]
+                           for prefix, layer in branch for pname in layer.params()])
 
 
 def topk_indices(probs: np.ndarray, k: int):

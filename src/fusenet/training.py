@@ -422,10 +422,8 @@ def layer_grad_checks(seed: int) -> dict[str, float]:
 
     _, _, cache = cell.step(h_prev, c_prev, x_t)
     dh_prev, dc_prev, dx, dW, db = cell.step_backward(cache, r_h, r_c)
-    grads = cell.gate_blocks(dW, db)
-    pairs = [(grads[n], cell.params()[n]) for n in grads]
-    pairs += [(dh_prev, h_prev), (dc_prev, c_prev), (dx, x_t)]
-    check("lstm_step", lstm_loss, pairs)
+    check("lstm_step", lstm_loss, [(dW, cell.W_all), (db, cell.b_all),
+                                   (dh_prev, h_prev), (dc_prev, c_prev), (dx, x_t)])
 
     # BiLSTM over T=3, including gradients through the inputs.
     enc = BiLstmEncoder.init(rng.child(3), 3, 4)

@@ -14,7 +14,7 @@ import pytest
 
 from fusenet.dataset import PreparedDataset
 from fusenet.embeddings import EmbeddedSequence
-from fusenet.layers import AllMaskedError, LstmCell
+from fusenet.layers import AllMaskedError
 from fusenet.model import VARIANTS, backward, build_variant, forward, load, save
 from fusenet.numcore import Rng, sigmoid
 from fusenet.training import (TrainConfig, batch_loss, cross_entropy, max_relative_error,
@@ -93,6 +93,26 @@ def test_batch_equals_sum_of_examples(variant, weights):
         assert np.max(np.abs(g - ref)) <= 1e-12, name
 
 
+# backward()'s bytes on the ragged batch at seed 3, as the fused layout
+# gave them when backward copied each layer's gradients into named views.
+BACKWARD_SHA256 = {
+    "fusion": "48ad9ade0e8641e1d78ad2a6edc2539cf15a290fe043f68320077df0e51e1603",
+    "mlp": "0f433517860826559f475c99ac1c19fb49a0e34cb919340d29c55395de10b568",
+    "text": "4061b8566f9d8faf6c88c786219a18d15d71203b7a2ed6b40604b4826b4f7f9d",
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_backward_bytes_are_pinned(variant):
+    config = small_check_config(seed=3)
+    model = build_variant(config, variant)
+    num, cat, seqs, labels = ragged_batch(3, config)
+    pred, cache = forward(model, num, cat, seqs)
+    grad = backward(model, cache, batch_loss(pred.probs, labels)[1])
+    assert grad.dtype == np.float64 and grad.shape == model.theta.shape
+    assert hashlib.sha256(grad.tobytes()).hexdigest() == BACKWARD_SHA256[variant]
+
+
 def test_batch_dropout_masks_match_rows_run_in_order():
     config = small_check_config(seed=6)
     model = build_variant(config, "fusion")
@@ -106,14 +126,16 @@ def test_batch_dropout_masks_match_rows_run_in_order():
 
 
 def _reference_text_vector(model, vectors, mask):
-    """One example, one gate and one timestep at a time."""
+    """One example, one gate and one timestep at a time, from the checkpoint's gate blocks."""
     enc = model.encoder
+    blocks = dict(model.param_blocks())
 
-    def run(cell, order):
+    def run(direction, order):
         h = np.zeros(enc.hidden_dim)
         c = np.zeros(enc.hidden_dim)
         out = {}
-        p = cell.params()
+        p = {name: blocks[f"encoder.{direction}.{name}"]
+             for name in ("W_i", "W_f", "W_o", "W_q", "b_i", "b_f", "b_o", "b_q")}
         for t in order:
             u = np.concatenate([h, vectors[t]])
             i = sigmoid(u @ p["W_i"] + p["b_i"])
@@ -126,7 +148,7 @@ def _reference_text_vector(model, vectors, mask):
         return out
 
     T = len(vectors)
-    fwd, bwd = run(enc.fwd, range(T)), run(enc.bwd, range(T - 1, -1, -1))
+    fwd, bwd = run("fwd", range(T)), run("bwd", range(T - 1, -1, -1))
     H = np.array([np.concatenate([fwd[t], bwd[t]]) for t in range(T)])
     scores = np.tanh(H @ model.attention.w + model.attention.b[0])
     e = np.exp(scores[mask] - np.max(scores[mask]))
@@ -148,14 +170,23 @@ def test_fused_text_branch_matches_per_gate_reference():
 
 
 def test_gate_blocks_are_views_of_the_fused_matrix():
-    cell = LstmCell.init(Rng(3), 4, 5)
-    assert cell.W_all.shape == (9, 20) and cell.b_all.shape == (20,)
-    params = cell.params()
-    assert list(params) == ["W_i", "W_f", "W_o", "W_q", "b_i", "b_f", "b_o", "b_q"]
-    params["W_o"] -= 1.0  # an optimizer's in-place update
-    params["b_q"][...] = 7.0  # a checkpoint load
-    assert np.array_equal(cell.W_all[:, 10:15], cell.params()["W_o"])
-    assert np.all(cell.b_all[15:] == 7.0) and np.all(cell.params()["b_q"] == 7.0)
+    model = build_variant(small_check_config(seed=3), "text")
+    cell = model.encoder.fwd
+    assert cell.W_all.shape == (8, 16) and cell.b_all.shape == (16,)
+    assert list(cell.params()) == ["W_all", "b_all"]
+    blocks = dict(model.param_blocks())
+    assert [name for name in blocks if name.startswith("encoder.fwd.")] == [
+        f"encoder.fwd.{kind}_{gate}" for kind in "Wb" for gate in "ifoq"]
+    theta, W_all = model.theta.copy(), cell.W_all.copy()
+    blocks["encoder.fwd.W_o"] -= 1.0  # an optimizer's in-place update
+    blocks["encoder.fwd.b_q"][...] = 7.0  # a checkpoint load
+    W_all[:, 8:12] -= 1.0
+    assert np.array_equal(cell.W_all, W_all) and np.array_equal(blocks["encoder.fwd.W_o"],
+                                                                W_all[:, 8:12])
+    assert np.all(cell.b_all[12:] == 7.0) and np.all(blocks["encoder.fwd.b_q"] == 7.0)
+    # Both writes land in theta, and nowhere else.
+    assert np.count_nonzero(model.theta != theta) == 8 * 4 + 4
+    assert np.shares_memory(cell.W_all, model.theta) and np.shares_memory(cell.b_all, model.theta)
 
 
 def test_all_masked_row_names_its_example():

@@ -181,16 +181,46 @@ class TestTrain:
                       "--out", str(tmp_path / "x"), "--config", str(config)])
         assert exc.value.code == 2
 
-    def test_config_key_set_twice_is_usage_error(self, workspace, tmp_path, capsys):
-        config = tmp_path / "twice.cfg"
-        config.write_text("epochs=1\n# comment\nmlp_hidden=4\n epochs = 2\n")
+    def assert_config_usage_error(self, workspace, tmp_path, capsys, content, message):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(content)
         out = tmp_path / "x.afn"
         with pytest.raises(SystemExit) as exc:
             cli.main(["train", "--data", workspace["data"], "--variant", "mlp",
                       "--out", str(out), "--config", str(config)])
         assert exc.value.code == 2
-        assert f"{config}:4: key 'epochs' already set on line 1" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {config}:{message}")
         assert not out.exists()
+
+    def test_config_key_set_twice_is_usage_error(self, workspace, tmp_path, capsys):
+        self.assert_config_usage_error(workspace, tmp_path, capsys,
+                                       b"epochs=1\n# comment\nmlp_hidden=4\n epochs = 2\n",
+                                       "4: key 'epochs' already set on line 1")
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfee\x00p\x00o\x00c\x00h\x00s\x00=\x001\x00\n\x00", "1: not valid UTF-8"),
+        (b"epochs=1\nmlp_hidden=4\xed\xa0\x80\n", "2: not valid UTF-8"),
+        (b"epochs=1\n=5\n", "2: empty key"),
+        (b"# only a comment\n\n = \n", "3: empty key"),
+    ], ids=["utf16-bom", "encoded-surrogate", "empty-key", "blank-key"])
+    def test_malformed_config_line_is_usage_error(self, workspace, tmp_path, capsys, content,
+                                                  message):
+        self.assert_config_usage_error(workspace, tmp_path, capsys, content, message)
+
+    @pytest.mark.parametrize("variant", ["mlp", "fusion"])
+    @pytest.mark.parametrize("field", ["numerical", "categorical"])
+    def test_records_without_tabular_features_name_data_and_variant(self, workspace, tmp_path,
+                                                                    capsys, variant, field):
+        data = tmp_path / "no-features.jsonl"
+        data.write_text(rewrite_records(workspace["data"], lambda doc: doc.update({field: []})),
+                        encoding="utf-8")
+        code = cli.main(["train", "--data", str(data), "--variant", variant, "--embeddings",
+                         workspace["vec"], "--out", str(tmp_path / "x.afn"), "--epochs", "1"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --data {data}: the train split has no {field} features, "
+            f"which variant {variant!r} needs"]
+        assert not (tmp_path / "x.afn").exists()
 
 
 # A value other than the default, and a bad value, for every knob in the
@@ -257,7 +287,53 @@ class TestKnobs:
             assert bad in capsys.readouterr().err
 
 
+def rewrite_records(path, change) -> str:
+    """The JSONL file at ``path`` with ``change`` applied to every record."""
+    docs = [json.loads(line) for line in open(path, encoding="utf-8")]
+    for doc in docs:
+        change(doc)
+    return "".join(json.dumps(doc) + "\n" for doc in docs)
+
+
+def narrower_pipeline(workspace, tmp_path, width=16):
+    """The mlp checkpoint's pipeline cut to its first ``width`` numerical features,
+    as a corpus of that width would have fitted it."""
+    doc = json.loads(open(workspace["checkpoints"]["mlp"] + ".pipeline.json").read())
+    for key in ("numerical_mean", "numerical_std", "numerical_constant"):
+        doc[key] = doc[key][:width]
+    path = tmp_path / "narrow.pipeline.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def one_error_line(capsys, argv) -> str:
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == 1 and captured.out == "" and len(err) == 1, captured.err
+    return err[0]
+
+
 class TestEval:
+    def test_pipeline_of_another_width_is_named(self, workspace, tmp_path, capsys):
+        pipeline = narrower_pipeline(workspace, tmp_path)
+        cat_dim = load(workspace["checkpoints"]["mlp"]).config.cat_feature_dim
+        err = one_error_line(capsys, ["eval", "--model", workspace["checkpoints"]["mlp"],
+                                      "--data", workspace["data"], "--pipeline", str(pipeline)])
+        assert err == (f"error: feature pipeline {pipeline}: 16 numerical and {cat_dim} "
+                       f"categorical features, the model takes 20 and {cat_dim}")
+
+    @pytest.mark.parametrize("variant", ["mlp", "text"])
+    def test_records_of_another_width_name_data(self, workspace, tmp_path, capsys, variant):
+        data = tmp_path / "narrow.jsonl"
+        data.write_text(rewrite_records(
+            workspace["data"], lambda doc: doc.update(numerical=doc["numerical"][:16])),
+            encoding="utf-8")
+        err = one_error_line(capsys, ["eval", "--model", workspace["checkpoints"][variant],
+                                      "--data", str(data), "--embeddings", workspace["vec"]])
+        assert err.startswith(f"error: --data {data}: example ")
+        assert err.endswith(": 16 numerical values, the feature pipeline takes 20")
+
     def test_writes_schema_valid_report(self, workspace, tmp_path, capsys):
         report_path = str(tmp_path / "report.json")
         assert cli.main([
@@ -461,6 +537,16 @@ class TestPredict:
         assert str(pipeline) in err[0] and "'numerical_std'" in err[0]
 
 
+    def test_pipeline_of_another_width_is_named(self, workspace, tmp_path, capsys):
+        pipeline = narrower_pipeline(workspace, tmp_path)
+        features = tmp_path / "features.json"
+        features.write_text(json.dumps({"numerical": [0.0] * 16, "categorical": []}))
+        err = one_error_line(capsys, ["predict", "--model", workspace["checkpoints"]["mlp"],
+                                      "--pipeline", str(pipeline), "--features", str(features)])
+        assert err.startswith(f"error: feature pipeline {pipeline}: 16 numerical and ")
+        assert ", the model takes 20 and " in err
+
+
 class TestGradcheckCommand:
     def test_passes_at_default_tolerance(self, capsys):
         assert cli.main(["gradcheck", "--seeds", "1"]) == 0
@@ -474,6 +560,14 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert "FAILED" in captured.err
         assert "FAIL" in captured.out
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf", "1e999", "tight"])
+    def test_tolerance_not_finite_and_positive_is_usage_error(self, capsys, tolerance):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gradcheck", "--seeds", "1", "--tolerance", tolerance])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""  # no check ran
+        assert "--tolerance" in captured.err
 
 
 class TestInputFilesAreNamed:

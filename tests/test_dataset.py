@@ -137,6 +137,18 @@ class TestOneHot:
         assert num_te.shape == (1, 2) and cat_te.shape == (1, 2)
         assert not cat_te.any()
 
+    def test_pipeline_transform_names_an_example_of_another_width(self):
+        pipeline = FeaturePipeline.fit([make_example(i) for i in range(4)])
+        rows = [make_example(5), make_example(6, numerical=[1.0, 2.0, 3.0])]
+        with pytest.raises(DatasetError, match="^example 'ex-6': 3 numerical values, "
+                                               "the feature pipeline takes 2$"):
+            pipeline.transform(rows)
+
+    def test_pipeline_without_numerical_features_keeps_every_row(self):
+        train = [make_example(i, numerical=[]) for i in range(4)]
+        num, cat = FeaturePipeline.fit(train).transform(train)
+        assert num.shape == (4, 0) and cat.shape == (4, 2)
+
     def test_pipeline_json_round_trip(self):
         train = [make_example(i) for i in range(4)]
         pipeline = FeaturePipeline.fit(train)

@@ -81,8 +81,8 @@ class TestLstmCell:
 
     def test_forget_bias_initialized_to_one(self):
         cell = LstmCell.init(Rng(1), 3, 4)
-        assert np.array_equal(cell.params()["b_f"], np.ones(4))
-        assert not cell.params()["b_i"].any()
+        assert np.array_equal(cell.b_all[4:8], np.ones(4))  # the f gate, second in GATES
+        assert not cell.b_all[:4].any()
 
 
 class TestBiLstm:
