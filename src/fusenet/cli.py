@@ -40,8 +40,8 @@ def _positive_int(value: str) -> int:
 
 def _nonneg_float(value: str) -> float:
     out = float(value)
-    if out < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if not (math.isfinite(out) and out >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {value}")
     return out
 
 
@@ -190,18 +190,19 @@ _TRAIN_SPECS = {
 }
 
 
-def _load_table(path: str, model: modelmod.FusionModel | None = None) -> emb.EmbeddingTable:
-    """The ``--embeddings`` table, not empty and as wide as ``model`` was trained on.
+def _load_table(path: str, model: modelmod.FusionModel | None = None,
+                only=None) -> emb.EmbeddingTable:
+    """The ``--embeddings`` table, from a file with vectors as wide as ``model`` was trained on.
 
-    Every error names the file.
+    ``only`` is passed to ``load_vec_file``. Every error names the file.
     """
     try:
-        table = emb.load_vec_file(path)
+        table = emb.load_vec_file(path, only=only)
     except emb.VecParseError as err:
         raise emb.VecParseError(f"--embeddings {path}: {err}") from None
     want = table.dim if model is None else model.config.embed_dim
-    if len(table) == 0 or table.dim != want:
-        raise ValueError(f"--embeddings {path}: {len(table)} vectors of width {table.dim}, "
+    if table.file_rows == 0 or table.dim != want:
+        raise ValueError(f"--embeddings {path}: {table.file_rows} vectors of width {table.dim}, "
                          f"the model needs vectors of width {want}")
     return table
 
@@ -390,7 +391,8 @@ def _cmd_predict(parser, args) -> int:
         if not tokens.tokens:
             raise ValueError(f"--text {args.text!r} has no tokens after normalization, "
                              "so attention has no unmasked positions")
-        table = _load_table(args.embeddings, model)
+        # Only the query's rows are converted, so a bad value elsewhere goes unreported.
+        table = _load_table(args.embeddings, model, only=tokens.tokens)
         seq = emb.embed_sequence(table, tokens, model.config.max_seq_len)
 
     pred = modelmod.predict_topk(model, num_x, cat_x, seq, k=args.k)
@@ -474,6 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=_positive_float, default=1e-4)
     p.add_argument("--seeds", type=_positive_int, default=10)
 
+    # Each handler reports usage errors through its own subcommand's parser.
+    for p in sub.choices.values():
+        p.set_defaults(command_parser=p)
     return parser
 
 
@@ -490,7 +495,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](parser, args)
+        return _HANDLERS[args.command](args.command_parser, args)
     except (OSError, ValueError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -34,6 +34,9 @@ class EmbeddingTable:
     vocab: dict[str, int]
     matrix: np.ndarray  # (V, d) float64, row per word
     dim: int
+    # The header's V when read from a .vec file. With load_vec_file(only=...)
+    # the file may hold rows, or words, that the table does not.
+    file_rows: int | None = None
 
     def __len__(self) -> int:
         return len(self.vocab)
@@ -64,7 +67,7 @@ class EmbeddedSequence:
         return EmbeddedSequence(vectors=self.vectors[rows], mask=self.mask[rows])
 
 
-def load_vec_file(path) -> EmbeddingTable:
+def load_vec_file(path, only=None) -> EmbeddingTable:
     """Read a .vec file: the header's V rows, and nothing after them.
 
     Rows are read ``VEC_CHUNK_ROWS`` at a time and every row is checked,
@@ -73,14 +76,19 @@ def load_vec_file(path) -> EmbeddingTable:
     order: a malformed header, a file that ends early, a row with the
     wrong number of fields, or a non-numeric or non-finite value. Text
     that is not UTF-8 is a VecParseError naming the line that holds it.
+
+    With ``only``, a collection of words, the table holds just those of
+    them the file has, in file order, and only the first row of each is
+    converted to floats. A non-numeric or non-finite value is then an
+    error only in such a row; every other check still covers every row.
     """
     try:
-        return _read_vec_file(path)
+        return _read_vec_file(path, only)
     except UnicodeDecodeError:
         raise _undecodable_line(path) from None
 
 
-def _read_vec_file(path) -> EmbeddingTable:
+def _read_vec_file(path, only) -> EmbeddingTable:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         parts = header.split()
@@ -93,7 +101,10 @@ def _read_vec_file(path) -> EmbeddingTable:
         if declared_v < 0 or dim < 1:
             raise VecParseError(f"line 1: invalid header values V={declared_v} d={dim}")
 
-        matrix = np.empty((_rows_to_allocate(fh, dim, declared_v), dim))
+        # Words still to find; each is dropped from the set at its first row.
+        wanted = None if only is None else set(only)
+        most = declared_v if wanted is None else min(declared_v, len(wanted))
+        matrix = np.empty((_rows_to_allocate(fh, dim, most), dim))
         vocab: dict[str, int] = {}
         for start in range(0, declared_v, VEC_CHUNK_ROWS):
             size = min(VEC_CHUNK_ROWS, declared_v - start)
@@ -103,11 +114,12 @@ def _read_vec_file(path) -> EmbeddingTable:
                     lines.append(line)
             except UnicodeDecodeError as err:
                 # Rows before the undecodable text come first in file order.
-                raise _row_error(lines, start + 2, dim) or err
-            chunk = _parse_chunk(lines, dim) if len(lines) == size else None
+                raise _row_error(lines, start + 2, dim, _select(lines, wanted)) or err
+            rows = _select(lines, wanted)
+            chunk = _parse_chunk(lines, dim, rows) if len(lines) == size else None
             if chunk is None:
                 lineno = start + 2 + len(lines)
-                raise _row_error(lines, start + 2, dim) or VecParseError(
+                raise _row_error(lines, start + 2, dim, rows) or VecParseError(
                     f"line {lineno}: file ends after {lineno - 2} of {declared_v} rows"
                 )
             words, values = chunk
@@ -117,9 +129,9 @@ def _read_vec_file(path) -> EmbeddingTable:
                 if word not in vocab:
                     vocab[word] = len(vocab)
                     keep.append(i)
-            matrix[first:len(vocab)] = values if len(keep) == size else values[keep]
+            matrix[first:len(vocab)] = values if len(keep) == len(words) else values[keep]
 
-    return EmbeddingTable(vocab=vocab, matrix=matrix[:len(vocab)], dim=dim)
+    return EmbeddingTable(vocab=vocab, matrix=matrix[:len(vocab)], dim=dim, file_rows=declared_v)
 
 
 def _undecodable_line(path) -> VecParseError:
@@ -151,17 +163,36 @@ def _rows_to_allocate(fh, dim: int, want: int) -> int:
     return min(want, (info.st_size + 1) // (2 * dim + 1))
 
 
-def _parse_chunk(lines: list[str], dim: int):
-    """Words and ``(len(lines), dim)`` values, or None when any row fails a check.
+def _select(lines: list[str], wanted: set[str] | None) -> list[int] | None:
+    """Indices of the lines that are the first row of a ``wanted`` word, or None for all.
 
-    When every row has exactly ``dim`` spaces, the chunk joined by spaces
-    splits into ``dim + 1`` fields per row: the word, then its values.
-    A row's last value keeps the line's newline, which float conversion
-    ignores as it ignores any surrounding whitespace.
+    Each word found is removed from ``wanted``, so a later row of it is
+    never selected.
+    """
+    if wanted is None:
+        return None
+    rows = []
+    for i, line in enumerate(lines):
+        word = line.partition(" ")[0]
+        if word in wanted:
+            wanted.remove(word)
+            rows.append(i)
+    return rows
+
+
+def _parse_chunk(lines: list[str], dim: int, rows: list[int] | None):
+    """Words and values of the ``rows`` of ``lines`` (all when None), or None when a check fails.
+
+    Every line must have exactly ``dim`` spaces; the selected rows, joined
+    by spaces, then split into ``dim + 1`` fields per row: the word, then
+    its values. A row's last value keeps the line's newline, which float
+    conversion ignores as it ignores any surrounding whitespace.
     """
     if not all(line.count(" ") == dim for line in lines):
         return None
-    fields = " ".join(lines).split(" ")
+    if rows is not None:
+        lines = [lines[i] for i in rows]
+    fields = " ".join(lines).split(" ") if lines else []
     words = fields[:: dim + 1]
     del fields[:: dim + 1]
     try:
@@ -173,14 +204,21 @@ def _parse_chunk(lines: list[str], dim: int):
     return words, values.reshape(len(lines), dim)
 
 
-def _row_error(lines: list[str], first_lineno: int, dim: int) -> VecParseError | None:
-    """The error of the first bad row among ``lines``, in file order, or None."""
+def _row_error(lines: list[str], first_lineno: int, dim: int,
+               rows: list[int] | None) -> VecParseError | None:
+    """The error of the first bad row among ``lines``, in file order, or None.
+
+    Every row's field count is checked, and the values of the ``rows``
+    selected (all when None).
+    """
     for lineno, line in enumerate(lines, start=first_lineno):
         fields = line.rstrip("\n").split(" ")
         if len(fields) != dim + 1:
             return VecParseError(
                 f"line {lineno}: expected a word plus {dim} values, got {len(fields)} fields"
             )
+        if rows is not None and lineno - first_lineno not in rows:
+            continue
         try:
             vec = np.array(fields[1:], dtype=np.float64)
         except ValueError:
@@ -222,7 +260,8 @@ def embed_sequence(
     attention); padding rows are zero with a false mask entry. Text with
     no tokens embeds as one OOV token, so attention always has a position.
     """
-    if len(table) == 0:
+    # A selection from a file with vectors may hold none, and is not empty.
+    if len(table) == 0 and not table.file_rows:
         raise ValueError("embedding table is empty")
     vectors = np.zeros((max_seq_len, table.dim))
     mask = np.zeros(max_seq_len, dtype=bool)

@@ -47,8 +47,9 @@ class TrainConfig:
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         # learning_rate 0 is allowed (a no-op run the CLI warns about).
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(
+                f"learning_rate must be a finite number >= 0, got {self.learning_rate}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
         if not 0.0 <= self.dropout_rate < 1.0:

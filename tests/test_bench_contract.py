@@ -8,6 +8,7 @@ its result, so each one is made here with the argument shapes the
 benchmark uses. The benchmark's own files are read, never edited.
 """
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -109,22 +110,26 @@ def test_predict_command_equals_in_process_predict_topk(bench, tmp_path, capsys)
 
     _train_ex, _val_ex, held_out = fn.dataset.split(bench["examples"], fn.cli.SPLIT_FRACTIONS,
                                                     seed=0)
-    prepared = fn.dataset.prepare(held_out, bench["pipeline"], big, model.config.max_seq_len)
+    # The last query repeats the first one's features with text whose
+    # tokens are all out of vocabulary.
+    queries = [*held_out[:3], dataclasses.replace(held_out[0], text="zzqx qqzx")]
+    prepared = fn.dataset.prepare(queries, bench["pipeline"], big, model.config.max_seq_len)
+    assert prepared.seqs[3].mask.sum() == 2 and not prepared.seqs[3].vectors.any()
     capsys.readouterr()
-    for j, ex in enumerate(held_out[:3]):
+    for j, ex in enumerate(queries):
         features = tmp_path / f"features-{j}.json"
         features.write_text(json.dumps({"numerical": ex.numerical,
                                         "categorical": ex.categorical}))
         pred = fn.model.predict_topk(model, prepared.num[j], prepared.cat[j], prepared.seqs[j],
                                      k=K)
-        expected = [fn.dataset.CLASS_NAMES[c] for c in pred.top_k]
+        expected = [f"{fn.dataset.CLASS_NAMES[c]}\t{pred.probs[c]:.6f}" for c in pred.top_k]
         assert fn.cli.main(["predict", "--model", str(bench["root"] / "fusion.afn"),
                             "--embeddings", str(tmp_path / "big.vec"),
                             "--pipeline", str(bench["root"] / "fusion.afn.pipeline.json"),
                             "--text", ex.text, "--features", str(features),
                             "--k", str(K)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert [line.partition("\t")[0] for line in lines] == expected
+        assert lines == expected
         probs = [float(line.partition("\t")[2]) for line in lines]
         assert probs == sorted(probs, reverse=True)
 

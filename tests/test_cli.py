@@ -189,7 +189,9 @@ class TestTrain:
             cli.main(["train", "--data", workspace["data"], "--variant", "mlp",
                       "--out", str(out), "--config", str(config)])
         assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {config}:{message}")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fusenet train ")
+        assert err.splitlines()[-1].endswith(f"error: {config}:{message}")
         assert not out.exists()
 
     def test_config_key_set_twice_is_usage_error(self, workspace, tmp_path, capsys):
@@ -206,6 +208,21 @@ class TestTrain:
     def test_malformed_config_line_is_usage_error(self, workspace, tmp_path, capsys, content,
                                                   message):
         self.assert_config_usage_error(workspace, tmp_path, capsys, content, message)
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "1e999"])
+    def test_non_finite_lr_is_usage_error_both_ways(self, workspace, tmp_path, capsys, lr):
+        config = tmp_path / "lr.cfg"
+        config.write_text(f"lr={lr}\n")
+        out = tmp_path / "x.afn"
+        for argv, names in ((["--lr", lr], "argument --lr: "),
+                            (["--config", str(config)], "config key lr: ")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["train", "--data", workspace["data"], "--variant", "mlp",
+                          "--out", str(out), *argv])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.splitlines()[-1] == (
+                f"fusenet train: error: {names}must be a finite number >= 0, got {lr}")
+            assert not out.exists()
 
     @pytest.mark.parametrize("variant", ["mlp", "fusion"])
     @pytest.mark.parametrize("field", ["numerical", "categorical"])
@@ -466,6 +483,52 @@ class TestPredict:
         err = capsys.readouterr().err.splitlines()
         assert code == 1 and len(err) == 1
         assert "--text" in err[0] and "unmasked" in err[0] and missing not in err[0]
+
+    def expected_lines(self, workspace, text, k=3):
+        """The top ``k`` lines ``predict`` prints, from the whole table parsed in process."""
+        from fusenet.embeddings import embed_sequence, load_vec_file
+        from fusenet.model import predict_topk
+        from fusenet.textprep import normalize, tokenize
+        model = load(workspace["checkpoints"]["text"])
+        max_len = model.config.max_seq_len
+        seq = embed_sequence(load_vec_file(workspace["vec"]),
+                             tokenize(normalize(text), max_len), max_len)
+        pred = predict_topk(model, None, None, seq, k=k)
+        return [f"{CLASS_NAMES[c]}\t{pred.probs[c]:.6f}" for c in pred.top_k]
+
+    @pytest.mark.parametrize("text", ["please help with my loan loan", "zzqx qqzx",
+                                      "xyzzy plugh"], ids=["in-vocab", "all-oov", "all-oov-2"])
+    def test_query_rows_predict_as_the_whole_table_does(self, workspace, capsys, text):
+        # An all-OOV query selects no rows: its zero vectors under true
+        # mask entries are what the whole table gives it.
+        assert cli.main(["predict", "--model", workspace["checkpoints"]["text"],
+                         "--embeddings", workspace["vec"], "--text", text]) == 0
+        assert capsys.readouterr().out.splitlines() == self.expected_lines(workspace, text)
+
+    def test_vec_without_vectors_is_named_for_an_all_oov_query(self, workspace, tmp_path,
+                                                               capsys):
+        vec = tmp_path / "empty.vec"
+        vec.write_text("0 8\n")
+        code = cli.main(["predict", "--model", workspace["checkpoints"]["text"],
+                         "--embeddings", str(vec), "--text", "zzqx qqzx"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --embeddings {vec}: 0 vectors of width 8, the model needs vectors of width 8"
+        ]
+
+    def test_bad_value_only_in_a_row_the_query_does_not_use_is_not_reported(
+            self, workspace, tmp_path, capsys):
+        vec = tmp_path / "v.vec"
+        # Line 4 repeats "loan", so only line 2 is loan's row.
+        vec.write_text("3 8\nloan 1 0 0 0 0 0 0 0\nhelp nan 1 0 0 0 0 0 0\n"
+                       "loan x 1 0 0 0 0 0 0\n")
+        argv = ["predict", "--model", workspace["checkpoints"]["text"], "--embeddings", str(vec)]
+        assert cli.main([*argv, "--text", "my loan"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        assert cli.main([*argv, "--text", "help"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --embeddings {vec}: line 3: non-finite vector component\n")
 
     def test_embeddings_narrower_than_the_model_are_named(self, workspace, tmp_path, capsys):
         vec = tmp_path / "narrow.vec"

@@ -182,6 +182,11 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1e-3)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(learning_rate=lr)
+
     def test_zero_lr_accepted(self):
         assert TrainConfig(learning_rate=0.0).learning_rate == 0.0
 

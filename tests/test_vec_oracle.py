@@ -3,7 +3,8 @@
 ``reference_load_vec_file`` reads, converts and checks one row at a time
 and is kept here only as the oracle. On every file below both parsers
 must give the same vocabulary order, the same matrix bytes and width,
-or the same error message.
+or the same error message. So must both with ``only=`` a seeded sample
+of the file's words, and the rows selected must be the full parse's.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from fusenet.embeddings import VEC_CHUNK_ROWS, EmbeddingTable, VecParseError, load_vec_file
 
 
-def reference_load_vec_file(path):
+def reference_load_vec_file(path, only=None):
     """Per-row .vec reader: the oracle for ``load_vec_file``."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
@@ -26,6 +27,7 @@ def reference_load_vec_file(path):
         if declared_v < 0 or dim < 1:
             raise VecParseError(f"line 1: invalid header values V={declared_v} d={dim}")
 
+        wanted = None if only is None else set(only)
         vocab: dict[str, int] = {}
         rows = []
         for lineno in range(2, declared_v + 2):
@@ -40,6 +42,11 @@ def reference_load_vec_file(path):
                     f"line {lineno}: expected a word plus {dim} values, got {len(fields)} fields"
                 )
             word = fields[0]
+            if wanted is not None:
+                # Only the first row of a wanted word is converted.
+                if word not in wanted:
+                    continue
+                wanted.remove(word)
             try:
                 vec = np.array(fields[1:], dtype=np.float64)
             except ValueError:
@@ -55,9 +62,9 @@ def reference_load_vec_file(path):
     return EmbeddingTable(vocab=vocab, matrix=matrix, dim=dim)
 
 
-def outcome(loader, path):
+def outcome(loader, path, **kwargs):
     try:
-        table = loader(path)
+        table = loader(path, **kwargs)
     except VecParseError as err:
         return "error", str(err)
     assert table.matrix.dtype == np.float64
@@ -68,7 +75,40 @@ def assert_same(path):
     got = outcome(load_vec_file, path)
     want = outcome(reference_load_vec_file, path)
     assert got == want
+    assert_selection_same(path, got)
     return got
+
+
+def sample_words(path, seed=0, size=13):
+    """Up to ``size`` words seeded-sampled from the file's rows, plus one it lacks."""
+    lines = path.read_bytes().decode("utf-8", "replace").splitlines()[1:]
+    words = [line.split(" ")[0] for line in lines if line]
+    picked = np.random.default_rng(seed).choice(len(words), min(size, len(words)),
+                                                replace=False) if words else []
+    return [words[i] for i in picked] + ["absent-word"]
+
+
+def assert_selection_same(path, full):
+    """``only=`` gives the oracle's outcome, and the full parse's rows and faults.
+
+    A header, field-count, truncation or UTF-8 fault is reported at the
+    same line as by the full parse, and a selection from a file that
+    parses gives the full parse's rows bit for bit, in file order.
+    """
+    only = sample_words(path)
+    got = outcome(load_vec_file, path, only=only)
+    assert got == outcome(reference_load_vec_file, path, only=only)
+    if full[0] == "error":
+        if "vector component" not in full[1]:
+            assert got == full
+        return
+    vocab, _, matrix, dim = full
+    rows = np.frombuffer(matrix).reshape(len(vocab), dim)
+    selected = [(word, i) for word, i in vocab if word in only]
+    assert got[0] == [(word, j) for j, (word, _) in enumerate(selected)]
+    assert got[1:] == ((len(selected), dim), rows[[i for _, i in selected]].tobytes(), dim)
+    declared = int(path.read_bytes().split(maxsplit=1)[0])
+    assert load_vec_file(path).file_rows == load_vec_file(path, only=only).file_rows == declared
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +175,49 @@ def test_bad_row_either_side_of_a_chunk_boundary(vec, kind, index):
 def test_first_of_two_bad_rows_in_one_chunk_wins(vec, first, second):
     got = assert_same(vec(2100, bad={1100: first, 1500: second}))
     assert got[1].startswith("line 1102: ")
+
+
+VALUE_FAULTS = {"non-numeric", "empty-field", "nan", "inf", "overflow"}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+@pytest.mark.parametrize("index", [VEC_CHUNK_ROWS - 1, VEC_CHUNK_ROWS])
+def test_selection_checks_values_only_in_the_rows_it_converts(tmp_path, kind, index):
+    rows = make_rows(np.random.default_rng(13), 2100, 3)
+    clean = write_vec(tmp_path / "clean.vec", rows, 3)
+    path = write_vec(tmp_path / "bad.vec", rows, 3, bad={index: kind})
+    full = outcome(load_vec_file, path)
+    assert full[0] == "error" and full[1].startswith(f"line {index + 2}: ")
+    used = [rows[index][0], "w5", "w2000"]
+    assert outcome(load_vec_file, path, only=used) == full
+    unused = outcome(load_vec_file, path, only=used[1:])
+    if kind in VALUE_FAULTS:
+        assert unused == outcome(load_vec_file, clean, only=used[1:])
+        assert unused[0] == [("w5", 0), ("w2000", 1)]
+    else:
+        assert unused == full
+
+
+def test_selection_keeps_the_first_row_of_a_repeated_word(tmp_path):
+    rows = make_rows(np.random.default_rng(3), 2100, 4)
+    for dup, orig in [(1500, 10), (30, 5), (31, 5)]:
+        rows[dup][0] = rows[orig][0]
+    full = load_vec_file(write_vec(tmp_path / "d.vec", rows, 4))
+    # A later row of a selected word is never converted, so a bad value there loads.
+    path = write_vec(tmp_path / "bad.vec", rows, 4, bad={1500: "nan", 31: "non-numeric"})
+    assert outcome(load_vec_file, path)[0] == "error"
+    table = load_vec_file(path, only=["w10", "w5", "w1501"])
+    assert list(table.vocab) == ["w5", "w10", "w1501"]
+    for word in table.vocab:
+        assert table.lookup(word).tobytes() == full.lookup(word).tobytes()
+
+
+@pytest.mark.parametrize("header", ["not a header", "2", "x 3", "2 0", "-1 3", "2 3 4", ""])
+def test_malformed_header(tmp_path, header):
+    path = tmp_path / "h.vec"
+    path.write_text(header + "\nw0 1 2 3\nw1 4 5 6\n", encoding="utf-8")
+    got = assert_same(path)
+    assert got[0] == "error" and got[1].startswith("line 1: ")
 
 
 def test_duplicates_within_and_across_chunks_keep_the_first(tmp_path):
@@ -230,6 +313,13 @@ def test_undecodable_text_later_in_the_chunk(tmp_path, bad):
         with pytest.raises(ValueError) as exc:
             loader(path)
         errors.append((type(exc.value), str(exc.value)))
+    # A selection reports the undecodable line as the full parse does, and
+    # the bad row before it only when that row is selected.
+    utf8_error = "line 902: not valid UTF-8 (invalid start byte at byte 2)"
+    for only, want in ((["w3", "w5"], errors[0][1]), (["w5"], utf8_error)):
+        with pytest.raises(VecParseError) as exc:
+            load_vec_file(path, only=only)
+        assert str(exc.value) == want
     if bad:
         assert errors[0] == errors[1] and errors[0][0] is VecParseError
     else:
