@@ -9,6 +9,7 @@ knobs not given explicitly on the command line; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -207,9 +208,18 @@ def _load_table(path: str, model: modelmod.FusionModel | None = None,
     return table
 
 
+@contextlib.contextmanager
+def _naming_data(path: str):
+    """Prefix a dataset error raised inside with ``--data <path>: ``."""
+    try:
+        yield
+    except ds.DatasetError as err:
+        raise ds.DatasetError(f"--data {path}: {err}") from None
+
+
 def _load_splits(data_path: str, split_seed: int):
-    examples = ds.load_jsonl(data_path)
-    return ds.split(examples, SPLIT_FRACTIONS, seed=split_seed)
+    with _naming_data(data_path):
+        return ds.split(ds.load_jsonl(data_path), SPLIT_FRACTIONS, seed=split_seed)
 
 
 def _cmd_train(parser, args) -> int:
@@ -338,7 +348,8 @@ def _cmd_eval(parser, args) -> int:
     _check_k(parser, args.k, model)
     pipeline = _read_pipeline(args, model)
     if args.split == "all":
-        examples = ds.load_jsonl(args.data)
+        with _naming_data(args.data):
+            examples = ds.load_jsonl(args.data)
     else:
         train_ex, val_ex, test_ex = _load_splits(args.data, args.split_seed)
         examples = {"train": train_ex, "val": val_ex, "test": test_ex}[args.split]
@@ -348,10 +359,8 @@ def _cmd_eval(parser, args) -> int:
         if not args.embeddings:
             parser.error(f"--embeddings is required to evaluate variant {model.variant!r}")
         table = _load_table(args.embeddings, model)
-    try:
+    with _naming_data(args.data):
         prepared = ds.prepare(examples, pipeline, table, model.config.max_seq_len)
-    except ds.DatasetError as err:
-        raise ds.DatasetError(f"--data {args.data}: {err}") from None
     rep = metrics.report(model, prepared, k=args.k)
     _print_report_table(rep)
     if args.out:

@@ -114,7 +114,7 @@ def _lstm_gates_(z: np.ndarray, c_prev: np.ndarray):
     math: ``LstmCell.step`` and the encoder's time loop both call them.
     """
     n = z.shape[-1] // 4
-    z[..., : 3 * n] = sigmoid(z[..., : 3 * n])
+    sigmoid(z[..., : 3 * n], out=z[..., : 3 * n])
     np.tanh(z[..., 3 * n :], out=z[..., 3 * n :])
     i, f, o, q = z[..., :n], z[..., n : 2 * n], z[..., 2 * n : 3 * n], z[..., 3 * n :]
     c = f * c_prev + i * q
@@ -227,11 +227,45 @@ class LstmCell:
         return dz @ self.W_h.T, dc_prev, dz @ self.W_x.T, dW, rows.sum(axis=0)
 
 
+def _recur(cell: LstmCell, X: np.ndarray, buf: np.ndarray, times, h, c):
+    """Run ``cell`` over the timesteps ``times`` of ``X`` from the state (h, c).
+
+    ``X`` is time-major, (steps, rows, input_dim); ``buf``, of shape
+    (steps, ..., 4*hidden), receives ``X @ W_x + b`` and then each step's
+    gate activations. Yields (t, h, c) after each step.
+    """
+    np.matmul(X, cell.W_x, out=buf.reshape(X.shape[:2] + buf.shape[-1:]))
+    buf += cell.b_all
+    W_h = cell.W_h
+    for t in times:
+        z = buf[t]
+        z += h @ W_h
+        h, c = _lstm_gates_(z, c)
+        yield t, h, c
+
+
+def live_lengths(vectors: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Each row's live length: 1 + its last position whose ``mask`` entry is
+    true or whose vector is non-zero, or 0 when it has none.
+
+    ``vectors`` is (..., T, d) and ``mask``, when given, (..., T). A
+    recurrence over a row must run to its live length; every later
+    position holds a zero vector under a false mask entry.
+    """
+    live = vectors.any(axis=-1)
+    if mask is not None:
+        np.logical_or(live, mask, out=live)
+    T = live.shape[-1]
+    return np.where(live.any(axis=-1), T - np.argmax(live[..., ::-1], axis=-1), 0)
+
+
 class BiLstmEncoder:
     """Concatenates a forward and a time-reversed LSTM pass per timestep.
 
     Padded positions are run through the recurrences like any other input
     (their vectors are zero); exclusion happens downstream at attention.
+    Scoring (``forward(keep=False)``) skips the padding past the longest
+    row, which changes no live position's output.
     The input is one ``(T, input_dim)`` sequence or a ``(B, T, input_dim)``
     batch; the output has the same leading axes.
     """
@@ -265,7 +299,7 @@ class BiLstmEncoder:
         return (("fwd", self.fwd, range(T), slice(0, h)),
                 ("bwd", self.bwd, range(T - 1, -1, -1), slice(h, 2 * h)))
 
-    def forward(self, vectors: np.ndarray, keep: bool = True):
+    def forward(self, vectors: np.ndarray, keep: bool = True, mask: np.ndarray | None = None):
         """vectors: (..., T, input_dim) -> H: (..., T, 2*hidden_dim), plus cache.
 
         Per direction, one ``X @ W_x + b`` product over all timesteps fills
@@ -276,33 +310,58 @@ class BiLstmEncoder:
         Backward overwrites those gates, so a cache serves one backward.
 
         With ``keep=False`` (scoring) both directions reuse one gate buffer,
-        no cell states are kept, and the cache is None. The steps are the
-        same, so H is bit-identical to ``keep=True``.
+        no cell states are kept, the cache is None, and only the first L
+        timesteps run, L being the largest of the rows' ``live_lengths``
+        (``mask``, of shape (..., T), marks positions that count as live
+        even when their vector is zero). Every later position holds a zero
+        vector in every row. The forward direction stops at L, and the
+        backward direction starts at L-1 from the state that T-L zero-input
+        steps reach from a zero state, the state every row has there
+        without trimming. That state runs on two zero rows, or on the
+        input's own shape when it has one row, never on one row for a
+        batch (see ``_padding_state``). H is zero at ``t >= L``; below L
+        it is bit-identical to ``keep=True``.
         """
         if vectors.ndim not in (2, 3) or vectors.shape[-1] != self.input_dim:
             raise ShapeError(f"bilstm: input {vectors.shape} vs input_dim {self.input_dim}")
         lead, T = vectors.shape[:-2], vectors.shape[-2]
         n = self.hidden_dim
-        # (T, rows, input_dim): the product runs as one small BLAS call per
+        L = T if keep else int(np.max(live_lengths(vectors, mask), initial=0))
+        # (L, rows, input_dim): the product runs as one small BLAS call per
         # timestep, single-threaded like the h_prev @ W_h calls of the loop.
-        X = np.moveaxis(vectors, -2, 0).reshape(T, math.prod(lead), self.input_dim)
-        H = np.empty((*lead, T, 2 * n))
-        gates = np.empty((2 if keep else 1, T, *lead, 4 * n))
+        X = np.moveaxis(vectors[..., :L, :], -2, 0).reshape(L, math.prod(lead), self.input_dim)
+        H = np.empty((*lead, T, 2 * n)) if keep else np.zeros((*lead, T, 2 * n))
+        # Sized for T, not L: chunks of other lengths then reuse one block
+        # of the same size, where blocks of L rows grew the heap.
+        gates = np.empty((2 if keep else 1, T, *lead, 4 * n))[:, :L]
         states = np.empty((2, T, *lead, n)) if keep else None
-        for d, (_, cell, times, cols) in enumerate(self._directions(T)):
-            buf = gates[d if keep else 0]
-            np.matmul(X, cell.W_x, out=buf.reshape(X.shape[:2] + (4 * n,)))
-            buf += cell.b_all
+        for d, (_, cell, times, cols) in enumerate(self._directions(L)):
             h = c = np.zeros((*lead, n))
-            W_h = cell.W_h
-            for t in times:
-                z = buf[t]
-                z += h @ W_h
-                h, c = _lstm_gates_(z, c)
+            if d and L < T:
+                h, c = self._padding_state(cell, T - L, lead)
+            for t, h, c in _recur(cell, X, gates[d if keep else 0], times, h, c):
                 if keep:
                     states[d, t] = c
                 H[..., t, cols] = h
         return H, ({"X": X, "H": H, "gates": gates, "states": states} if keep else None)
+
+    def _padding_state(self, cell: LstmCell, steps: int, lead: tuple):
+        """(h, c) of ``cell`` for every row of ``lead`` after ``steps`` zero inputs.
+
+        The steps run on two zero rows, or on the input's own shape when it
+        has one row, and the state is then copied to every row: numpy sends
+        a one-row product to gemv, whose sums can differ in the last bit
+        from the gemm a batch runs.
+        """
+        pad = lead if math.prod(lead) == 1 else (2,)
+        n = self.hidden_dim
+        h = c = np.zeros((*pad, n))
+        X = np.zeros((steps, math.prod(pad), self.input_dim))
+        for _, h, c in _recur(cell, X, np.empty((steps, *pad, 4 * n)), range(steps), h, c):
+            pass
+        if pad != lead:
+            h, c = (np.broadcast_to(s[0], (*lead, n)).copy() for s in (h, c))
+        return h, c
 
     def backward(self, cache, dH: np.ndarray):
         """Full BPTT; returns (dX, grads) with grads keyed like params().

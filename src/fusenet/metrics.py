@@ -14,7 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dataset import CLASS_NAMES, PreparedDataset, is_finite_number
+from .layers import live_lengths
 from .model import FusionModel, forward
 from .parallel import ordered_map
 
@@ -111,19 +114,33 @@ def compute_report(preds, labels, k: int, class_names=CLASS_NAMES) -> EvalReport
 
 
 def predict_all(model: FusionModel, data: PreparedDataset, k: int) -> list[list[int]]:
-    """Top-k class indices of every example in ``data``, in order.
+    """Top-k class indices of every example in ``data``, in row order.
 
-    Scores SCORE_CHUNK rows per forward, keeping no backward cache. A row
-    whose text is all padding raises AllMaskedError naming that example.
+    Rows are scored SCORE_CHUNK at a time, keeping no backward cache, in
+    a stable sort by live length (``layers.live_lengths``: 1 + a row's
+    last position whose mask entry is true or whose vector is non-zero).
+    Each chunk's encoder then runs only to its longest row, and its
+    backward direction starts from the state the trailing zero-input steps
+    reach (see ``BiLstmEncoder.forward``), so every row's probabilities
+    are bit-identical to those of the untrimmed forward. A row whose text
+    is all padding raises AllMaskedError naming the first such example in
+    row order: such rows sort first.
     """
+    order = np.arange(len(data))
+    if model.uses_text:
+        seqs = data.seqs
+        key = np.where(seqs.mask.any(axis=-1), live_lengths(seqs.vectors, seqs.mask), -1)
+        order = np.argsort(key, kind="stable")
 
     def score(start: int) -> list[list[int]]:
-        rows = slice(start, start + SCORE_CHUNK)
+        rows = order[start:start + SCORE_CHUNK]
         num, cat, seq = data.inputs(model, rows)
-        return forward(model, num, cat, seq, k=k, example_id=data.ids[rows], keep=False)[0].top_k
+        ids = [data.ids[row] for row in rows]
+        return forward(model, num, cat, seq, k=k, example_id=ids, keep=False)[0].top_k
 
     chunks = ordered_map(score, range(0, len(data), SCORE_CHUNK))
-    return [top for chunk in chunks for top in chunk]
+    scored = [top for chunk in chunks for top in chunk]
+    return [scored[i] for i in np.argsort(order)]  # argsort inverts the permutation
 
 
 def report(model: FusionModel, prepared: PreparedDataset, k: int = 3,

@@ -256,7 +256,9 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
     rng are given, i.e. during training. Its masks are drawn row by row,
     so a batch sees the same masks as its rows run one at a time in order.
     ``keep=False`` is for scoring: the encoder keeps no backward cache, so
-    backward() cannot run on the returned cache.
+    backward() cannot run on the returned cache, and it runs only up to
+    the rows' longest live length (see ``BiLstmEncoder.forward``), which
+    leaves the probabilities bit-identical to ``keep=True``.
     """
     cfg = model.config
     if k is None:
@@ -279,7 +281,7 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
         if model.uses_tabular and seq.vectors.shape[:-2] != num_x.shape[:-1]:
             raise ShapeError(f"sequence batch {seq.vectors.shape} vs features {num_x.shape}")
         try:
-            H, enc_cache = model.encoder.forward(seq.vectors, keep)
+            H, enc_cache = model.encoder.forward(seq.vectors, keep, seq.mask)
             a, _alphas, attn_cache = model.attention.forward(H, seq.mask)
         except AllMaskedError as err:
             if example_id is None:

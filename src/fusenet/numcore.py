@@ -40,12 +40,13 @@ def softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def sigmoid(z):
+def sigmoid(z, out=None):
+    """Logistic function of ``z``, written into ``out`` when given (it may be ``z``)."""
     z = np.asarray(z, dtype=np.float64)
     # exp(-|z|) never overflows, and equals exp(-z) where z >= 0 and
     # exp(z) elsewhere: 1 / (1 + exp(-z)) and exp(z) / (1 + exp(z)).
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 class Rng:

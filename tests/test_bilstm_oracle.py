@@ -7,13 +7,14 @@ step by step. They are kept here only as the oracle. The encoder hoists
 ``X @ W_x`` out of the time loop and keeps the gate activations instead;
 on every input below both must give the same H, dX and four fused
 gradient arrays (each direction's ``W_all`` and ``b_all``) to within 1e-12. The cache-free forward (``keep=False``) must
-give the same H as the cached one, bit for bit.
+give the same H as the cached one, bit for bit, up to the rows' longest
+live length, and zero after it.
 """
 
 import numpy as np
 import pytest
 
-from fusenet.layers import BiLstmEncoder, LstmCell
+from fusenet.layers import BiLstmEncoder, LstmCell, live_lengths
 from fusenet.numcore import Rng, sigmoid
 
 TOL = 1e-12
@@ -91,10 +92,16 @@ def oracle_backward(enc, cache, dH):
     return dX, grads
 
 
+def assert_cache_free_matches(enc, X, H, mask=None):
+    H_free, no_cache = enc.forward(X, keep=False, mask=mask)
+    L = int(np.max(live_lengths(X, mask), initial=0))
+    assert no_cache is None and H_free.shape == H.shape
+    assert np.array_equal(H_free[..., :L, :], H[..., :L, :]) and not H_free[..., L:, :].any()
+
+
 def assert_matches_oracle(enc, X, dH):
     H, cache = enc.forward(X)
-    H_free, no_cache = enc.forward(X, keep=False)
-    assert no_cache is None and np.array_equal(H_free, H)
+    assert_cache_free_matches(enc, X, H)
     dX, grads = enc.backward(cache, dH)
     ref_H, ref_cache = oracle_forward(enc, X)
     ref_dX, ref_grads = oracle_backward(enc, ref_cache, dH)
@@ -126,6 +133,20 @@ def test_ragged_batch_with_pad_tail_and_length_one_row():
     X[np.arange(20) >= lengths[:, None]] = 0.0
     dH = rng.normal((4, 20, 64))
     assert_matches_oracle(encoder(8), X, dH)
+
+
+@pytest.mark.parametrize("B", [1, 2, 4])
+def test_cache_free_forward_of_rows_ending_before_T(B):
+    rng = Rng(16).child(B)
+    lengths = np.array([6, 1, 0, 3])[:B]
+    X = rng.normal((B, 20, 16))
+    X[np.arange(20) >= lengths[:, None]] = 0.0
+    enc = encoder(17)
+    H, _ = enc.forward(X)
+    assert_cache_free_matches(enc, X, H)
+    mask = np.arange(20) < lengths[:, None] + 2  # two trailing OOV positions in each row
+    assert_cache_free_matches(enc, X, H, mask)
+    assert_cache_free_matches(enc, X[0], enc.forward(X[0])[0], mask[0])
 
 
 @pytest.mark.parametrize("T", [1, 20])

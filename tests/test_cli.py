@@ -130,8 +130,7 @@ class TestTrain:
                          "--out", str(tmp_path / "x.afn"), "--epochs", "1"])
         err = capsys.readouterr().err.splitlines()
         assert code == 1
-        assert len(err) == 1 and err[0].startswith("error:")
-        assert "line 5: label must be a string" in err[0]
+        assert err == [f"error: --data {data}: line 5: label must be a string"]
 
     def test_text_without_tokens_trains_and_evaluates(self, workspace, tmp_path, capsys):
         # Text that normalizes to no tokens embeds as one OOV position, so
@@ -332,6 +331,27 @@ def one_error_line(capsys, argv) -> str:
 
 
 class TestEval:
+    @pytest.mark.parametrize("split", ["all", "test"])
+    def test_bad_record_names_data_and_line(self, workspace, tmp_path, capsys, split):
+        lines = open(workspace["data"], encoding="utf-8").read().splitlines()
+        doc = json.loads(lines[2])
+        doc["text"] = 7
+        lines[2] = json.dumps(doc)
+        data = tmp_path / "bad.jsonl"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        err = one_error_line(capsys, ["eval", "--model", workspace["checkpoints"]["mlp"],
+                                      "--data", str(data), "--split", split])
+        assert err == f"error: --data {data}: line 3: id and text must be strings"
+
+    def test_class_too_small_to_split_names_data(self, workspace, tmp_path, capsys):
+        data = tmp_path / "small.jsonl"
+        data.write_text("".join(open(workspace["data"], encoding="utf-8").readlines()[:2]),
+                        encoding="utf-8")
+        err = one_error_line(capsys, ["eval", "--model", workspace["checkpoints"]["mlp"],
+                                      "--data", str(data), "--split", "val"])
+        assert err.startswith(f"error: --data {data}: class ")
+        assert err.endswith(" examples, fewer than 3 splits")
+
     def test_pipeline_of_another_width_is_named(self, workspace, tmp_path, capsys):
         pipeline = narrower_pipeline(workspace, tmp_path)
         cat_dim = load(workspace["checkpoints"]["mlp"]).config.cat_feature_dim

@@ -84,6 +84,12 @@ class TestSoftmax:
             softmax(np.array([]))
 
 
+def reference_sigmoid(z):
+    """The two-branch form sigmoid replaced: 1 / (1 + e) and e / (1 + e), e = exp(-|z|)."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 class TestElementwise:
     def test_sigmoid_at_zero(self):
         assert sigmoid(np.array([0.0]))[0] == 0.5
@@ -106,6 +112,15 @@ class TestElementwise:
         t = np.tanh(np.clip(x, -15, 15))
         assert np.all((s > 0) & (s < 1))
         assert np.all((t > -1) & (t < 1))
+
+    def test_sigmoid_equals_the_two_branch_form_bit_for_bit(self):
+        z = np.concatenate([Rng(6).normal(400_000) * s for s in (1.0, 8.0, 40.0)]
+                           + [np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan])])
+        assert np.array_equal(sigmoid(z), reference_sigmoid(z), equal_nan=True)
+        block = z[:96 * 64].reshape(64, 96).copy()
+        want = reference_sigmoid(block[:, :72])
+        out = sigmoid(block[:, :72], out=block[:, :72])
+        assert out.base is block and np.array_equal(block[:, :72], want)
 
     def test_saturation_is_clamped_not_nan(self):
         s = sigmoid(np.array([-1000.0, 1000.0]))

@@ -1,4 +1,5 @@
-"""Same-seed training writes byte-identical checkpoints at any BLAS thread count.
+"""Same-seed training writes byte-identical checkpoints at any BLAS thread count,
+and length-trimmed scoring gives the untrimmed forward's bytes at each.
 
 The benchmark compares checkpoints and reports of ``fusenet`` child
 processes with results computed in its own process, and the two need
@@ -14,6 +15,29 @@ import fusenet
 from fusenet import cli
 
 SRC = Path(fusenet.__file__).resolve().parents[1]
+TESTS = Path(__file__).resolve().parent
+
+# Prints, per variant and chunk size, a digest of the keep=False
+# probabilities and whether they equal the keep=True ones byte for byte.
+SCORE_RAGGED_SET = """
+import hashlib
+from test_trimmed_scoring import ragged_set, scored
+for variant in ("fusion", "text"):
+    model, data = ragged_set(variant)
+    for size in (1, 2, 64):
+        free, kept = scored(model, data, size)
+        print(variant, size, hashlib.sha256(free.tobytes()).hexdigest(),
+              free.tobytes() == kept.tobytes())
+"""
+
+
+def run_at_threads(threads, argv):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_fusion_checkpoint_independent_of_blas_threads(tmp_path):
@@ -23,15 +47,20 @@ def test_fusion_checkpoint_independent_of_blas_threads(tmp_path):
     checkpoints = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}.afn"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "fusenet.cli", "train", "--data", str(data),
-             "--variant", "fusion", "--embeddings", str(vec), "--out", str(out),
-             "--epochs", "2", "--seed", "0", "--lstm-hidden", "32", "--mlp-hidden", "32",
-             "--max-seq-len", "20", "--batch-size", "32", "--lr", "3e-3"],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
+        run_at_threads(threads, [
+            "-m", "fusenet.cli", "train", "--data", str(data),
+            "--variant", "fusion", "--embeddings", str(vec), "--out", str(out),
+            "--epochs", "2", "--seed", "0", "--lstm-hidden", "32", "--mlp-hidden", "32",
+            "--max-seq-len", "20", "--batch-size", "32", "--lr", "3e-3"])
         checkpoints.append(out.read_bytes())
     assert checkpoints[0] == checkpoints[1]
+
+
+def test_trimmed_scoring_equals_the_untrimmed_forward_at_one_and_two_threads():
+    outputs = [run_at_threads(threads, ["-c", SCORE_RAGGED_SET]) for threads in ("1", "2")]
+    for out in outputs:
+        lines = [line.split() for line in out.splitlines()]
+        assert [(v, size) for v, size, _, _ in lines] == [
+            (v, size) for v in ("fusion", "text") for size in ("1", "2", "64")]
+        assert all(same == "True" for *_, same in lines), out
+    assert outputs[0] == outputs[1]

@@ -1,0 +1,139 @@
+"""Length-aware scoring against the untrimmed forward.
+
+``forward(..., keep=False)`` runs the encoder only up to the rows' longest
+live length and starts the backward direction from the padding state;
+``forward(..., keep=True)`` runs every timestep and is the oracle. The
+ragged set uses the quickstart shapes (T=20, E=16, H=32) with weights
+moved away from their initial values, and holds full-length rows,
+length-1 rows, an empty text (one OOV position), zero-vector OOV tokens
+inside and at the end of texts, and a row with non-zero vectors under
+false mask entries.
+"""
+
+import numpy as np
+import pytest
+
+from fusenet import metrics
+from fusenet.dataset import PreparedDataset
+from fusenet.embeddings import EmbeddedSequence
+from fusenet.layers import AllMaskedError, live_lengths
+from fusenet.metrics import compute_report, topk_accuracy
+from fusenet.model import ModelConfig, build_variant, forward, topk_indices
+from fusenet.numcore import Rng
+from fusenet.training import _validation_topk_accuracy
+
+T, E = 20, 16
+EMPTY, HIDDEN_TAIL = 7, 9  # rows with one OOV position, and with vectors under false entries
+
+
+def ragged_set(variant, n=70, seed=3):
+    """A ``variant`` model and n ragged rows; sorted by live length, the
+    first 64 rows all end before T."""
+    rng = Rng(seed)
+    config = ModelConfig(num_feature_dim=6, cat_feature_dim=5, embed_dim=E, lstm_hidden=32,
+                         mlp_hidden=32, num_classes=13, max_seq_len=T, seed=seed)
+    model = build_variant(config, variant)
+    model.theta += rng.normal(model.theta.shape, scale=0.3)
+    lengths = rng.integers(2, 15, n)
+    lengths[[5, 40]] = T
+    lengths[[3, 50, 51]] = 1
+    lengths[HIDDEN_TAIL] = 4
+    mask = np.arange(T) < lengths[:, None]
+    vectors = rng.normal((n, T, E)) * mask[..., None]
+    vectors[rng.random((n, T)) < 0.1] = 0.0  # OOV tokens, some of them a text's last
+    vectors[EMPTY], mask[EMPTY] = 0.0, np.arange(T) == 0
+    vectors[HIDDEN_TAIL, 12] = rng.normal(E)
+    data = PreparedDataset(ids=[f"r{i}" for i in range(n)], labels=rng.integers(0, 13, n),
+                           num=rng.normal((n, 6)), cat=(rng.random((n, 5)) < 0.5).astype(float),
+                           seqs=EmbeddedSequence(vectors=vectors, mask=mask))
+    return model, data
+
+
+def scored(model, data, size):
+    """keep=False and keep=True probabilities of every row (in row order),
+    scored ``size`` rows per forward in stable live-length order."""
+    order = np.argsort(live_lengths(data.seqs.vectors, data.seqs.mask), kind="stable")
+    free, kept = (np.empty((len(data), model.config.num_classes)) for _ in range(2))
+    for start in range(0, len(data), size):
+        rows = order[start:start + size]
+        inputs = data.inputs(model, rows)
+        free[rows] = forward(model, *inputs, keep=False)[0].probs
+        kept[rows] = forward(model, *inputs)[0].probs
+    return free, kept
+
+
+def row_order_oracle(model, data, k=3):
+    """Top-k of every row from untrimmed forwards of SCORE_CHUNK rows in row order."""
+    tops = []
+    for start in range(0, len(data), metrics.SCORE_CHUNK):
+        rows = slice(start, start + metrics.SCORE_CHUNK)
+        tops += forward(model, *data.inputs(model, rows), k=k)[0].top_k
+    return tops
+
+
+def test_live_lengths_count_true_mask_entries_and_non_zero_vectors():
+    vectors = np.zeros((5, 6, 2))
+    mask = np.zeros((5, 6), dtype=bool)
+    mask[0, :3] = True  # zero vectors (OOV) up to a true entry: 3
+    vectors[1, 4, 1] = -0.5  # a non-zero vector under a false entry: 5
+    mask[2, 0], vectors[2, 5, 0] = True, np.nan  # NaN is not zero: 6
+    mask[4] = True  # full: 6; row 3 is empty: 0
+    assert live_lengths(vectors, mask).tolist() == [3, 5, 6, 0, 6]
+    assert live_lengths(vectors).tolist() == [0, 5, 6, 0, 0]
+    assert live_lengths(vectors[1], mask[1]) == 5
+
+
+def test_the_ragged_set_trims_every_chunk_size():
+    _, data = ragged_set("fusion")
+    lengths = live_lengths(data.seqs.vectors, data.seqs.mask)
+    assert lengths[EMPTY] == 1 and lengths[HIDDEN_TAIL] == 13 and np.sum(lengths == T) == 2
+    assert np.sort(lengths)[metrics.SCORE_CHUNK - 1] < T
+
+
+@pytest.mark.parametrize("size", [1, 2, 64])
+@pytest.mark.parametrize("variant", ["fusion", "text"])
+def test_cache_free_forward_equals_the_untrimmed_forward_bit_for_bit(variant, size):
+    model, data = ragged_set(variant)
+    free, kept = scored(model, data, size)
+    assert np.array_equal(free, kept)
+
+
+@pytest.mark.parametrize("variant", ["fusion", "text"])
+def test_one_example_forward_equals_the_untrimmed_forward_bit_for_bit(variant):
+    model, data = ragged_set(variant)
+    for j in (3, 5, EMPTY, HIDDEN_TAIL, 20):
+        inputs = data.inputs(model, j)
+        assert inputs[2].vectors.ndim == 2
+        free = forward(model, *inputs, keep=False)[0].probs
+        assert np.array_equal(free, forward(model, *inputs)[0].probs), j
+
+
+@pytest.mark.parametrize("n", [70, metrics.SCORE_CHUNK + 1])
+def test_predict_all_returns_rows_in_row_order(monkeypatch, n):
+    model, data = ragged_set("fusion", n=n)
+    batch_rows = []
+
+    def counting_forward(model, num_x, cat_x, seq, **kwargs):
+        batch_rows.append(len(num_x))
+        return forward(model, num_x, cat_x, seq, **kwargs)
+
+    monkeypatch.setattr(metrics, "forward", counting_forward)
+    assert metrics.predict_all(model, data, 3) == row_order_oracle(model, data)
+    assert batch_rows == [metrics.SCORE_CHUNK, n - metrics.SCORE_CHUNK]
+    free, _ = scored(model, data, metrics.SCORE_CHUNK)
+    assert metrics.predict_all(model, data, 4) == topk_indices(free, 4)
+
+
+def test_report_and_validation_accuracy_are_those_of_the_untrimmed_forward():
+    model, data = ragged_set("fusion")
+    expected = row_order_oracle(model, data)
+    assert metrics.report(model, data, k=3) == compute_report(expected, data.labels, 3)
+    assert _validation_topk_accuracy(model, data, 3) == topk_accuracy(expected, data.labels)
+
+
+def test_all_masked_error_names_the_first_such_example_in_row_order():
+    model, data = ragged_set("fusion")
+    data.seqs.mask[HIDDEN_TAIL] = False  # still live to position 13 through its vectors
+    data.seqs.vectors[66], data.seqs.mask[66] = 0.0, False  # live length 0, a later chunk
+    with pytest.raises(AllMaskedError, match=f"example r{HIDDEN_TAIL}:"):
+        metrics.predict_all(model, data, 3)
