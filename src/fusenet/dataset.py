@@ -118,8 +118,13 @@ def load_jsonl(path) -> list[Example]:
     """Load and validate a dataset; errors name the offending line."""
     examples: list[Example] = []
     width = None
-    with open(path, encoding="utf-8") as fh:
+    # Undecodable bytes become lone surrogates, which re-encoding finds line by line.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise DatasetError(f"line {lineno}: not valid UTF-8") from None
             if not line.strip():
                 continue
             try:

@@ -13,11 +13,23 @@ per-example gradients; the one-example shapes keep working unchanged.
 Weight convention follows the dense form y = act(W^T x + b) with W
 stored as (in, out). LSTM gates act on [h_prev, x_t] through one fused
 (hidden+input, 4*hidden) matrix whose first hidden rows (W_h) take
-h_prev and the rest (W_x) take x_t. The encoder computes x_t @ W_x for
-every timestep before its time loop, so a step adds one h_prev @ W_h
-product for all gates and all rows of a batch (the fused RNN layout of
-Appleyard et al. 2016, arXiv:1604.01946). Its backward reads the gate
-activations forward kept instead of recomputing them.
+h_prev and the rest (W_x) take x_t. The encoder advances its forward
+and backward cells in one time loop, with their states and gate rows
+stacked on a leading direction axis. In training it computes x_t @ W_x
+for every timestep before the loop, so a step adds one h_prev @ W_h
+product for all gates, both directions and all rows of a batch (the
+fused RNN layout of Appleyard et al. 2016, arXiv:1604.01946). Its
+backward reads the gate activations forward kept instead of recomputing
+them.
+
+The gate math runs on a gate-major copy of each step's gate rows, where
+every gate is one contiguous block; the products stay on the row-major
+(2, rows, 4*hidden) rows. Each stacked product is then the gemm (gemv
+for one row) that one direction alone would run, so its sums are added
+in the same order. Products on the gate-major blocks would not be: the
+backward's dz @ W_h^T would split its 4*hidden sum into four, and
+transposed W^T h^T products run other kernels. Either changes the last
+bits of H, the gradients and the checkpoints.
 """
 
 from __future__ import annotations
@@ -106,30 +118,43 @@ class DenseLayer:
         return dx, grads
 
 
-def _lstm_gates_(z: np.ndarray, c_prev: np.ndarray):
-    """Activate gate pre-activations ``z`` (..., 4*hidden) in place; return (h, c).
+def _gate_major(z: np.ndarray) -> np.ndarray:
+    """(4, ..., hidden) view of gate rows ``z`` (..., 4*hidden), one gate per leading index."""
+    return np.moveaxis(z.reshape(*z.shape[:-1], 4, z.shape[-1] // 4), -2, 0)
 
-    Afterwards ``z`` holds the activations [i, f, o, q] in GATES order.
-    This and ``_lstm_gates_backward_`` are the only copy of the LSTM gate
-    math: ``LstmCell.step`` and the encoder's time loop both call them.
+
+def _lstm_gates_(z: np.ndarray, c_prev: np.ndarray, c=None):
+    """Activate gate pre-activations ``z`` in place; return (h, c).
+
+    ``z`` is the ``_gate_major`` view (4, ..., hidden) of gate rows. The
+    math runs on a contiguous copy of it, where each gate is one block;
+    ``z`` then receives the activations [i, f, o, q] in GATES order.
+    ``c``, when given, receives the new cell state (it may be
+    ``c_prev``). This and ``_lstm_gates_backward_`` are the only copy of
+    the LSTM gate math: ``LstmCell.step`` and the encoder's time loop
+    both call them.
     """
-    n = z.shape[-1] // 4
-    sigmoid(z[..., : 3 * n], out=z[..., : 3 * n])
-    np.tanh(z[..., 3 * n :], out=z[..., 3 * n :])
-    i, f, o, q = z[..., :n], z[..., n : 2 * n], z[..., 2 * n : 3 * n], z[..., 3 * n :]
-    c = f * c_prev + i * q
-    return o * np.tanh(c), c
+    g = z.copy()
+    sigmoid(g[:3], out=g[:3])
+    i, f, o, q = g
+    np.tanh(q, out=q)
+    c = np.multiply(f, c_prev, out=c)
+    c += i * q
+    h = o * np.tanh(c)
+    z[...] = g
+    return h, c
 
 
-def _lstm_gates_backward_(g: np.ndarray, c_prev: np.ndarray, c: np.ndarray,
+def _lstm_gates_backward_(z: np.ndarray, c_prev: np.ndarray, c: np.ndarray,
                           dh: np.ndarray, dc: np.ndarray) -> np.ndarray:
-    """Overwrite the activations ``g`` = [i, f, o, q] with dLoss/dz in place.
+    """Overwrite the activations ``z`` = [i, f, o, q] with dLoss/dz in place.
 
-    ``dh`` and ``dc`` are dLoss/dh_t and dLoss/dc_t (from the output and
-    the future); returns dLoss/dc_prev.
+    ``z`` is a ``_gate_major`` view, and the math runs on a contiguous
+    copy as in ``_lstm_gates_``. ``dh`` and ``dc`` are dLoss/dh_t and
+    dLoss/dc_t (from the output and the future); returns dLoss/dc_prev.
     """
-    n = g.shape[-1] // 4
-    i, f, o, q = g[..., :n], g[..., n : 2 * n], g[..., 2 * n : 3 * n], g[..., 3 * n :]
+    g = z.copy()
+    i, f, o, q = g
     tc = np.tanh(c)
     dc_total = dh * o
     dc_total *= 1.0 - tc * tc
@@ -137,14 +162,18 @@ def _lstm_gates_backward_(g: np.ndarray, c_prev: np.ndarray, c: np.ndarray,
     dc_prev = dc_total * f
     # d/dz of sigmoid gates is g * (1 - g), times what each gate scales:
     # dz_i = dc_total*q*i*(1-i), dz_f = dc_total*c_prev*f*(1-f), dz_o = dh*tc*o*(1-o).
-    scale = np.concatenate([dc_total * q, dc_total * c_prev, dh * tc], axis=-1)
+    scale = np.empty((3, *c.shape))
+    np.multiply(dc_total, q, out=scale[0])
+    np.multiply(dc_total, c_prev, out=scale[1])
+    np.multiply(dh, tc, out=scale[2])
     np.multiply(q, q, out=q)
     np.subtract(1.0, q, out=q)
     q *= dc_total * i  # dz_q = dc_total*i*(1-q^2)
-    sig = g[..., : 3 * n]
+    sig = g[:3]
     scale *= sig
     np.subtract(1.0, sig, out=sig)
     sig *= scale
+    z[...] = g
     return dc_prev
 
 
@@ -206,7 +235,7 @@ class LstmCell:
         gates = x_t @ self.W_x
         gates += self.b_all
         gates += h_prev @ self.W_h
-        h, c = _lstm_gates_(gates, c_prev)
+        h, c = _lstm_gates_(_gate_major(gates), c_prev)
         cache = {"h_prev": h_prev, "x": x_t, "gates": gates, "c_prev": c_prev, "c": c,
                  **dict(zip(self.GATES, np.split(gates, 4, axis=-1)))}
         return h, c, cache
@@ -219,29 +248,12 @@ class LstmCell:
         W_all and b_all and summed over batch rows.
         """
         dz = cache["gates"].copy()
-        dc_prev = _lstm_gates_backward_(dz, cache["c_prev"], cache["c"], dh, dc)
+        dc_prev = _lstm_gates_backward_(_gate_major(dz), cache["c_prev"], cache["c"], dh, dc)
         rows = dz.reshape(-1, 4 * self.hidden_dim)
         h_prev = cache["h_prev"].reshape(-1, self.hidden_dim)
         x = cache["x"].reshape(-1, self.input_dim)
         dW = np.concatenate([h_prev.T @ rows, x.T @ rows])
         return dz @ self.W_h.T, dc_prev, dz @ self.W_x.T, dW, rows.sum(axis=0)
-
-
-def _recur(cell: LstmCell, X: np.ndarray, buf: np.ndarray, times, h, c):
-    """Run ``cell`` over the timesteps ``times`` of ``X`` from the state (h, c).
-
-    ``X`` is time-major, (steps, rows, input_dim); ``buf``, of shape
-    (steps, ..., 4*hidden), receives ``X @ W_x + b`` and then each step's
-    gate activations. Yields (t, h, c) after each step.
-    """
-    np.matmul(X, cell.W_x, out=buf.reshape(X.shape[:2] + buf.shape[-1:]))
-    buf += cell.b_all
-    W_h = cell.W_h
-    for t in times:
-        z = buf[t]
-        z += h @ W_h
-        h, c = _lstm_gates_(z, c)
-        yield t, h, c
 
 
 def live_lengths(vectors: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
@@ -293,83 +305,123 @@ class BiLstmEncoder:
         return {f"{d}.{name}": arr for d, cell in (("fwd", self.fwd), ("bwd", self.bwd))
                 for name, arr in cell.params().items()}
 
-    def _directions(self, T: int):
-        """(name, cell, timesteps in processing order, output columns)."""
-        h = self.hidden_dim
-        return (("fwd", self.fwd, range(T), slice(0, h)),
-                ("bwd", self.bwd, range(T - 1, -1, -1), slice(h, 2 * h)))
+    def _stacked(self):
+        """Both cells' (W_h, W_x, b) stacked on a leading direction axis, fwd first."""
+        n = self.hidden_dim
+        W = np.stack([self.fwd.W_all, self.bwd.W_all])
+        return W[:, :n], W[:, n:], np.stack([self.fwd.b_all, self.bwd.b_all])[:, None]
+
+    def _recur(self, W, V: np.ndarray, gates: np.ndarray, h, c, H, cs=None):
+        """Advance both directions over the timesteps of ``V`` from the state (h, c).
+
+        ``W`` is ``_stacked()``, ``V`` the input (rows, steps, input_dim),
+        and (h, c) are (2, rows, hidden). Step k runs the forward cell at
+        t=k and the backward cell at t=steps-1-k, and writes their hidden
+        states to ``H`` (rows, >= steps, 2*hidden) at those t. With ``cs``,
+        ``gates`` (steps, 2, rows, 4*hidden) holds each step's ``x @ W_x +
+        b`` and receives its gate activations, and ``cs[k]`` receives step
+        k's cell states. Without it, each step computes its ``x @ W_x + b`` into a
+        one-step ``gates``, and ``c`` is updated in place. Each product is
+        the gemm (gemv for one row) that one direction alone would run.
+        Returns the last (h, c).
+        """
+        W_h, W_x, b = W
+        by_gate = _gate_major(gates)
+        n, steps = self.hidden_dim, V.shape[1]
+        for k in range(steps):
+            j = 0 if cs is None else k
+            z = gates[j]
+            if cs is None:
+                np.matmul(V[:, k], W_x[0], out=z[0])
+                np.matmul(V[:, steps - 1 - k], W_x[1], out=z[1])
+                z += b
+            z += h @ W_h
+            h, c = _lstm_gates_(by_gate[:, j], c, c if cs is None else cs[k])
+            H[:, k, :n] = h[0]
+            H[:, steps - 1 - k, n:] = h[1]
+        return h, c
 
     def forward(self, vectors: np.ndarray, keep: bool = True, mask: np.ndarray | None = None):
         """vectors: (..., T, input_dim) -> H: (..., T, 2*hidden_dim), plus cache.
 
-        Per direction, one ``X @ W_x + b`` product over all timesteps fills
-        a time-major ``(T, ..., 4*hidden)`` gate buffer; each step adds
-        ``h_prev @ W_h`` and activates its gates in place. The cache keeps
-        the input, H, and per direction every step's gate activations and
-        cell state, which backward reads instead of recomputing them.
-        Backward overwrites those gates, so a cache serves one backward.
+        One time loop advances both directions: step k runs the forward
+        cell at t=k and the backward cell at t=T-1-k, with their states and
+        gate rows stacked on a leading direction axis, (2, rows, 4*hidden).
+        One ``X @ W_x + b`` product over a step-major copy of the input,
+        (T, 2, rows, input_dim), fills a (T, 2, rows, 4*hidden) gate
+        buffer; each step adds ``h_prev @ W_h`` for both directions in one
+        matmul and activates its gates in place. The cache keeps that
+        input, every step's gate activations and cell states, which
+        backward reads instead of recomputing them. Backward overwrites
+        the gates and the input, so a cache serves one backward.
 
-        With ``keep=False`` (scoring) both directions reuse one gate buffer,
-        no cell states are kept, the cache is None, and only the first L
-        timesteps run, L being the largest of the rows' ``live_lengths``
-        (``mask``, of shape (..., T), marks positions that count as live
-        even when their vector is zero). Every later position holds a zero
-        vector in every row. The forward direction stops at L, and the
-        backward direction starts at L-1 from the state that T-L zero-input
-        steps reach from a zero state, the state every row has there
-        without trimming. That state runs on two zero rows, or on the
-        input's own shape when it has one row, never on one row for a
-        batch (see ``_padding_state``). H is zero at ``t >= L``; below L
-        it is bit-identical to ``keep=True``.
+        With ``keep=False`` (scoring) each step computes its own ``x @ W_x
+        + b`` from ``vectors`` into a one-step gate buffer, no states are
+        kept, the cache is None, and only the first L timesteps run, L
+        being the largest of the rows' ``live_lengths`` (``mask``, of shape
+        (..., T), marks positions that count as live even when their
+        vector is zero). Every later position holds a zero vector in every
+        row. The forward direction stops at L, and the backward direction
+        starts at L-1 from the state that T-L zero-input steps reach from a
+        zero state, the state every row has there without trimming. That
+        state runs on two zero rows, or on one when the input has one row,
+        never on one row for a batch (see ``_padding_state``). H is zero at
+        ``t >= L``; below L it is bit-identical to ``keep=True``.
         """
         if vectors.ndim not in (2, 3) or vectors.shape[-1] != self.input_dim:
             raise ShapeError(f"bilstm: input {vectors.shape} vs input_dim {self.input_dim}")
         lead, T = vectors.shape[:-2], vectors.shape[-2]
-        n = self.hidden_dim
+        rows, n = math.prod(lead), self.hidden_dim
         L = T if keep else int(np.max(live_lengths(vectors, mask), initial=0))
-        # (L, rows, input_dim): the product runs as one small BLAS call per
-        # timestep, single-threaded like the h_prev @ W_h calls of the loop.
-        X = np.moveaxis(vectors[..., :L, :], -2, 0).reshape(L, math.prod(lead), self.input_dim)
-        H = np.empty((*lead, T, 2 * n)) if keep else np.zeros((*lead, T, 2 * n))
-        # Sized for T, not L: chunks of other lengths then reuse one block
-        # of the same size, where blocks of L rows grew the heap.
-        gates = np.empty((2 if keep else 1, T, *lead, 4 * n))[:, :L]
-        states = np.empty((2, T, *lead, n)) if keep else None
-        for d, (_, cell, times, cols) in enumerate(self._directions(L)):
-            h = c = np.zeros((*lead, n))
-            if d and L < T:
-                h, c = self._padding_state(cell, T - L, lead)
-            for t, h, c in _recur(cell, X, gates[d if keep else 0], times, h, c):
-                if keep:
-                    states[d, t] = c
-                H[..., t, cols] = h
-        return H, ({"X": X, "H": H, "gates": gates, "states": states} if keep else None)
+        V = vectors[..., :L, :].reshape(rows, L, self.input_dim)
+        W = self._stacked()
+        _, W_x, b = W
+        h, c = np.zeros((2, 2, rows, n))
+        if L < T:
+            h[1], c[1] = self._padding_state(W, T - L, rows)
+        H = np.empty((rows, T, 2 * n)) if keep else np.zeros((rows, T, 2 * n))
+        X = cs = None
+        if keep:
+            X = np.empty((T, 2, rows, self.input_dim))
+            X[:, 0] = V.swapaxes(0, 1)
+            X[:, 1] = X[::-1, 0]
+            gates = np.matmul(X, W_x)
+            gates += b
+            cs = np.empty((T, 2, rows, n))
+        else:
+            # One step's gate rows, in a block sized for T steps like
+            # training's: after the first chunk glibc then keeps each
+            # chunk's buffers on the heap, where a one-step block let it
+            # trim the heap and fault 1.1 MB back in for every 64-row chunk.
+            gates = np.empty((T, 2, rows, 4 * n))[:1]
+        self._recur(W, V, gates, h, c, H, cs)
+        H = H.reshape(*lead, T, 2 * n)
+        return H, ({"X": X, "H": H, "gates": gates, "cs": cs} if keep else None)
 
-    def _padding_state(self, cell: LstmCell, steps: int, lead: tuple):
-        """(h, c) of ``cell`` for every row of ``lead`` after ``steps`` zero inputs.
+    def _padding_state(self, W, steps: int, rows: int):
+        """(h, c) of the backward cell for ``rows`` rows after ``steps`` zero inputs.
 
-        The steps run on two zero rows, or on the input's own shape when it
-        has one row, and the state is then copied to every row: numpy sends
-        a one-row product to gemv, whose sums can differ in the last bit
-        from the gemm a batch runs.
+        The steps run on two zero rows, or on one when ``rows`` is 1, and
+        the state is then copied to every row: numpy sends a one-row
+        product to gemv, whose sums can differ in the last bit from the
+        gemm a batch runs. The loop advances the forward cell too, whose
+        state is discarded.
         """
-        pad = lead if math.prod(lead) == 1 else (2,)
-        n = self.hidden_dim
-        h = c = np.zeros((*pad, n))
-        X = np.zeros((steps, math.prod(pad), self.input_dim))
-        for _, h, c in _recur(cell, X, np.empty((steps, *pad, 4 * n)), range(steps), h, c):
-            pass
-        if pad != lead:
-            h, c = (np.broadcast_to(s[0], (*lead, n)).copy() for s in (h, c))
-        return h, c
+        pad, n = 1 if rows == 1 else 2, self.hidden_dim
+        h, c = np.zeros((2, 2, pad, n))
+        h, c = self._recur(W, np.zeros((pad, steps, self.input_dim)), np.empty((1, 2, pad, 4 * n)),
+                           h, c, np.empty((pad, steps, 2 * n)))
+        return h[1, 0], c[1, 0]
 
     def backward(self, cache, dH: np.ndarray):
         """Full BPTT; returns (dX, grads) with grads keyed like params().
 
-        Each step's dLoss/dz overwrites that step's kept gates. The loop
-        adds the step's weight gradients and carries ``dz @ W_h^T``; the
-        bias and input gradients are one sum and one product per direction
-        after it.
+        The time loop runs the forward loop's steps in reverse, both
+        directions at once. Each step's dLoss/dz overwrites that step's
+        kept gates; the step adds its weight gradients (one ``x^T dz`` and
+        one ``h_prev^T dz`` matmul over the direction axis) and carries
+        ``dz @ W_h^T``. The bias gradients are one sum per direction and
+        the input gradient one product over all steps after it.
         """
         if cache is None:
             raise ValueError("bilstm backward: forward ran with keep=False and kept no cache")
@@ -378,32 +430,35 @@ class BiLstmEncoder:
             raise ShapeError(f"bilstm backward: grad {dH.shape} vs {H.shape}")
         if "gates" not in cache:
             raise ValueError("bilstm backward: cache already used; backward overwrites its gates")
-        gates, states = cache.pop("gates"), cache["states"]
-        lead, T = H.shape[:-2], H.shape[-2]
-        n = self.hidden_dim
-        dX = np.zeros(X.shape)
-        grads = {}
-        zeros = np.zeros((*lead, n))
-        for d, (name, cell, times, cols) in enumerate(self._directions(T)):
-            dH_t = np.moveaxis(dH[..., cols], -2, 0)
-            W_hT = cell.W_h.T
-            dW = np.zeros_like(cell.W_all)
-            dW_h, dW_x = dW[:n], dW[n:]
-            dh = dc = zeros
-            for k in range(T - 1, -1, -1):
-                t = times[k]
-                dz = gates[d, t]
-                dc = _lstm_gates_backward_(dz, states[d, times[k - 1]] if k else zeros,
-                                           states[d, t], dH_t[t] + dh, dc)
-                rows = dz.reshape(-1, 4 * n)
-                dW_x += X[t].T @ rows
-                if k:  # the first step's h_prev is zero
-                    dW_h += H[..., times[k - 1], cols].reshape(-1, n).T @ rows
-                    dh = dz @ W_hT
-            dz = gates[d].reshape(X.shape[:2] + (4 * n,))
-            dX += np.matmul(dz, cell.W_x.T)
-            grads[f"{name}.W_all"], grads[f"{name}.b_all"] = dW, dz.sum(axis=(0, 1))
-        return np.moveaxis(dX.reshape(T, *lead, self.input_dim), 0, -2), grads
+        gates, cs = cache.pop("gates"), cache["cs"]
+        T, _, rows, n = cs.shape
+        W_h, W_x, _ = self._stacked()
+        W_hT = W_h.swapaxes(1, 2)
+        H, dH = H.reshape(rows, T, 2 * n), dH.reshape(rows, T, 2 * n)
+        h_prev = np.empty((2, rows, n))
+        dW = np.zeros((2, *self.fwd.W_all.shape))
+        dW_h, dW_x = dW[:, :n], dW[:, n:]
+        zeros = np.zeros((2, rows, n))
+        dh, dc = np.zeros((2, 2, rows, n))  # dLoss/dh and dLoss/dc from the next step
+        by_gate = _gate_major(gates)
+        for k in range(T - 1, -1, -1):
+            dh[0] += dH[:, k, :n]  # plus dLoss/dh from the output
+            dh[1] += dH[:, T - 1 - k, n:]
+            dz = gates[k]
+            dc = _lstm_gates_backward_(by_gate[:, k], cs[k - 1] if k else zeros, cs[k], dh, dc)
+            dW_x += X[k].swapaxes(1, 2) @ dz
+            if k:  # the first step's h_prev is zero
+                h_prev[0] = H[:, k - 1, :n]
+                h_prev[1] = H[:, T - k, n:]
+                dW_h += h_prev.swapaxes(1, 2) @ dz
+                dh = dz @ W_hT
+        np.matmul(gates, W_x.swapaxes(1, 2), out=X)  # the input is spent: X takes dLoss/dx
+        dX = np.zeros((T, rows, self.input_dim))  # from zeros, so a -0.0 sums as before
+        dX += X[:, 0]
+        dX[::-1] += X[:, 1]
+        grads = {"fwd.W_all": dW[0], "fwd.b_all": gates[:, 0].sum(axis=(0, 1)),
+                 "bwd.W_all": dW[1], "bwd.b_all": gates[::-1, 1].sum(axis=(0, 1))}
+        return np.moveaxis(dX.reshape(T, *cache["H"].shape[:-2], self.input_dim), 0, -2), grads
 
 
 class FeedforwardAttention:

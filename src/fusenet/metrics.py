@@ -113,10 +113,24 @@ def compute_report(preds, labels, k: int, class_names=CLASS_NAMES) -> EvalReport
     )
 
 
+def chunk_bounds(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of each scoring chunk of ``n`` rows, SCORE_CHUNK rows each.
+
+    When the last chunk would hold one row, the last SCORE_CHUNK + 1 rows
+    split into two chunks instead: numpy sends a one-row product to gemv,
+    whose sums can differ in the last bit from the gemm of a larger chunk.
+    So a row is scored alone only when ``n`` is 1.
+    """
+    bounds = [*range(0, n, SCORE_CHUNK), n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        bounds[-2] -= SCORE_CHUNK // 2
+    return list(zip(bounds, bounds[1:]))
+
+
 def predict_all(model: FusionModel, data: PreparedDataset, k: int) -> list[list[int]]:
     """Top-k class indices of every example in ``data``, in row order.
 
-    Rows are scored SCORE_CHUNK at a time, keeping no backward cache, in
+    Rows are scored in ``chunk_bounds`` chunks, keeping no backward cache, in
     a stable sort by live length (``layers.live_lengths``: 1 + a row's
     last position whose mask entry is true or whose vector is non-zero).
     Each chunk's encoder then runs only to its longest row, and its
@@ -132,13 +146,13 @@ def predict_all(model: FusionModel, data: PreparedDataset, k: int) -> list[list[
         key = np.where(seqs.mask.any(axis=-1), live_lengths(seqs.vectors, seqs.mask), -1)
         order = np.argsort(key, kind="stable")
 
-    def score(start: int) -> list[list[int]]:
-        rows = order[start:start + SCORE_CHUNK]
+    def score(bounds: tuple[int, int]) -> list[list[int]]:
+        rows = order[slice(*bounds)]
         num, cat, seq = data.inputs(model, rows)
         ids = [data.ids[row] for row in rows]
         return forward(model, num, cat, seq, k=k, example_id=ids, keep=False)[0].top_k
 
-    chunks = ordered_map(score, range(0, len(data), SCORE_CHUNK))
+    chunks = ordered_map(score, chunk_bounds(len(data)))
     scored = [top for chunk in chunks for top in chunk]
     return [scored[i] for i in np.argsort(order)]  # argsort inverts the permutation
 

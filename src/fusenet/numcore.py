@@ -44,9 +44,11 @@ def sigmoid(z, out=None):
     """Logistic function of ``z``, written into ``out`` when given (it may be ``z``)."""
     z = np.asarray(z, dtype=np.float64)
     # exp(-|z|) never overflows, and equals exp(-z) where z >= 0 and
-    # exp(z) elsewhere: 1 / (1 + exp(-z)) and exp(z) / (1 + exp(z)).
+    # exp(z) elsewhere, while exp(min(z, 0)) is 1 where z >= 0 and exp(z)
+    # elsewhere: 1 / (1 + exp(-z)) and exp(z) / (1 + exp(z)).
     e = np.exp(-np.abs(z))
-    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
+    e += 1.0
+    return np.divide(np.exp(np.minimum(z, 0.0)), e, out=out)
 
 
 class Rng:

@@ -189,9 +189,9 @@ def test_tracer_installs_every_target():
     assert counts["layers.bilstm.timesteps"] == 2 * 5
     assert counts["layers.bilstm.live"] == 5 + 1
     # The encoder's time loop runs the gate kernel without LstmCell.step:
-    # one sigmoid call per step and direction for the whole batch.
+    # one sigmoid call per step for both directions and the whole batch.
     assert "layers.lstm_step.calls" not in counts
-    assert counts["numcore.sigmoid.calls"] == 2 * 5
+    assert counts["numcore.sigmoid.calls"] == 5
     spans = result["spans"]
     assert {"model.forward", "layers.bilstm.fwd", "layers.attention.fwd",
             "layers.dense.fwd"} <= set(spans)

@@ -4,12 +4,16 @@
 product per step and direction, keep only each step's cell state, and
 recompute a step's gates in backward, accumulating the weight gradients
 step by step. They are kept here only as the oracle. The encoder hoists
-``X @ W_x`` out of the time loop and keeps the gate activations instead;
-on every input below both must give the same H, dX and four fused
-gradient arrays (each direction's ``W_all`` and ``b_all``) to within 1e-12. The cache-free forward (``keep=False``) must
-give the same H as the cached one, bit for bit, up to the rows' longest
-live length, and zero after it.
+``X @ W_x`` out of the time loop, steps both directions together and
+keeps the gate activations instead; on every input below both must give
+the same H, dX and four fused gradient arrays (each direction's
+``W_all`` and ``b_all``) to within 1e-12. The cache-free forward
+(``keep=False``) must give the same H as the cached one, bit for bit, up
+to the rows' longest live length, and zero after it. The encoder's own
+bytes are pinned as well, on three inputs at the quickstart shapes.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -186,3 +190,63 @@ def test_a_cache_free_forward_cannot_run_backward():
     H, cache = enc.forward(Rng(15).normal((2, 5, 4)), keep=False)
     with pytest.raises(ValueError, match="keep=False"):
         enc.backward(cache, np.ones_like(H))
+
+
+def pinned_case(name):
+    """(encoder, X, dH) of one pinned input at the quickstart shapes E=16, H=32."""
+    rng = Rng(41).child(len(name))
+    lengths = {"ragged": np.array([19, 0, 1, 17, 6] + [3, 11, 14, 9] * 6 + [18, 2, 8]),
+               "one-row": np.array([9]), "unbatched": np.array([12])}[name]
+    X = rng.normal((len(lengths), 20, 16))
+    X[np.arange(20) >= lengths[:, None]] = 0.0
+    dH = rng.normal((len(lengths), 20, 64))
+    if name == "unbatched":
+        X, dH = X[0], dH[0]
+    return encoder(42), X, dH
+
+
+def encoder_digests(enc, X, dH):
+    H, cache = enc.forward(X)
+    arrays = {"H": H, "H.keep=False": enc.forward(X, keep=False)[0]}
+    arrays["dX"], grads = enc.backward(cache, dH)
+    arrays.update(grads)
+    return {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in arrays.items()}
+
+
+# The encoder's bytes as the per-direction time loops gave them, on a
+# ragged 32-row batch (longest 19 of 20 steps, with rows of length 0 and
+# 1), one row of length 9, and one unbatched example of length 12.
+ENCODER_SHA256 = {
+    "one-row": {
+        "H": "480d65cdd4dacec0db2d88e9cc022fa073c34a90a607f341814420d10f5f55c8",
+        "H.keep=False": "b4af42d8cf36b0a4e9388fede60dddab301802901233108ca68e9d8486c01354",
+        "dX": "67b9bc500c595a091d3b7dd2cafd25f82649b132718a2666604f9e685e87bb87",
+        "fwd.W_all": "94c97cbda44863c265ed7fadfcacc21736b8a3652405194ac52deb07277db88d",
+        "fwd.b_all": "13f6b53755dd354eb73fde6e8b0225efe5011353d5ac75e29466ca338bef1fca",
+        "bwd.W_all": "6f903c41f9a0c235bf9b0b2bd283c2bcc4e22a0cb12da2e08a3ef8a9400a9ab8",
+        "bwd.b_all": "2265a7f652714d97578a659172048aaabe50366463fd5c5692f76b270d5e85cb",
+    },
+    "ragged": {
+        "H": "cf988470c9000235e1ca67174f87861688014155456f231b525a4d1de39183aa",
+        "H.keep=False": "d3691e5f83bdea4b1153b376f7854ba40ceeed20947ac1fa1cc218925f0c09a2",
+        "dX": "fcf27d5ab845916336004d01013dd03d6d3c36aeadc16e300a07374c46171d0c",
+        "fwd.W_all": "7e52feb29366bb42eacf620394bc0839601415845ef9925b45bc94d0d5f006e2",
+        "fwd.b_all": "35c600f4a1ad26f3cd72d060ffd44b19d5c5620d5b42e94a1f6067cb3b9b0f80",
+        "bwd.W_all": "df52562481337c14465a0867ff7726748d5fa54c9179db5c925345873f3dc70c",
+        "bwd.b_all": "fe141ca66819e50a9f459124574f2859a0bf4583f7bf8e8cb97b5c72e0099549",
+    },
+    "unbatched": {
+        "H": "6b1135840671e6ded949a9cebbb85fcad6b580a2e4fff9d8cd67f9b3a4c4d894",
+        "H.keep=False": "0ac21a9b6fc019a8e9843067d76412e765e74aa81620a13dfedb0ec4b3c433e4",
+        "dX": "b1cff895d83ce7f9603f9f57d60c39a74482ece57a35abb7ab00e47756081fd2",
+        "fwd.W_all": "e4862416e6a334ad760b469690c857686d208e30c725e03c49deb02a792fc078",
+        "fwd.b_all": "7081c268e9b971bd248d5012ab9812fd0921d8dd8685c1eff6cfb9065fdcd23c",
+        "bwd.W_all": "800a70e5624a30c7ab24d08de6a7619bac93342f187174814376e483fdeea7fb",
+        "bwd.b_all": "c0326f15fd89dd92f01e3a05a490271d4f1e2e5a3a2be0b6ed6833f358476160",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENCODER_SHA256))
+def test_encoder_bytes_are_pinned(name):
+    assert encoder_digests(*pinned_case(name)) == ENCODER_SHA256[name]

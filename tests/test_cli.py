@@ -330,18 +330,26 @@ def one_error_line(capsys, argv) -> str:
     return err[0]
 
 
+def numeric_text(line: bytes) -> bytes:
+    return json.dumps({**json.loads(line), "text": 7}).encode()
+
+
 class TestEval:
-    @pytest.mark.parametrize("split", ["all", "test"])
-    def test_bad_record_names_data_and_line(self, workspace, tmp_path, capsys, split):
-        lines = open(workspace["data"], encoding="utf-8").read().splitlines()
-        doc = json.loads(lines[2])
-        doc["text"] = 7
-        lines[2] = json.dumps(doc)
+    @pytest.mark.parametrize("split, damage, message", [
+        ("all", numeric_text, "id and text must be strings"),
+        ("test", numeric_text, "id and text must be strings"),
+        ("test", lambda line: line.replace(b'"text": "', b'"text": "caf\xe9 ', 1),
+         "not valid UTF-8"),
+    ], ids=["all", "test", "latin-1-text"])
+    def test_bad_record_names_data_and_line(self, workspace, tmp_path, capsys, split, damage,
+                                            message):
+        lines = open(workspace["data"], "rb").read().splitlines()
+        lines[2] = damage(lines[2])
         data = tmp_path / "bad.jsonl"
-        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        data.write_bytes(b"\n".join(lines) + b"\n")
         err = one_error_line(capsys, ["eval", "--model", workspace["checkpoints"]["mlp"],
                                       "--data", str(data), "--split", split])
-        assert err == f"error: --data {data}: line 3: id and text must be strings"
+        assert err == f"error: --data {data}: line 3: {message}"
 
     def test_class_too_small_to_split_names_data(self, workspace, tmp_path, capsys):
         data = tmp_path / "small.jsonl"

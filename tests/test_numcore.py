@@ -115,7 +115,8 @@ class TestElementwise:
 
     def test_sigmoid_equals_the_two_branch_form_bit_for_bit(self):
         z = np.concatenate([Rng(6).normal(400_000) * s for s in (1.0, 8.0, 40.0)]
-                           + [np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan])])
+                           + [np.array([0.0, -0.0, 800.0, -800.0, 745.2, -745.2, np.inf, -np.inf,
+                                        np.nan, 5e-324, -5e-324, 2e-308, -2e-308])])
         assert np.array_equal(sigmoid(z), reference_sigmoid(z), equal_nan=True)
         block = z[:96 * 64].reshape(64, 96).copy()
         want = reference_sigmoid(block[:, :72])

@@ -108,20 +108,37 @@ def test_one_example_forward_equals_the_untrimmed_forward_bit_for_bit(variant):
         assert np.array_equal(free, forward(model, *inputs)[0].probs), j
 
 
-@pytest.mark.parametrize("n", [70, metrics.SCORE_CHUNK + 1])
-def test_predict_all_returns_rows_in_row_order(monkeypatch, n):
+HALF = metrics.SCORE_CHUNK // 2
+
+
+@pytest.mark.parametrize("n, chunks", [(70, [metrics.SCORE_CHUNK, 6]),
+                                       (metrics.SCORE_CHUNK + 1, [HALF, HALF + 1])],
+                         ids=["70", str(metrics.SCORE_CHUNK + 1)])
+def test_predict_all_returns_rows_in_row_order(monkeypatch, n, chunks):
     model, data = ragged_set("fusion", n=n)
-    batch_rows = []
+    batch_rows, probs = [], {}
 
     def counting_forward(model, num_x, cat_x, seq, **kwargs):
         batch_rows.append(len(num_x))
-        return forward(model, num_x, cat_x, seq, **kwargs)
+        pred, cache = forward(model, num_x, cat_x, seq, **kwargs)
+        probs.update(zip(kwargs["example_id"], pred.probs))
+        return pred, cache
 
     monkeypatch.setattr(metrics, "forward", counting_forward)
     assert metrics.predict_all(model, data, 3) == row_order_oracle(model, data)
-    assert batch_rows == [metrics.SCORE_CHUNK, n - metrics.SCORE_CHUNK]
+    assert batch_rows == chunks
+    # No row was scored alone, so each row has the bytes of one chunk of all rows.
+    assert np.array_equal([probs[i] for i in data.ids], scored(model, data, n)[0])
     free, _ = scored(model, data, metrics.SCORE_CHUNK)
     assert metrics.predict_all(model, data, 4) == topk_indices(free, 4)
+
+
+def test_chunk_bounds_leave_no_row_alone():
+    c = metrics.SCORE_CHUNK
+    assert metrics.chunk_bounds(0) == [] and metrics.chunk_bounds(1) == [(0, 1)]
+    assert metrics.chunk_bounds(c) == [(0, c)]
+    assert metrics.chunk_bounds(c + 2) == [(0, c), (c, c + 2)]
+    assert metrics.chunk_bounds(2 * c + 1) == [(0, c), (c, c + HALF), (c + HALF, 2 * c + 1)]
 
 
 def test_report_and_validation_accuracy_are_those_of_the_untrimmed_forward():
