@@ -341,7 +341,8 @@ class BiLstmEncoder:
             H[:, steps - 1 - k, n:] = h[1]
         return h, c
 
-    def forward(self, vectors: np.ndarray, keep: bool = True, mask: np.ndarray | None = None):
+    def forward(self, vectors: np.ndarray, keep: bool = True, mask: np.ndarray | None = None,
+                padding=None):
         """vectors: (..., T, input_dim) -> H: (..., T, 2*hidden_dim), plus cache.
 
         One time loop advances both directions: step k runs the forward
@@ -364,8 +365,9 @@ class BiLstmEncoder:
         row. The forward direction stops at L, and the backward direction
         starts at L-1 from the state that T-L zero-input steps reach from a
         zero state, the state every row has there without trimming. That
-        state runs on two zero rows, or on one when the input has one row,
-        never on one row for a batch (see ``_padding_state``). H is zero at
+        state is row T-L of ``padding``, ``padding_states`` of at least
+        T-L+1 steps, which a caller scoring many chunks computes once;
+        without it the forward runs T-L zero steps itself. H is zero at
         ``t >= L``; below L it is bit-identical to ``keep=True``.
         """
         if vectors.ndim not in (2, 3) or vectors.shape[-1] != self.input_dim:
@@ -377,8 +379,10 @@ class BiLstmEncoder:
         W = self._stacked()
         _, W_x, b = W
         h, c = np.zeros((2, 2, rows, n))
-        if L < T:
-            h[1], c[1] = self._padding_state(W, T - L, rows)
+        if 0 < L < T:  # with L = 0 no step runs
+            if padding is None:
+                padding = self.padding_states(T - L + 1, rows)
+            h[1], c[1] = padding[0][T - L], padding[1][T - L]
         H = np.empty((rows, T, 2 * n)) if keep else np.zeros((rows, T, 2 * n))
         X = cs = None
         if keep:
@@ -398,20 +402,24 @@ class BiLstmEncoder:
         H = H.reshape(*lead, T, 2 * n)
         return H, ({"X": X, "H": H, "gates": gates, "cs": cs} if keep else None)
 
-    def _padding_state(self, W, steps: int, rows: int):
-        """(h, c) of the backward cell for ``rows`` rows after ``steps`` zero inputs.
+    def padding_states(self, count: int, rows: int):
+        """(h, c) of the backward cell after 0 to count-1 zero inputs, from a zero state.
 
-        The steps run on two zero rows, or on one when ``rows`` is 1, and
-        the state is then copied to every row: numpy sends a one-row
-        product to gemv, whose sums can differ in the last bit from the
-        gemm a batch runs. The loop advances the forward cell too, whose
-        state is discarded.
+        Both are (count, hidden): row j is the state after j steps, the one
+        every row of a ``rows``-row input has after j trailing padding
+        positions. The steps run once, on two zero rows, or on one when
+        ``rows`` is 1: numpy sends a one-row product to gemv, whose sums can
+        differ in the last bit from the gemm a batch runs. The loop
+        advances the forward cell too, whose states are discarded.
         """
-        pad, n = 1 if rows == 1 else 2, self.hidden_dim
+        pad, n, W = 1 if rows == 1 else 2, self.hidden_dim, self._stacked()
         h, c = np.zeros((2, 2, pad, n))
-        h, c = self._recur(W, np.zeros((pad, steps, self.input_dim)), np.empty((1, 2, pad, 4 * n)),
-                           h, c, np.empty((pad, steps, 2 * n)))
-        return h[1, 0], c[1, 0]
+        H = np.zeros((pad, count, 2 * n))  # the state after j steps lands at t = count-1-j
+        cs = np.zeros((count, 2, pad, n))  # and its cells at j
+        gates = np.zeros((count - 1, 2, pad, 4 * n))
+        gates += W[2]  # x @ W_x + b for x = 0
+        self._recur(W, np.zeros((pad, count - 1, self.input_dim)), gates, h, c, H, cs[1:])
+        return H[0, ::-1, n:], cs[:, 1, 0]
 
     def backward(self, cache, dH: np.ndarray):
         """Full BPTT; returns (dX, grads) with grads keyed like params().

@@ -136,21 +136,24 @@ def predict_all(model: FusionModel, data: PreparedDataset, k: int) -> list[list[
     Each chunk's encoder then runs only to its longest row, and its
     backward direction starts from the state the trailing zero-input steps
     reach (see ``BiLstmEncoder.forward``), so every row's probabilities
-    are bit-identical to those of the untrimmed forward. A row whose text
-    is all padding raises AllMaskedError naming the first such example in
-    row order: such rows sort first.
+    are bit-identical to those of the untrimmed forward. Those states are
+    computed once per call (``BiLstmEncoder.padding_states``) and serve
+    every chunk. A row whose text is all padding raises AllMaskedError
+    naming the first such example in row order: such rows sort first.
     """
-    order = np.arange(len(data))
+    order, padding = np.arange(len(data)), None
     if model.uses_text:
         seqs = data.seqs
         key = np.where(seqs.mask.any(axis=-1), live_lengths(seqs.vectors, seqs.mask), -1)
         order = np.argsort(key, kind="stable")
+        padding = model.encoder.padding_states(seqs.mask.shape[-1], len(data))
 
     def score(bounds: tuple[int, int]) -> list[list[int]]:
         rows = order[slice(*bounds)]
         num, cat, seq = data.inputs(model, rows)
         ids = [data.ids[row] for row in rows]
-        return forward(model, num, cat, seq, k=k, example_id=ids, keep=False)[0].top_k
+        return forward(model, num, cat, seq, k=k, example_id=ids, keep=False,
+                       padding=padding)[0].top_k
 
     chunks = ordered_map(score, chunk_bounds(len(data)))
     scored = [top for chunk in chunks for top in chunk]

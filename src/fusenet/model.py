@@ -241,7 +241,7 @@ def _run_branch(branch: list[DenseLayer], x: np.ndarray):
 
 def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | None = None,
             k: int | None = None, dropout_rate: float = 0.0, drop_rng: Rng | None = None,
-            example_id=None, keep: bool = True):
+            example_id=None, keep: bool = True, padding=None):
     """Run one example, or a batch of them, through the branches and softmax head.
 
     A batch has a leading axis of B rows: ``num_x`` is (B, num_dim),
@@ -258,7 +258,8 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
     ``keep=False`` is for scoring: the encoder keeps no backward cache, so
     backward() cannot run on the returned cache, and it runs only up to
     the rows' longest live length (see ``BiLstmEncoder.forward``), which
-    leaves the probabilities bit-identical to ``keep=True``.
+    leaves the probabilities bit-identical to ``keep=True``. ``padding``
+    passes the encoder its ``padding_states`` for that.
     """
     cfg = model.config
     if k is None:
@@ -281,7 +282,7 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
         if model.uses_tabular and seq.vectors.shape[:-2] != num_x.shape[:-1]:
             raise ShapeError(f"sequence batch {seq.vectors.shape} vs features {num_x.shape}")
         try:
-            H, enc_cache = model.encoder.forward(seq.vectors, keep, seq.mask)
+            H, enc_cache = model.encoder.forward(seq.vectors, keep, seq.mask, padding)
             a, _alphas, attn_cache = model.attention.forward(H, seq.mask)
         except AllMaskedError as err:
             if example_id is None:

@@ -7,7 +7,6 @@ the same seed yields the same stream on every platform.
 from __future__ import annotations
 
 import numpy as np
-from numpy.random import PCG64, Generator, SeedSequence
 
 
 class ShapeError(ValueError):
@@ -59,6 +58,10 @@ class Rng:
     """
 
     def __init__(self, seed: int, _spawn_key: tuple = ()):
+        # Imported here: numpy.random (with secrets and hashlib) takes about
+        # 15 ms to import, and predict and eval never build an Rng.
+        from numpy.random import PCG64, Generator, SeedSequence
+
         self.seed = int(seed)
         self._spawn_key = _spawn_key
         seq = SeedSequence(entropy=self.seed, spawn_key=_spawn_key)

@@ -16,7 +16,7 @@ import pytest
 from fusenet import metrics
 from fusenet.dataset import PreparedDataset
 from fusenet.embeddings import EmbeddedSequence
-from fusenet.layers import AllMaskedError, live_lengths
+from fusenet.layers import AllMaskedError, BiLstmEncoder, live_lengths
 from fusenet.metrics import compute_report, topk_accuracy
 from fusenet.model import ModelConfig, build_variant, forward, topk_indices
 from fusenet.numcore import Rng
@@ -131,6 +131,27 @@ def test_predict_all_returns_rows_in_row_order(monkeypatch, n, chunks):
     assert np.array_equal([probs[i] for i in data.ids], scored(model, data, n)[0])
     free, _ = scored(model, data, metrics.SCORE_CHUNK)
     assert metrics.predict_all(model, data, 4) == topk_indices(free, 4)
+
+
+def test_one_call_runs_the_padding_recurrence_once(monkeypatch):
+    model, data = ragged_set("fusion", n=2 * metrics.SCORE_CHUNK + 6)
+    padding_calls, chunk_lengths = [], []
+    padding_states = BiLstmEncoder.padding_states
+
+    def counting_padding_states(self, count, rows):
+        padding_calls.append((count, rows))
+        return padding_states(self, count, rows)
+
+    def measuring_forward(model, num_x, cat_x, seq, **kwargs):
+        chunk_lengths.append(int(live_lengths(seq.vectors, seq.mask).max()))
+        return forward(model, num_x, cat_x, seq, **kwargs)
+
+    monkeypatch.setattr(BiLstmEncoder, "padding_states", counting_padding_states)
+    monkeypatch.setattr(metrics, "forward", measuring_forward)
+    tops = metrics.predict_all(model, data, 3)
+    assert padding_calls == [(T, len(data))]
+    assert len(chunk_lengths) == 3 and len({L for L in chunk_lengths if L < T}) == 2
+    assert tops == row_order_oracle(model, data)
 
 
 def test_chunk_bounds_leave_no_row_alone():
