@@ -509,7 +509,9 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return _HANDLERS[args.command](args.command_parser, args)
     except (OSError, ValueError, RuntimeError) as err:

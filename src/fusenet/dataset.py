@@ -14,12 +14,11 @@ as an all-zero block rather than an error.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddedSequence, EmbeddingTable, embed_sequence
+from .embeddings import EmbeddedSequence, EmbeddingTable, embed_batch
 from .numcore import Rng
 from .textprep import normalize, tokenize
 
@@ -62,8 +61,14 @@ class Example:
         return CLASS_INDEX[self.label]
 
 
+# The least integer that float() overflows on; every finite float is smaller.
+_FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
 def is_finite_number(v) -> bool:
-    return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+    """True for an int or float, not a bool, that converts to a finite float."""
+    return (not isinstance(v, bool) and isinstance(v, (int, float))
+            and -_FLOAT_OVERFLOW < v < _FLOAT_OVERFLOW)
 
 
 def parse_features(record) -> tuple[list[float], list[tuple[str, str]]]:
@@ -81,14 +86,17 @@ def parse_features(record) -> tuple[list[float], list[tuple[str, str]]]:
     if not isinstance(numerical, list):
         raise DatasetError("numerical must be a list")
     for v in numerical:
-        if not is_finite_number(v):
+        # is_finite_number, inlined: a JSON number is exactly an int or a
+        # float, and v - v is NaN for an infinite or NaN float.
+        if not (type(v) is float and v - v == 0.0
+                or type(v) is int and -_FLOAT_OVERFLOW < v < _FLOAT_OVERFLOW):
             raise DatasetError(f"numerical entry {v!r} is not a finite number")
     categorical = record["categorical"]
     if not isinstance(categorical, list):
         raise DatasetError("categorical must be a list of [name, value] pairs")
     for item in categorical:
         if not (isinstance(item, (list, tuple)) and len(item) == 2
-                and all(isinstance(s, str) for s in item)):
+                and isinstance(item[0], str) and isinstance(item[1], str)):
             raise DatasetError(f"categorical entry {item!r} is not a [name, value] string pair")
     return [float(v) for v in numerical], [(name, value) for name, value in categorical]
 
@@ -131,6 +139,8 @@ def load_jsonl(path) -> list[Example]:
                 record = json.loads(line)
             except json.JSONDecodeError as err:
                 raise DatasetError(f"line {lineno}: invalid JSON ({err.msg})")
+            except ValueError as err:  # an integer with more digits than int() converts
+                raise DatasetError(f"line {lineno}: {err}") from None
             ex = _validate_record(record, lineno)
             if width is None:
                 width = len(ex.numerical)
@@ -180,12 +190,17 @@ class FeatureScaler:
 
 
 class OneHotEncoder:
-    """Per-feature category -> index maps, in first-seen train order."""
+    """Per-feature category -> column maps, in first-seen train order."""
 
     def __init__(self, features: list[tuple[str, list[str]]]):
         self.features = features
-        self._maps = [{cat: i for i, cat in enumerate(cats)} for _, cats in features]
-        self.dim = sum(len(cats) for _, cats in features)
+        # (name, {category: column}) per feature; columns count across blocks.
+        self._columns = []
+        offset = 0
+        for name, cats in features:
+            self._columns.append((name, {cat: offset + i for i, cat in enumerate(cats)}))
+            offset += len(cats)
+        self.dim = offset
 
     @classmethod
     def fit(cls, train_examples: list[Example]) -> "OneHotEncoder":
@@ -201,20 +216,24 @@ class OneHotEncoder:
         return cls([(name, cats[name]) for name in names])
 
     def transform_one(self, pairs: list[tuple[str, str]]) -> np.ndarray:
-        values = dict(pairs)
-        out = np.zeros(self.dim)
-        offset = 0
-        for (name, cats), cmap in zip(self.features, self._maps):
-            value = values.get(name)
-            idx = cmap.get(value) if value is not None else None
-            if idx is not None:
-                out[offset + idx] = 1.0  # unseen category leaves the block zero
-            offset += len(cats)
-        return out
+        return self._encode([pairs])[0]
 
     def transform(self, examples: list[Example]) -> np.ndarray:
-        return np.vstack([self.transform_one(ex.categorical) for ex in examples]) \
-            if examples else np.zeros((0, self.dim))
+        return self._encode([ex.categorical for ex in examples])
+
+    def _encode(self, rows: list[list[tuple[str, str]]]) -> np.ndarray:
+        """One one-hot row per list of (name, value) pairs, set in one scatter."""
+        hot_rows, hot_cols = [], []
+        for i, pairs in enumerate(rows):
+            values = dict(pairs)
+            for name, columns in self._columns:
+                col = columns.get(values.get(name))
+                if col is not None:  # an unseen category leaves the block zero
+                    hot_rows.append(i)
+                    hot_cols.append(col)
+        out = np.zeros((len(rows), self.dim))
+        out[hot_rows, hot_cols] = 1.0
+        return out
 
 
 @dataclass
@@ -357,19 +376,20 @@ def prepare(examples: list[Example], pipeline: FeaturePipeline,
     """Normalize/tokenize/embed text and transform features for one split.
 
     ``table`` may be None for tabular-only experiments; seqs is then None.
-    Rows are embedded one at a time into text arrays allocated once for
-    the whole split.
+    Each distinct text is normalized and tokenized once, and all rows are
+    embedded together by ``embed_batch``.
     """
     num, cat = pipeline.transform(examples)
     labels = np.array([ex.label_index for ex in examples], dtype=np.int64)
     seqs = None
     if table is not None:
-        seqs = EmbeddedSequence(vectors=np.zeros((len(examples), max_seq_len, table.dim)),
-                                mask=np.zeros((len(examples), max_seq_len), dtype=bool))
-        for i, ex in enumerate(examples):
-            seq = embed_sequence(table, tokenize(normalize(ex.text), max_seq_len), max_seq_len)
-            seqs.vectors[i] = seq.vectors
-            seqs.mask[i] = seq.mask
-            seqs.oov_count += seq.oov_count
+        tokens_of: dict[str, list[str]] = {}  # raw text -> its tokens
+        token_lists = []
+        for ex in examples:
+            tokens = tokens_of.get(ex.text)
+            if tokens is None:
+                tokens = tokens_of[ex.text] = tokenize(normalize(ex.text), max_seq_len).tokens
+            token_lists.append(tokens)
+        seqs = embed_batch(table, token_lists, max_seq_len)
     return PreparedDataset(ids=[ex.id for ex in examples], labels=labels, num=num, cat=cat,
                            seqs=seqs)

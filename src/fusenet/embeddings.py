@@ -251,27 +251,43 @@ def random_table(words, dim: int, seed: int) -> EmbeddingTable:
     )
 
 
-def embed_sequence(
-    table: EmbeddingTable, seq: TokenSequence, max_seq_len: int
-) -> EmbeddedSequence:
-    """Map tokens to table rows, right-padded to ``max_seq_len``.
+def embed_batch(table: EmbeddingTable, token_lists: list[list[str]],
+                max_seq_len: int) -> EmbeddedSequence:
+    """Map N token lists to table rows: one (N, max_seq_len, d) array, right-padded.
 
     OOV tokens become zero rows with a true mask entry (neutral under
     attention); padding rows are zero with a false mask entry. Text with
     no tokens embeds as one OOV token, so attention always has a position.
+    Every row is gathered from the table in one indexed copy.
     """
     # A selection from a file with vectors may hold none, and is not empty.
-    if len(table) == 0 and not table.file_rows:
+    if token_lists and len(table) == 0 and not table.file_rows:
         raise ValueError("embedding table is empty")
-    vectors = np.zeros((max_seq_len, table.dim))
-    mask = np.zeros(max_seq_len, dtype=bool)
-    oov = 0
-    # None is no word of any table, so empty text is one OOV position.
-    for t, tok in enumerate(seq.tokens[:max_seq_len] or [None]):
-        mask[t] = True
-        row = table.lookup(tok)
-        if row is None:
-            oov += 1
-        else:
-            vectors[t] = row
-    return EmbeddedSequence(vectors=vectors, mask=mask, oov_count=oov)
+    vocab = table.vocab
+    # Empty text is one OOV position: None is no word of any table.
+    lengths = np.fromiter((min(len(tokens), max_seq_len) or 1 for tokens in token_lists),
+                          dtype=np.intp, count=len(token_lists))
+    positions = int(lengths.sum())
+    mask = np.arange(max_seq_len) < lengths[:, None]
+    index = np.full(mask.shape, -1, dtype=np.intp)  # row of each position; -1 is OOV
+    index[mask] = np.fromiter((vocab.get(tok, -1) for tokens in token_lists
+                               for tok in tokens[:max_seq_len] or [None]),
+                              dtype=np.intp, count=positions)
+    hit = index >= 0
+    if len(table):
+        np.maximum(index, 0, out=index)  # OOV and padding positions gather row 0 ...
+        vectors = np.asarray(table.matrix, dtype=np.float64)[index]
+        vectors[~hit] = 0.0  # ... and are zeroed
+    else:
+        vectors = np.zeros(mask.shape + (table.dim,))
+    return EmbeddedSequence(vectors=vectors, mask=mask,
+                            oov_count=positions - int(np.count_nonzero(hit)))
+
+
+def embed_sequence(
+    table: EmbeddingTable, seq: TokenSequence, max_seq_len: int
+) -> EmbeddedSequence:
+    """One token sequence as ``embed_batch`` maps it: a (max_seq_len, d) array."""
+    batch = embed_batch(table, [seq.tokens], max_seq_len)
+    return EmbeddedSequence(vectors=batch.vectors[0], mask=batch.mask[0],
+                            oov_count=batch.oov_count)

@@ -15,6 +15,7 @@ hyphens survive so embedding-table hits stay high.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -66,21 +67,27 @@ _WS_RE = re.compile(r"\s+")
 
 # Every PII pattern needs a digit (Unicode, as ``\d`` in the patterns), "@" or "$".
 _PII_CHAR_RE = re.compile(r"[\d@$]")
+_DIGIT_RE = re.compile(r"\d")
 
 
 def _redact_pii(s: str) -> str:
     # Iterate to a fixpoint: a replacement can expose a new match (for
     # example the tail of a run-together pair of addresses). Each pass
     # removes at least one digit/@/$ and inserts none, so this terminates;
-    # text with none of them left cannot match again.
+    # text with none of them left cannot match again. A detector is skipped
+    # when the character it needs is absent, as it could only return s.
     prev = None
     while s != prev and _PII_CHAR_RE.search(s):
         prev = s
-        s = _EMAIL_RE.sub("this email address", s)
-        for date_re in _DATE_RES:
-            s = date_re.sub("this date", s)
-        s = _AMOUNT_RE.sub("this amount", s)
-        s = _PHONE_RE.sub("this phone number", s)
+        if "@" in s:
+            s = _EMAIL_RE.sub("this email address", s)
+        # Checked after the email substitution, which can remove every digit.
+        if _DIGIT_RE.search(s):  # dates, amounts and phones all need one
+            for date_re in _DATE_RES:
+                s = date_re.sub("this date", s)
+            if "$" in s:
+                s = _AMOUNT_RE.sub("this amount", s)
+            s = _PHONE_RE.sub("this phone number", s)
     return s
 
 
@@ -120,7 +127,8 @@ def tokenize(normalized: str, max_seq_len: int = DEFAULT_MAX_SEQ_LEN) -> TokenSe
     for word in normalized.split():
         word = word.strip(_TERMINAL_PUNCT)
         if word:
-            tokens.append(word)
+            # Interned: the tokens a corpus keeps share one string per word.
+            tokens.append(sys.intern(word))
     return TokenSequence(tokens=tokens[:max_seq_len], original_len=len(tokens))
 
 

@@ -721,3 +721,94 @@ class TestInputFilesAreNamed:
         argv = self.commands(workspace, workspace["vec"], tmp_path)[command]
         argv[argv.index("--model") + 1] = str(model)
         assert self.run(capsys, argv) == f"error: --model {model}: {message}"
+
+
+class TestIntegersBeyondFloat:
+    """An integer that float() overflows on is not a finite number in any JSON input."""
+
+    HUGE = 10**400
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_dataset_names_data_and_line(self, workspace, tmp_path, capsys, command):
+        lines = open(workspace["data"], encoding="utf-8").read().splitlines()
+        doc = json.loads(lines[2])
+        doc["numerical"][4] = self.HUGE
+        lines[2] = json.dumps(doc)
+        data = tmp_path / "huge.jsonl"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = {"train": ["train", "--data", str(data), "--variant", "mlp",
+                          "--out", str(tmp_path / "m.afn"), "--epochs", "1"],
+                "eval": ["eval", "--model", workspace["checkpoints"]["mlp"],
+                         "--data", str(data)]}[command]
+        err = one_error_line(capsys, argv)
+        assert err == (f"error: --data {data}: line 3: "
+                       f"numerical entry {self.HUGE!r} is not a finite number")
+
+    def test_integer_too_long_to_read_names_data_and_line(self, workspace, tmp_path, capsys):
+        lines = open(workspace["data"], encoding="utf-8").read().splitlines()
+        lines[1] = lines[1].replace('"numerical": [', '"numerical": [' + "9" * 5000 + ", ", 1)
+        data = tmp_path / "long.jsonl"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        err = one_error_line(capsys, ["eval", "--model", workspace["checkpoints"]["mlp"],
+                                      "--data", str(data)])
+        assert err.startswith(f"error: --data {data}: line 2: ")
+
+    def test_feature_file_is_named(self, workspace, tmp_path, capsys):
+        features = tmp_path / "features.json"
+        features.write_text(json.dumps({"numerical": [self.HUGE] + [0.0] * 19,
+                                        "categorical": []}))
+        err = one_error_line(capsys, ["predict", "--model", workspace["checkpoints"]["mlp"],
+                                      "--features", str(features)])
+        assert err == (f"error: feature file {features}: "
+                       f"numerical entry {self.HUGE!r} is not a finite number")
+
+    @pytest.mark.parametrize("field", ["numerical_mean", "numerical_std"])
+    def test_pipeline_is_named(self, workspace, tmp_path, capsys, field):
+        mlp = workspace["checkpoints"]["mlp"]
+        doc = json.loads(open(mlp + ".pipeline.json", encoding="utf-8").read())
+        doc[field][0] = self.HUGE
+        pipeline = tmp_path / "pipeline.json"
+        pipeline.write_text(json.dumps(doc))
+        features = tmp_path / "features.json"
+        features.write_text(json.dumps({"numerical": [0.0] * 20, "categorical": []}))
+        err = one_error_line(capsys, ["predict", "--model", mlp, "--pipeline", str(pipeline),
+                                      "--features", str(features)])
+        assert err.startswith(f"error: feature pipeline {pipeline}: field {field!r} must be ")
+
+    @pytest.mark.parametrize("field", ["accuracy", "recall"])
+    def test_report_is_named(self, workspace, tmp_path, capsys, field):
+        good = tmp_path / "good.json"
+        assert cli.main(["eval", "--model", workspace["checkpoints"]["mlp"],
+                         "--data", workspace["data"], "--split", "val", "--out", str(good)]) == 0
+        doc = json.loads(good.read_text())
+        if field == "accuracy":
+            doc["accuracy"] = self.HUGE
+        else:
+            doc["per_class"][0]["recall"] = self.HUGE
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        err = one_error_line(capsys, ["eval", "--compare", str(good), str(bad)])
+        field_name = "accuracy" if field == "accuracy" else "per_class"
+        assert err.startswith(f"error: report {bad}: ") and repr(field_name) in err
+
+
+# Each subcommand's required flags, so that only the unknown one is wrong.
+SUBCOMMAND_ARGV = {
+    "synth": ["synth", "--out", "x.jsonl"],
+    "train": ["train", "--data", "d.jsonl", "--variant", "mlp", "--out", "m.afn"],
+    "eval": ["eval", "--model", "m.afn", "--data", "d.jsonl"],
+    "predict": ["predict", "--model", "m.afn"],
+    "gradcheck": ["gradcheck"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
+def test_unknown_flag_prints_the_subcommand_usage(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(SUBCOMMAND_ARGV[command] + ["--bogus", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith(f"usage: fusenet {command} ")
+    assert captured.err.splitlines()[-1] == (
+        f"fusenet {command}: error: unrecognized arguments: --bogus 1")

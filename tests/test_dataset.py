@@ -63,6 +63,26 @@ class TestJsonl:
         with pytest.raises(DatasetError, match="^line 2: label must be a string$"):
             load_jsonl(path)
 
+    @pytest.mark.parametrize("value", [True, False, None, "1.5", [1.0], float("nan"),
+                                       float("inf"), -float("inf"), 10**400, -(2**1024 - 2**970)],
+                             ids=["true", "false", "null", "string", "list", "nan", "inf",
+                                  "-inf", "huge-int", "least-overflowing-int"])
+    def test_numerical_entry_that_is_not_a_finite_number_names_line(self, tmp_path, value):
+        path = tmp_path / "bad.jsonl"
+        save_jsonl([make_example(0), make_example(1)], path)
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[1])
+        doc["numerical"][1] = value
+        lines[1] = json.dumps(doc)  # writes NaN and Infinity as bare tokens
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match="^line 2: numerical entry .* not a finite number$"):
+            load_jsonl(path)
+
+    def test_largest_integer_below_float_overflow_loads(self, tmp_path):
+        path = tmp_path / "big.jsonl"
+        save_jsonl([make_example(0, numerical=[2**1024 - 2**970 - 1, -1])], path)
+        assert load_jsonl(path)[0].numerical == [float(2**1024 - 2**970 - 1), -1.0]
+
     def test_line_that_is_not_an_object_named(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         save_jsonl([make_example(0)], path)
