@@ -63,6 +63,10 @@ class Example:
 
 # The least integer that float() overflows on; every finite float is smaller.
 _FLOAT_OVERFLOW = 2**1024 - 2**970
+# The largest magnitude a numerical feature may have. Below it the sum of
+# squares that FeatureScaler.fit computes stays finite for up to 1e8 rows:
+# it is at most rows * MAX_FEATURE_MAGNITUDE**2 = rows * 1e300.
+MAX_FEATURE_MAGNITUDE = 1e150
 
 
 def is_finite_number(v) -> bool:
@@ -74,8 +78,9 @@ def is_finite_number(v) -> bool:
 def parse_features(record) -> tuple[list[float], list[tuple[str, str]]]:
     """The validated ``numerical`` and ``categorical`` fields of a record.
 
-    ``numerical`` must be a list of finite numbers and ``categorical`` a
-    list of [name, value] string pairs; a DatasetError names the field.
+    ``numerical`` must be a list of finite numbers of magnitude at most
+    MAX_FEATURE_MAGNITUDE and ``categorical`` a list of [name, value]
+    string pairs; a DatasetError names the field.
     """
     if not isinstance(record, dict):
         raise DatasetError("expected a JSON object")
@@ -85,11 +90,12 @@ def parse_features(record) -> tuple[list[float], list[tuple[str, str]]]:
     numerical = record["numerical"]
     if not isinstance(numerical, list):
         raise DatasetError("numerical must be a list")
+    low, high = -MAX_FEATURE_MAGNITUDE, MAX_FEATURE_MAGNITUDE
     for v in numerical:
-        # is_finite_number, inlined: a JSON number is exactly an int or a
-        # float, and v - v is NaN for an infinite or NaN float.
-        if not (type(v) is float and v - v == 0.0
-                or type(v) is int and -_FLOAT_OVERFLOW < v < _FLOAT_OVERFLOW):
+        # A JSON number is exactly an int or a float; NaN fails every comparison.
+        if not ((type(v) is float or type(v) is int) and low <= v <= high):
+            if is_finite_number(v):
+                raise DatasetError(f"numerical entry {v!r} exceeds {high:g} in magnitude")
             raise DatasetError(f"numerical entry {v!r} is not a finite number")
     categorical = record["categorical"]
     if not isinstance(categorical, list):
@@ -345,6 +351,8 @@ class PreparedDataset:
 
     ``seqs`` holds all N sequences as one (N, max_seq_len, d) array with
     an (N, max_seq_len) mask, or is None when no embedding table was given.
+    ``groups`` numbers each row's token list, in first-seen order, so rows
+    with equal numbers share one sequence; None counts every row distinct.
     """
 
     ids: list[str]
@@ -352,6 +360,7 @@ class PreparedDataset:
     num: np.ndarray  # (n, num_dim) standardized
     cat: np.ndarray  # (n, cat_dim) one-hot blocks
     seqs: EmbeddedSequence | None = None
+    groups: np.ndarray | None = None  # (n,) int
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -375,13 +384,14 @@ def prepare(examples: list[Example], pipeline: FeaturePipeline,
             table: EmbeddingTable | None, max_seq_len: int) -> PreparedDataset:
     """Normalize/tokenize/embed text and transform features for one split.
 
-    ``table`` may be None for tabular-only experiments; seqs is then None.
-    Each distinct text is normalized and tokenized once, and all rows are
-    embedded together by ``embed_batch``.
+    ``table`` may be None for tabular-only experiments; seqs and groups
+    are then None. Each distinct text is normalized and tokenized once,
+    and all rows are embedded together by ``embed_batch``. Rows whose
+    (truncated) token lists are equal share a group.
     """
     num, cat = pipeline.transform(examples)
     labels = np.array([ex.label_index for ex in examples], dtype=np.int64)
-    seqs = None
+    seqs = groups = None
     if table is not None:
         tokens_of: dict[str, list[str]] = {}  # raw text -> its tokens
         token_lists = []
@@ -391,5 +401,8 @@ def prepare(examples: list[Example], pipeline: FeaturePipeline,
                 tokens = tokens_of[ex.text] = tokenize(normalize(ex.text), max_seq_len).tokens
             token_lists.append(tokens)
         seqs = embed_batch(table, token_lists, max_seq_len)
+        group_of: dict[tuple[str, ...], int] = {}  # token list -> its group
+        groups = np.array([group_of.setdefault(tuple(tokens), len(group_of))
+                           for tokens in token_lists], dtype=np.intp)
     return PreparedDataset(ids=[ex.id for ex in examples], labels=labels, num=num, cat=cat,
-                           seqs=seqs)
+                           seqs=seqs, groups=groups)

@@ -239,9 +239,28 @@ def _run_branch(branch: list[DenseLayer], x: np.ndarray):
     return out, caches
 
 
+def encode_text(model: FusionModel, seq: EmbeddedSequence, keep: bool = True, padding=None,
+                example_id=None):
+    """The text branch, encoder then attention: its (..., 2*lstm_hidden) output,
+    the text features, and the two layers' caches. ``keep`` and
+    ``example_id`` are forward's; ``padding`` passes the encoder its
+    ``padding_states`` (see ``BiLstmEncoder.forward``).
+    """
+    try:
+        H, enc_cache = model.encoder.forward(seq.vectors, keep, seq.mask, padding)
+        a, _alphas, attn_cache = model.attention.forward(H, seq.mask)
+    except AllMaskedError as err:
+        if example_id is None:
+            raise
+        if not isinstance(example_id, str):
+            example_id = example_id[int(np.argmin(seq.mask.any(axis=-1)))]
+        raise AllMaskedError(f"example {example_id}: {err}") from err
+    return a, [enc_cache, attn_cache]
+
+
 def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | None = None,
             k: int | None = None, dropout_rate: float = 0.0, drop_rng: Rng | None = None,
-            example_id=None, keep: bool = True, padding=None):
+            example_id=None, keep: bool = True, text=None):
     """Run one example, or a batch of them, through the branches and softmax head.
 
     A batch has a leading axis of B rows: ``num_x`` is (B, num_dim),
@@ -258,8 +277,9 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
     ``keep=False`` is for scoring: the encoder keeps no backward cache, so
     backward() cannot run on the returned cache, and it runs only up to
     the rows' longest live length (see ``BiLstmEncoder.forward``), which
-    leaves the probabilities bit-identical to ``keep=True``. ``padding``
-    passes the encoder its ``padding_states`` for that.
+    leaves the probabilities bit-identical to ``keep=True``. ``text``, the
+    rows' text features as ``encode_text`` returns them, stands in for
+    ``seq``: the branch is not run, and backward() cannot run on the cache.
     """
     cfg = model.config
     if k is None:
@@ -277,20 +297,18 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
         outputs.append(_run_branch(model.mlp_cat, cat_x))
 
     if model.uses_text:
-        if seq is None:
+        if text is not None:
+            want = (num_x.shape[:-1] if model.uses_tabular else text.shape[:-1]) + (
+                model.encoder.out_dim,)
+            if text.ndim > 2 or text.shape != want:
+                raise ShapeError(f"text features {text.shape} vs {want}")
+            outputs.append((text, None))
+        elif seq is None:
             raise ShapeError(f"variant {model.variant!r} requires an embedded sequence")
-        if model.uses_tabular and seq.vectors.shape[:-2] != num_x.shape[:-1]:
+        elif model.uses_tabular and seq.vectors.shape[:-2] != num_x.shape[:-1]:
             raise ShapeError(f"sequence batch {seq.vectors.shape} vs features {num_x.shape}")
-        try:
-            H, enc_cache = model.encoder.forward(seq.vectors, keep, seq.mask, padding)
-            a, _alphas, attn_cache = model.attention.forward(H, seq.mask)
-        except AllMaskedError as err:
-            if example_id is None:
-                raise
-            if not isinstance(example_id, str):
-                example_id = example_id[int(np.argmin(seq.mask.any(axis=-1)))]
-            raise AllMaskedError(f"example {example_id}: {err}") from err
-        outputs.append((a, [enc_cache, attn_cache]))
+        else:
+            outputs.append(encode_text(model, seq, keep, example_id=example_id))
 
     parts = [out for out, _ in outputs]
     widths = [out.shape[-1] for out in parts]
@@ -330,6 +348,8 @@ def backward(model: FusionModel, cache, dlogits: np.ndarray) -> np.ndarray:
     dsegs = np.split(dc, np.cumsum(cache["widths"])[:-1], axis=-1)
     for branch, caches, dseg, drop_mask in zip(branches, cache["branches"], dsegs,
                                                cache["drop_masks"]):
+        if caches is None:
+            raise ValueError("backward: forward was given the text features and kept no cache")
         chain(branch, caches, dseg if drop_mask is None else dseg * drop_mask)
     return np.concatenate([grads[prefix][pname].ravel() for branch in branches + [head]
                            for prefix, layer in branch for pname in layer.params()])

@@ -1,11 +1,14 @@
 import json
+import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fusenet import cli
 from fusenet import dataset as ds
-from fusenet.dataset import CLASS_NAMES
+from fusenet.dataset import CLASS_NAMES, MAX_FEATURE_MAGNITUDE
 from fusenet.model import build_variant, load, save
 from fusenet.training import small_check_config
 
@@ -791,6 +794,47 @@ class TestIntegersBeyondFloat:
         err = one_error_line(capsys, ["eval", "--compare", str(good), str(bad)])
         field_name = "accuracy" if field == "accuracy" else "per_class"
         assert err.startswith(f"error: report {bad}: ") and repr(field_name) in err
+
+
+class TestHugeFeatureValues:
+    """A finite numerical value above MAX_FEATURE_MAGNITUDE is refused before training,
+    so no pipeline is written with an overflowed mean or std."""
+
+    def data_with(self, workspace, tmp_path, values: dict[int, float]) -> Path:
+        lines = open(workspace["data"], encoding="utf-8").read().splitlines()
+        for line_index, value in values.items():
+            doc = json.loads(lines[line_index])
+            doc["numerical"][4] = value
+            lines[line_index] = json.dumps(doc)
+        data = tmp_path / "huge.jsonl"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return data
+
+    def train_argv(self, data, tmp_path):
+        return ["train", "--data", str(data), "--variant", "mlp",
+                "--out", str(tmp_path / "m.afn"), "--epochs", "1", "--mlp-hidden", "8"]
+
+    @pytest.mark.parametrize("values", [{2: 10**300}, {2: 10**308, 5: 10**308}],
+                             ids=["one-10**300", "two-10**308"])
+    def test_train_names_data_and_the_first_such_line(self, workspace, tmp_path, capsys,
+                                                       values):
+        data = self.data_with(workspace, tmp_path, values)
+        err = one_error_line(capsys, self.train_argv(data, tmp_path))
+        assert err == (f"error: --data {data}: line 3: numerical entry {values[2]!r} "
+                       f"exceeds 1e+150 in magnitude")
+        assert not (tmp_path / "m.afn.pipeline.json").exists()
+
+    def test_the_bound_itself_trains_a_pipeline_that_eval_accepts(self, workspace, tmp_path,
+                                                                  capsys):
+        data = self.data_with(workspace, tmp_path, {j: MAX_FEATURE_MAGNITUDE for j in range(20)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warnings among them
+            assert cli.main(self.train_argv(data, tmp_path)) == 0
+        doc = json.loads((tmp_path / "m.afn.pipeline.json").read_text())
+        assert all(math.isfinite(v) for v in doc["numerical_mean"] + doc["numerical_std"])
+        assert doc["numerical_std"][4] > 1e148
+        assert cli.main(["eval", "--model", str(tmp_path / "m.afn"), "--data", str(data),
+                         "--split", "all"]) == 0
 
 
 # Each subcommand's required flags, so that only the unknown one is wrong.

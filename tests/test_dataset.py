@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from fusenet.dataset import (CLASS_NAMES, DatasetError, Example, FeaturePipeline,
-                             FeatureScaler, OneHotEncoder, load_jsonl, prepare, save_jsonl,
-                             split)
+from fusenet.dataset import (CLASS_NAMES, MAX_FEATURE_MAGNITUDE, DatasetError, Example,
+                             FeaturePipeline, FeatureScaler, OneHotEncoder, load_jsonl, prepare,
+                             save_jsonl, split)
 from fusenet.embeddings import random_table
 from fusenet.numcore import Rng
 
@@ -78,10 +78,21 @@ class TestJsonl:
         with pytest.raises(DatasetError, match="^line 2: numerical entry .* not a finite number$"):
             load_jsonl(path)
 
-    def test_largest_integer_below_float_overflow_loads(self, tmp_path):
+    def test_largest_accepted_magnitude_loads(self, tmp_path):
         path = tmp_path / "big.jsonl"
-        save_jsonl([make_example(0, numerical=[2**1024 - 2**970 - 1, -1])], path)
-        assert load_jsonl(path)[0].numerical == [float(2**1024 - 2**970 - 1), -1.0]
+        bound = MAX_FEATURE_MAGNITUDE
+        save_jsonl([make_example(0, numerical=[bound, -int(bound)])], path)
+        assert load_jsonl(path)[0].numerical == [bound, -bound]
+
+    @pytest.mark.parametrize("value", [int(MAX_FEATURE_MAGNITUDE) + 1, -1e151, 10**300,
+                                       2**1024 - 2**970 - 1],
+                             ids=["least-int-above", "float", "10**300", "largest-finite-int"])
+    def test_numerical_entry_above_the_bound_names_line(self, tmp_path, value):
+        path = tmp_path / "big.jsonl"
+        save_jsonl([make_example(0), make_example(1, numerical=[0.5, value])], path)
+        with pytest.raises(DatasetError, match=r"^line 2: numerical entry .* exceeds 1e\+150 "
+                                               r"in magnitude$"):
+            load_jsonl(path)
 
     def test_line_that_is_not_an_object_named(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -1,0 +1,211 @@
+"""Scoring that encodes each distinct token sequence once.
+
+``prepare`` numbers each row's token list, and ``metrics.predict_all`` runs
+the text branch once per distinct sequence. The oracle is the untrimmed
+forward of every row itself, ``chunk_bounds`` chunks in row order, as
+scoring ran before it shared encodings: every row's probabilities must
+have its bytes, with groups and without them.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from fusenet import metrics, synth
+from fusenet.dataset import Example, FeaturePipeline, prepare
+from fusenet.embeddings import random_table
+from fusenet.layers import AllMaskedError, BiLstmEncoder
+from fusenet.model import (ModelConfig, backward, build_variant, encode_text, forward,
+                           topk_indices)
+from fusenet.numcore import Rng, ShapeError
+from fusenet.textprep import normalize, tokenize
+
+T = 20  # the quickstart --max-seq-len
+WORDS = synth.vocabulary()
+TABLE = random_table(WORDS, 16, seed=4)
+
+
+def model_for(variant, data, seed=5):
+    """A quickstart-shaped ``variant`` model, weights moved off their initial values."""
+    config = ModelConfig(num_feature_dim=data.num.shape[1], cat_feature_dim=data.cat.shape[1],
+                         embed_dim=TABLE.dim, lstm_hidden=32, mlp_hidden=32, max_seq_len=T,
+                         seed=seed)
+    model = build_variant(config, variant)
+    model.theta += Rng(seed).normal(model.theta.shape, scale=0.3)
+    return model
+
+
+def prepared(examples):
+    return prepare(examples, FeaturePipeline.fit(examples), TABLE, T)
+
+
+def synth_corpus(n=260, seed=7):
+    return prepared(synth.generate_synthetic(n, 0.05, seed)[0])
+
+
+def corpus_of(texts, seed=0):
+    """One example per text, each with its own seeded features."""
+    rng = Rng(seed)
+    examples = [Example(id=f"x{i}", text=text, numerical=rng.normal(3).tolist(),
+                        categorical=[("tier", "ab"[int(rng.random() < 0.5)])], label="Other")
+                for i, text in enumerate(texts)]
+    return prepared(examples)
+
+
+def oracle_probs(model, data):
+    """keep=True forwards of every row itself, chunk_bounds chunks in row order."""
+    return np.concatenate([forward(model, *data.inputs(model, slice(*bounds)))[0].probs
+                           for bounds in metrics.chunk_bounds(len(data))])
+
+
+def scored(monkeypatch, model, data):
+    """predict_all's top-3, each row's probabilities, and the rows of each encoder call."""
+    probs, encoded = {}, []
+    encoder_forward = BiLstmEncoder.forward
+
+    def recording_forward(model, *args, **kwargs):
+        pred, cache = forward(model, *args, **kwargs)
+        probs.update(zip(kwargs["example_id"], pred.probs))
+        return pred, cache
+
+    def recording_encoder_forward(self, vectors, *args, **kwargs):
+        encoded.append(len(vectors))
+        return encoder_forward(self, vectors, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics, "forward", recording_forward)
+        patch.setattr(BiLstmEncoder, "forward", recording_encoder_forward)
+        tops = metrics.predict_all(model, data, 3)
+    return tops, np.array([probs[i] for i in data.ids]), encoded
+
+
+def assert_scores_like_the_oracle(monkeypatch, model, data):
+    """Both paths give the oracle's bytes; returns the grouped path's encoder calls."""
+    __tracebackhide__ = True
+    want = oracle_probs(model, data)
+    tops, got, encoded = scored(monkeypatch, model, data)
+    ungrouped_tops, ungrouped, _ = scored(monkeypatch, model,
+                                          dataclasses.replace(data, groups=None))
+    assert np.array_equal(got, want) and np.array_equal(ungrouped, want)
+    assert tops == ungrouped_tops == topk_indices(want, 3)
+    return encoded
+
+
+VARIANTS = ["fusion", "text"]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_synth_corpus(monkeypatch, variant):
+    data = synth_corpus()
+    encoded = assert_scores_like_the_oracle(monkeypatch, model_for(variant, data), data)
+    assert sum(encoded) == data.groups.max() + 1 < len(data) / 5
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_rows_sharing_one_text_encode_it_twice(monkeypatch, variant):
+    data = corpus_of(["my loan was declined why"] * 5)
+    assert data.groups.tolist() == [0] * 5
+    encoded = assert_scores_like_the_oracle(monkeypatch, model_for(variant, data), data)
+    assert encoded == [2]  # never one row alone: a one-row product runs gemv
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_row(monkeypatch, variant):
+    data = corpus_of(["when will the funds arrive"])
+    assert assert_scores_like_the_oracle(monkeypatch, model_for(variant, data), data) == [1]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_65_distinct_sequences_split_into_two_chunks(monkeypatch, variant):
+    texts = [f"{a} {b}" for a, b in zip(WORDS[:65], WORDS[65:130])]
+    data = corpus_of(texts + texts[::-1])  # each twice, with other features
+    assert data.groups.max() == 64
+    encoded = assert_scores_like_the_oracle(monkeypatch, model_for(variant, data), data)
+    assert encoded == [32, 33]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_equal_texts_with_different_features(monkeypatch, variant):
+    data = corpus_of(["how do i pay off my plan early", "what does it cost"] * 4, seed=2)
+    model = model_for(variant, data)
+    assert data.groups.tolist() == [0, 1] * 4
+    assert assert_scores_like_the_oracle(monkeypatch, model, data) == [2]
+    if variant == "fusion":
+        _, probs, _ = scored(monkeypatch, model, data)
+        assert len({p.tobytes() for p in probs[::2]}) == 4
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_texts_that_differ_only_beyond_max_seq_len_share_a_group(monkeypatch, variant):
+    head = " ".join(WORDS[:T])
+    texts = [head, f"{head} {WORDS[T]}", f"{head} {WORDS[T + 1]} {WORDS[T + 2]}",
+             " ".join(WORDS[1:T + 1])]
+    data = corpus_of(texts)
+    assert data.groups.tolist() == [0, 0, 0, 1]
+    encoded = assert_scores_like_the_oracle(monkeypatch, model_for(variant, data), data)
+    assert encoded == [2]
+
+
+def test_groups_are_the_distinct_truncated_token_lists():
+    data = synth_corpus()
+    examples = synth.generate_synthetic(260, 0.05, 7)[0]
+    number = {}
+    want = [number.setdefault(tuple(tokenize(normalize(ex.text), T).tokens), len(number))
+            for ex in examples]
+    assert data.groups.tolist() == want
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("edit", ["vectors", "mask", "first-row"])
+def test_sequences_edited_after_prepare(monkeypatch, variant, edit):
+    data = synth_corpus()
+    rows = np.flatnonzero(data.groups == data.groups[0])
+    assert len(rows) > 2
+    edited = {"vectors": rows[1], "mask": rows[2], "first-row": rows[0]}[edit]
+    if edit == "mask":
+        data.seqs.mask[edited, -1] = not data.seqs.mask[edited, -1]
+    else:
+        data.seqs.vectors[edited, 0] += 0.25
+    # An edited row stops sharing its group's encoding; an edited first row, every row.
+    want = rows if edit == "first-row" else np.where(rows == edited, rows, rows[0])
+    assert metrics.shared_rows(data)[rows].tolist() == want.tolist()
+    assert_scores_like_the_oracle(monkeypatch, model_for(variant, data), data)
+
+
+@pytest.mark.parametrize("named_first", ["repeated-row", "first-of-a-group"])
+def test_all_masked_error_names_the_first_such_row_in_row_order(named_first):
+    data = synth_corpus()
+    firsts = np.flatnonzero(metrics.shared_rows(data) == np.arange(len(data)))
+    repeated = np.setdiff1d(np.arange(len(data)), firsts)
+    if named_first == "repeated-row":
+        early = repeated[0]
+        late = firsts[firsts > early][3]
+    else:
+        early = firsts[firsts > repeated[0]][0]
+        late = repeated[repeated > early][5]
+    data.seqs.mask[[late, early]] = False
+    with pytest.raises(AllMaskedError, match=f"^example {data.ids[early]}: "):
+        metrics.predict_all(model_for("fusion", data), data, 3)
+
+
+def test_the_encoder_sees_each_of_34_sequences_of_a_quickstart_corpus_once(monkeypatch):
+    data = prepared(synth.generate_synthetic(1300, 0.05, 5)[0])
+    _, _, encoded = scored(monkeypatch, model_for("fusion", data), data)
+    assert sum(encoded) == 34 and len(data) == 1300
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_given_text_features_must_fit_and_keep_no_cache(variant):
+    data = corpus_of(["what does it cost", "when will the funds arrive"])
+    model = model_for(variant, data)
+    num, cat, seq = data.inputs(model, slice(None))
+    features = encode_text(model, seq)[0]
+    pred, cache = forward(model, num, cat, text=features, keep=False)
+    assert np.array_equal(pred.probs, forward(model, num, cat, seq)[0].probs)
+    with pytest.raises(ValueError, match="kept no cache"):
+        backward(model, cache, np.ones_like(pred.probs))
+    with pytest.raises(ShapeError, match="text features"):
+        forward(model, num, cat, text=features[:, 1:])
+    with pytest.raises(ShapeError, match="text features"):
+        forward(model, num, cat, text=features[None])

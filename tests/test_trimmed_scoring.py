@@ -18,7 +18,7 @@ from fusenet.dataset import PreparedDataset
 from fusenet.embeddings import EmbeddedSequence
 from fusenet.layers import AllMaskedError, BiLstmEncoder, live_lengths
 from fusenet.metrics import compute_report, topk_accuracy
-from fusenet.model import ModelConfig, build_variant, forward, topk_indices
+from fusenet.model import ModelConfig, build_variant, encode_text, forward, topk_indices
 from fusenet.numcore import Rng
 from fusenet.training import _validation_topk_accuracy
 
@@ -142,12 +142,12 @@ def test_one_call_runs_the_padding_recurrence_once(monkeypatch):
         padding_calls.append((count, rows))
         return padding_states(self, count, rows)
 
-    def measuring_forward(model, num_x, cat_x, seq, **kwargs):
+    def measuring_encode_text(model, seq, **kwargs):
         chunk_lengths.append(int(live_lengths(seq.vectors, seq.mask).max()))
-        return forward(model, num_x, cat_x, seq, **kwargs)
+        return encode_text(model, seq, **kwargs)
 
     monkeypatch.setattr(BiLstmEncoder, "padding_states", counting_padding_states)
-    monkeypatch.setattr(metrics, "forward", measuring_forward)
+    monkeypatch.setattr(metrics, "encode_text", measuring_encode_text)
     tops = metrics.predict_all(model, data, 3)
     assert padding_calls == [(T, len(data))]
     assert len(chunk_lengths) == 3 and len({L for L in chunk_lengths if L < T}) == 2
