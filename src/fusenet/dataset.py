@@ -349,60 +349,70 @@ def split(examples: list[Example], fractions=(0.6, 0.2, 0.2), seed: int = 0):
 class PreparedDataset:
     """Model-ready view of a split: feature matrices plus embedded text.
 
-    ``seqs`` holds all N sequences as one (N, max_seq_len, d) array with
-    an (N, max_seq_len) mask, or is None when no embedding table was given.
-    ``groups`` numbers each row's token list, in first-seen order, so rows
-    with equal numbers share one sequence; None counts every row distinct.
+    ``texts`` holds G sequences as one (G, max_seq_len, d) array with a
+    (G, max_seq_len) mask, or is None when no embedding table was given;
+    ``prepare`` stores each distinct sequence once. ``groups`` gives each
+    row's entry of ``texts``; None means one entry per row.
+    ``texts.oov_count`` counts the OOV positions of every row, each entry's
+    as often as rows use it.
     """
 
     ids: list[str]
     labels: np.ndarray  # (n,) int class indices
     num: np.ndarray  # (n, num_dim) standardized
     cat: np.ndarray  # (n, cat_dim) one-hot blocks
-    seqs: EmbeddedSequence | None = None
-    groups: np.ndarray | None = None  # (n,) int
+    texts: EmbeddedSequence | None = None
+    groups: np.ndarray | None = None  # (n,) int, each row's entry of texts
 
     def __len__(self) -> int:
         return len(self.ids)
 
     @property
     def oov_total(self) -> int:
-        return self.seqs.oov_count if self.seqs is not None else 0
+        return self.texts.oov_count if self.texts is not None else 0
+
+    @property
+    def seqs(self) -> EmbeddedSequence | None:
+        """Every row's sequence, (n, max_seq_len, d), gathered from ``texts`` on each read."""
+        return None if self.texts is None else self.texts[self.entries(slice(None))]
+
+    def entries(self, rows):
+        """The entries of ``texts`` used by the rows that ``rows`` selects."""
+        return rows if self.groups is None else self.groups[rows]
 
     def inputs(self, model, rows) -> tuple:
         """``(num, cat, seq)`` of the examples ``rows`` selects, as ``model.forward`` takes them.
 
-        ``rows`` is one index, a slice (views, no copy) or an index array.
-        A branch ``model`` does not use gets None.
+        ``rows`` is one index, a slice or an index array. A branch ``model``
+        does not use gets None.
         """
         tabular = model.uses_tabular
         return (self.num[rows] if tabular else None, self.cat[rows] if tabular else None,
-                self.seqs[rows] if model.uses_text else None)
+                self.texts[self.entries(rows)] if model.uses_text else None)
 
 
 def prepare(examples: list[Example], pipeline: FeaturePipeline,
             table: EmbeddingTable | None, max_seq_len: int) -> PreparedDataset:
     """Normalize/tokenize/embed text and transform features for one split.
 
-    ``table`` may be None for tabular-only experiments; seqs and groups
-    are then None. Each distinct text is normalized and tokenized once,
-    and all rows are embedded together by ``embed_batch``. Rows whose
-    (truncated) token lists are equal share a group.
+    ``table`` may be None for tabular-only experiments; texts and groups
+    are then None. Each distinct text is normalized and tokenized once.
+    Rows whose (truncated) token lists are equal share one entry of
+    ``texts``, numbered in first-seen order, and ``embed_batch`` embeds
+    each entry once.
     """
     num, cat = pipeline.transform(examples)
     labels = np.array([ex.label_index for ex in examples], dtype=np.int64)
-    seqs = groups = None
+    texts = groups = None
     if table is not None:
-        tokens_of: dict[str, list[str]] = {}  # raw text -> its tokens
-        token_lists = []
+        entry_of: dict[str, int] = {}  # raw text -> its entry
+        token_lists: dict[tuple[str, ...], int] = {}  # token list -> its entry
         for ex in examples:
-            tokens = tokens_of.get(ex.text)
-            if tokens is None:
-                tokens = tokens_of[ex.text] = tokenize(normalize(ex.text), max_seq_len).tokens
-            token_lists.append(tokens)
-        seqs = embed_batch(table, token_lists, max_seq_len)
-        group_of: dict[tuple[str, ...], int] = {}  # token list -> its group
-        groups = np.array([group_of.setdefault(tuple(tokens), len(group_of))
-                           for tokens in token_lists], dtype=np.intp)
+            if ex.text not in entry_of:
+                tokens = tuple(tokenize(normalize(ex.text), max_seq_len).tokens)
+                entry_of[ex.text] = token_lists.setdefault(tokens, len(token_lists))
+        groups = np.array([entry_of[ex.text] for ex in examples], dtype=np.intp)
+        texts = embed_batch(table, list(token_lists), max_seq_len,
+                            repeats=np.bincount(groups, minlength=len(token_lists)))
     return PreparedDataset(ids=[ex.id for ex in examples], labels=labels, num=num, cat=cat,
-                           seqs=seqs, groups=groups)
+                           texts=texts, groups=groups)

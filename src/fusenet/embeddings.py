@@ -252,13 +252,15 @@ def random_table(words, dim: int, seed: int) -> EmbeddingTable:
 
 
 def embed_batch(table: EmbeddingTable, token_lists: list[list[str]],
-                max_seq_len: int) -> EmbeddedSequence:
+                max_seq_len: int, repeats: np.ndarray | None = None) -> EmbeddedSequence:
     """Map N token lists to table rows: one (N, max_seq_len, d) array, right-padded.
 
     OOV tokens become zero rows with a true mask entry (neutral under
     attention); padding rows are zero with a false mask entry. Text with
     no tokens embeds as one OOV token, so attention always has a position.
-    Every row is gathered from the table in one indexed copy.
+    Every row is gathered from the table in one indexed copy. The OOV
+    count counts list i's OOV positions ``repeats[i]`` times, once each
+    when ``repeats`` is None.
     """
     # A selection from a file with vectors may hold none, and is not empty.
     if token_lists and len(table) == 0 and not table.file_rows:
@@ -280,8 +282,9 @@ def embed_batch(table: EmbeddingTable, token_lists: list[list[str]],
         vectors[~hit] = 0.0  # ... and are zeroed
     else:
         vectors = np.zeros(mask.shape + (table.dim,))
+    oov = lengths - np.count_nonzero(hit, axis=1)
     return EmbeddedSequence(vectors=vectors, mask=mask,
-                            oov_count=positions - int(np.count_nonzero(hit)))
+                            oov_count=int(oov.sum() if repeats is None else oov @ repeats))
 
 
 def embed_sequence(

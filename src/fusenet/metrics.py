@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CLASS_NAMES, PreparedDataset, is_finite_number
-from .layers import live_lengths
+from .layers import AllMaskedError, live_lengths
 from .model import FusionModel, encode_text, forward
 from .parallel import ordered_map
 
@@ -127,70 +127,46 @@ def chunk_bounds(n: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def shared_rows(data: PreparedDataset) -> np.ndarray:
-    """For each row, the first row of its group (``PreparedDataset.groups``).
-
-    A row whose vectors or mask differ from that row's, as after an edit of
-    ``seqs``, is its own first row; so is every row when groups is None.
-    """
-    rows = np.arange(len(data))
-    if data.groups is None:
-        return rows
-    _, firsts, group = np.unique(data.groups, return_index=True, return_inverse=True)
-    first = firsts[group]
-    repeated = np.flatnonzero(first != rows)
-    vectors, mask = data.seqs.vectors.reshape(len(data), -1), data.seqs.mask
-    # SCORE_CHUNK rows at a time: gathering every repeated row at once
-    # faults megabytes of fresh pages in, which took 5x as long.
-    for start in range(0, len(repeated), SCORE_CHUNK):
-        own = repeated[start:start + SCORE_CHUNK]
-        of = first[own]
-        stale = own[~((vectors[own] == vectors[of]).all(axis=1)
-                      & (mask[own] == mask[of]).all(axis=1))]
-        first[stale] = stale
-    return first
-
-
 def predict_all(model: FusionModel, data: PreparedDataset, k: int) -> list[list[int]]:
     """Top-k class indices of every example in ``data``, in row order.
 
-    The text branch runs once per distinct sequence (``shared_rows``),
-    keeping no backward cache, in ``chunk_bounds`` chunks in a stable sort
-    by live length (``layers.live_lengths``: 1 + a row's last position
-    whose mask entry is true or whose vector is non-zero). Each chunk's
-    encoder then runs only to its longest row, its backward direction
-    starting from the state the trailing zero-input steps reach
+    The text branch runs once per entry of ``data.texts``, keeping no
+    backward cache, in ``chunk_bounds`` chunks in a stable sort by live
+    length (``layers.live_lengths``: 1 + an entry's last position whose
+    mask entry is true or whose vector is non-zero). Each chunk's encoder
+    then runs only to its longest entry, its backward direction starting
+    from the state the trailing zero-input steps reach
     (``BiLstmEncoder.padding_states``, computed once per call). A lone
-    sequence among several rows is encoded twice, as no chunk may hold one
+    entry among several rows is encoded twice, as no chunk may hold one
     row. Then the rows are scored in ``chunk_bounds`` chunks in row order,
-    each with its sequence's text features, so its probabilities are
+    each with its entry's text features, so its probabilities are
     bit-identical to those of the untrimmed forward of the row itself. A
     row whose text is all padding raises AllMaskedError naming the first
-    such example in row order: such rows sort first.
+    such example in row order.
     """
-    encoded = slot = None
+    encoded = None
     if model.uses_text:
-        first = shared_rows(data)
-        distinct = np.flatnonzero(first == np.arange(len(data)))
-        # The distinct rows' sequences: a copy only when it is smaller.
-        seqs = data.seqs if len(distinct) == len(data) else data.seqs[distinct]
-        key = np.where(seqs.mask.any(axis=-1), live_lengths(seqs.vectors, seqs.mask), -1)
-        order = np.argsort(key, kind="stable")
+        texts = data.texts
+        dead = np.flatnonzero(~texts.mask.any(axis=-1)[data.entries(slice(None))])
+        if len(dead):
+            raise AllMaskedError(f"example {data.ids[dead[0]]}: attention: "
+                                 "no unmasked positions to attend to")
+        order = np.argsort(live_lengths(texts.vectors, texts.mask), kind="stable")
         if len(order) == 1 < len(data):
             order = np.repeat(order, 2)
-        padding = model.encoder.padding_states(seqs.mask.shape[-1], len(order))
-        encoded = np.empty((len(distinct), model.encoder.out_dim))
+        padding = model.encoder.padding_states(texts.mask.shape[-1], len(order))
+        encoded = np.empty((len(texts.mask), model.encoder.out_dim))
         for bounds in chunk_bounds(len(order)):
-            slots = order[slice(*bounds)]
-            encoded[slots] = encode_text(model, seqs[slots], keep=False, padding=padding,
-                                         example_id=[data.ids[i] for i in distinct[slots]])[0]
-        slot = np.searchsorted(distinct, first)  # each row's entry of encoded
+            entries = order[slice(*bounds)]
+            encoded[entries] = encode_text(model, texts[entries], keep=False,
+                                           padding=padding)[0]
 
     def score(bounds: tuple[int, int]) -> list[list[int]]:
+        # A variant without the tabular branches ignores num and cat.
         rows = slice(*bounds)
-        num, cat, _ = data.inputs(model, rows)
-        return forward(model, num, cat, None, k=k, example_id=data.ids[rows], keep=False,
-                       text=None if encoded is None else encoded[slot[rows]])[0].top_k
+        return forward(model, data.num[rows], data.cat[rows], None, k=k,
+                       example_id=data.ids[rows], keep=False,
+                       text=None if encoded is None else encoded[data.entries(rows)])[0].top_k
 
     return [top for chunk in ordered_map(score, chunk_bounds(len(data))) for top in chunk]
 

@@ -265,7 +265,7 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
 
     A batch has a leading axis of B rows: ``num_x`` is (B, num_dim),
     ``cat_x`` (B, cat_dim), and ``seq`` holds (B, T, embed_dim) vectors
-    with a (B, T) mask (rows of ``PreparedDataset.seqs``, for one). Then the
+    with a (B, T) mask (as ``PreparedDataset.inputs`` gives them). Then the
     prediction's probs are (B, C), its top_k has one list per row, and
     ``example_id`` may be a list naming each row.
 

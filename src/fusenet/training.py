@@ -168,14 +168,22 @@ def _check_dims(model: FusionModel, data: PreparedDataset, split: str) -> None:
                 f"{split}: categorical width {data.cat.shape[1]} vs model {cfg.cat_feature_dim}"
             )
     if model.uses_text:
-        if data.seqs is None:
+        texts, groups = data.texts, data.groups
+        if texts is None:
             raise ValueError(f"{split}: missing embedded sequences")
-        expected = (len(data), cfg.max_seq_len, cfg.embed_dim)
-        if data.seqs.vectors.shape != expected or data.seqs.mask.shape != expected[:2]:
+        size = len(data) if groups is None else len(texts.vectors)
+        expected = (size, cfg.max_seq_len, cfg.embed_dim)
+        if texts.vectors.shape != expected or texts.mask.shape != expected[:2]:
             raise ValueError(
-                f"{split}: sequences {data.seqs.vectors.shape} with mask "
-                f"{data.seqs.mask.shape} vs {expected}"
+                f"{split}: sequences {texts.vectors.shape} with mask "
+                f"{texts.mask.shape} vs {expected}"
             )
+        if groups is None:
+            return
+        if groups.shape != (len(data),):
+            raise ValueError(f"{split}: groups {groups.shape} vs {len(data)} rows")
+        if groups.min() < 0 or groups.max() >= size:
+            raise ValueError(f"{split}: groups must lie in [0, {size})")
 
 
 def _validation_topk_accuracy(model: FusionModel, data: PreparedDataset, k: int) -> float:

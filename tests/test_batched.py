@@ -226,13 +226,38 @@ def test_v1_checkpoint_bytes_and_predictions_unchanged(tmp_path):
 def test_train_names_the_split_whose_sequence_array_has_the_wrong_shape(bad):
     config = small_check_config(seed=3)
     num, cat, seq, labels = ragged_batch(3, config)
-    good = PreparedDataset(ids=["a", "b", "c"], labels=labels, num=num, cat=cat, seqs=seq)
+    good = PreparedDataset(ids=["a", "b", "c"], labels=labels, num=num, cat=cat, texts=seq)
     wrong = {"rows": seq[:2], "length": EmbeddedSequence(seq.vectors[:, :4], seq.mask[:, :4]),
              "width": EmbeddedSequence(seq.vectors[..., :-1], seq.mask),
              "mask": EmbeddedSequence(seq.vectors, seq.mask[:, :4])}[bad]
-    data = PreparedDataset(ids=["a", "b", "c"], labels=labels, num=num, cat=cat, seqs=wrong)
+    data = PreparedDataset(ids=["a", "b", "c"], labels=labels, num=num, cat=cat, texts=wrong)
     model = build_variant(config, "fusion")
     with pytest.raises(ValueError, match="^validation: sequences"):
         train(model, good, data, TrainConfig(epochs=1))
     with pytest.raises(ValueError, match="^train: sequences"):
+        train(model, data, good, TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("mask", "sequences"),  # texts holds 2 entries; the mask is not (2, T)
+    ("groups-per-row", r"groups \(2,\) vs 3 rows"),
+    ("group-past-the-last-entry", r"groups must lie in \[0, 2\)"),
+    ("negative-group", r"groups must lie in \[0, 2\)"),
+])
+def test_train_names_the_split_whose_sequence_groups_are_wrong(bad, message):
+    config = small_check_config(seed=3)
+    num, cat, seq, labels = ragged_batch(3, config)
+    texts, groups = seq[:2], [0, 1, 1]
+    if bad == "mask":
+        texts = EmbeddedSequence(texts.vectors, seq.mask)
+    else:
+        groups = {"groups-per-row": [0, 1], "group-past-the-last-entry": [0, 2, 1],
+                  "negative-group": [0, -1, 1]}[bad]
+    good, data = (PreparedDataset(ids=["a", "b", "c"], labels=labels, num=num, cat=cat,
+                                  texts=t, groups=np.array(g))
+                  for t, g in ((seq[:2], [0, 1, 1]), (texts, groups)))
+    model = build_variant(config, "fusion")
+    with pytest.raises(ValueError, match=f"^validation: {message}"):
+        train(model, good, data, TrainConfig(epochs=1))
+    with pytest.raises(ValueError, match=f"^train: {message}"):
         train(model, data, good, TrainConfig(epochs=1))

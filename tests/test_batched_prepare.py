@@ -7,6 +7,8 @@ split below both must give the same bytes for every array and the same
 OOV count.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -81,7 +83,7 @@ def assert_same_bytes(got, want):
     for name, a, b in (("vectors", got.seqs.vectors, vectors), ("mask", got.seqs.mask, mask)):
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
-    assert got.seqs.oov_count == oov
+    assert got.oov_total == oov
 
 
 def corpus():
@@ -147,6 +149,35 @@ def test_batched_prepare_gives_the_per_row_bytes(tmp_path, case):
     got = prepare(examples, pipeline, table, MAX_SEQ_LEN)
     assert_same_bytes(got, reference_prepare(examples, pipeline, table, MAX_SEQ_LEN))
     assert got.ids == [ex.id for ex in examples]
+
+
+def test_each_distinct_token_list_is_embedded_once(monkeypatch):
+    # eval-bulk's corpus: 1,560 rows, 34 distinct token lists at T=20.
+    examples, _ = synth.generate_synthetic(1560, 0.05, 20007)
+    table, max_seq_len = random_table(synth.vocabulary(), 16, seed=4), 20
+    pipeline = FeaturePipeline.fit(examples)
+    calls = []
+    real = dataset.embed_batch
+
+    def recording_embed_batch(table, token_lists, *args, **kwargs):
+        calls.append(len(token_lists))
+        return real(table, token_lists, *args, **kwargs)
+
+    monkeypatch.setattr(dataset, "embed_batch", recording_embed_batch)
+    got = prepare(examples, pipeline, table, max_seq_len)
+    assert calls == [34]
+    assert got.texts.vectors.nbytes == 87_040
+    _, num, cat, (vectors, mask, oov) = reference_prepare(examples, pipeline, table,
+                                                          max_seq_len)
+    assert got.oov_total == oov
+    model = SimpleNamespace(uses_tabular=True, uses_text=True)
+    for rows in (slice(100, 180), np.array([1559, 3, 3, 700]), 42):
+        got_num, got_cat, seq = got.inputs(model, rows)
+        for name, a, b in (("num", got_num, num[rows]), ("cat", got_cat, cat[rows]),
+                           ("vectors", seq.vectors, vectors[rows]),
+                           ("mask", seq.mask, mask[rows])):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
 
 
 def test_one_row_paths_are_the_batched_ones():

@@ -110,11 +110,15 @@ def test_predict_command_equals_in_process_predict_topk(bench, tmp_path, capsys)
 
     _train_ex, _val_ex, held_out = fn.dataset.split(bench["examples"], fn.cli.SPLIT_FRACTIONS,
                                                     seed=0)
-    # The last query repeats the first one's features with text whose
-    # tokens are all out of vocabulary.
-    queries = [*held_out[:3], dataclasses.replace(held_out[0], text="zzqx qqzx")]
+    # The third query repeats the first one's text before a distinct fourth,
+    # so from there on a row's entry of prepared.texts is not its row number.
+    # The last query repeats the first one's features with text whose tokens
+    # are all out of vocabulary.
+    queries = [held_out[0], held_out[2], dataclasses.replace(held_out[3], text=held_out[0].text),
+               held_out[4], dataclasses.replace(held_out[0], text="zzqx qqzx")]
     prepared = fn.dataset.prepare(queries, bench["pipeline"], big, model.config.max_seq_len)
-    assert prepared.seqs[3].mask.sum() == 2 and not prepared.seqs[3].vectors.any()
+    assert prepared.groups.tolist() == [0, 1, 0, 2, 3]
+    assert prepared.seqs[4].mask.sum() == 2 and not prepared.seqs[4].vectors.any()
     capsys.readouterr()
     for j, ex in enumerate(queries):
         features = tmp_path / f"features-{j}.json"
@@ -170,7 +174,7 @@ n = metrics.SCORE_CHUNK + 8
 data = dataset.PreparedDataset(
     ids=[str(i) for i in range(n)], labels=np.arange(n) % cfg.num_classes,
     num=rng.normal((n, cfg.num_feature_dim)), cat=rng.normal((n, cfg.cat_feature_dim)),
-    seqs=embeddings.EmbeddedSequence(rng.normal((n, cfg.max_seq_len, cfg.embed_dim)),
+    texts=embeddings.EmbeddedSequence(rng.normal((n, cfg.max_seq_len, cfg.embed_dim)),
                                      np.ones((n, cfg.max_seq_len), dtype=bool)))
 metrics.report(m, data, k=3, class_names=[str(c) for c in range(cfg.num_classes)])
 print(json.dumps({"installed": rec.installed, "counts": forward_counts,

@@ -53,6 +53,13 @@ def corpus_of(texts, seed=0):
     return prepared(examples)
 
 
+def renumbered(data):
+    """``data`` with its entries of ``texts`` in reverse, so that entry order
+    is not the order of each entry's first row."""
+    return dataclasses.replace(data, texts=data.texts[::-1],
+                               groups=data.groups.max() - data.groups)
+
+
 def oracle_probs(model, data):
     """keep=True forwards of every row itself, chunk_bounds chunks in row order."""
     return np.concatenate([forward(model, *data.inputs(model, slice(*bounds)))[0].probs
@@ -86,7 +93,7 @@ def assert_scores_like_the_oracle(monkeypatch, model, data):
     want = oracle_probs(model, data)
     tops, got, encoded = scored(monkeypatch, model, data)
     ungrouped_tops, ungrouped, _ = scored(monkeypatch, model,
-                                          dataclasses.replace(data, groups=None))
+                                          dataclasses.replace(data, texts=data.seqs, groups=None))
     assert np.array_equal(got, want) and np.array_equal(ungrouped, want)
     assert tops == ungrouped_tops == topk_indices(want, 3)
     return encoded
@@ -98,8 +105,10 @@ VARIANTS = ["fusion", "text"]
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_a_synth_corpus(monkeypatch, variant):
     data = synth_corpus()
-    encoded = assert_scores_like_the_oracle(monkeypatch, model_for(variant, data), data)
+    model = model_for(variant, data)
+    encoded = assert_scores_like_the_oracle(monkeypatch, model, data)
     assert sum(encoded) == data.groups.max() + 1 < len(data) / 5
+    assert_scores_like_the_oracle(monkeypatch, model, renumbered(data))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -156,35 +165,13 @@ def test_groups_are_the_distinct_truncated_token_lists():
     assert data.groups.tolist() == want
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("edit", ["vectors", "mask", "first-row"])
-def test_sequences_edited_after_prepare(monkeypatch, variant, edit):
+@pytest.mark.parametrize("layout", ["prepared", "renumbered"])
+def test_all_masked_error_names_the_first_such_row_in_row_order(layout):
     data = synth_corpus()
-    rows = np.flatnonzero(data.groups == data.groups[0])
-    assert len(rows) > 2
-    edited = {"vectors": rows[1], "mask": rows[2], "first-row": rows[0]}[edit]
-    if edit == "mask":
-        data.seqs.mask[edited, -1] = not data.seqs.mask[edited, -1]
-    else:
-        data.seqs.vectors[edited, 0] += 0.25
-    # An edited row stops sharing its group's encoding; an edited first row, every row.
-    want = rows if edit == "first-row" else np.where(rows == edited, rows, rows[0])
-    assert metrics.shared_rows(data)[rows].tolist() == want.tolist()
-    assert_scores_like_the_oracle(monkeypatch, model_for(variant, data), data)
-
-
-@pytest.mark.parametrize("named_first", ["repeated-row", "first-of-a-group"])
-def test_all_masked_error_names_the_first_such_row_in_row_order(named_first):
-    data = synth_corpus()
-    firsts = np.flatnonzero(metrics.shared_rows(data) == np.arange(len(data)))
-    repeated = np.setdiff1d(np.arange(len(data)), firsts)
-    if named_first == "repeated-row":
-        early = repeated[0]
-        late = firsts[firsts > early][3]
-    else:
-        early = firsts[firsts > repeated[0]][0]
-        late = repeated[repeated > early][5]
-    data.seqs.mask[[late, early]] = False
+    data = {"prepared": data, "renumbered": renumbered(data)}[layout]
+    first_rows = np.sort(np.unique(data.groups, return_index=True)[1])
+    early, late = first_rows[5], first_rows[20]  # renumbered, late's entry comes first
+    data.texts.mask[data.groups[[late, early]]] = False
     with pytest.raises(AllMaskedError, match=f"^example {data.ids[early]}: "):
         metrics.predict_all(model_for("fusion", data), data, 3)
 

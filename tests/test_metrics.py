@@ -213,7 +213,7 @@ def ragged_fusion_set(n=40, seed=60):
         labels=rng.integers(0, 13, n),
         num=rng.normal((n, 4)),
         cat=(rng.random((n, 2)) < 0.5).astype(float),
-        seqs=EmbeddedSequence(vectors=vectors, mask=mask),
+        texts=EmbeddedSequence(vectors=vectors, mask=mask),
     )
     return build_variant(config, "fusion"), data
 
@@ -256,6 +256,6 @@ def test_validation_accuracy_is_topk_accuracy_of_the_same_predictions():
 
 def test_report_names_an_all_masked_example():
     model, data = ragged_fusion_set()
-    data.seqs.mask[35] = False
+    data.texts.mask[35] = False
     with pytest.raises(AllMaskedError, match="example t35:"):
         metrics.report(model, data, k=3)

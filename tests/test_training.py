@@ -250,10 +250,10 @@ def test_trained_checkpoint_bytes_are_pinned(optimizer, tmp_path, monkeypatch):
         labels=rng.integers(0, config.num_classes, n),
         num=rng.normal((n, config.num_feature_dim)),
         cat=(rng.random((n, config.cat_feature_dim)) < 0.5).astype(np.float64),
-        seqs=EmbeddedSequence(vectors=vectors, mask=mask),
+        texts=EmbeddedSequence(vectors=vectors, mask=mask),
     )
     train_set, val_set = (PreparedDataset(data.ids[rows], data.labels[rows], data.num[rows],
-                                          data.cat[rows], data.seqs[rows])
+                                          data.cat[rows], data.texts[rows])
                           for rows in (slice(0, 36), slice(36, n)))
     norms = []
     clip = training.clip_grads_

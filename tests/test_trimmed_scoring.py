@@ -45,14 +45,14 @@ def ragged_set(variant, n=70, seed=3):
     vectors[HIDDEN_TAIL, 12] = rng.normal(E)
     data = PreparedDataset(ids=[f"r{i}" for i in range(n)], labels=rng.integers(0, 13, n),
                            num=rng.normal((n, 6)), cat=(rng.random((n, 5)) < 0.5).astype(float),
-                           seqs=EmbeddedSequence(vectors=vectors, mask=mask))
+                           texts=EmbeddedSequence(vectors=vectors, mask=mask))
     return model, data
 
 
 def scored(model, data, size):
     """keep=False and keep=True probabilities of every row (in row order),
     scored ``size`` rows per forward in stable live-length order."""
-    order = np.argsort(live_lengths(data.seqs.vectors, data.seqs.mask), kind="stable")
+    order = np.argsort(live_lengths(data.texts.vectors, data.texts.mask), kind="stable")
     free, kept = (np.empty((len(data), model.config.num_classes)) for _ in range(2))
     for start in range(0, len(data), size):
         rows = order[start:start + size]
@@ -85,7 +85,7 @@ def test_live_lengths_count_true_mask_entries_and_non_zero_vectors():
 
 def test_the_ragged_set_trims_every_chunk_size():
     _, data = ragged_set("fusion")
-    lengths = live_lengths(data.seqs.vectors, data.seqs.mask)
+    lengths = live_lengths(data.texts.vectors, data.texts.mask)
     assert lengths[EMPTY] == 1 and lengths[HIDDEN_TAIL] == 13 and np.sum(lengths == T) == 2
     assert np.sort(lengths)[metrics.SCORE_CHUNK - 1] < T
 
@@ -171,7 +171,7 @@ def test_report_and_validation_accuracy_are_those_of_the_untrimmed_forward():
 
 def test_all_masked_error_names_the_first_such_example_in_row_order():
     model, data = ragged_set("fusion")
-    data.seqs.mask[HIDDEN_TAIL] = False  # still live to position 13 through its vectors
-    data.seqs.vectors[66], data.seqs.mask[66] = 0.0, False  # live length 0, a later chunk
+    data.texts.mask[HIDDEN_TAIL] = False  # still live to position 13 through its vectors
+    data.texts.vectors[66], data.texts.mask[66] = 0.0, False  # live length 0, a later chunk
     with pytest.raises(AllMaskedError, match=f"example r{HIDDEN_TAIL}:"):
         metrics.predict_all(model, data, 3)
