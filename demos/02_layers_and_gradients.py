@@ -2,7 +2,8 @@
 
 Every layer has a hand-derived backward pass; this demo runs the same
 finite-difference harness the test suite uses and prints the worst
-relative error per layer and per end-to-end variant.
+relative error per layer and per end-to-end variant. Every layer takes a
+batch with a leading row axis; here each runs on a one-row batch.
 
 Run:  python3 demos/02_layers_and_gradients.py
 """
@@ -17,26 +18,26 @@ rng = Rng(0)
 
 print("=== LSTM cell: zero weights force analytic gate values ===")
 cell = LstmCell(np.zeros((5, 12)), np.zeros(12))  # (hidden+input, 4*hidden) fused gates
-c_prev = np.array([0.4, -1.2, 2.0])
-h, c, cache = cell.step(np.zeros(3), c_prev, np.zeros(2))
-print(f"  gates i=f=o={cache['i'][0]:.1f}, candidate q={cache['q'][0]:.1f}")
-print(f"  c_t = 0.5*c_prev       -> {c.round(4)}")
-print(f"  h_t = 0.5*tanh(0.5*c)  -> {h.round(4)}")
+c_prev = np.array([[0.4, -1.2, 2.0]])
+h, c, cache = cell.step(np.zeros((1, 3)), c_prev, np.zeros((1, 2)))
+print(f"  gates i=f=o={cache['i'][0, 0]:.1f}, candidate q={cache['q'][0, 0]:.1f}")
+print(f"  c_t = 0.5*c_prev       -> {c[0].round(4)}")
+print(f"  h_t = 0.5*tanh(0.5*c)  -> {h[0].round(4)}")
 print()
 
 print("=== BiLSTM: each row concatenates forward and time-reversed states ===")
 enc = BiLstmEncoder.init(rng.child(1), input_dim=3, hidden_dim=2)
-H, _ = enc.forward(rng.normal((4, 3)))
-print(f"  output shape {H.shape} = (T, 2*hidden)")
+H, _ = enc.forward(rng.normal((1, 4, 3)))
+print(f"  output shape {H.shape} = (B, T, 2*hidden)")
 print()
 
 print("=== Attention: zero parameters give uniform weights ===")
 attn = FeedforwardAttention(np.zeros(4), np.zeros(1))
-H = rng.normal((5, 4))
-mask = np.array([True, True, True, True, False])
+H = rng.normal((1, 5, 4))
+mask = np.array([[True, True, True, True, False]])
 a, alphas, _ = attn.forward(H, mask)
-print(f"  alphas: {alphas.round(4)}  (masked tail gets exactly 0)")
-print(f"  output == mean of unmasked rows: {np.allclose(a, H[:4].mean(axis=0))}")
+print(f"  alphas: {alphas[0].round(4)}  (masked tail gets exactly 0)")
+print(f"  output == mean of unmasked rows: {np.allclose(a[0], H[0, :4].mean(axis=0))}")
 print()
 
 print("=== Finite-difference checks (step 1e-5, relative error) ===")

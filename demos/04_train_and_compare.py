@@ -65,8 +65,9 @@ sample = next(ex for ex in test_ex if ex.label == "Early Payoff")
 tokens = tokenize(normalize(sample.text), MAX_SEQ_LEN)
 seq = emb.embed_sequence(table, tokens, MAX_SEQ_LEN)
 model = models["fusion"]
-H, _ = model.encoder.forward(seq.vectors)
-_, alphas, _ = model.attention.forward(H, seq.mask)
+batch = seq[None]  # the layers take a batch: this one example as its only row
+H, _ = model.encoder.forward(batch.vectors)
+alphas = model.attention.forward(H, batch.mask)[1][0]
 print(f"  text: {sample.text}")
 order = np.argsort(-alphas)[:5]
 for t in order:

@@ -17,7 +17,7 @@ from .model import (FusionModel, ModelConfig, Prediction, build_variant, forward
 from .numcore import Rng, affine, sigmoid, softmax
 from .synth import generate_synthetic
 from .textprep import TokenSequence, normalize, tokenize
-from .training import TrainConfig, TrainReport, cross_entropy, grad_check, train
+from .training import TrainConfig, TrainReport, grad_check, train
 
 __version__ = "0.1.0"
 
@@ -30,6 +30,6 @@ __all__ = [
     "Rng", "affine", "sigmoid", "softmax",
     "generate_synthetic",
     "TokenSequence", "normalize", "tokenize",
-    "TrainConfig", "TrainReport", "cross_entropy", "grad_check", "train",
+    "TrainConfig", "TrainReport", "grad_check", "train",
     "__version__",
 ]

@@ -352,7 +352,7 @@ class PreparedDataset:
     ``texts`` holds G sequences as one (G, max_seq_len, d) array with a
     (G, max_seq_len) mask, or is None when no embedding table was given;
     ``prepare`` stores each distinct sequence once. ``groups`` gives each
-    row's entry of ``texts``; None means one entry per row.
+    row's entry of ``texts``, and is set exactly when ``texts`` is.
     ``texts.oov_count`` counts the OOV positions of every row, each entry's
     as often as rows use it.
     """
@@ -378,13 +378,14 @@ class PreparedDataset:
 
     def entries(self, rows):
         """The entries of ``texts`` used by the rows that ``rows`` selects."""
-        return rows if self.groups is None else self.groups[rows]
+        return self.groups[rows]
 
     def inputs(self, model, rows) -> tuple:
-        """``(num, cat, seq)`` of the examples ``rows`` selects, as ``model.forward`` takes them.
+        """``(num, cat, seq)`` of the examples ``rows`` selects.
 
-        ``rows`` is one index, a slice or an index array. A branch ``model``
-        does not use gets None.
+        A slice or an index array gives the batch ``model.forward`` takes,
+        one index the single example ``model.predict_topk`` takes. A branch
+        ``model`` does not use gets None.
         """
         tabular = model.uses_tabular
         return (self.num[rows] if tabular else None, self.cat[rows] if tabular else None,

@@ -51,15 +51,16 @@ class EmbeddingTable:
 
 @dataclass
 class EmbeddedSequence:
-    """Right-padded embedding matrix for one token sequence, or for N of them.
+    """Right-padded embedding matrices of N token sequences, one per row.
 
-    A dataset or batch of sequences has a leading axis on both arrays;
-    indexing it with a row, a slice or an index array gives that row or
-    batch (a view, for a row or a slice).
+    Indexing with a slice or an index array gives those rows as a batch
+    (a view, for a slice). ``embed_sequence`` and indexing with one row
+    give a single sequence without the leading axis, the form only
+    ``model.predict_topk`` takes.
     """
 
-    vectors: np.ndarray  # (max_seq_len, d), or (N, max_seq_len, d)
-    mask: np.ndarray  # (max_seq_len,) or (N, max_seq_len) bool, True = real token
+    vectors: np.ndarray  # (N, max_seq_len, d); (max_seq_len, d) for one sequence
+    mask: np.ndarray  # (N, max_seq_len) bool, True = real token; (max_seq_len,) for one
     oov_count: int = 0
 
     def __getitem__(self, rows) -> "EmbeddedSequence":

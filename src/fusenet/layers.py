@@ -6,9 +6,9 @@ gradients plus a dict of parameter gradients keyed and shaped exactly
 like the layer's ``params()``, for every layer (the LSTM's are its fused
 ``W_all``/``b_all``). Nothing here mutates parameters.
 
-Every layer takes one example or a batch with a leading batch axis
-(B rows). A batch's parameter gradients are the sums of the rows'
-per-example gradients; the one-example shapes keep working unchanged.
+Every layer takes a batch: its inputs have a leading axis of B rows,
+one example per row, and one example is a one-row batch. A batch's
+parameter gradients are the sums of the rows' per-example gradients.
 
 Weight convention follows the dense form y = act(W^T x + b) with W
 stored as (in, out). LSTM gates act on [h_prev, x_t] through one fused
@@ -33,8 +33,6 @@ bits of H, the gradients and the checkpoints.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -75,8 +73,8 @@ def _act_grad(name: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
 class DenseLayer:
     """y = activation(W^T x + b) with W of shape (in, out).
 
-    ``x`` is one input of length in or a ``(B, in)`` batch of them;
-    backward sums the parameter gradients over the batch rows.
+    ``x`` is a ``(B, in)`` batch; backward sums the parameter gradients
+    over its rows.
     """
 
     def __init__(self, W: np.ndarray, b: np.ndarray, activation: str = "identity"):
@@ -112,8 +110,7 @@ class DenseLayer:
         if dy.shape != cache["z"].shape:
             raise ShapeError(f"dense backward: grad{dy.shape} vs output{cache['z'].shape}")
         dz = dy * _act_grad(self.activation, cache["z"], cache["y"])
-        rows = dz.reshape(-1, self.out_dim)
-        grads = {"W": cache["x"].reshape(-1, self.in_dim).T @ rows, "b": rows.sum(axis=0)}
+        grads = {"W": cache["x"].T @ dz, "b": dz.sum(axis=0)}
         dx = dz @ self.W.T
         return dx, grads
 
@@ -183,8 +180,8 @@ class LstmCell:
     ``W_all`` is one ``(hidden+input, 4*hidden)`` matrix holding the gate
     blocks in GATES order, and ``b_all`` their ``(4*hidden,)`` biases.
     Its first ``hidden`` rows (``W_h``) act on h_prev and the rest
-    (``W_x``) on x_t. ``params()`` are these two arrays. A step takes one
-    example (1-d vectors) or a batch (one example per row).
+    (``W_x``) on x_t. ``params()`` are these two arrays. A step takes a
+    batch, one example per row.
     """
 
     GATES = ("i", "f", "o", "q")
@@ -220,16 +217,16 @@ class LstmCell:
         return {"W_all": self.W_all, "b_all": self.b_all}
 
     def step(self, h_prev: np.ndarray, c_prev: np.ndarray, x_t: np.ndarray):
-        """(h, c, cache) after one step; cache["gates"] holds [i, f, o, q],
-        and cache["i"] ... cache["q"] are its four column views.
+        """(h, c, cache) after one step of a (B, input) ``x_t``; cache["gates"]
+        holds [i, f, o, q], and cache["i"] ... cache["q"] are its four column views.
 
         The gates are x_t @ W_x + b, then + h_prev @ W_h, as in the
         encoder's time loop.
         """
-        if (h_prev.shape[-1] != self.hidden_dim or x_t.shape[-1] != self.input_dim
-                or h_prev.shape[:-1] != x_t.shape[:-1]):
+        if (x_t.ndim != 2 or x_t.shape[1] != self.input_dim
+                or h_prev.shape != (len(x_t), self.hidden_dim) or c_prev.shape != h_prev.shape):
             raise ShapeError(
-                f"lstm step: h{h_prev.shape}, x{x_t.shape} vs "
+                f"lstm step: h{h_prev.shape}, c{c_prev.shape}, x{x_t.shape} vs "
                 f"hidden {self.hidden_dim}, input {self.input_dim}"
             )
         gates = x_t @ self.W_x
@@ -237,7 +234,7 @@ class LstmCell:
         gates += h_prev @ self.W_h
         h, c = _lstm_gates_(_gate_major(gates), c_prev)
         cache = {"h_prev": h_prev, "x": x_t, "gates": gates, "c_prev": c_prev, "c": c,
-                 **dict(zip(self.GATES, np.split(gates, 4, axis=-1)))}
+                 **dict(zip(self.GATES, np.split(gates, 4, axis=1)))}
         return h, c, cache
 
     def step_backward(self, cache, dh: np.ndarray, dc: np.ndarray):
@@ -249,11 +246,8 @@ class LstmCell:
         """
         dz = cache["gates"].copy()
         dc_prev = _lstm_gates_backward_(_gate_major(dz), cache["c_prev"], cache["c"], dh, dc)
-        rows = dz.reshape(-1, 4 * self.hidden_dim)
-        h_prev = cache["h_prev"].reshape(-1, self.hidden_dim)
-        x = cache["x"].reshape(-1, self.input_dim)
-        dW = np.concatenate([h_prev.T @ rows, x.T @ rows])
-        return dz @ self.W_h.T, dc_prev, dz @ self.W_x.T, dW, rows.sum(axis=0)
+        dW = np.concatenate([cache["h_prev"].T @ dz, cache["x"].T @ dz])
+        return dz @ self.W_h.T, dc_prev, dz @ self.W_x.T, dW, dz.sum(axis=0)
 
 
 def live_lengths(vectors: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
@@ -278,8 +272,8 @@ class BiLstmEncoder:
     (their vectors are zero); exclusion happens downstream at attention.
     Scoring (``forward(keep=False)``) skips the padding past the longest
     row, which changes no live position's output.
-    The input is one ``(T, input_dim)`` sequence or a ``(B, T, input_dim)``
-    batch; the output has the same leading axes.
+    The input is a ``(B, T, input_dim)`` batch of sequences and the
+    output a ``(B, T, 2*hidden)`` one.
     """
 
     def __init__(self, forward_cell: LstmCell, backward_cell: LstmCell):
@@ -343,7 +337,7 @@ class BiLstmEncoder:
 
     def forward(self, vectors: np.ndarray, keep: bool = True, mask: np.ndarray | None = None,
                 padding=None):
-        """vectors: (..., T, input_dim) -> H: (..., T, 2*hidden_dim), plus cache.
+        """vectors: (B, T, input_dim) -> H: (B, T, 2*hidden_dim), plus cache.
 
         One time loop advances both directions: step k runs the forward
         cell at t=k and the backward cell at t=T-1-k, with their states and
@@ -360,7 +354,7 @@ class BiLstmEncoder:
         + b`` from ``vectors`` into a one-step gate buffer, no states are
         kept, the cache is None, and only the first L timesteps run, L
         being the largest of the rows' ``live_lengths`` (``mask``, of shape
-        (..., T), marks positions that count as live even when their
+        (B, T), marks positions that count as live even when their
         vector is zero). Every later position holds a zero vector in every
         row. The forward direction stops at L, and the backward direction
         starts at L-1 from the state that T-L zero-input steps reach from a
@@ -370,12 +364,12 @@ class BiLstmEncoder:
         without it the forward runs T-L zero steps itself. H is zero at
         ``t >= L``; below L it is bit-identical to ``keep=True``.
         """
-        if vectors.ndim not in (2, 3) or vectors.shape[-1] != self.input_dim:
-            raise ShapeError(f"bilstm: input {vectors.shape} vs input_dim {self.input_dim}")
-        lead, T = vectors.shape[:-2], vectors.shape[-2]
-        rows, n = math.prod(lead), self.hidden_dim
+        if vectors.ndim != 3 or vectors.shape[2] != self.input_dim:
+            raise ShapeError(f"bilstm: input {vectors.shape} vs (B, T, {self.input_dim})")
+        rows, T, _ = vectors.shape
+        n = self.hidden_dim
         L = T if keep else int(np.max(live_lengths(vectors, mask), initial=0))
-        V = vectors[..., :L, :].reshape(rows, L, self.input_dim)
+        V = vectors[:, :L]
         W = self._stacked()
         _, W_x, b = W
         h, c = np.zeros((2, 2, rows, n))
@@ -399,7 +393,6 @@ class BiLstmEncoder:
             # trim the heap and fault 1.1 MB back in for every 64-row chunk.
             gates = np.empty((T, 2, rows, 4 * n))[:1]
         self._recur(W, V, gates, h, c, H, cs)
-        H = H.reshape(*lead, T, 2 * n)
         return H, ({"X": X, "H": H, "gates": gates, "cs": cs} if keep else None)
 
     def padding_states(self, count: int, rows: int):
@@ -442,7 +435,6 @@ class BiLstmEncoder:
         T, _, rows, n = cs.shape
         W_h, W_x, _ = self._stacked()
         W_hT = W_h.swapaxes(1, 2)
-        H, dH = H.reshape(rows, T, 2 * n), dH.reshape(rows, T, 2 * n)
         h_prev = np.empty((2, rows, n))
         dW = np.zeros((2, *self.fwd.W_all.shape))
         dW_h, dW_x = dW[:, :n], dW[:, n:]
@@ -466,17 +458,17 @@ class BiLstmEncoder:
         dX[::-1] += X[:, 1]
         grads = {"fwd.W_all": dW[0], "fwd.b_all": gates[:, 0].sum(axis=(0, 1)),
                  "bwd.W_all": dW[1], "bwd.b_all": gates[::-1, 1].sum(axis=(0, 1))}
-        return np.moveaxis(dX.reshape(T, *cache["H"].shape[:-2], self.input_dim), 0, -2), grads
+        return dX.swapaxes(0, 1), grads
 
 
 class FeedforwardAttention:
-    """Scalar-score attention reducing a (T, dim) matrix to one vector.
+    """Scalar-score attention reducing each (T, dim) matrix of a batch to one vector.
 
     Scores are tanh(w . h_t + b), softmax-normalized over unmasked
-    positions only; masked positions get exactly zero weight. The output
-    is the weighted average of the rows, so it stays inside their convex
-    hull. A ``(B, T, dim)`` batch with a ``(B, T)`` mask reduces each
-    example independently to a ``(B, dim)`` output.
+    positions only; masked positions get exactly zero weight. Each output
+    is the weighted average of its example's rows, so it stays inside
+    their convex hull. A ``(B, T, dim)`` batch with a ``(B, T)`` mask
+    reduces each example independently to a ``(B, dim)`` output.
     """
 
     def __init__(self, w: np.ndarray, b: np.ndarray):
@@ -493,15 +485,15 @@ class FeedforwardAttention:
         return {"w": self.w, "b": self.b}
 
     def forward(self, H: np.ndarray, mask: np.ndarray):
-        if H.ndim not in (2, 3) or H.shape[-1] != self.w.shape[0]:
-            raise ShapeError(f"attention: H{H.shape} vs w length {self.w.shape[0]}")
-        if mask.shape != H.shape[:-1]:
-            raise ShapeError(f"attention: mask {mask.shape} vs {H.shape[:-1]} rows")
+        if H.ndim != 3 or H.shape[2] != self.w.shape[0]:
+            raise ShapeError(f"attention: H{H.shape} vs (B, T, {self.w.shape[0]})")
+        if mask.shape != H.shape[:2]:
+            raise ShapeError(f"attention: mask {mask.shape} vs {H.shape[:2]} rows")
         mask = mask.astype(bool)
-        live = mask.any(axis=-1)
+        live = mask.any(axis=1)
         if not np.all(live):
-            where = f" (batch row {int(np.argmin(live))})" if H.ndim == 3 else ""
-            raise AllMaskedError(f"attention: no unmasked positions to attend to{where}")
+            raise AllMaskedError("attention: no unmasked positions to attend to "
+                                 f"(batch row {int(np.argmin(live))})")
 
         psi = np.tanh(H @ self.w + self.b[0])
         peak = np.max(np.where(mask, psi, -np.inf), axis=-1, keepdims=True)
@@ -514,8 +506,8 @@ class FeedforwardAttention:
     def backward(self, cache, da: np.ndarray):
         """Gradients w.r.t. w, b and H given dLoss/da."""
         H, mask, psi, alphas = cache["H"], cache["mask"], cache["psi"], cache["alphas"]
-        if da.shape != H.shape[:-2] + H.shape[-1:]:
-            raise ShapeError(f"attention backward: grad {da.shape} vs dim {H.shape[-1]}")
+        if da.shape != (H.shape[0], H.shape[2]):
+            raise ShapeError(f"attention backward: grad {da.shape} vs dim {H.shape[2]}")
         dalpha = np.einsum("...td,...d->...t", H, da)
         # Softmax over unmasked entries: dpsi_t = a_t * (dalpha_t - sum_s a_s dalpha_s)
         inner = np.sum(alphas * dalpha, axis=-1, keepdims=True)

@@ -85,8 +85,8 @@ class ModelConfig:
 
 @dataclass
 class Prediction:
-    probs: np.ndarray  # (C,), or (B, C) for a batch
-    top_k: list  # class indices, or one list of them per batch row
+    probs: np.ndarray  # (B, C); (C,) from predict_topk
+    top_k: list  # one list of class indices per row; one flat list from predict_topk
 
 
 def head_input_dim(config: ModelConfig, variant: str) -> int:
@@ -241,7 +241,7 @@ def _run_branch(branch: list[DenseLayer], x: np.ndarray):
 
 def encode_text(model: FusionModel, seq: EmbeddedSequence, keep: bool = True, padding=None,
                 example_id=None):
-    """The text branch, encoder then attention: its (..., 2*lstm_hidden) output,
+    """The text branch, encoder then attention: its (B, 2*lstm_hidden) output,
     the text features, and the two layers' caches. ``keep`` and
     ``example_id`` are forward's; ``padding`` passes the encoder its
     ``padding_states`` (see ``BiLstmEncoder.forward``).
@@ -252,22 +252,21 @@ def encode_text(model: FusionModel, seq: EmbeddedSequence, keep: bool = True, pa
     except AllMaskedError as err:
         if example_id is None:
             raise
-        if not isinstance(example_id, str):
-            example_id = example_id[int(np.argmin(seq.mask.any(axis=-1)))]
-        raise AllMaskedError(f"example {example_id}: {err}") from err
+        row = int(np.argmin(seq.mask.any(axis=1)))
+        raise AllMaskedError(f"example {example_id[row]}: {err}") from err
     return a, [enc_cache, attn_cache]
 
 
 def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | None = None,
             k: int | None = None, dropout_rate: float = 0.0, drop_rng: Rng | None = None,
             example_id=None, keep: bool = True, text=None):
-    """Run one example, or a batch of them, through the branches and softmax head.
+    """Run a batch of B examples, one per row, through the branches and softmax head.
 
-    A batch has a leading axis of B rows: ``num_x`` is (B, num_dim),
-    ``cat_x`` (B, cat_dim), and ``seq`` holds (B, T, embed_dim) vectors
-    with a (B, T) mask (as ``PreparedDataset.inputs`` gives them). Then the
-    prediction's probs are (B, C), its top_k has one list per row, and
-    ``example_id`` may be a list naming each row.
+    ``num_x`` is (B, num_dim), ``cat_x`` (B, cat_dim), and ``seq`` holds
+    (B, T, embed_dim) vectors with a (B, T) mask (as
+    ``PreparedDataset.inputs`` gives them). The prediction's probs are
+    (B, C), its top_k has one list per row, and ``example_id``, when
+    given, is a list naming each row.
 
     Returns (Prediction, cache); the cache carries everything backward()
     needs. The prediction's top_k defaults to min(3, num_classes) entries.
@@ -289,23 +288,22 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
     if model.uses_tabular:
         if num_x is None or cat_x is None:
             raise ShapeError(f"variant {model.variant!r} requires numerical and categorical inputs")
-        if num_x.ndim not in (1, 2) or num_x.shape[-1] != cfg.num_feature_dim:
-            raise ShapeError(f"numerical input {num_x.shape} vs ({cfg.num_feature_dim},)")
-        if cat_x.shape != num_x.shape[:-1] + (cfg.cat_feature_dim,):
-            raise ShapeError(f"categorical input {cat_x.shape} vs ({cfg.cat_feature_dim},)")
+        if num_x.ndim != 2 or num_x.shape[1] != cfg.num_feature_dim:
+            raise ShapeError(f"numerical input {num_x.shape} vs (B, {cfg.num_feature_dim})")
+        if cat_x.shape != (len(num_x), cfg.cat_feature_dim):
+            raise ShapeError(f"categorical input {cat_x.shape} vs (B, {cfg.cat_feature_dim})")
         outputs.append(_run_branch(model.mlp_num, num_x))
         outputs.append(_run_branch(model.mlp_cat, cat_x))
 
     if model.uses_text:
         if text is not None:
-            want = (num_x.shape[:-1] if model.uses_tabular else text.shape[:-1]) + (
-                model.encoder.out_dim,)
-            if text.ndim > 2 or text.shape != want:
+            want = (num_x if model.uses_tabular else text).shape[:1] + (model.encoder.out_dim,)
+            if text.shape != want:
                 raise ShapeError(f"text features {text.shape} vs {want}")
             outputs.append((text, None))
         elif seq is None:
             raise ShapeError(f"variant {model.variant!r} requires an embedded sequence")
-        elif model.uses_tabular and seq.vectors.shape[:-2] != num_x.shape[:-1]:
+        elif model.uses_tabular and seq.vectors.shape[:-2] != num_x.shape[:1]:
             raise ShapeError(f"sequence batch {seq.vectors.shape} vs features {num_x.shape}")
         else:
             outputs.append(encode_text(model, seq, keep, example_id=example_id))
@@ -315,13 +313,13 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
     drop_masks = [None] * len(parts)
     if dropout_rate > 0.0 and drop_rng is not None:
         survive = 1.0 - dropout_rate
-        masks = (drop_rng.random(parts[0].shape[:-1] + (sum(widths),)) < survive) / survive
-        drop_masks = np.split(masks, np.cumsum(widths)[:-1], axis=-1)
+        masks = (drop_rng.random((len(parts[0]), sum(widths))) < survive) / survive
+        drop_masks = np.split(masks, np.cumsum(widths)[:-1], axis=1)
         parts = [part * mask for part, mask in zip(parts, drop_masks)]
     cache: dict = {"branches": [branch_cache for _, branch_cache in outputs],
                    "widths": widths, "drop_masks": drop_masks}
 
-    c = np.concatenate(parts, axis=-1)
+    c = np.concatenate(parts, axis=1)
     logits, head_cache = model.head.forward(c)
     probs = softmax(logits)
     cache["head"] = head_cache
@@ -345,7 +343,7 @@ def backward(model: FusionModel, cache, dlogits: np.ndarray) -> np.ndarray:
 
     *branches, head = model.branches()
     dc = chain(head, [cache["head"]], dlogits)
-    dsegs = np.split(dc, np.cumsum(cache["widths"])[:-1], axis=-1)
+    dsegs = np.split(dc, np.cumsum(cache["widths"])[:-1], axis=1)
     for branch, caches, dseg, drop_mask in zip(branches, cache["branches"], dsegs,
                                                cache["drop_masks"]):
         if caches is None:
@@ -355,22 +353,29 @@ def backward(model: FusionModel, cache, dlogits: np.ndarray) -> np.ndarray:
                            for prefix, layer in branch for pname in layer.params()])
 
 
-def topk_indices(probs: np.ndarray, k: int):
-    """Indices of the k largest entries; ties go to the lower index.
-
-    For (B, C) probabilities, one list per row.
-    """
-    if not 1 <= k <= probs.shape[-1]:
-        raise ValueError(f"k must be in [1, {probs.shape[-1]}], got {k}")
-    return np.argsort(-probs, axis=-1, kind="stable")[..., :k].tolist()
+def topk_indices(probs: np.ndarray, k: int) -> list[list[int]]:
+    """Indices of each row's k largest entries of (B, C) ``probs``; ties go
+    to the lower index."""
+    if not 1 <= k <= probs.shape[1]:
+        raise ValueError(f"k must be in [1, {probs.shape[1]}], got {k}")
+    return np.argsort(-probs, axis=1, kind="stable")[:, :k].tolist()
 
 
 def predict_topk(model: FusionModel, num_x=None, cat_x=None, seq=None, k: int = 3,
                  example_id: str | None = None) -> Prediction:
+    """Top-k classes of one example: ``num_x`` (num_dim,), ``cat_x`` (cat_dim,)
+    and a (T, embed_dim) ``seq``, each None where the variant has no branch for it.
+
+    The one entry point for a single example: it runs as a one-row batch of
+    ``forward(keep=False)``, and the prediction is row 0, with (C,) probs
+    and a flat top-k list.
+    """
     if not 1 <= k <= model.config.num_classes:
         raise ValueError(f"k must be in [1, {model.config.num_classes}], got {k}")
-    pred, _ = forward(model, num_x, cat_x, seq, k=k, example_id=example_id, keep=False)
-    return pred
+    batch = (None if x is None else x[None] for x in (num_x, cat_x, seq))
+    ids = None if example_id is None else [example_id]
+    pred, _ = forward(model, *batch, k=k, example_id=ids, keep=False)
+    return Prediction(probs=pred.probs[0], top_k=pred.top_k[0])
 
 
 _CONFIG_FIELDS = ("num_feature_dim", "cat_feature_dim", "embed_dim", "lstm_hidden",

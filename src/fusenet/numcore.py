@@ -14,17 +14,12 @@ class ShapeError(ValueError):
 
 
 def affine(W: np.ndarray, x, b: np.ndarray):
-    """W^T x + b for W of shape (in, out) and b of length out.
-
-    ``x`` is one input of length in, or a batch of them as rows of a
-    ``(B, in)`` matrix, which gives a ``(B, out)`` result.
-    """
-    if W.ndim != 2 or x.ndim not in (1, 2) or b.ndim != 1:
-        raise ShapeError(
-            f"affine expects (2d, 1d or 2d, 1d), got W{W.shape}, x{x.shape}, b{b.shape}"
-        )
-    if W.shape[0] != x.shape[-1]:
-        raise ShapeError(f"affine: W has {W.shape[0]} rows but x has length {x.shape[-1]}")
+    """x @ W + b for W of shape (in, out), b of length out and a ``(B, in)``
+    batch ``x`` of one input per row, which gives a ``(B, out)`` result."""
+    if W.ndim != 2 or x.ndim != 2 or b.ndim != 1:
+        raise ShapeError(f"affine expects (2d, 2d, 1d), got W{W.shape}, x{x.shape}, b{b.shape}")
+    if W.shape[0] != x.shape[1]:
+        raise ShapeError(f"affine: W has {W.shape[0]} rows but x has length {x.shape[1]}")
     if W.shape[1] != b.shape[0]:
         raise ShapeError(f"affine: W has {W.shape[1]} cols but b has length {b.shape[0]}")
     return x @ W + b

@@ -79,12 +79,6 @@ class TrainReport:
         )
 
 
-def cross_entropy(probs: np.ndarray, label: int) -> float:
-    if not 0 <= label < probs.shape[0]:
-        raise ValueError(f"label {label} out of range for {probs.shape[0]} classes")
-    return -math.log(max(float(probs[label]), LOSS_FLOOR))
-
-
 def batch_loss(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of (B, C) probs, and its logit gradient.
 
@@ -171,15 +165,15 @@ def _check_dims(model: FusionModel, data: PreparedDataset, split: str) -> None:
         texts, groups = data.texts, data.groups
         if texts is None:
             raise ValueError(f"{split}: missing embedded sequences")
-        size = len(data) if groups is None else len(texts.vectors)
+        if groups is None:
+            raise ValueError(f"{split}: embedded sequences without groups")
+        size = len(texts.vectors)
         expected = (size, cfg.max_seq_len, cfg.embed_dim)
         if texts.vectors.shape != expected or texts.mask.shape != expected[:2]:
             raise ValueError(
                 f"{split}: sequences {texts.vectors.shape} with mask "
                 f"{texts.mask.shape} vs {expected}"
             )
-        if groups is None:
-            return
         if groups.shape != (len(data),):
             raise ValueError(f"{split}: groups {groups.shape} vs {len(data)} rows")
         if groups.min() < 0 or groups.max() >= size:
@@ -332,13 +326,13 @@ def grad_check(variant: str = "fusion", seed: int = 0) -> GradCheckResult:
     config = small_check_config(seed)
     model = build_variant(config, variant)
     rng = Rng(seed).child(99)
-    num_x = rng.normal(config.num_feature_dim)
-    cat_x = (rng.random(config.cat_feature_dim) < 0.5).astype(np.float64)
-    vectors = rng.normal((config.max_seq_len, config.embed_dim))
-    mask = np.array([True, True, True, True, False])
+    num_x = rng.normal((1, config.num_feature_dim))
+    cat_x = (rng.random((1, config.cat_feature_dim)) < 0.5).astype(np.float64)
+    vectors = rng.normal((1, config.max_seq_len, config.embed_dim))
+    mask = np.array([[True, True, True, True, False]])
     vectors[~mask] = 0.0
     seq = EmbeddedSequence(vectors=vectors, mask=mask, oov_count=0)
-    label = int(rng.integers(0, config.num_classes))
+    labels = np.array([rng.integers(0, config.num_classes)])
 
     num_in = num_x if model.uses_tabular else None
     cat_in = cat_x if model.uses_tabular else None
@@ -346,12 +340,10 @@ def grad_check(variant: str = "fusion", seed: int = 0) -> GradCheckResult:
 
     def loss() -> float:
         pred, _ = forward(model, num_in, cat_in, seq_in)
-        return cross_entropy(pred.probs, label)
+        return batch_loss(pred.probs, labels)[0]
 
     pred, cache = forward(model, num_in, cat_in, seq_in)
-    dlogits = pred.probs.copy()
-    dlogits[label] -= 1.0
-    analytic = dict(model.param_blocks(backward(model, cache, dlogits)))
+    analytic = dict(model.param_blocks(backward(model, cache, batch_loss(pred.probs, labels)[1])))
 
     per_block: dict[str, float] = {}
     for name, arr in model.param_blocks():
@@ -365,7 +357,7 @@ def grad_check(variant: str = "fusion", seed: int = 0) -> GradCheckResult:
 
 
 def layer_grad_checks(seed: int) -> dict[str, float]:
-    """Finite-difference checks of each layer type in isolation.
+    """Finite-difference checks of each layer type in isolation, on one-row batches.
 
     The scalar loss is a random linear functional of the layer output, so
     every backward path is exercised. Returns max relative error per
@@ -387,12 +379,12 @@ def layer_grad_checks(seed: int) -> dict[str, float]:
     # Dense, smooth activations (+ input gradient).
     for act in ("identity", "sigmoid", "tanh"):
         layer = DenseLayer.init(rng.child(0), 6, 4, act)
-        x = rng.normal(6)
-        r = rng.normal(4)
+        x = rng.normal((1, 6))
+        r = rng.normal((1, 4))
 
         def dense_loss():
             y, _ = layer.forward(x)
-            return float(y @ r)
+            return float(np.vdot(y, r))
 
         _, cache = layer.forward(x)
         dx, grads = layer.backward(cache, r)
@@ -403,15 +395,15 @@ def layer_grad_checks(seed: int) -> dict[str, float]:
     # perturbation of one weight moves each pre-activation by at most
     # FD_STEP * max|x|, so any |z| above that bound cannot flip sign.
     layer = DenseLayer.init(rng.child(1), 6, 4, "relu")
-    x = rng.normal(6)
+    x = rng.normal((1, 6))
     _, cache = layer.forward(x)
     margin = FD_STEP * (1.0 + float(np.max(np.abs(x))) + float(np.max(np.abs(layer.W))))
     if float(np.min(np.abs(cache["z"]))) > 10.0 * margin:
-        r = rng.normal(4)
+        r = rng.normal((1, 4))
 
         def relu_loss():
             y, _ = layer.forward(x)
-            return float(y @ r)
+            return float(np.vdot(y, r))
 
         dx, grads = layer.backward(cache, r)
         check("dense.relu", relu_loss,
@@ -419,15 +411,15 @@ def layer_grad_checks(seed: int) -> dict[str, float]:
 
     # One LSTM step; loss reads both h and c.
     cell = LstmCell.init(rng.child(2), 3, 4)
-    h_prev = rng.normal(4)
-    c_prev = rng.normal(4)
-    x_t = rng.normal(3)
-    r_h = rng.normal(4)
-    r_c = rng.normal(4)
+    h_prev = rng.normal((1, 4))
+    c_prev = rng.normal((1, 4))
+    x_t = rng.normal((1, 3))
+    r_h = rng.normal((1, 4))
+    r_c = rng.normal((1, 4))
 
     def lstm_loss():
         h, c, _ = cell.step(h_prev, c_prev, x_t)
-        return float(h @ r_h + c @ r_c)
+        return float(np.vdot(h, r_h) + np.vdot(c, r_c))
 
     _, _, cache = cell.step(h_prev, c_prev, x_t)
     dh_prev, dc_prev, dx, dW, db = cell.step_backward(cache, r_h, r_c)
@@ -436,8 +428,8 @@ def layer_grad_checks(seed: int) -> dict[str, float]:
 
     # BiLSTM over T=3, including gradients through the inputs.
     enc = BiLstmEncoder.init(rng.child(3), 3, 4)
-    X = rng.normal((3, 3))
-    R = rng.normal((3, 8))
+    X = rng.normal((1, 3, 3))
+    R = rng.normal((1, 3, 8))
 
     def bilstm_loss():
         H, _ = enc.forward(X)
@@ -451,13 +443,13 @@ def layer_grad_checks(seed: int) -> dict[str, float]:
 
     # Attention with one masked position.
     attn = FeedforwardAttention.init(rng.child(4), 8)
-    H = rng.normal((4, 8))
-    mask = np.array([True, True, True, False])
-    r = rng.normal(8)
+    H = rng.normal((1, 4, 8))
+    mask = np.array([[True, True, True, False]])
+    r = rng.normal((1, 8))
 
     def attn_loss():
         a, _, _ = attn.forward(H, mask)
-        return float(a @ r)
+        return float(np.vdot(a, r))
 
     _, _, cache = attn.forward(H, mask)
     dH, grads = attn.backward(cache, r)
@@ -466,17 +458,15 @@ def layer_grad_checks(seed: int) -> dict[str, float]:
 
     # Classifier head through softmax + cross-entropy.
     head = DenseLayer.init(rng.child(5), 6, 5, "identity")
-    x = rng.normal(6)
-    label = int(rng.integers(0, 5))
+    x = rng.normal((1, 6))
+    labels = np.array([rng.integers(0, 5)])
 
     def head_loss():
         logits, _ = head.forward(x)
-        return cross_entropy(softmax(logits), label)
+        return batch_loss(softmax(logits), labels)[0]
 
     logits, cache = head.forward(x)
-    dlogits = softmax(logits)
-    dlogits[label] -= 1.0
-    dx, grads = head.backward(cache, dlogits)
+    dx, grads = head.backward(cache, batch_loss(softmax(logits), labels)[1])
     check("classifier_head", head_loss,
           [(grads["W"], head.W), (grads["b"], head.b), (dx, x)])
 

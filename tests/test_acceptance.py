@@ -245,11 +245,11 @@ def test_criterion_6_determinism_and_round_trips(tmp_path):
     table = emb.load_vec_file(vec_path)
     for idx in rng.integers(0, 120, size=100):
         word = words[int(idx)]
-        onehot = np.zeros(120)
-        onehot[table.vocab[word]] = 1.0
+        onehot = np.zeros((1, 120))
+        onehot[0, table.vocab[word]] = 1.0
         expected = affine(table.matrix, onehot, np.zeros(9))
         seq = emb.embed_sequence(table, TokenSequence([word], 1), 1)
-        assert np.array_equal(seq.vectors[0], expected)
+        assert np.array_equal(seq.vectors, expected)
     print("criterion 6 determinism/round-trips: PASS (bit-identical checkpoints; "
           "lossless model/data round-trips; 100-word one-hot oracle exact)")
 
@@ -261,10 +261,10 @@ def test_criterion_7_attention_contract():
         width = int(case.integers(2, 10))
         T = int(case.integers(2, 12))
         attn = FeedforwardAttention.init(case, width)
-        H = case.normal((T, width)) * 4
-        mask = case.random(T) < 0.7
+        H = case.normal((1, T, width)) * 4
+        mask = case.random((1, T)) < 0.7
         if not mask.any():
-            mask[int(case.integers(0, T))] = True
+            mask[0, int(case.integers(0, T))] = True
         _, alphas, _ = attn.forward(H, mask)
         assert abs(alphas.sum() - 1.0) < 1e-12
         assert np.all(alphas[~mask] == 0.0)

@@ -2,7 +2,7 @@
 
 The batch is ragged: B=3 rows of max_seq_len 5, one full length, one of
 length 1 and one ending in padding. The per-example reference runs each
-row alone through the same layers in their one-example shapes; a tiny
+row alone through the same layers as a one-row batch; a tiny
 per-gate, per-timestep forward written straight from the LSTM and
 attention equations checks the fused gate layout on its own.
 """
@@ -17,8 +17,8 @@ from fusenet.embeddings import EmbeddedSequence
 from fusenet.layers import AllMaskedError
 from fusenet.model import VARIANTS, backward, build_variant, forward, load, save
 from fusenet.numcore import Rng, sigmoid
-from fusenet.training import (TrainConfig, batch_loss, cross_entropy, max_relative_error,
-                              numeric_gradient, small_check_config, train)
+from fusenet.training import (TrainConfig, batch_loss, max_relative_error, numeric_gradient,
+                              small_check_config, train)
 
 LENGTHS = (5, 1, 3)
 # Per-class scales of a row's loss and logit gradient, so backward sees
@@ -45,14 +45,15 @@ def scaled_loss(probs, labels, weights):
     if weights is None:
         return loss, dlogits
     w = weights[labels]
-    per_row = [cross_entropy(p, int(label)) for p, label in zip(probs, labels)]
+    per_row = [batch_loss(probs[j:j + 1], labels[j:j + 1])[0] for j in range(len(labels))]
     return float(np.mean(w * per_row)), dlogits * w[:, None]
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("weights", [None, CLASS_WEIGHTS], ids=["unweighted", "class-weighted"])
-def test_batch_gradient_matches_finite_differences(weights):
+def test_batch_gradient_matches_finite_differences(variant, weights):
     config = small_check_config(seed=2)
-    model = build_variant(config, "fusion")
+    model = build_variant(config, variant)
     num, cat, seq, labels = ragged_batch(2, config)
 
     def loss():
@@ -81,12 +82,13 @@ def test_batch_equals_sum_of_examples(variant, weights):
     ref_loss = 0.0
     ref_grad = np.zeros_like(model.theta)
     for j, label in enumerate(labels):
-        one, one_cache = forward(model, num[j], cat[j], seqs[j])
-        assert np.max(np.abs(one.probs - pred.probs[j])) <= 1e-12
-        assert one.top_k == pred.top_k[j]
-        ref_loss += w[label] * cross_entropy(one.probs, int(label)) / n
+        row = slice(j, j + 1)
+        one, one_cache = forward(model, num[row], cat[row], seqs[row])
+        assert np.max(np.abs(one.probs[0] - pred.probs[j])) <= 1e-12
+        assert one.top_k[0] == pred.top_k[j]
+        ref_loss += w[label] * batch_loss(one.probs, labels[row])[0] / n
         d = one.probs.copy()
-        d[label] -= 1.0
+        d[0, label] -= 1.0
         ref_grad += backward(model, one_cache, d * (w[label] / n))
     assert abs(loss - ref_loss) <= 1e-12
     for (name, g), (_, ref) in zip(model.param_blocks(grad), model.param_blocks(ref_grad)):
@@ -121,8 +123,9 @@ def test_batch_dropout_masks_match_rows_run_in_order():
                          drop_rng=Rng(9))
     rng = Rng(9)
     for j in range(len(LENGTHS)):
-        one, _ = forward(model, num[j], cat[j], seqs[j], dropout_rate=0.5, drop_rng=rng)
-        assert np.max(np.abs(one.probs - batched.probs[j])) <= 1e-12
+        row = slice(j, j + 1)
+        one, _ = forward(model, num[row], cat[row], seqs[row], dropout_rate=0.5, drop_rng=rng)
+        assert np.max(np.abs(one.probs[0] - batched.probs[j])) <= 1e-12
 
 
 def _reference_text_vector(model, vectors, mask):
@@ -217,20 +220,26 @@ def test_v1_checkpoint_bytes_and_predictions_unchanged(tmp_path):
     vectors = rng.normal((config.max_seq_len, config.embed_dim))
     mask = np.array([True, True, True, False, False])
     vectors[~mask] = 0.0
-    pred, _ = forward(load(path), num, cat, EmbeddedSequence(vectors, mask))
+    pred, _ = forward(load(path), num[None], cat[None], EmbeddedSequence(vectors[None], mask[None]))
     expected = np.array([float.fromhex(p) for p in V1_PROBS])
-    assert np.max(np.abs(pred.probs - expected)) <= 1e-12
+    assert np.max(np.abs(pred.probs[0] - expected)) <= 1e-12
 
 
 @pytest.mark.parametrize("bad", ["rows", "length", "width", "mask"])
 def test_train_names_the_split_whose_sequence_array_has_the_wrong_shape(bad):
     config = small_check_config(seed=3)
     num, cat, seq, labels = ragged_batch(3, config)
-    good = PreparedDataset(ids=["a", "b", "c"], labels=labels, num=num, cat=cat, texts=seq)
-    wrong = {"rows": seq[:2], "length": EmbeddedSequence(seq.vectors[:, :4], seq.mask[:, :4]),
+    groups = np.arange(3)
+    good = PreparedDataset(ids=["a", "b", "c"], labels=labels, num=num, cat=cat, texts=seq,
+                           groups=groups)
+    # "rows": the mask has fewer rows than the vectors (rows past the
+    # last entry are the groups' check, below).
+    wrong = {"rows": EmbeddedSequence(seq.vectors, seq.mask[:2]),
+             "length": EmbeddedSequence(seq.vectors[:, :4], seq.mask[:, :4]),
              "width": EmbeddedSequence(seq.vectors[..., :-1], seq.mask),
              "mask": EmbeddedSequence(seq.vectors, seq.mask[:, :4])}[bad]
-    data = PreparedDataset(ids=["a", "b", "c"], labels=labels, num=num, cat=cat, texts=wrong)
+    data = PreparedDataset(ids=["a", "b", "c"], labels=labels, num=num, cat=cat, texts=wrong,
+                           groups=groups)
     model = build_variant(config, "fusion")
     with pytest.raises(ValueError, match="^validation: sequences"):
         train(model, good, data, TrainConfig(epochs=1))
@@ -260,4 +269,17 @@ def test_train_names_the_split_whose_sequence_groups_are_wrong(bad, message):
     with pytest.raises(ValueError, match=f"^validation: {message}"):
         train(model, good, data, TrainConfig(epochs=1))
     with pytest.raises(ValueError, match=f"^train: {message}"):
+        train(model, data, good, TrainConfig(epochs=1))
+
+
+def test_train_names_the_split_whose_texts_come_without_groups():
+    config = small_check_config(seed=3)
+    num, cat, seq, labels = ragged_batch(3, config)
+    good = PreparedDataset(ids=["a", "b", "c"], labels=labels, num=num, cat=cat, texts=seq,
+                           groups=np.arange(3))
+    data = PreparedDataset(ids=["a", "b", "c"], labels=labels, num=num, cat=cat, texts=seq)
+    model = build_variant(config, "fusion")
+    with pytest.raises(ValueError, match="^validation: embedded sequences without groups"):
+        train(model, good, data, TrainConfig(epochs=1))
+    with pytest.raises(ValueError, match="^train: embedded sequences without groups"):
         train(model, data, good, TrainConfig(epochs=1))

@@ -175,7 +175,8 @@ data = dataset.PreparedDataset(
     ids=[str(i) for i in range(n)], labels=np.arange(n) % cfg.num_classes,
     num=rng.normal((n, cfg.num_feature_dim)), cat=rng.normal((n, cfg.cat_feature_dim)),
     texts=embeddings.EmbeddedSequence(rng.normal((n, cfg.max_seq_len, cfg.embed_dim)),
-                                     np.ones((n, cfg.max_seq_len), dtype=bool)))
+                                     np.ones((n, cfg.max_seq_len), dtype=bool)),
+    groups=np.arange(n))
 metrics.report(m, data, k=3, class_names=[str(c) for c in range(cfg.num_classes)])
 print(json.dumps({"installed": rec.installed, "counts": forward_counts,
                   "spans": [s[2] for s in rec.spans]}))

@@ -118,11 +118,11 @@ class TestEmbedSequence:
         pick = rng.integers(0, 100, size=100)
         for idx in pick:
             word = words[int(idx)]
-            onehot = np.zeros(len(words))
-            onehot[table.vocab[word]] = 1.0
+            onehot = np.zeros((1, len(words)))
+            onehot[0, table.vocab[word]] = 1.0
             via_product = affine(table.matrix, onehot, np.zeros(table.dim))
             seq = embed_sequence(table, TokenSequence([word], 1), max_seq_len=1)
-            assert np.array_equal(seq.vectors[0], via_product)
+            assert np.array_equal(seq.vectors, via_product)
 
     def test_empty_table_rejected(self):
         empty = EmbeddingTable(vocab={}, matrix=np.zeros((0, 4)), dim=4)

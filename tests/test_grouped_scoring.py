@@ -4,7 +4,7 @@
 the text branch once per distinct sequence. The oracle is the untrimmed
 forward of every row itself, ``chunk_bounds`` chunks in row order, as
 scoring ran before it shared encodings: every row's probabilities must
-have its bytes, with groups and without them.
+have its bytes, with shared entries and with one entry per row.
 """
 
 import dataclasses
@@ -92,8 +92,8 @@ def assert_scores_like_the_oracle(monkeypatch, model, data):
     __tracebackhide__ = True
     want = oracle_probs(model, data)
     tops, got, encoded = scored(monkeypatch, model, data)
-    ungrouped_tops, ungrouped, _ = scored(monkeypatch, model,
-                                          dataclasses.replace(data, texts=data.seqs, groups=None))
+    ungrouped_tops, ungrouped, _ = scored(monkeypatch, model, dataclasses.replace(
+        data, texts=data.seqs, groups=np.arange(len(data))))
     assert np.array_equal(got, want) and np.array_equal(ungrouped, want)
     assert tops == ungrouped_tops == topk_indices(want, 3)
     return encoded

@@ -214,6 +214,7 @@ def ragged_fusion_set(n=40, seed=60):
         num=rng.normal((n, 4)),
         cat=(rng.random((n, 2)) < 0.5).astype(float),
         texts=EmbeddedSequence(vectors=vectors, mask=mask),
+        groups=np.arange(n),
     )
     return build_variant(config, "fusion"), data
 

@@ -10,8 +10,7 @@ from fusenet.model import (ConfigError, CorruptModelError, FusionModel, ModelLoa
                            forward, head_input_dim, load, param_count, predict_topk, save,
                            topk_indices)
 from fusenet.numcore import Rng, ShapeError
-from fusenet.training import (cross_entropy, grad_check, max_relative_error,
-                              numeric_gradient)
+from fusenet.training import batch_loss, grad_check, max_relative_error, numeric_gradient
 
 
 def small_config(**overrides):
@@ -22,17 +21,20 @@ def small_config(**overrides):
 
 
 def random_seq(rng, config, masked_tail=1):
-    vectors = rng.normal((config.max_seq_len, config.embed_dim))
-    mask = np.ones(config.max_seq_len, dtype=bool)
+    """A one-row batch: (1, T, embed_dim) vectors with a (1, T) mask."""
+    vectors = rng.normal((1, config.max_seq_len, config.embed_dim))
+    mask = np.ones((1, config.max_seq_len), dtype=bool)
     if masked_tail:
-        mask[-masked_tail:] = False
+        mask[:, -masked_tail:] = False
         vectors[~mask] = 0.0
     return EmbeddedSequence(vectors=vectors, mask=mask, oov_count=0)
 
 
 def random_inputs(seed, config):
+    """One example as a one-row batch."""
     rng = Rng(seed).child(3)
-    return rng.normal(config.num_feature_dim), rng.normal(config.cat_feature_dim), random_seq(rng, config)
+    return (rng.normal((1, config.num_feature_dim)), rng.normal((1, config.cat_feature_dim)),
+            random_seq(rng, config))
 
 
 class TestBuild:
@@ -76,14 +78,14 @@ class TestForward:
         num, cat, seq = random_inputs(0, model.config)
         pred, _ = forward(model, num, cat, seq)
         assert np.max(np.abs(pred.probs - 1.0 / 13)) < 1e-15
-        assert pred.top_k == [0, 1, 2]
+        assert pred.top_k == [[0, 1, 2]]
 
     def test_all_masked_error_carries_example_id(self):
         model = build_variant(small_config(), "fusion")
         num, cat, seq = random_inputs(1, model.config)
         seq.mask[:] = False
         with pytest.raises(AllMaskedError, match="example case-7"):
-            forward(model, num, cat, seq, example_id="case-7")
+            forward(model, num, cat, seq, example_id=["case-7"])
 
     def test_end_to_end_gradient_check(self):
         assert grad_check("fusion", seed=0).max_rel_err < 1e-4
@@ -125,12 +127,12 @@ class TestVariants:
 
 class TestTopK:
     def test_tie_break_toward_lower_index(self):
-        probs = np.array([0.5, 0.3, 0.1, 0.1])
-        assert topk_indices(probs, 3) == [0, 1, 2]
+        probs = np.array([[0.5, 0.3, 0.1, 0.1]])
+        assert topk_indices(probs, 3) == [[0, 1, 2]]
 
     def test_k_equals_num_classes_is_a_permutation(self):
-        probs = np.array([0.2, 0.5, 0.1, 0.2])
-        assert sorted(topk_indices(probs, 4)) == [0, 1, 2, 3]
+        probs = np.array([[0.2, 0.5, 0.1, 0.2]])
+        assert sorted(topk_indices(probs, 4)[0]) == [0, 1, 2, 3]
 
     def test_matches_full_sort_oracle(self):
         rng = Rng(33)
@@ -139,15 +141,15 @@ class TestTopK:
             probs = raw / raw.sum()
             k = int(rng.integers(1, 14))
             oracle = sorted(range(13), key=lambda i: (-probs[i], i))[:k]
-            assert topk_indices(probs, k) == oracle
+            assert topk_indices(probs[None], k) == [oracle]
 
     def test_k_out_of_range(self):
         model = build_variant(small_config(), "mlp")
         num, cat, _ = random_inputs(3, model.config)
         with pytest.raises(ValueError):
-            predict_topk(model, num, cat, None, k=14)
+            predict_topk(model, num[0], cat[0], None, k=14)
         with pytest.raises(ValueError):
-            predict_topk(model, num, cat, None, k=0)
+            predict_topk(model, num[0], cat[0], None, k=0)
 
 
 class TestProperties:
@@ -168,7 +170,7 @@ class TestProperties:
         model.head.b[...] = 0.0
         rng = Rng(6).child(1)
         for seed in range(10):
-            c = rng.normal(model.head.in_dim)
+            c = rng.normal((1, model.head.in_dim))
             logits1, _ = model.head.forward(c)
             logits2, _ = model.head.forward(3.7 * c)
             assert int(np.argmax(logits1)) == int(np.argmax(logits2))
@@ -210,7 +212,7 @@ class TestSaveLoad:
         assert_blocks_tile(model.param_blocks(), model.theta)
         assert_blocks_tile(loaded.param_blocks(), loaded.theta)
         dlogits = p1.probs.copy()
-        dlogits[2] -= 1.0
+        dlogits[0, 2] -= 1.0
         grad = backward(model, cache, dlogits)
         assert grad.shape == model.theta.shape and not np.shares_memory(grad, model.theta)
         assert_blocks_tile(model.param_blocks(grad), grad)
@@ -236,10 +238,10 @@ class TestSaveLoad:
         W_all = model.encoder.bwd.W_all
         assert not gate.flags.c_contiguous and np.shares_memory(gate, W_all)
         assert np.shares_memory(W_all, model.theta)
-        label = 2
+        labels = np.array([2])
 
         def loss():
-            return cross_entropy(forward(model, num, cat, seq)[0].probs, label)
+            return batch_loss(forward(model, num, cat, seq)[0].probs, labels)[0]
 
         analytic = dict(model.param_blocks(grad))["encoder.bwd.W_o"]
         assert max_relative_error(analytic, numeric_gradient(loss, gate)) < 1e-4
@@ -307,21 +309,22 @@ def test_cross_entropy_gradient_identity_at_logits():
     # d loss / d logits == probs - onehot(label), via finite differences.
     model = build_variant(small_config(mlp_activation="tanh"), "mlp")
     rng = Rng(12).child(2)
-    num = rng.normal(model.config.num_feature_dim)
-    cat = rng.normal(model.config.cat_feature_dim)
-    label = 4
+    num = rng.normal((1, model.config.num_feature_dim))
+    cat = rng.normal((1, model.config.cat_feature_dim))
+    labels = np.array([4])
     pred, cache = forward(model, num, cat, None)
     analytic = pred.probs.copy()
-    analytic[label] -= 1.0
+    analytic[0, 4] -= 1.0
 
     logits = cache["logits"]
     step = 1e-7
     from fusenet.numcore import softmax
     numeric = np.zeros_like(logits)
-    for j in range(logits.shape[0]):
+    for j in range(logits.shape[1]):
         up = logits.copy()
-        up[j] += step
+        up[0, j] += step
         down = logits.copy()
-        down[j] -= step
-        numeric[j] = (cross_entropy(softmax(up), label) - cross_entropy(softmax(down), label)) / (2 * step)
+        down[0, j] -= step
+        numeric[0, j] = (batch_loss(softmax(up), labels)[0]
+                         - batch_loss(softmax(down), labels)[0]) / (2 * step)
     assert np.max(np.abs(analytic - numeric)) < 1e-7

@@ -20,12 +20,12 @@ def naive_affine(W, x, b):
 class TestAffine:
     def test_identity(self):
         W = np.eye(2)
-        assert np.array_equal(affine(W, np.array([3.0, 4.0]), np.zeros(2)), [3.0, 4.0])
+        assert np.array_equal(affine(W, np.array([[3.0, 4.0]]), np.zeros(2)), [[3.0, 4.0]])
 
     def test_zero_map_returns_bias(self):
         W = np.zeros((2, 2))
         b = np.array([1.0, 2.0])
-        assert np.array_equal(affine(W, np.array([9.0, -9.0]), b), b)
+        assert np.array_equal(affine(W, np.array([[9.0, -9.0]]), b), [b])
 
     def test_matches_naive_oracle(self):
         rng = Rng(42)
@@ -33,14 +33,14 @@ class TestAffine:
             W = rng.normal((5, 7))
             x = rng.normal(5)
             b = rng.normal(7)
-            assert np.max(np.abs(affine(W, x, b) - naive_affine(W, x, b))) < 1e-12
+            assert np.max(np.abs(affine(W, x[None], b)[0] - naive_affine(W, x, b))) < 1e-12
 
     def test_linearity(self):
         rng = Rng(3)
         zero = np.zeros(4)
         for _ in range(50):
             W = rng.normal((6, 4))
-            x, y = rng.normal(6), rng.normal(6)
+            x, y = rng.normal((1, 6)), rng.normal((1, 6))
             a = float(rng.normal())
             lhs = affine(W, a * x + y, zero)
             rhs = a * affine(W, x, zero) + affine(W, y, zero)
@@ -48,9 +48,9 @@ class TestAffine:
 
     def test_shape_errors_name_both_shapes(self):
         with pytest.raises(ShapeError, match="3 rows.*length 2"):
-            affine(np.zeros((3, 2)), np.zeros(2), np.zeros(2))
+            affine(np.zeros((3, 2)), np.zeros((1, 2)), np.zeros(2))
         with pytest.raises(ShapeError, match="2 cols.*length 3"):
-            affine(np.zeros((3, 2)), np.zeros(3), np.zeros(3))
+            affine(np.zeros((3, 2)), np.zeros((1, 3)), np.zeros(3))
 
 
 class TestSoftmax:

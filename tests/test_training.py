@@ -9,8 +9,8 @@ from fusenet.dataset import PreparedDataset
 from fusenet.embeddings import EmbeddedSequence
 from fusenet.model import ModelConfig, build_variant, clone, forward, save
 from fusenet.numcore import Rng
-from fusenet.training import (TrainConfig, TrainingAbort, _Adam, cross_entropy,
-                              grad_check, small_check_config, train, write_report)
+from fusenet.training import (TrainConfig, TrainingAbort, _Adam, batch_loss, grad_check,
+                              small_check_config, train, write_report)
 
 
 def toy_tabular(n_per_class=40, num_classes=2, seed=0):
@@ -36,6 +36,11 @@ def toy_config(num_classes=2, seed=0):
     return ModelConfig(num_feature_dim=4, cat_feature_dim=1, embed_dim=1,
                        lstm_hidden=1, mlp_hidden=8, num_classes=num_classes,
                        max_seq_len=1, seed=seed)
+
+
+def cross_entropy(probs, label):
+    """``batch_loss`` of one example, as a one-row batch."""
+    return batch_loss(probs[None], np.array([label]))[0]
 
 
 class TestCrossEntropy:
@@ -82,8 +87,8 @@ class TestTrain:
         assert all(losses[i + 1] < losses[i] for i in range(min(4, len(losses) - 1)))
         hits = 0
         for i in range(len(val)):
-            pred, _ = forward(best, val.num[i], val.cat[i], None, k=1)
-            hits += int(pred.top_k[0] == int(val.labels[i]))
+            pred, _ = forward(best, val.num[i:i + 1], val.cat[i:i + 1], None, k=1)
+            hits += int(pred.top_k[0][0] == int(val.labels[i]))
         assert hits == len(val)
 
     def test_zero_learning_rate_leaves_parameters_bit_identical(self):
@@ -106,8 +111,8 @@ class TestTrain:
 
         def frozen_loss(m):
             return sum(
-                cross_entropy(forward(m, data.num[i], data.cat[i], None)[0].probs,
-                              int(data.labels[i]))
+                batch_loss(forward(m, data.num[i:i + 1], data.cat[i:i + 1], None)[0].probs,
+                           data.labels[i:i + 1])[0]
                 for i in range(len(data))
             ) / len(data)
 
@@ -130,8 +135,8 @@ class TestTrain:
         assert accs[report.best_epoch] == max(accs)
         hits = 0
         for i in range(len(val)):
-            pred, _ = forward(best, val.num[i], val.cat[i], None, k=2)
-            hits += int(int(val.labels[i]) in pred.top_k)
+            pred, _ = forward(best, val.num[i:i + 1], val.cat[i:i + 1], None, k=2)
+            hits += int(int(val.labels[i]) in pred.top_k[0])
         assert hits / len(val) == max(accs)
 
     def test_nan_abort_names_block_and_batch(self):
@@ -170,8 +175,8 @@ class TestTrain:
         best2, r2 = train(build_variant(toy_config(), "mlp"), data, data, cfg)
         assert r1.deterministic_fields() == r2.deterministic_fields()
         # Inference applies no dropout: repeated forwards agree bit-for-bit.
-        p1, _ = forward(best1, data.num[0], data.cat[0], None)
-        p2, _ = forward(best1, data.num[0], data.cat[0], None)
+        p1, _ = forward(best1, data.num[:1], data.cat[:1], None)
+        p2, _ = forward(best1, data.num[:1], data.cat[:1], None)
         assert np.array_equal(p1.probs, p2.probs)
         for (n1, a1), (_, a2) in zip(best1.param_blocks(), best2.param_blocks()):
             assert np.array_equal(a1, a2), n1
@@ -253,8 +258,8 @@ def test_trained_checkpoint_bytes_are_pinned(optimizer, tmp_path, monkeypatch):
         texts=EmbeddedSequence(vectors=vectors, mask=mask),
     )
     train_set, val_set = (PreparedDataset(data.ids[rows], data.labels[rows], data.num[rows],
-                                          data.cat[rows], data.texts[rows])
-                          for rows in (slice(0, 36), slice(36, n)))
+                                          data.cat[rows], data.texts[rows], np.arange(size))
+                          for rows, size in ((slice(0, 36), 36), (slice(36, n), n - 36)))
     norms = []
     clip = training.clip_grads_
 

@@ -45,7 +45,8 @@ def ragged_set(variant, n=70, seed=3):
     vectors[HIDDEN_TAIL, 12] = rng.normal(E)
     data = PreparedDataset(ids=[f"r{i}" for i in range(n)], labels=rng.integers(0, 13, n),
                            num=rng.normal((n, 6)), cat=(rng.random((n, 5)) < 0.5).astype(float),
-                           texts=EmbeddedSequence(vectors=vectors, mask=mask))
+                           texts=EmbeddedSequence(vectors=vectors, mask=mask),
+                           groups=np.arange(n))
     return model, data
 
 
@@ -102,8 +103,8 @@ def test_cache_free_forward_equals_the_untrimmed_forward_bit_for_bit(variant, si
 def test_one_example_forward_equals_the_untrimmed_forward_bit_for_bit(variant):
     model, data = ragged_set(variant)
     for j in (3, 5, EMPTY, HIDDEN_TAIL, 20):
-        inputs = data.inputs(model, j)
-        assert inputs[2].vectors.ndim == 2
+        inputs = data.inputs(model, slice(j, j + 1))
+        assert inputs[2].vectors.shape[0] == 1
         free = forward(model, *inputs, keep=False)[0].probs
         assert np.array_equal(free, forward(model, *inputs)[0].probs), j
 
