@@ -4,6 +4,10 @@ Exit codes are a stable contract: 0 success, 1 runtime failure, 2 usage
 error. Every subcommand is deterministic given its flags (all seeds are
 flags). An optional flat key=value config file supplies defaults for
 knobs not given explicitly on the command line; explicit flags win.
+
+Every exit-1 error about an input file starts ``--<flag> <path>: ``,
+``--pipeline`` also when it defaults to ``<model>.pipeline.json``; an
+OSError keeps its own message, which names the path.
 """
 
 from __future__ import annotations
@@ -68,13 +72,19 @@ def _one_of(*allowed: str):
     return convert
 
 
-def _read_json(path: str, what: str, parse):
-    """``parse`` applied to the JSON document at ``path``; a bad one names the file."""
+@contextlib.contextmanager
+def _naming(flag: str, path: str):
+    """Prefix a ValueError raised inside with ``--<flag> <path>: ``; wrap only that input's code."""
+    try:
+        yield
+    except ValueError as err:
+        raise ValueError(f"--{flag} {path}: {err}") from None
+
+
+def _read_json(path: str, parse):
+    """``parse`` applied to the JSON document at ``path``."""
     with open(path, encoding="utf-8") as fh:
-        try:
-            return parse(json.load(fh))
-        except ValueError as err:
-            raise ValueError(f"{what} {path}: {err}") from None
+        return parse(json.load(fh))
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -202,31 +212,15 @@ def _load_table(path: str, model: modelmod.FusionModel | None = None,
                 only=None) -> emb.EmbeddingTable:
     """The ``--embeddings`` table, from a file with vectors as wide as ``model`` was trained on.
 
-    ``only`` is passed to ``load_vec_file``. Every error names the file.
+    ``only`` is passed to ``load_vec_file``.
     """
-    try:
+    with _naming("embeddings", path):
         table = emb.load_vec_file(path, only=only)
-    except emb.VecParseError as err:
-        raise emb.VecParseError(f"--embeddings {path}: {err}") from None
-    want = table.dim if model is None else model.config.embed_dim
-    if table.file_rows == 0 or table.dim != want:
-        raise ValueError(f"--embeddings {path}: {table.file_rows} vectors of width {table.dim}, "
-                         f"the model needs vectors of width {want}")
+        want = table.dim if model is None else model.config.embed_dim
+        if table.file_rows == 0 or table.dim != want:
+            raise ValueError(f"{table.file_rows} vectors of width {table.dim}, "
+                             f"the model needs vectors of width {want}")
     return table
-
-
-@contextlib.contextmanager
-def _naming_data(path: str):
-    """Prefix a dataset error raised inside with ``--data <path>: ``."""
-    try:
-        yield
-    except ds.DatasetError as err:
-        raise ds.DatasetError(f"--data {path}: {err}") from None
-
-
-def _load_splits(data_path: str, split_seed: int):
-    with _naming_data(data_path):
-        return ds.split(ds.load_jsonl(data_path), SPLIT_FRACTIONS, seed=split_seed)
 
 
 def _cmd_train(parser, args) -> int:
@@ -236,13 +230,15 @@ def _cmd_train(parser, args) -> int:
     if args.lr == 0.0:
         print("warning: learning rate is 0; parameters will not change", file=sys.stderr)
 
-    train_ex, val_ex, test_ex = _load_splits(args.data, args.split_seed)
-    pipeline = ds.FeaturePipeline.fit(train_ex)
-    if args.variant in ("fusion", "mlp"):
-        for what, width in (("numerical", pipeline.num_dim), ("categorical", pipeline.cat_dim)):
-            if width == 0:
-                raise ValueError(f"--data {args.data}: the train split has no {what} features, "
-                                 f"which variant {args.variant!r} needs")
+    with _naming("data", args.data):
+        train_ex, val_ex, test_ex = ds.split(ds.load_jsonl(args.data), SPLIT_FRACTIONS,
+                                             seed=args.split_seed)
+        pipeline = ds.FeaturePipeline.fit(train_ex)
+        if args.variant in ("fusion", "mlp"):
+            for what, width in (("numerical", pipeline.num_dim), ("categorical", pipeline.cat_dim)):
+                if width == 0:
+                    raise ValueError(f"the train split has no {what} features, "
+                                     f"which variant {args.variant!r} needs")
     table = _load_table(args.embeddings) if args.embeddings else None
 
     config = modelmod.ModelConfig(
@@ -311,35 +307,31 @@ def _print_report_table(rep: metrics.EvalReport) -> None:
     print("weighted-recall identity: ok (checked to 1e-12)")
 
 
-def _load_model(path: str) -> modelmod.FusionModel:
-    try:
-        return modelmod.load(path)
-    except modelmod.ModelLoadError as err:
-        raise type(err)(f"--model {path}: {err}") from None
-
-
 def _check_k(parser, k: int, model: modelmod.FusionModel) -> None:
     if not 1 <= k <= model.config.num_classes:
         parser.error(f"--k must be in [1, {model.config.num_classes}], got {k}")
 
 
 def _read_pipeline(args, model: modelmod.FusionModel) -> ds.FeaturePipeline:
-    """The feature pipeline, as wide as ``model``'s tabular inputs; errors name the file."""
+    """The ``--pipeline`` file (default ``<model>.pipeline.json``), as wide as
+    ``model``'s tabular inputs."""
     path = args.pipeline or (args.model + ".pipeline.json")
-    pipeline = _read_json(path, "feature pipeline", ds.FeaturePipeline.from_json)
-    cfg = model.config
-    widths = (pipeline.num_dim, pipeline.cat_dim)
-    if model.uses_tabular and widths != (cfg.num_feature_dim, cfg.cat_feature_dim):
-        raise ValueError(f"feature pipeline {path}: {widths[0]} numerical and {widths[1]} "
-                         f"categorical features, the model takes {cfg.num_feature_dim} "
-                         f"and {cfg.cat_feature_dim}")
+    with _naming("pipeline", path):
+        pipeline = _read_json(path, ds.FeaturePipeline.from_json)
+        cfg = model.config
+        widths = (pipeline.num_dim, pipeline.cat_dim)
+        if model.uses_tabular and widths != (cfg.num_feature_dim, cfg.cat_feature_dim):
+            raise ValueError(f"{widths[0]} numerical and {widths[1]} categorical features, "
+                             f"the model takes {cfg.num_feature_dim} and {cfg.cat_feature_dim}")
     return pipeline
 
 
 def _cmd_eval(parser, args) -> int:
     if args.compare:
-        reports = [(path, _read_json(path, "report", metrics.from_json))
-                   for path in args.compare]
+        reports = []
+        for path in args.compare:
+            with _naming("compare", path):
+                reports.append((path, _read_json(path, metrics.from_json)))
         reports.sort(key=lambda item: item[1].accuracy)
         width = max(len(p) for p, _ in reports) + 2
         print(f"{'report'.ljust(width)}  top-k accuracy")
@@ -351,22 +343,22 @@ def _cmd_eval(parser, args) -> int:
         parser.error("--model and --data are required unless --compare is used")
     _merge_config(parser, args, _EVAL_SPECS)
 
-    model = _load_model(args.model)
+    with _naming("model", args.model):
+        model = modelmod.load(args.model)
     _check_k(parser, args.k, model)
     pipeline = _read_pipeline(args, model)
-    if args.split == "all":
-        with _naming_data(args.data):
-            examples = ds.load_jsonl(args.data)
-    else:
-        train_ex, val_ex, test_ex = _load_splits(args.data, args.split_seed)
-        examples = {"train": train_ex, "val": val_ex, "test": test_ex}[args.split]
+    with _naming("data", args.data):
+        examples = ds.load_jsonl(args.data)
+        if args.split != "all":
+            splits = ds.split(examples, SPLIT_FRACTIONS, seed=args.split_seed)
+            examples = splits[("train", "val", "test").index(args.split)]
 
     table = None
     if model.uses_text:
         if not args.embeddings:
             parser.error(f"--embeddings is required to evaluate variant {model.variant!r}")
         table = _load_table(args.embeddings, model)
-    with _naming_data(args.data):
+    with _naming("data", args.data):
         prepared = ds.prepare(examples, pipeline, table, model.config.max_seq_len)
     rep = metrics.report(model, prepared, k=args.k)
     _print_report_table(rep)
@@ -382,7 +374,8 @@ def _cmd_eval(parser, args) -> int:
 # predict
 
 def _cmd_predict(parser, args) -> int:
-    model = _load_model(args.model)
+    with _naming("model", args.model):
+        model = modelmod.load(args.model)
     _check_k(parser, args.k, model)
 
     num_x = cat_x = None
@@ -390,14 +383,13 @@ def _cmd_predict(parser, args) -> int:
         if not args.features:
             parser.error(f"--features is required for variant {model.variant!r}")
         pipeline = _read_pipeline(args, model)
-        numerical, pairs = _read_json(args.features, "feature file", ds.parse_features)
-        if len(numerical) != pipeline.num_dim:
-            raise ValueError(
-                f"feature file {args.features}: {len(numerical)} numerical values, "
-                f"pipeline expects {pipeline.num_dim}"
-            )
+        with _naming("features", args.features):
+            numerical, pairs = _read_json(args.features, ds.parse_features)
+            if len(numerical) != pipeline.num_dim:
+                raise ValueError(f"{len(numerical)} numerical values, "
+                                 f"pipeline expects {pipeline.num_dim}")
         num_x = pipeline.scaler.transform(np.array([numerical]))[0]
-        cat_x = pipeline.encoder.transform_one(pairs)
+        cat_x = pipeline.encoder.transform([pairs])[0]
 
     seq = None
     if model.uses_text:

@@ -221,13 +221,7 @@ class OneHotEncoder:
                     cats[name].append(value)
         return cls([(name, cats[name]) for name in names])
 
-    def transform_one(self, pairs: list[tuple[str, str]]) -> np.ndarray:
-        return self._encode([pairs])[0]
-
-    def transform(self, examples: list[Example]) -> np.ndarray:
-        return self._encode([ex.categorical for ex in examples])
-
-    def _encode(self, rows: list[list[tuple[str, str]]]) -> np.ndarray:
+    def transform(self, rows: list[list[tuple[str, str]]]) -> np.ndarray:
         """One one-hot row per list of (name, value) pairs, set in one scatter."""
         hot_rows, hot_cols = [], []
         for i, pairs in enumerate(rows):
@@ -273,7 +267,8 @@ class FeaturePipeline:
                                    f"the feature pipeline takes {self.num_dim}")
         num = np.array([ex.numerical for ex in examples], dtype=np.float64)
         num = num.reshape(len(examples), self.num_dim)
-        return self.scaler.transform(num), self.encoder.transform(examples)
+        return (self.scaler.transform(num),
+                self.encoder.transform([ex.categorical for ex in examples]))
 
     def to_json(self) -> dict:
         return {

@@ -127,6 +127,25 @@ def chunk_bounds(n: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
+def check_text_layout(model: FusionModel, data: PreparedDataset, name: str) -> None:
+    """Raise a ValueError starting ``name: `` unless ``data`` holds the texts
+    ``model``'s text branch takes and each row's entry among them."""
+    texts, groups = data.texts, data.groups
+    if texts is None:
+        raise ValueError(f"{name}: missing embedded sequences")
+    if groups is None:
+        raise ValueError(f"{name}: embedded sequences without groups")
+    size = len(texts.vectors)
+    expected = (size, model.config.max_seq_len, model.config.embed_dim)
+    if texts.vectors.shape != expected or texts.mask.shape != expected[:2]:
+        raise ValueError(f"{name}: sequences {texts.vectors.shape} with mask "
+                         f"{texts.mask.shape} vs {expected}")
+    if groups.shape != (len(data),):
+        raise ValueError(f"{name}: groups {groups.shape} vs {len(data)} rows")
+    if groups.size and (groups.min() < 0 or groups.max() >= size):
+        raise ValueError(f"{name}: groups must lie in [0, {size})")
+
+
 def predict_all(model: FusionModel, data: PreparedDataset, k: int) -> list[list[int]]:
     """Top-k class indices of every example in ``data``, in row order.
 
@@ -142,10 +161,11 @@ def predict_all(model: FusionModel, data: PreparedDataset, k: int) -> list[list[
     each with its entry's text features, so its probabilities are
     bit-identical to those of the untrimmed forward of the row itself. A
     row whose text is all padding raises AllMaskedError naming the first
-    such example in row order.
+    such example in row order, after ``check_text_layout`` of ``data``.
     """
     encoded = None
     if model.uses_text:
+        check_text_layout(model, data, "data")
         texts = data.texts
         dead = np.flatnonzero(~texts.mask.any(axis=-1)[data.entries(slice(None))])
         if len(dead):

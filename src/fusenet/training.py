@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import PreparedDataset
 from .embeddings import EmbeddedSequence
-from .metrics import predict_all, topk_accuracy
+from .metrics import check_text_layout, predict_all, topk_accuracy
 from .model import FusionModel, ModelConfig, backward, build_variant, clone, forward
 from .numcore import Rng
 
@@ -162,22 +162,7 @@ def _check_dims(model: FusionModel, data: PreparedDataset, split: str) -> None:
                 f"{split}: categorical width {data.cat.shape[1]} vs model {cfg.cat_feature_dim}"
             )
     if model.uses_text:
-        texts, groups = data.texts, data.groups
-        if texts is None:
-            raise ValueError(f"{split}: missing embedded sequences")
-        if groups is None:
-            raise ValueError(f"{split}: embedded sequences without groups")
-        size = len(texts.vectors)
-        expected = (size, cfg.max_seq_len, cfg.embed_dim)
-        if texts.vectors.shape != expected or texts.mask.shape != expected[:2]:
-            raise ValueError(
-                f"{split}: sequences {texts.vectors.shape} with mask "
-                f"{texts.mask.shape} vs {expected}"
-            )
-        if groups.shape != (len(data),):
-            raise ValueError(f"{split}: groups {groups.shape} vs {len(data)} rows")
-        if groups.min() < 0 or groups.max() >= size:
-            raise ValueError(f"{split}: groups must lie in [0, {size})")
+        check_text_layout(model, data, split)
 
 
 def _validation_topk_accuracy(model: FusionModel, data: PreparedDataset, k: int) -> float:

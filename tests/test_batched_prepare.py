@@ -181,7 +181,7 @@ def test_each_distinct_token_list_is_embedded_once(monkeypatch):
 
 
 def test_one_row_paths_are_the_batched_ones():
-    # predict embeds and encodes one query through embed_sequence and transform_one.
+    # predict embeds and encodes one query through embed_sequence and a one-row transform.
     examples = with_texts(["", "zzqx", LONG, "help with my loan"]) + corpus()[:20]
     table = vocab_table()
     encoder = FeaturePipeline.fit(corpus()[:5]).encoder
@@ -191,7 +191,7 @@ def test_one_row_paths_are_the_batched_ones():
         vectors, mask, oov = reference_embed_sequence(table, tokens.tokens, MAX_SEQ_LEN)
         assert seq.vectors.tobytes() == vectors.tobytes() and seq.vectors.shape == vectors.shape
         assert seq.mask.tobytes() == mask.tobytes() and seq.oov_count == oov
-        one_hot = encoder.transform_one(ex.categorical)
+        one_hot = encoder.transform([ex.categorical])[0]
         assert one_hot.tobytes() == reference_one_hot(encoder, ex.categorical).tobytes()
         assert one_hot.shape == (encoder.dim,)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fusenet import cli
+from fusenet import cli, metrics
 from fusenet import dataset as ds
 from fusenet.dataset import CLASS_NAMES, MAX_FEATURE_MAGNITUDE
 from fusenet.model import build_variant, load, save
@@ -368,7 +368,7 @@ class TestEval:
         cat_dim = load(workspace["checkpoints"]["mlp"]).config.cat_feature_dim
         err = one_error_line(capsys, ["eval", "--model", workspace["checkpoints"]["mlp"],
                                       "--data", workspace["data"], "--pipeline", str(pipeline)])
-        assert err == (f"error: feature pipeline {pipeline}: 16 numerical and {cat_dim} "
+        assert err == (f"error: --pipeline {pipeline}: 16 numerical and {cat_dim} "
                        f"categorical features, the model takes 20 and {cat_dim}")
 
     @pytest.mark.parametrize("variant", ["mlp", "text"])
@@ -637,7 +637,7 @@ class TestPredict:
         features.write_text(json.dumps({"numerical": [0.0] * 16, "categorical": []}))
         err = one_error_line(capsys, ["predict", "--model", workspace["checkpoints"]["mlp"],
                                       "--pipeline", str(pipeline), "--features", str(features)])
-        assert err.startswith(f"error: feature pipeline {pipeline}: 16 numerical and ")
+        assert err.startswith(f"error: --pipeline {pipeline}: 16 numerical and ")
         assert ", the model takes 20 and " in err
 
 
@@ -726,6 +726,50 @@ class TestInputFilesAreNamed:
         assert self.run(capsys, argv) == f"error: --model {model}: {message}"
 
 
+NOT_JSON = b"{not json\n"
+
+# Each case damages one input: id -> (flag, file name, what it holds, argv given the
+# workspace ws, the damaged file and the directory d that holds it). d also holds a
+# good features.json and report.json, and m.afn, the mlp checkpoint without a pipeline.
+DAMAGED_INPUTS = {
+    "data-eval": ("data", "bad.jsonl", NOT_JSON, lambda ws, bad, d: [
+        "eval", "--model", ws["checkpoints"]["mlp"], "--data", bad]),
+    "data-train": ("data", "bad.jsonl", NOT_JSON, lambda ws, bad, d: [
+        "train", "--data", bad, "--variant", "mlp", "--out", f"{d}/out.afn"]),
+    "embeddings": ("embeddings", "bad.vec", b"2 8\nloan 1 0\n", lambda ws, bad, d: [
+        "eval", "--model", ws["checkpoints"]["text"], "--data", ws["data"], "--embeddings", bad]),
+    "model": ("model", "bad.afn", b"not a checkpoint\n", lambda ws, bad, d: [
+        "predict", "--model", bad, "--features", f"{d}/features.json"]),
+    "pipeline-given": ("pipeline", "bad.json", NOT_JSON, lambda ws, bad, d: [
+        "eval", "--model", ws["checkpoints"]["mlp"], "--data", ws["data"], "--pipeline", bad]),
+    "pipeline-default": ("pipeline", "m.afn.pipeline.json", NOT_JSON, lambda ws, bad, d: [
+        "predict", "--model", f"{d}/m.afn", "--features", f"{d}/features.json"]),
+    "features-not-json": ("features", "bad.json", NOT_JSON, lambda ws, bad, d: [
+        "predict", "--model", ws["checkpoints"]["mlp"], "--features", bad]),
+    "features-count": ("features", "bad.json",
+                       json.dumps({"numerical": [0.0] * 19, "categorical": []}).encode(),
+                       lambda ws, bad, d: [
+                           "predict", "--model", ws["checkpoints"]["mlp"], "--features", bad]),
+    "compare": ("compare", "bad.json", NOT_JSON, lambda ws, bad, d: [
+        "eval", "--compare", f"{d}/report.json", bad]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED_INPUTS))
+def test_a_damaged_input_is_one_error_naming_its_flag_and_path(workspace, tmp_path, capsys,
+                                                                case):
+    flag, name, content, argv = DAMAGED_INPUTS[case]
+    (tmp_path / "features.json").write_text(
+        json.dumps({"numerical": [0.0] * 20, "categorical": []}))
+    report = metrics.compute_report([[0, 1, 2]], np.array([0]), 3)
+    (tmp_path / "report.json").write_text(json.dumps(metrics.to_json(report)))
+    (tmp_path / "m.afn").write_bytes(open(workspace["checkpoints"]["mlp"], "rb").read())
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    err = one_error_line(capsys, argv(workspace, str(bad), str(tmp_path)))
+    assert err.startswith(f"error: --{flag} {bad}: ")
+
+
 class TestIntegersBeyondFloat:
     """An integer that float() overflows on is not a finite number in any JSON input."""
 
@@ -762,7 +806,7 @@ class TestIntegersBeyondFloat:
                                         "categorical": []}))
         err = one_error_line(capsys, ["predict", "--model", workspace["checkpoints"]["mlp"],
                                       "--features", str(features)])
-        assert err == (f"error: feature file {features}: "
+        assert err == (f"error: --features {features}: "
                        f"numerical entry {self.HUGE!r} is not a finite number")
 
     @pytest.mark.parametrize("field", ["numerical_mean", "numerical_std"])
@@ -776,7 +820,7 @@ class TestIntegersBeyondFloat:
         features.write_text(json.dumps({"numerical": [0.0] * 20, "categorical": []}))
         err = one_error_line(capsys, ["predict", "--model", mlp, "--pipeline", str(pipeline),
                                       "--features", str(features)])
-        assert err.startswith(f"error: feature pipeline {pipeline}: field {field!r} must be ")
+        assert err.startswith(f"error: --pipeline {pipeline}: field {field!r} must be ")
 
     @pytest.mark.parametrize("field", ["accuracy", "recall"])
     def test_report_is_named(self, workspace, tmp_path, capsys, field):
@@ -793,7 +837,7 @@ class TestIntegersBeyondFloat:
         capsys.readouterr()
         err = one_error_line(capsys, ["eval", "--compare", str(good), str(bad)])
         field_name = "accuracy" if field == "accuracy" else "per_class"
-        assert err.startswith(f"error: report {bad}: ") and repr(field_name) in err
+        assert err.startswith(f"error: --compare {bad}: ") and repr(field_name) in err
 
 
 class TestHugeFeatureValues:

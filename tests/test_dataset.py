@@ -148,14 +148,14 @@ class TestOneHot:
         enc = OneHotEncoder.fit([make_example(0, cats=[("state", "a")]),
                                  make_example(1, cats=[("state", "b")])])
         assert enc.dim == 2
-        assert np.array_equal(enc.transform_one([("state", "zzz")]), [0.0, 0.0])
+        assert np.array_equal(enc.transform([[("state", "zzz")]])[0], [0.0, 0.0])
 
     def test_known_categories_one_hot(self):
         enc = OneHotEncoder.fit([
             make_example(0, cats=[("state", "a"), ("size", "s")]),
             make_example(1, cats=[("state", "b"), ("size", "m")]),
         ])
-        vec = enc.transform_one([("state", "b"), ("size", "s")])
+        vec = enc.transform([[("state", "b"), ("size", "s")]])[0]
         assert vec.tolist() == [0.0, 1.0, 1.0, 0.0]
 
     def test_pipeline_fit_on_train_transforms_another_split(self):

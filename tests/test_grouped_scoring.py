@@ -176,6 +176,18 @@ def test_all_masked_error_names_the_first_such_row_in_row_order(layout):
         metrics.predict_all(model_for("fusion", data), data, 3)
 
 
+@pytest.mark.parametrize("groups, message", [
+    (lambda g, size: None, "embedded sequences without groups"),
+    (lambda g, size: np.where(g == 3, size, g), "groups must lie in"),
+    (lambda g, size: -1 - g, "groups must lie in"),
+], ids=["none", "past-the-end", "negative"])
+def test_groups_that_do_not_index_the_texts_are_refused(groups, message):
+    data = synth_corpus()
+    data = dataclasses.replace(data, groups=groups(data.groups, len(data.texts.mask)))
+    with pytest.raises(ValueError, match=f"^data: {message}"):
+        metrics.predict_all(model_for("fusion", data), data, 3)
+
+
 def test_the_encoder_sees_each_of_34_sequences_of_a_quickstart_corpus_once(monkeypatch):
     data = prepared(synth.generate_synthetic(1300, 0.05, 5)[0])
     _, _, encoded = scored(monkeypatch, model_for("fusion", data), data)
