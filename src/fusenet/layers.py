@@ -1,10 +1,14 @@
 """Differentiable layers: dense, LSTM cell, bidirectional encoder, attention.
 
 Each layer is immutable during a (forward, backward) pair: forward
-returns an explicit cache, backward consumes it and returns input
-gradients plus a dict of parameter gradients keyed and shaped exactly
+returns an explicit cache, backward consumes it and returns the input
+gradient plus a dict of parameter gradients keyed and shaped exactly
 like the layer's ``params()``, for every layer (the LSTM's are its fused
-``W_all``/``b_all``). Nothing here mutates parameters.
+``W_all``/``b_all``). Nothing here mutates parameters. The dense layer
+and the encoder, the layers that start a branch, skip the input
+gradient when called with ``input_grad=False`` and return None in its
+place: a model's inputs (features, frozen embeddings) are not
+parameters, so training never reads it. The gradient checks ask for it.
 
 Every layer takes a batch: its inputs have a leading axis of B rows,
 one example per row, and one example is a one-row batch. A batch's
@@ -57,16 +61,18 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _act_grad(name: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Derivative w.r.t. the pre-activation z; y is act(z) from forward.
+def _act_backward(name: str, dy: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # dLoss/dz from dLoss/dy; y is act(z) from forward. The identity's is dy
+    # itself, and relu's multiplies by the boolean mask: dy * 1.0 and dy * 0.0
+    # are the bytes a float mask gives.
     if name == "identity":
-        return np.ones_like(z)
+        return dy
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
+        return dy * (z > 0.0)
     if name == "sigmoid":
-        return y * (1.0 - y)
+        return dy * (y * (1.0 - y))
     if name == "tanh":
-        return 1.0 - y * y
+        return dy * (1.0 - y * y)
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -106,13 +112,13 @@ class DenseLayer:
         y = _act(self.activation, z)
         return y, {"x": x, "z": z, "y": y}
 
-    def backward(self, cache, dy: np.ndarray):
+    def backward(self, cache, dy: np.ndarray, input_grad: bool = True):
+        """(dx, grads) given dLoss/dy; dx is None unless ``input_grad``."""
         if dy.shape != cache["z"].shape:
             raise ShapeError(f"dense backward: grad{dy.shape} vs output{cache['z'].shape}")
-        dz = dy * _act_grad(self.activation, cache["z"], cache["y"])
+        dz = _act_backward(self.activation, dy, cache["z"], cache["y"])
         grads = {"W": cache["x"].T @ dz, "b": dz.sum(axis=0)}
-        dx = dz @ self.W.T
-        return dx, grads
+        return (dz @ self.W.T if input_grad else None), grads
 
 
 def _gate_major(z: np.ndarray) -> np.ndarray:
@@ -414,8 +420,9 @@ class BiLstmEncoder:
         self._recur(W, np.zeros((pad, count - 1, self.input_dim)), gates, h, c, H, cs[1:])
         return H[0, ::-1, n:], cs[:, 1, 0]
 
-    def backward(self, cache, dH: np.ndarray):
-        """Full BPTT; returns (dX, grads) with grads keyed like params().
+    def backward(self, cache, dH: np.ndarray, input_grad: bool = True):
+        """Full BPTT; returns (dX, grads) with grads keyed like params(), and
+        dX None unless ``input_grad``.
 
         The time loop runs the forward loop's steps in reverse, both
         directions at once. Each step's dLoss/dz overwrites that step's
@@ -452,12 +459,14 @@ class BiLstmEncoder:
                 h_prev[1] = H[:, T - k, n:]
                 dW_h += h_prev.swapaxes(1, 2) @ dz
                 dh = dz @ W_hT
+        grads = {"fwd.W_all": dW[0], "fwd.b_all": gates[:, 0].sum(axis=(0, 1)),
+                 "bwd.W_all": dW[1], "bwd.b_all": gates[::-1, 1].sum(axis=(0, 1))}
+        if not input_grad:
+            return None, grads
         np.matmul(gates, W_x.swapaxes(1, 2), out=X)  # the input is spent: X takes dLoss/dx
         dX = np.zeros((T, rows, self.input_dim))  # from zeros, so a -0.0 sums as before
         dX += X[:, 0]
         dX[::-1] += X[:, 1]
-        grads = {"fwd.W_all": dW[0], "fwd.b_all": gates[:, 0].sum(axis=(0, 1)),
-                 "bwd.W_all": dW[1], "bwd.b_all": gates[::-1, 1].sum(axis=(0, 1))}
         return dX.swapaxes(0, 1), grads
 
 

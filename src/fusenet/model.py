@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,7 +87,14 @@ class ModelConfig:
 @dataclass
 class Prediction:
     probs: np.ndarray  # (B, C); (C,) from predict_topk
-    top_k: list  # one list of class indices per row; one flat list from predict_topk
+    k: int  # how many classes top_k ranks
+
+    @cached_property
+    def top_k(self) -> list:
+        """One list of the k most probable class indices per row, or one flat
+        list for (C,) probs; ranked on first read, as training reads only probs."""
+        ranked = topk_indices(np.atleast_2d(self.probs), self.k)
+        return ranked if self.probs.ndim == 2 else ranked[0]
 
 
 def head_input_dim(config: ModelConfig, variant: str) -> int:
@@ -269,7 +277,10 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
     given, is a list naming each row.
 
     Returns (Prediction, cache); the cache carries everything backward()
-    needs. The prediction's top_k defaults to min(3, num_classes) entries.
+    needs. The prediction's top_k defaults to min(3, num_classes) entries
+    and is ranked only when it is first read, so a training step, which
+    reads only the probs, ranks nothing; a ``k`` outside [1, num_classes]
+    raises ValueError before the branches run.
     Dropout (inverted, per branch output) is applied only when a rate and
     rng are given, i.e. during training. Its masks are drawn row by row,
     so a batch sees the same masks as its rows run one at a time in order.
@@ -283,6 +294,8 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
     cfg = model.config
     if k is None:
         k = min(3, cfg.num_classes)
+    elif not 1 <= k <= cfg.num_classes:
+        raise ValueError(f"k must be in [1, {cfg.num_classes}], got {k}")
     outputs = []  # (branch output, its layers' caches), in branches() order
 
     if model.uses_tabular:
@@ -324,7 +337,7 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
     probs = softmax(logits)
     cache["head"] = head_cache
     cache["logits"] = logits
-    return Prediction(probs=probs, top_k=topk_indices(probs, k)), cache
+    return Prediction(probs=probs, k=k), cache
 
 
 def backward(model: FusionModel, cache, dlogits: np.ndarray) -> np.ndarray:
@@ -332,23 +345,26 @@ def backward(model: FusionModel, cache, dlogits: np.ndarray) -> np.ndarray:
 
     Each layer's gradients come back keyed like its ``params()``, and are
     concatenated in ``theta`` order. ``model.param_blocks(grad)`` names
-    the blocks.
+    the blocks. The first layer of each branch computes no input
+    gradient: features and embeddings are not parameters.
     """
     grads = {}  # block-name prefix -> that layer's gradients
-
-    def chain(branch, caches, d):
-        for (prefix, layer), layer_cache in zip(reversed(branch), reversed(caches)):
-            d, grads[prefix] = layer.backward(layer_cache, d)
-        return d
-
     *branches, head = model.branches()
-    dc = chain(head, [cache["head"]], dlogits)
-    dsegs = np.split(dc, np.cumsum(cache["widths"])[:-1], axis=1)
-    for branch, caches, dseg, drop_mask in zip(branches, cache["branches"], dsegs,
-                                               cache["drop_masks"]):
+    [(prefix, layer)] = head
+    dc, grads[prefix] = layer.backward(cache["head"], dlogits)
+    start = 0
+    for branch, caches, width, drop_mask in zip(branches, cache["branches"], cache["widths"],
+                                                cache["drop_masks"]):
         if caches is None:
             raise ValueError("backward: forward was given the text features and kept no cache")
-        chain(branch, caches, dseg if drop_mask is None else dseg * drop_mask)
+        d = dc[:, start:start + width]
+        start += width
+        if drop_mask is not None:
+            d = d * drop_mask
+        (first, layer), *rest = branch
+        for (prefix, later), later_cache in zip(reversed(rest), reversed(caches[1:])):
+            d, grads[prefix] = later.backward(later_cache, d)
+        grads[first] = layer.backward(caches[0], d, input_grad=False)[1]
     return np.concatenate([grads[prefix][pname].ravel() for branch in branches + [head]
                            for prefix, layer in branch for pname in layer.params()])
 
@@ -370,12 +386,10 @@ def predict_topk(model: FusionModel, num_x=None, cat_x=None, seq=None, k: int = 
     ``forward(keep=False)``, and the prediction is row 0, with (C,) probs
     and a flat top-k list.
     """
-    if not 1 <= k <= model.config.num_classes:
-        raise ValueError(f"k must be in [1, {model.config.num_classes}], got {k}")
     batch = (None if x is None else x[None] for x in (num_x, cat_x, seq))
     ids = None if example_id is None else [example_id]
     pred, _ = forward(model, *batch, k=k, example_id=ids, keep=False)
-    return Prediction(probs=pred.probs[0], top_k=pred.top_k[0])
+    return Prediction(probs=pred.probs[0], k=k)
 
 
 _CONFIG_FIELDS = ("num_feature_dim", "cat_feature_dim", "embed_dim", "lstm_hidden",

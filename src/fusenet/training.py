@@ -56,6 +56,10 @@ class TrainConfig:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
+        # A negative norm would flip every clipped gradient, 0 would zero
+        # every update, and NaN would never clip.
+        if not self.clip_norm > 0:
+            raise ValueError(f"clip_norm must be a number > 0, got {self.clip_norm}")
 
 
 @dataclass
@@ -112,19 +116,22 @@ class _Adam:
         self.lr = lr
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self._scratch = np.empty((2, size))  # each step's temporaries
         self.t = 0
 
     def step(self, theta: np.ndarray, grad: np.ndarray):
         self.t += 1
         bc1 = 1.0 - self.BETA1**self.t
         bc2 = 1.0 - self.BETA2**self.t
+        update, denom = self._scratch
         self.m *= self.BETA1
-        self.m += (1.0 - self.BETA1) * grad
+        self.m += np.multiply(grad, 1.0 - self.BETA1, out=update)
         self.v *= self.BETA2
-        self.v += (1.0 - self.BETA2) * grad * grad
-        update = self.m / bc1  # lr * (m / bc1) / (sqrt(v / bc2) + eps), in place
+        np.multiply(grad, 1.0 - self.BETA2, out=update)
+        self.v += np.multiply(update, grad, out=update)
+        np.divide(self.m, bc1, out=update)  # lr * (m / bc1) / (sqrt(v / bc2) + eps)
         update *= self.lr
-        denom = self.v / bc2
+        np.divide(self.v, bc2, out=denom)
         np.sqrt(denom, out=denom)
         denom += self.EPS
         update /= denom
@@ -139,8 +146,11 @@ def _make_optimizer(cfg: TrainConfig, size: int):
 
 def clip_grads_(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale ``grads`` in place to a global norm of at most ``max_norm``; return
-    the norm before clipping, summed block by block in the dict's order."""
-    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    the norm before clipping, summed block by block in the dict's order.
+
+    Each block's sum is ``np.sum``'s pairwise one, without its wrapper.
+    """
+    norm = math.sqrt(sum(float(np.add.reduce(g * g, axis=None)) for g in grads.values()))
     if norm > max_norm:
         scale = max_norm / norm
         for g in grads.values():

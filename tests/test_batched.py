@@ -14,7 +14,7 @@ import pytest
 
 from fusenet.dataset import PreparedDataset
 from fusenet.embeddings import EmbeddedSequence
-from fusenet.layers import AllMaskedError
+from fusenet.layers import ACTIVATIONS, AllMaskedError, DenseLayer
 from fusenet.model import VARIANTS, backward, build_variant, forward, load, save
 from fusenet.numcore import Rng, sigmoid
 from fusenet.training import (TrainConfig, batch_loss, max_relative_error, numeric_gradient,
@@ -113,6 +113,32 @@ def test_backward_bytes_are_pinned(variant):
     grad = backward(model, cache, batch_loss(pred.probs, labels)[1])
     assert grad.dtype == np.float64 and grad.shape == model.theta.shape
     assert hashlib.sha256(grad.tobytes()).hexdigest() == BACKWARD_SHA256[variant]
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_dense_skips_its_input_gradient_with_the_same_parameter_gradients(activation):
+    rng = Rng(17)
+    layer = DenseLayer.init(rng.child(0), 6, 4, activation)
+    x, dy = rng.normal((3, 6)), rng.normal((3, 4))
+    _, cache = layer.forward(x)
+    dx, grads = layer.backward(cache, dy)
+    skipped, lean = layer.backward(cache, dy, input_grad=False)
+    assert dx.shape == x.shape and skipped is None
+    assert {n: g.tobytes() for n, g in lean.items()} == {n: g.tobytes() for n, g in grads.items()}
+
+
+@pytest.mark.parametrize("rows", [slice(None), slice(0, 1)], ids=["ragged", "one-row"])
+def test_encoder_skips_its_input_gradient_with_the_same_parameter_gradients(rows):
+    config = small_check_config(seed=5)
+    encoder = build_variant(config, "text").encoder
+    vectors = ragged_batch(5, config)[2].vectors[rows]
+    dH = Rng(18).normal((*vectors.shape[:2], encoder.out_dim))
+    grads = {}
+    for input_grad in (True, False):
+        dX, grads[input_grad] = encoder.backward(encoder.forward(vectors)[1], dH, input_grad)
+        assert dX.shape == vectors.shape if input_grad else dX is None
+    assert ({n: g.tobytes() for n, g in grads[False].items()}
+            == {n: g.tobytes() for n, g in grads[True].items()})
 
 
 def test_batch_dropout_masks_match_rows_run_in_order():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fusenet import model as model_module
 from fusenet import training
 from fusenet.dataset import PreparedDataset
 from fusenet.embeddings import EmbeddedSequence
@@ -74,6 +75,90 @@ class TestAdam:
         grad = np.concatenate([rng.normal(24) * 10, rng.normal(4) * 0.001])
         opt.step(theta, grad)
         assert np.max(np.abs(theta - before)) <= lr * (1 + 1e-8)
+
+
+class ReferenceAdam:
+    """Adam with one temporary array per term; ``_Adam.step`` must give its bytes."""
+
+    def __init__(self, lr, size):
+        self.lr, self.m, self.v, self.t = lr, np.zeros(size), np.zeros(size), 0
+
+    def step(self, theta, grad):
+        self.t += 1
+        bc1 = 1.0 - _Adam.BETA1**self.t
+        bc2 = 1.0 - _Adam.BETA2**self.t
+        self.m *= _Adam.BETA1
+        self.m += (1.0 - _Adam.BETA1) * grad
+        self.v *= _Adam.BETA2
+        self.v += (1.0 - _Adam.BETA2) * grad * grad
+        update = self.m / bc1
+        update *= self.lr
+        denom = self.v / bc2
+        np.sqrt(denom, out=denom)
+        denom += _Adam.EPS
+        update /= denom
+        theta -= update
+
+
+def reference_clip(grads, max_norm):
+    """``clip_grads_`` summing each block with ``np.sum``."""
+    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    if norm > max_norm:
+        scale = max_norm / norm
+        for g in grads.values():
+            g *= scale
+    return norm
+
+
+def test_adam_step_matches_the_reference_bytes():
+    rng = Rng(12)
+    lean, ref = _Adam(3e-3, 300), ReferenceAdam(3e-3, 300)
+    theta = rng.normal(300)
+    theta_ref = theta.copy()
+    for step in range(6):
+        grad = rng.normal(300) * 10.0 ** (step - 3)
+        lean.step(theta, grad)
+        ref.step(theta_ref, grad)
+        assert theta.tobytes() == theta_ref.tobytes(), step
+    assert lean.m.tobytes() == ref.m.tobytes() and lean.v.tobytes() == ref.v.tobytes()
+
+
+@pytest.mark.parametrize("max_norm", [0.5, 1e9], ids=["clipped", "unclipped"])
+def test_clip_grads_matches_the_reference_bytes(max_norm):
+    # Quickstart-sized blocks, so each sum is long enough to be pairwise.
+    config = ModelConfig(num_feature_dim=20, cat_feature_dim=40, embed_dim=16, lstm_hidden=32,
+                         mlp_hidden=32, num_classes=13)
+    model = build_variant(config, "fusion")
+    grad = Rng(13).normal(model.theta.shape)
+    grad_ref = grad.copy()
+    blocks = model.grad_blocks(grad)
+    assert not blocks["encoder.fwd.W_i"].flags.c_contiguous  # a gate-column view
+    norm = training.clip_grads_(blocks, max_norm)
+    assert norm == reference_clip(model.grad_blocks(grad_ref), max_norm)
+    assert grad.tobytes() == grad_ref.tobytes()
+
+
+def test_training_ranks_top_k_only_while_validating(monkeypatch):
+    calls = {"validation": 0, "training": 0}
+    validating = []
+    rank, validate = model_module.topk_indices, training._validation_topk_accuracy
+
+    def counting_rank(*args):
+        calls["validation" if validating else "training"] += 1
+        return rank(*args)
+
+    def flagged_validate(*args):
+        validating.append(True)
+        try:
+            return validate(*args)
+        finally:
+            validating.pop()
+
+    monkeypatch.setattr(model_module, "topk_indices", counting_rank)
+    monkeypatch.setattr(training, "_validation_topk_accuracy", flagged_validate)
+    data = toy_tabular(n_per_class=8)
+    train(build_variant(toy_config(), "mlp"), data, data, TrainConfig(epochs=1, batch_size=4))
+    assert calls["training"] == 0 and calls["validation"] >= 1
 
 
 class TestTrain:
@@ -202,6 +287,11 @@ class TestTrainConfigValidation:
     def test_bad_batch(self):
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+
+    @pytest.mark.parametrize("norm", [-1.0, 0.0, float("nan")])
+    def test_clip_norm_must_be_positive(self, norm):
+        with pytest.raises(ValueError, match="clip_norm"):
+            TrainConfig(clip_norm=norm)
 
 
 class TestGradCheckHarness:
