@@ -352,6 +352,8 @@ def _cmd_eval(parser, args) -> int:
         if args.split != "all":
             splits = ds.split(examples, SPLIT_FRACTIONS, seed=args.split_seed)
             examples = splits[("train", "val", "test").index(args.split)]
+        if not examples:
+            raise ValueError(f"no records to evaluate (--split {args.split})")
 
     table = None
     if model.uses_text:

@@ -369,11 +369,7 @@ class PreparedDataset:
     @property
     def seqs(self) -> EmbeddedSequence | None:
         """Every row's sequence, (n, max_seq_len, d), gathered from ``texts`` on each read."""
-        return None if self.texts is None else self.texts[self.entries(slice(None))]
-
-    def entries(self, rows):
-        """The entries of ``texts`` used by the rows that ``rows`` selects."""
-        return self.groups[rows]
+        return None if self.texts is None else self.texts[self.groups]
 
     def inputs(self, model, rows) -> tuple:
         """``(num, cat, seq)`` of the examples ``rows`` selects.
@@ -384,7 +380,7 @@ class PreparedDataset:
         """
         tabular = model.uses_tabular
         return (self.num[rows] if tabular else None, self.cat[rows] if tabular else None,
-                self.texts[self.entries(rows)] if model.uses_text else None)
+                self.texts[self.groups[rows]] if model.uses_text else None)
 
 
 def prepare(examples: list[Example], pipeline: FeaturePipeline,

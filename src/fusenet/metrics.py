@@ -127,16 +127,29 @@ def chunk_bounds(n: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def check_text_layout(model: FusionModel, data: PreparedDataset, name: str) -> None:
-    """Raise a ValueError starting ``name: `` unless ``data`` holds the texts
-    ``model``'s text branch takes and each row's entry among them."""
+def check_inputs(model: FusionModel, data: PreparedDataset, name: str) -> None:
+    """Check ``data`` against what ``model``'s branches take, once, before any forward.
+
+    A ValueError starting ``name: `` names a tabular width, or texts and
+    groups that do not give each row an entry, ``max_seq_len`` by
+    ``embed_dim``. A row whose entry is all padding raises AllMaskedError
+    naming the first such example in row order.
+    """
+    cfg = model.config
+    if model.uses_tabular:
+        for what, x, dim in (("numerical", data.num, cfg.num_feature_dim),
+                             ("categorical", data.cat, cfg.cat_feature_dim)):
+            if x.shape[1] != dim:
+                raise ValueError(f"{name}: {what} width {x.shape[1]} vs model {dim}")
+    if not model.uses_text:
+        return
     texts, groups = data.texts, data.groups
     if texts is None:
         raise ValueError(f"{name}: missing embedded sequences")
     if groups is None:
         raise ValueError(f"{name}: embedded sequences without groups")
     size = len(texts.vectors)
-    expected = (size, model.config.max_seq_len, model.config.embed_dim)
+    expected = (size, cfg.max_seq_len, cfg.embed_dim)
     if texts.vectors.shape != expected or texts.mask.shape != expected[:2]:
         raise ValueError(f"{name}: sequences {texts.vectors.shape} with mask "
                          f"{texts.mask.shape} vs {expected}")
@@ -144,10 +157,15 @@ def check_text_layout(model: FusionModel, data: PreparedDataset, name: str) -> N
         raise ValueError(f"{name}: groups {groups.shape} vs {len(data)} rows")
     if groups.size and (groups.min() < 0 or groups.max() >= size):
         raise ValueError(f"{name}: groups must lie in [0, {size})")
+    dead = np.flatnonzero(~texts.mask.any(axis=-1)[groups])
+    if len(dead):
+        raise AllMaskedError(f"example {data.ids[dead[0]]}: attention: "
+                             "no unmasked positions to attend to")
 
 
 def predict_all(model: FusionModel, data: PreparedDataset, k: int) -> list[list[int]]:
-    """Top-k class indices of every example in ``data``, in row order.
+    """Top-k class indices of every example in ``data``, in row order,
+    after ``check_inputs`` of ``data``.
 
     The text branch runs once per entry of ``data.texts``, keeping no
     backward cache, in ``chunk_bounds`` chunks in a stable sort by live
@@ -159,18 +177,12 @@ def predict_all(model: FusionModel, data: PreparedDataset, k: int) -> list[list[
     entry among several rows is encoded twice, as no chunk may hold one
     row. Then the rows are scored in ``chunk_bounds`` chunks in row order,
     each with its entry's text features, so its probabilities are
-    bit-identical to those of the untrimmed forward of the row itself. A
-    row whose text is all padding raises AllMaskedError naming the first
-    such example in row order, after ``check_text_layout`` of ``data``.
+    bit-identical to those of the untrimmed forward of the row itself.
     """
+    check_inputs(model, data, "data")
     encoded = None
     if model.uses_text:
-        check_text_layout(model, data, "data")
         texts = data.texts
-        dead = np.flatnonzero(~texts.mask.any(axis=-1)[data.entries(slice(None))])
-        if len(dead):
-            raise AllMaskedError(f"example {data.ids[dead[0]]}: attention: "
-                                 "no unmasked positions to attend to")
         order = np.argsort(live_lengths(texts.vectors, texts.mask), kind="stable")
         if len(order) == 1 < len(data):
             order = np.repeat(order, 2)
@@ -184,9 +196,8 @@ def predict_all(model: FusionModel, data: PreparedDataset, k: int) -> list[list[
     def score(bounds: tuple[int, int]) -> list[list[int]]:
         # A variant without the tabular branches ignores num and cat.
         rows = slice(*bounds)
-        return forward(model, data.num[rows], data.cat[rows], None, k=k,
-                       example_id=data.ids[rows], keep=False,
-                       text=None if encoded is None else encoded[data.entries(rows)])[0].top_k
+        return forward(model, data.num[rows], data.cat[rows], None, k=k, keep=False,
+                       text=None if encoded is None else encoded[data.groups[rows]])[0].top_k
 
     return [top for chunk in ordered_map(score, chunk_bounds(len(data))) for top in chunk]
 

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .embeddings import EmbeddedSequence
-from .layers import AllMaskedError, BiLstmEncoder, DenseLayer, FeedforwardAttention, LstmCell
+from .layers import BiLstmEncoder, DenseLayer, FeedforwardAttention, LstmCell
 from .numcore import Rng, ShapeError, softmax
 
 FORMAT_VERSION = 1
@@ -247,34 +247,28 @@ def _run_branch(branch: list[DenseLayer], x: np.ndarray):
     return out, caches
 
 
-def encode_text(model: FusionModel, seq: EmbeddedSequence, keep: bool = True, padding=None,
-                example_id=None):
+def encode_text(model: FusionModel, seq: EmbeddedSequence, keep: bool = True, padding=None):
     """The text branch, encoder then attention: its (B, 2*lstm_hidden) output,
-    the text features, and the two layers' caches. ``keep`` and
-    ``example_id`` are forward's; ``padding`` passes the encoder its
-    ``padding_states`` (see ``BiLstmEncoder.forward``).
+    the text features, and the two layers' caches. ``keep`` is forward's;
+    ``padding`` passes the encoder its ``padding_states`` (see
+    ``BiLstmEncoder.forward``).
     """
-    try:
-        H, enc_cache = model.encoder.forward(seq.vectors, keep, seq.mask, padding)
-        a, _alphas, attn_cache = model.attention.forward(H, seq.mask)
-    except AllMaskedError as err:
-        if example_id is None:
-            raise
-        row = int(np.argmin(seq.mask.any(axis=1)))
-        raise AllMaskedError(f"example {example_id[row]}: {err}") from err
+    H, enc_cache = model.encoder.forward(seq.vectors, keep, seq.mask, padding)
+    a, _alphas, attn_cache = model.attention.forward(H, seq.mask)
     return a, [enc_cache, attn_cache]
 
 
 def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | None = None,
             k: int | None = None, dropout_rate: float = 0.0, drop_rng: Rng | None = None,
-            example_id=None, keep: bool = True, text=None):
+            keep: bool = True, text=None):
     """Run a batch of B examples, one per row, through the branches and softmax head.
 
     ``num_x`` is (B, num_dim), ``cat_x`` (B, cat_dim), and ``seq`` holds
     (B, T, embed_dim) vectors with a (B, T) mask (as
     ``PreparedDataset.inputs`` gives them). The prediction's probs are
-    (B, C), its top_k has one list per row, and ``example_id``, when
-    given, is a list naming each row.
+    (B, C) and its top_k has one list per row. A row whose mask is all
+    false raises AllMaskedError naming its batch row; ``metrics.check_inputs``
+    names its example before a dataset's first forward.
 
     Returns (Prediction, cache); the cache carries everything backward()
     needs. The prediction's top_k defaults to min(3, num_classes) entries
@@ -319,7 +313,7 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
         elif model.uses_tabular and seq.vectors.shape[:-2] != num_x.shape[:1]:
             raise ShapeError(f"sequence batch {seq.vectors.shape} vs features {num_x.shape}")
         else:
-            outputs.append(encode_text(model, seq, keep, example_id=example_id))
+            outputs.append(encode_text(model, seq, keep))
 
     parts = [out for out, _ in outputs]
     widths = [out.shape[-1] for out in parts]
@@ -377,8 +371,7 @@ def topk_indices(probs: np.ndarray, k: int) -> list[list[int]]:
     return np.argsort(-probs, axis=1, kind="stable")[:, :k].tolist()
 
 
-def predict_topk(model: FusionModel, num_x=None, cat_x=None, seq=None, k: int = 3,
-                 example_id: str | None = None) -> Prediction:
+def predict_topk(model: FusionModel, num_x=None, cat_x=None, seq=None, k: int = 3) -> Prediction:
     """Top-k classes of one example: ``num_x`` (num_dim,), ``cat_x`` (cat_dim,)
     and a (T, embed_dim) ``seq``, each None where the variant has no branch for it.
 
@@ -387,8 +380,7 @@ def predict_topk(model: FusionModel, num_x=None, cat_x=None, seq=None, k: int = 
     and a flat top-k list.
     """
     batch = (None if x is None else x[None] for x in (num_x, cat_x, seq))
-    ids = None if example_id is None else [example_id]
-    pred, _ = forward(model, *batch, k=k, example_id=ids, keep=False)
+    pred, _ = forward(model, *batch, k=k, keep=False)
     return Prediction(probs=pred.probs[0], k=k)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import PreparedDataset
 from .embeddings import EmbeddedSequence
-from .metrics import check_text_layout, predict_all, topk_accuracy
+from .metrics import check_inputs, predict_all, topk_accuracy
 from .model import FusionModel, ModelConfig, backward, build_variant, clone, forward
 from .numcore import Rng
 
@@ -29,7 +29,8 @@ FD_STEP = 1e-5  # central finite-difference step
 
 
 class TrainingAbort(RuntimeError):
-    """Non-finite loss or gradient; message names the batch and block."""
+    """Non-finite loss or gradient norm; message names the batch, and the first
+    non-finite gradient block if there is one."""
 
 
 @dataclass
@@ -148,31 +149,15 @@ def clip_grads_(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale ``grads`` in place to a global norm of at most ``max_norm``; return
     the norm before clipping, summed block by block in the dict's order.
 
-    Each block's sum is ``np.sum``'s pairwise one, without its wrapper.
+    Each block's sum is ``np.sum``'s pairwise one, without its wrapper. A
+    non-finite norm leaves ``grads`` as they are.
     """
     norm = math.sqrt(sum(float(np.add.reduce(g * g, axis=None)) for g in grads.values()))
-    if norm > max_norm:
+    if max_norm < norm < math.inf:
         scale = max_norm / norm
         for g in grads.values():
             g *= scale
     return norm
-
-
-def _check_dims(model: FusionModel, data: PreparedDataset, split: str) -> None:
-    cfg = model.config
-    if len(data) == 0:
-        raise ValueError(f"{split} split is empty")
-    if model.uses_tabular:
-        if data.num.shape[1] != cfg.num_feature_dim:
-            raise ValueError(
-                f"{split}: numerical width {data.num.shape[1]} vs model {cfg.num_feature_dim}"
-            )
-        if data.cat.shape[1] != cfg.cat_feature_dim:
-            raise ValueError(
-                f"{split}: categorical width {data.cat.shape[1]} vs model {cfg.cat_feature_dim}"
-            )
-    if model.uses_text:
-        check_text_layout(model, data, split)
 
 
 def _validation_topk_accuracy(model: FusionModel, data: PreparedDataset, k: int) -> float:
@@ -187,8 +172,7 @@ def _batch_gradients(model: FusionModel, data: PreparedDataset, rows: np.ndarray
     forward never holds two of them at once.
     """
     num, cat, seq = data.inputs(model, rows)
-    pred, cache = forward(model, num, cat, seq, dropout_rate=dropout_rate, drop_rng=drop_rng,
-                          example_id=[data.ids[i] for i in rows])
+    pred, cache = forward(model, num, cat, seq, dropout_rate=dropout_rate, drop_rng=drop_rng)
     loss, dlogits = batch_loss(pred.probs, data.labels[rows])
     return loss, backward(model, cache, dlogits)
 
@@ -196,8 +180,10 @@ def _batch_gradients(model: FusionModel, data: PreparedDataset, rows: np.ndarray
 def train(model: FusionModel, train_set: PreparedDataset, val_set: PreparedDataset,
           cfg: TrainConfig) -> tuple[FusionModel, TrainReport]:
     """Train a working copy of ``model``; return (best checkpoint, report)."""
-    _check_dims(model, train_set, "train")
-    _check_dims(model, val_set, "validation")
+    for data, split in ((train_set, "train"), (val_set, "validation")):
+        if len(data) == 0:
+            raise ValueError(f"{split} split is empty")
+        check_inputs(model, data, split)
 
     work = clone(model)
     optimizer = _make_optimizer(cfg, work.theta.size)
@@ -222,13 +208,11 @@ def train(model: FusionModel, train_set: PreparedDataset, val_set: PreparedDatas
             if not math.isfinite(loss):
                 raise TrainingAbort(f"non-finite loss in epoch {epoch} batch {batch_idx}")
             loss_sum += loss * len(rows)
-            if not np.all(np.isfinite(grad)):
-                name = next(name for name, g in work.param_blocks(grad)
-                            if not np.all(np.isfinite(g)))
-                raise TrainingAbort(
-                    f"non-finite gradient in block {name} (epoch {epoch} batch {batch_idx})"
-                )
-            clip_grads_(work.grad_blocks(grad), cfg.clip_norm)
+            if not math.isfinite(clip_grads_(work.grad_blocks(grad), cfg.clip_norm)):
+                what = next((f"non-finite gradient in block {name}"
+                             for name, g in work.param_blocks(grad) if not np.all(np.isfinite(g))),
+                            "gradient norm overflows")
+                raise TrainingAbort(f"{what} (epoch {epoch} batch {batch_idx})")
             optimizer.step(work.theta, grad)
 
         val_acc = _validation_topk_accuracy(work, val_set, val_k)

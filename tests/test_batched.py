@@ -7,11 +7,13 @@ per-gate, per-timestep forward written straight from the LSTM and
 attention equations checks the fused gate layout on its own.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+from fusenet import training
 from fusenet.dataset import PreparedDataset
 from fusenet.embeddings import EmbeddedSequence
 from fusenet.layers import ACTIVATIONS, AllMaskedError, DenseLayer
@@ -218,13 +220,13 @@ def test_gate_blocks_are_views_of_the_fused_matrix():
     assert np.shares_memory(cell.W_all, model.theta) and np.shares_memory(cell.b_all, model.theta)
 
 
-def test_all_masked_row_names_its_example():
+def test_all_masked_row_names_its_batch_row():
     config = small_check_config(seed=1)
     model = build_variant(config, "fusion")
     num, cat, seq, _ = ragged_batch(1, config)
     seq.mask[1] = False
-    with pytest.raises(AllMaskedError, match="example b:"):
-        forward(model, num, cat, seq, example_id=["a", "b", "c"])
+    with pytest.raises(AllMaskedError, match=r"\(batch row 1\)$"):
+        forward(model, num, cat, seq)
 
 
 # Written by the per-gate, per-example implementation that preceded the
@@ -309,3 +311,20 @@ def test_train_names_the_split_whose_texts_come_without_groups():
         train(model, good, data, TrainConfig(epochs=1))
     with pytest.raises(ValueError, match="^train: embedded sequences without groups"):
         train(model, data, good, TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("split", ["train", "validation"])
+def test_train_names_an_all_padding_example_before_its_first_step(monkeypatch, split):
+    config = small_check_config(seed=3)
+    num, cat, seq, labels = ragged_batch(3, config)
+    good = PreparedDataset(ids=["a", "b", "c"], labels=labels, num=num, cat=cat, texts=seq,
+                           groups=np.arange(3))
+    bad = dataclasses.replace(good, texts=EmbeddedSequence(seq.vectors, seq.mask.copy()))
+    bad.texts.mask[2] = False
+    clipped = []
+    monkeypatch.setattr(training, "clip_grads_", lambda *args: clipped.append(args) or 0.0)
+    sets = (bad, good) if split == "train" else (good, bad)
+    with pytest.raises(AllMaskedError,
+                       match="^example c: attention: no unmasked positions to attend to$"):
+        train(build_variant(config, "fusion"), *sets, TrainConfig(epochs=1, batch_size=1))
+    assert clipped == []

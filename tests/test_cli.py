@@ -363,6 +363,15 @@ class TestEval:
         assert err.startswith(f"error: --data {data}: class ")
         assert err.endswith(" examples, fewer than 3 splits")
 
+    @pytest.mark.parametrize("content", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+    @pytest.mark.parametrize("split", ["all", "test"])
+    def test_data_without_records_is_named(self, workspace, tmp_path, capsys, content, split):
+        data = tmp_path / "none.jsonl"
+        data.write_text(content, encoding="utf-8")
+        err = one_error_line(capsys, ["eval", "--model", workspace["checkpoints"]["mlp"],
+                                      "--data", str(data), "--split", split])
+        assert err == f"error: --data {data}: no records to evaluate (--split {split})"
+
     def test_pipeline_of_another_width_is_named(self, workspace, tmp_path, capsys):
         pipeline = narrower_pipeline(workspace, tmp_path)
         cat_dim = load(workspace["checkpoints"]["mlp"]).config.cat_feature_dim

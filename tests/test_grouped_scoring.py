@@ -67,13 +67,16 @@ def oracle_probs(model, data):
 
 
 def scored(monkeypatch, model, data):
-    """predict_all's top-3, each row's probabilities, and the rows of each encoder call."""
-    probs, encoded = {}, []
+    """predict_all's top-3, each row's probabilities, and the rows of each encoder call.
+
+    The chunks are scored in row order, so the probabilities of the
+    forwards, in call order, are those of the rows in row order."""
+    probs, encoded = [], []
     encoder_forward = BiLstmEncoder.forward
 
     def recording_forward(model, *args, **kwargs):
         pred, cache = forward(model, *args, **kwargs)
-        probs.update(zip(kwargs["example_id"], pred.probs))
+        probs.append(pred.probs)
         return pred, cache
 
     def recording_encoder_forward(self, vectors, *args, **kwargs):
@@ -84,7 +87,7 @@ def scored(monkeypatch, model, data):
         patch.setattr(metrics, "forward", recording_forward)
         patch.setattr(BiLstmEncoder, "forward", recording_encoder_forward)
         tops = metrics.predict_all(model, data, 3)
-    return tops, np.array([probs[i] for i in data.ids]), encoded
+    return tops, np.concatenate(probs), encoded
 
 
 def assert_scores_like_the_oracle(monkeypatch, model, data):

@@ -80,12 +80,12 @@ class TestForward:
         assert np.max(np.abs(pred.probs - 1.0 / 13)) < 1e-15
         assert pred.top_k == [[0, 1, 2]]
 
-    def test_all_masked_error_carries_example_id(self):
+    def test_all_masked_error_names_its_batch_row(self):
         model = build_variant(small_config(), "fusion")
         num, cat, seq = random_inputs(1, model.config)
         seq.mask[:] = False
-        with pytest.raises(AllMaskedError, match="example case-7"):
-            forward(model, num, cat, seq, example_id=["case-7"])
+        with pytest.raises(AllMaskedError, match=r"^attention: .* \(batch row 0\)$"):
+            forward(model, num, cat, seq)
 
     def test_end_to_end_gradient_check(self):
         assert grad_check("fusion", seed=0).max_rel_err < 1e-4

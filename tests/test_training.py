@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -136,6 +137,41 @@ def test_clip_grads_matches_the_reference_bytes(max_norm):
     norm = training.clip_grads_(blocks, max_norm)
     assert norm == reference_clip(model.grad_blocks(grad_ref), max_norm)
     assert grad.tobytes() == grad_ref.tobytes()
+
+
+def test_clip_grads_leaves_a_non_finite_norm_unscaled():
+    grads = {"a": np.array([3.0, 4.0]), "b": np.array([1e300, -1e300])}
+    with np.errstate(over="ignore"):
+        assert training.clip_grads_(grads, 1.0) == math.inf
+    assert grads["a"].tolist() == [3.0, 4.0] and grads["b"].tolist() == [1e300, -1e300]
+
+
+def _inf_in_two_blocks(blocks):
+    blocks["head.W"][0, 0] = np.inf  # first in clipping order, last in param_blocks order
+    blocks["mlp_cat.1.b"][2] = -np.inf
+
+
+def _huge_everywhere(blocks):
+    for g in blocks.values():
+        g.fill(1e300)
+
+
+@pytest.mark.parametrize("rig, message", [
+    (_inf_in_two_blocks, "non-finite gradient in block mlp_cat.1.b (epoch 0 batch 0)"),
+    (_huge_everywhere, "gradient norm overflows (epoch 0 batch 0)"),
+], ids=["inf-block", "overflow"])
+def test_a_non_finite_gradient_norm_aborts_training(monkeypatch, rig, message):
+    batch_gradients = training._batch_gradients
+
+    def rigged(model, *args):
+        loss, grad = batch_gradients(model, *args)
+        rig(dict(model.param_blocks(grad)))
+        return loss, grad
+
+    monkeypatch.setattr(training, "_batch_gradients", rigged)
+    data = toy_tabular(n_per_class=8)
+    with np.errstate(over="ignore"), pytest.raises(TrainingAbort, match=f"^{re.escape(message)}$"):
+        train(build_variant(toy_config(), "mlp"), data, data, TrainConfig(epochs=1, batch_size=4))
 
 
 def test_training_ranks_top_k_only_while_validating(monkeypatch):

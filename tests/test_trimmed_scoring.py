@@ -117,19 +117,20 @@ HALF = metrics.SCORE_CHUNK // 2
                          ids=["70", str(metrics.SCORE_CHUNK + 1)])
 def test_predict_all_returns_rows_in_row_order(monkeypatch, n, chunks):
     model, data = ragged_set("fusion", n=n)
-    batch_rows, probs = [], {}
+    batch_rows, probs = [], []
 
     def counting_forward(model, num_x, cat_x, seq, **kwargs):
         batch_rows.append(len(num_x))
         pred, cache = forward(model, num_x, cat_x, seq, **kwargs)
-        probs.update(zip(kwargs["example_id"], pred.probs))
+        probs.append(pred.probs)
         return pred, cache
 
     monkeypatch.setattr(metrics, "forward", counting_forward)
     assert metrics.predict_all(model, data, 3) == row_order_oracle(model, data)
     assert batch_rows == chunks
     # No row was scored alone, so each row has the bytes of one chunk of all rows.
-    assert np.array_equal([probs[i] for i in data.ids], scored(model, data, n)[0])
+    # The chunks run in row order, so call order is row order.
+    assert np.array_equal(np.concatenate(probs), scored(model, data, n)[0])
     free, _ = scored(model, data, metrics.SCORE_CHUNK)
     assert metrics.predict_all(model, data, 4) == topk_indices(free, 4)
 
