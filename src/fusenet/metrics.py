@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import CLASS_NAMES, PreparedDataset, is_finite_number
 from .layers import AllMaskedError, live_lengths
-from .model import FusionModel, encode_text, forward
+from .model import FusionModel, encode_text, forward, topk_indices
 from .parallel import ordered_map
 
 REPORT_VERSION = 1
@@ -29,35 +29,38 @@ class ReportError(ValueError):
     """An inconsistent report, or report JSON with a missing or mistyped field."""
 
 
-def _check_predictions(preds, labels) -> None:
-    if len(preds) != len(labels):
-        raise ValueError(f"{len(preds)} prediction lists vs {len(labels)} labels")
-    for i, p in enumerate(preds):
-        if len(set(p)) != len(p):
-            raise ValueError(f"prediction {i} repeats a class: {p}")
+def _hits(preds, labels) -> np.ndarray:
+    """Whether each case's label is among its predicted classes, one bool per case.
+
+    ``preds`` is (n, k) class indices, as ``model.topk_indices`` ranks them,
+    or n lists of k; a row that repeats a class is a ValueError naming it.
+    """
+    preds, labels = np.asarray(preds), np.asarray(labels)
+    # A flat list would broadcast against the labels into a wrong count.
+    if len(preds) != len(labels) or (preds.ndim != 2 and preds.size):
+        raise ValueError(f"predictions {preds.shape} vs {len(labels)} labels: "
+                         "expected one list of k classes per label")
+    ranked = np.sort(preds, axis=-1)
+    repeats = np.flatnonzero((ranked[..., 1:] == ranked[..., :-1]).any(axis=-1))
+    if len(repeats):
+        raise ValueError(f"prediction {repeats[0]} repeats a class: {preds[repeats[0]].tolist()}")
+    return (preds == labels[:, None]).any(axis=-1)
 
 
 def topk_recall(preds, labels, class_idx: int):
     """Recall restricted to cases labeled class_idx; None when there are none."""
-    _check_predictions(preds, labels)
-    n_k = 0
-    hits = 0
-    for p, label in zip(preds, labels):
-        if label != class_idx:
-            continue
-        n_k += 1
-        if label in p:
-            hits += 1
+    hits = _hits(preds, labels)
+    ours = np.asarray(labels) == class_idx
+    n_k = int(np.count_nonzero(ours))
     if n_k == 0:
         return None
-    return hits / n_k
+    return int(np.count_nonzero(hits[ours])) / n_k
 
 
 def topk_accuracy(preds, labels) -> float:
-    _check_predictions(preds, labels)
     if len(labels) == 0:
         raise ValueError("top-k accuracy of an empty set is undefined")
-    return sum(1 for p, label in zip(preds, labels) if label in p) / len(labels)
+    return int(np.count_nonzero(_hits(preds, labels))) / len(labels)
 
 
 @dataclass
@@ -91,25 +94,28 @@ class EvalReport:
 def compute_report(preds, labels, k: int, class_names=CLASS_NAMES) -> EvalReport:
     """Aggregate predictions into an EvalReport (identity-checked).
 
-    One pass counts each class's cases and top-k hits; recall and
-    accuracy are the same fractions topk_recall and topk_accuracy give.
+    ``preds`` is (n, k) class indices (see ``_hits``). Two counts per
+    class, its cases and its top-k hits, give recall and accuracy, the
+    same fractions topk_recall and topk_accuracy give. A label outside
+    [0, len(class_names)) is a ValueError naming its row.
     """
-    _check_predictions(preds, labels)
+    labels = np.asarray(labels)
     if len(labels) == 0:
         raise ValueError("cannot build a report from an empty set")
-    n_k = [0] * len(class_names)
-    hits = [0] * len(class_names)
-    for p, label in zip(preds, labels):
-        label = int(label)
-        n_k[label] += 1
-        hits[label] += label in p
+    classes = len(class_names)
+    bad = np.flatnonzero((labels < 0) | (labels >= classes))
+    if len(bad):
+        raise ValueError(f"label {labels[bad[0]]} of row {bad[0]} is not in [0, {classes})")
+    hits = _hits(preds, labels)
+    n_k = np.bincount(labels, minlength=classes).tolist()
+    hit_k = np.bincount(labels[hits], minlength=classes).tolist()
     return EvalReport(
         k=k,
         n=len(labels),
         class_names=tuple(class_names),
         n_k=n_k,
-        per_class_recall=[h / nk if nk else None for h, nk in zip(hits, n_k)],
-        accuracy=sum(hits) / len(labels),
+        per_class_recall=[h / nk if nk else None for h, nk in zip(hit_k, n_k)],
+        accuracy=sum(hit_k) / len(labels),
     )
 
 
@@ -130,12 +136,22 @@ def chunk_bounds(n: int) -> list[tuple[int, int]]:
 def check_inputs(model: FusionModel, data: PreparedDataset, name: str) -> None:
     """Check ``data`` against what ``model``'s branches take, once, before any forward.
 
-    A ValueError starting ``name: `` names a tabular width, or texts and
+    A ValueError starting ``name: `` names labels that are not one
+    integer class index in [0, num_classes) per row (the first bad
+    example when one is out of range), a tabular width, or texts and
     groups that do not give each row an entry, ``max_seq_len`` by
     ``embed_dim``. A row whose entry is all padding raises AllMaskedError
     naming the first such example in row order.
     """
     cfg = model.config
+    labels = data.labels
+    if labels.shape != (len(data),) or labels.dtype.kind not in "iu":
+        raise ValueError(f"{name}: labels {labels.dtype} {labels.shape} vs integer "
+                         f"({len(data)},)")
+    bad = np.flatnonzero((labels < 0) | (labels >= cfg.num_classes))
+    if len(bad):
+        raise ValueError(f"{name}: example {data.ids[bad[0]]}: label {labels[bad[0]]} "
+                         f"is not in [0, {cfg.num_classes})")
     if model.uses_tabular:
         for what, x, dim in (("numerical", data.num, cfg.num_feature_dim),
                              ("categorical", data.cat, cfg.cat_feature_dim)):
@@ -163,49 +179,60 @@ def check_inputs(model: FusionModel, data: PreparedDataset, name: str) -> None:
                              "no unmasked positions to attend to")
 
 
-def predict_all(model: FusionModel, data: PreparedDataset, k: int) -> list[list[int]]:
-    """Top-k class indices of every example in ``data``, in row order,
-    after ``check_inputs`` of ``data``.
+def predict_all(model: FusionModel, data: PreparedDataset) -> np.ndarray:
+    """The (n, num_classes) probabilities of every example in ``data``, in
+    row order, after ``check_inputs`` of ``data``.
 
     The text branch runs once per entry of ``data.texts``, keeping no
     backward cache, in ``chunk_bounds`` chunks in a stable sort by live
     length (``layers.live_lengths``: 1 + an entry's last position whose
     mask entry is true or whose vector is non-zero). Each chunk's encoder
-    then runs only to its longest entry, its backward direction starting
-    from the state the trailing zero-input steps reach
-    (``BiLstmEncoder.padding_states``, computed once per call). A lone
+    then runs only to its longest entry L, its backward direction starting
+    from the state T-L trailing zero-input steps reach
+    (``BiLstmEncoder.padding_states``, run once per call for the T-m steps
+    the chunks read, m being the shortest chunk's longest entry). A lone
     entry among several rows is encoded twice, as no chunk may hold one
     row. Then the rows are scored in ``chunk_bounds`` chunks in row order,
-    each with its entry's text features, so its probabilities are
-    bit-identical to those of the untrimmed forward of the row itself.
+    each with its entry's text features, into one preallocated array. So
+    each row's probabilities are bit-identical to its row of the untrimmed
+    ``forward(keep=True)`` of its chunk.
     """
     check_inputs(model, data, "data")
     encoded = None
     if model.uses_text:
         texts = data.texts
-        order = np.argsort(live_lengths(texts.vectors, texts.mask), kind="stable")
+        lengths = live_lengths(texts.vectors, texts.mask)
+        order = np.argsort(lengths, kind="stable")
         if len(order) == 1 < len(data):
             order = np.repeat(order, 2)
-        padding = model.encoder.padding_states(texts.mask.shape[-1], len(order))
+        chunks = chunk_bounds(len(order))
+        T = texts.mask.shape[-1]
+        # Sorted by length, the first chunk's longest entry is the shortest chunk's.
+        m = lengths[order[chunks[0][1] - 1]] if chunks else T
+        padding = model.encoder.padding_states(T - m + 1, len(order))
         encoded = np.empty((len(texts.mask), model.encoder.out_dim))
-        for bounds in chunk_bounds(len(order)):
+        for bounds in chunks:
             entries = order[slice(*bounds)]
             encoded[entries] = encode_text(model, texts[entries], keep=False,
                                            padding=padding)[0]
+    probs = np.empty((len(data), model.config.num_classes))
 
-    def score(bounds: tuple[int, int]) -> list[list[int]]:
+    def score(bounds: tuple[int, int]) -> None:
         # A variant without the tabular branches ignores num and cat.
         rows = slice(*bounds)
-        return forward(model, data.num[rows], data.cat[rows], None, k=k, keep=False,
-                       text=None if encoded is None else encoded[data.groups[rows]])[0].top_k
+        probs[rows] = forward(model, data.num[rows], data.cat[rows], None, keep=False,
+                              text=None if encoded is None else encoded[data.groups[rows]])[0].probs
 
-    return [top for chunk in ordered_map(score, chunk_bounds(len(data))) for top in chunk]
+    ordered_map(score, chunk_bounds(len(data)))
+    return probs
 
 
 def report(model: FusionModel, prepared: PreparedDataset, k: int = 3,
            class_names=CLASS_NAMES) -> EvalReport:
-    """Predict every example (see predict_all) and aggregate."""
-    return compute_report(predict_all(model, prepared, k), prepared.labels, k, class_names)
+    """Predict every example (see predict_all), rank each row's top ``k``
+    (``model.topk_indices``) and aggregate."""
+    return compute_report(topk_indices(predict_all(model, prepared), k), prepared.labels, k,
+                          class_names)
 
 
 def to_json(rep: EvalReport) -> dict:

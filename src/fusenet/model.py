@@ -93,7 +93,7 @@ class Prediction:
     def top_k(self) -> list:
         """One list of the k most probable class indices per row, or one flat
         list for (C,) probs; ranked on first read, as training reads only probs."""
-        ranked = topk_indices(np.atleast_2d(self.probs), self.k)
+        ranked = topk_indices(np.atleast_2d(self.probs), self.k).tolist()
         return ranked if self.probs.ndim == 2 else ranked[0]
 
 
@@ -363,12 +363,12 @@ def backward(model: FusionModel, cache, dlogits: np.ndarray) -> np.ndarray:
                            for prefix, layer in branch for pname in layer.params()])
 
 
-def topk_indices(probs: np.ndarray, k: int) -> list[list[int]]:
-    """Indices of each row's k largest entries of (B, C) ``probs``; ties go
-    to the lower index."""
+def topk_indices(probs: np.ndarray, k: int) -> np.ndarray:
+    """(B, k) indices of each row's k largest entries of (B, C) ``probs``,
+    largest first; ties go to the lower index."""
     if not 1 <= k <= probs.shape[1]:
         raise ValueError(f"k must be in [1, {probs.shape[1]}], got {k}")
-    return np.argsort(-probs, axis=1, kind="stable")[:, :k].tolist()
+    return np.argsort(-probs, axis=1, kind="stable")[:, :k]
 
 
 def predict_topk(model: FusionModel, num_x=None, cat_x=None, seq=None, k: int = 3) -> Prediction:

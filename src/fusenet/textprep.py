@@ -65,29 +65,36 @@ _CONTRACTION_RE = re.compile(
 
 _WS_RE = re.compile(r"\s+")
 
-# Every PII pattern needs a digit (Unicode, as ``\d`` in the patterns), "@" or "$".
-_PII_CHAR_RE = re.compile(r"[\d@$]")
-_DIGIT_RE = re.compile(r"\d")
+_DIGIT_RE = re.compile(r"\d")  # a Unicode digit, as ``\d`` in the patterns
+
+# The detectors after the email one, in order, each with its placeholder,
+# the fewest digits a match holds, and a character every match holds.
+_DIGIT_DETECTORS = (
+    (_DATE_RES[0], "this date", 5, ""),
+    (_DATE_RES[1], "this date", 6, "/"),
+    (_DATE_RES[2], "this date", 6, "-"),
+    (_AMOUNT_RE, "this amount", 1, "$"),
+    (_PHONE_RE, "this phone number", 10, ""),
+)
 
 
 def _redact_pii(s: str) -> str:
     # Iterate to a fixpoint: a replacement can expose a new match (for
     # example the tail of a run-together pair of addresses). Each pass
-    # removes at least one digit/@/$ and inserts none, so this terminates;
-    # text with none of them left cannot match again. A detector is skipped
-    # when the character it needs is absent, as it could only return s.
+    # removes at least one digit/@/$ and inserts none, so this terminates.
+    # A detector is skipped when s lacks what each of its matches holds
+    # ("@" for an email address), as it could only return s.
     prev = None
-    while s != prev and _PII_CHAR_RE.search(s):
+    while s != prev:
         prev = s
         if "@" in s:
             s = _EMAIL_RE.sub("this email address", s)
-        # Checked after the email substitution, which can remove every digit.
-        if _DIGIT_RE.search(s):  # dates, amounts and phones all need one
-            for date_re in _DATE_RES:
-                s = date_re.sub("this date", s)
-            if "$" in s:
-                s = _AMOUNT_RE.sub("this amount", s)
-            s = _PHONE_RE.sub("this phone number", s)
+        # Counted after the email substitution, which can remove digits. The
+        # later substitutions only remove more, so the count never falls short.
+        digits = len(_DIGIT_RE.findall(s))
+        for pattern, phrase, fewest, needs in _DIGIT_DETECTORS:
+            if digits >= fewest and needs in s:
+                s = pattern.sub(phrase, s)
     return s
 
 

@@ -231,16 +231,20 @@ class _Spy:
     ("no personal data here", []),
     ("a lone $ sign and an @", ["email"]),
     ("write to a1@b.co now", ["email"]),  # the email substitution takes the only digit
-    ("call 555 123 4567", ["date", "date", "date", "phone"]),
-    ("paid $1,200 on may 3, 2020", ["date", "date", "date", "amount", "phone"]),
-    ("mail x@y.co about $٣", ["email", "date", "date", "date", "amount", "phone"]),
+    # 10 digits: the month date and the phone number; no "/", "-" or "$".
+    ("call 555 123 4567", ["date", "phone"]),
+    ("paid $1,200 on may 3, 2020", ["date", "amount"]),  # 9 digits: no phone number
+    ("mail x@y.co about $٣", ["email", "amount"]),  # 1 digit: no date
+    ("call 555-123-456 or 1-2-201", ["date", "date", "phone"]),  # 13 digits, no "/"
+    ("on 12/2/201", ["date", "date"]),  # 6 digits: the month and "/" dates
+    ("on 1/2/201", ["date"]),  # 5 digits: the month date alone
 ])
 def test_a_detector_whose_character_is_absent_is_not_run(monkeypatch, text, detectors):
     ran = []
     monkeypatch.setattr(textprep, "_EMAIL_RE", _Spy("email", textprep._EMAIL_RE, ran))
-    monkeypatch.setattr(textprep, "_AMOUNT_RE", _Spy("amount", textprep._AMOUNT_RE, ran))
-    monkeypatch.setattr(textprep, "_PHONE_RE", _Spy("phone", textprep._PHONE_RE, ran))
-    monkeypatch.setattr(textprep, "_DATE_RES",
-                        tuple(_Spy("date", p, ran) for p in textprep._DATE_RES))
+    names = {textprep._AMOUNT_RE: "amount", textprep._PHONE_RE: "phone",
+             **dict.fromkeys(textprep._DATE_RES, "date")}
+    monkeypatch.setattr(textprep, "_DIGIT_DETECTORS", tuple(
+        (_Spy(names[p], p, ran), *rest) for p, *rest in textprep._DIGIT_DETECTORS))
     textprep._redact_pii(text)
     assert ran == detectors

@@ -8,6 +8,8 @@ have its bytes, with shared entries and with one entry per row.
 """
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -67,10 +69,10 @@ def oracle_probs(model, data):
 
 
 def scored(monkeypatch, model, data):
-    """predict_all's top-3, each row's probabilities, and the rows of each encoder call.
+    """predict_all's probabilities, and the rows of each encoder call.
 
     The chunks are scored in row order, so the probabilities of the
-    forwards, in call order, are those of the rows in row order."""
+    forwards, in call order, must be those predict_all returns."""
     probs, encoded = [], []
     encoder_forward = BiLstmEncoder.forward
 
@@ -86,19 +88,20 @@ def scored(monkeypatch, model, data):
     with monkeypatch.context() as patch:
         patch.setattr(metrics, "forward", recording_forward)
         patch.setattr(BiLstmEncoder, "forward", recording_encoder_forward)
-        tops = metrics.predict_all(model, data, 3)
-    return tops, np.concatenate(probs), encoded
+        got = metrics.predict_all(model, data)
+    assert np.array_equal(got, np.concatenate(probs))
+    return got, encoded
 
 
 def assert_scores_like_the_oracle(monkeypatch, model, data):
     """Both paths give the oracle's bytes; returns the grouped path's encoder calls."""
     __tracebackhide__ = True
     want = oracle_probs(model, data)
-    tops, got, encoded = scored(monkeypatch, model, data)
-    ungrouped_tops, ungrouped, _ = scored(monkeypatch, model, dataclasses.replace(
+    got, encoded = scored(monkeypatch, model, data)
+    ungrouped, _ = scored(monkeypatch, model, dataclasses.replace(
         data, texts=data.seqs, groups=np.arange(len(data))))
     assert np.array_equal(got, want) and np.array_equal(ungrouped, want)
-    assert tops == ungrouped_tops == topk_indices(want, 3)
+    assert np.array_equal(topk_indices(got, 3), topk_indices(want, 3))
     return encoded
 
 
@@ -144,7 +147,7 @@ def test_equal_texts_with_different_features(monkeypatch, variant):
     assert data.groups.tolist() == [0, 1] * 4
     assert assert_scores_like_the_oracle(monkeypatch, model, data) == [2]
     if variant == "fusion":
-        _, probs, _ = scored(monkeypatch, model, data)
+        probs, _ = scored(monkeypatch, model, data)
         assert len({p.tobytes() for p in probs[::2]}) == 4
 
 
@@ -176,7 +179,7 @@ def test_all_masked_error_names_the_first_such_row_in_row_order(layout):
     early, late = first_rows[5], first_rows[20]  # renumbered, late's entry comes first
     data.texts.mask[data.groups[[late, early]]] = False
     with pytest.raises(AllMaskedError, match=f"^example {data.ids[early]}: "):
-        metrics.predict_all(model_for("fusion", data), data, 3)
+        metrics.predict_all(model_for("fusion", data), data)
 
 
 @pytest.mark.parametrize("groups, message", [
@@ -188,12 +191,12 @@ def test_groups_that_do_not_index_the_texts_are_refused(groups, message):
     data = synth_corpus()
     data = dataclasses.replace(data, groups=groups(data.groups, len(data.texts.mask)))
     with pytest.raises(ValueError, match=f"^data: {message}"):
-        metrics.predict_all(model_for("fusion", data), data, 3)
+        metrics.predict_all(model_for("fusion", data), data)
 
 
 def test_the_encoder_sees_each_of_34_sequences_of_a_quickstart_corpus_once(monkeypatch):
     data = prepared(synth.generate_synthetic(1300, 0.05, 5)[0])
-    _, _, encoded = scored(monkeypatch, model_for("fusion", data), data)
+    _, encoded = scored(monkeypatch, model_for("fusion", data), data)
     assert sum(encoded) == 34 and len(data) == 1300
 
 
@@ -211,3 +214,26 @@ def test_given_text_features_must_fit_and_keep_no_cache(variant):
         forward(model, num, cat, text=features[:, 1:])
     with pytest.raises(ShapeError, match="text features"):
         forward(model, num, cat, text=features[None])
+
+
+# SHA-256 of predict_all's probabilities and of the report JSON they give
+# (as ``eval --out`` writes it) on the 260-row synth corpus.
+PINNED = {
+    "fusion": ("eb828e9d4899de834a1dc57ef82c72f0ab921ae83bca6ea33868d82c0a189c2b",
+               "d4b229a20a4cf5e6c5b8cbd1b3b4ab2ad1e865446101ce649689bbbaa16af30c"),
+    "text": ("8f84510a3ab92e47f0223444afac3ff7cee880f60d3e30b29bb0516af1717570",
+             "0acfdc3d33c1a3b02856a1986baf18cb171f3c0473bfa0923dcce3846216557f"),
+    "mlp": ("68278734c502e31bd57c689d075e4b33893db9d35c76b4a90c33a7a5af0d8fa7",
+            "b7b3b1856321bf3c7970b53bb6988d73a31a20fe16534b82e47562a4d87853ac"),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PINNED))
+def test_probabilities_and_report_bytes_are_pinned(variant):
+    data = synth_corpus()
+    model = model_for(variant, data)
+    probs = metrics.predict_all(model, data)
+    assert probs.shape == (len(data), 13) and probs.dtype == np.float64
+    report = json.dumps(metrics.to_json(metrics.report(model, data, k=3)), indent=2)
+    assert (hashlib.sha256(probs.tobytes()).hexdigest(),
+            hashlib.sha256(report.encode()).hexdigest()) == PINNED[variant]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,9 +10,10 @@ from fusenet.embeddings import EmbeddedSequence
 from fusenet.layers import AllMaskedError
 from fusenet.metrics import (EvalReport, ReportError, compute_report, from_json, to_json,
                              topk_accuracy, topk_recall)
-from fusenet.model import ModelConfig, backward, build_variant, forward, predict_topk
+from fusenet.model import (ModelConfig, backward, build_variant, forward, predict_topk,
+                           topk_indices)
 from fusenet.numcore import Rng
-from fusenet.training import _validation_topk_accuracy
+from fusenet.training import TrainConfig, _validation_topk_accuracy, train
 
 
 def brute_force_recall(preds, labels, class_idx):
@@ -139,6 +141,23 @@ class TestReport:
         with pytest.raises(ValueError, match="repeats a class"):
             compute_report([[0, 1, 2], [3, 3, 4]], [0, 3], k=3)
 
+    @pytest.mark.parametrize("label", [-1, 13])
+    def test_a_label_outside_the_classes_names_its_row(self, label):
+        # -1 was counted as the last class, and 13 raised a bare IndexError.
+        with pytest.raises(ValueError, match=rf"^label {label} of row 1 is not in \[0, 13\)$"):
+            compute_report([[0, 1, 2], [3, 4, 5]], [0, label], k=3)
+
+    @pytest.mark.parametrize("preds", [[0, 1], [[0, 1, 2]]], ids=["flat", "short"])
+    def test_predictions_must_be_one_list_per_label(self, preds):
+        with pytest.raises(ValueError, match="one list of k classes per label"):
+            compute_report(preds, [0, 1], k=1)
+
+    def test_counts_a_ranked_array_as_its_lists(self):
+        rng = Rng(59)
+        preds, labels = random_prediction_set(rng, 40)
+        assert compute_report(np.array(preds), np.array(labels), k=3) == compute_report(
+            preds, labels, k=3)
+
     def test_identity_violation_rejected(self):
         with pytest.raises(ValueError, match="identity"):
             EvalReport(k=3, n=2, class_names=("a", "b"), n_k=[1, 1],
@@ -233,7 +252,7 @@ def test_report_scores_chunks_and_matches_one_example_predictions(monkeypatch):
         return forward(model, num_x, cat_x, seq, **kwargs)
 
     monkeypatch.setattr(metrics, "forward", counting_forward)
-    assert metrics.predict_all(model, data, 3) == expected
+    assert topk_indices(metrics.predict_all(model, data), 3).tolist() == expected
     assert batch_rows == [metrics.SCORE_CHUNK, 8]
     assert metrics.report(model, data, k=3) == compute_report(expected, data.labels, 3)
 
@@ -260,3 +279,28 @@ def test_report_names_an_all_masked_example():
     data.texts.mask[35] = False
     with pytest.raises(AllMaskedError, match="example t35:"):
         metrics.report(model, data, k=3)
+
+
+BAD_LABELS = {
+    "short": (lambda y: y[:-1], r"labels int64 \(39,\) vs integer \(40,\)$"),
+    "float": (lambda y: y.astype(float), r"labels float64 \(40,\) vs integer \(40,\)$"),
+    "too-large": (lambda y: np.where(np.arange(40) == 7, 13, y),
+                  r"example t7: label 13 is not in \[0, 13\)$"),
+    "negative": (lambda y: np.where(np.arange(40) >= 5, -1, y),
+                 r"example t5: label -1 is not in \[0, 13\)$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LABELS))
+def test_bad_labels_are_named_before_any_forward(monkeypatch, case):
+    change, message = BAD_LABELS[case]
+    model, data = ragged_fusion_set()
+    bad = dataclasses.replace(data, labels=change(data.labels))
+    monkeypatch.setattr(metrics, "forward", None)  # never reached
+    with pytest.raises(ValueError, match=f"^data: {message}"):
+        metrics.report(model, bad, k=3)
+    with pytest.raises(ValueError, match=f"^data: {message}"):
+        _validation_topk_accuracy(model, bad, 3)
+    for train_set, val_set, split in ((bad, data, "train"), (data, bad, "validation")):
+        with pytest.raises(ValueError, match=f"^{split}: {message}"):
+            train(model, train_set, val_set, TrainConfig(epochs=1))

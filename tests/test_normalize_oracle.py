@@ -80,3 +80,33 @@ def test_synthetic_corpus_matches_oracle():
     examples, _ = synth.generate_synthetic(1300, 0.3, 11)
     for ex in examples:
         assert normalize(ex.text) == reference_normalize(ex.text), repr(ex.text)
+
+
+# Each detector just below and at the fewest digits its matches hold (a
+# "Month D YYYY" date 5, a "/" or "-" date 6, a phone number 10, an amount
+# 1), in ASCII, Arabic-Indic and fullwidth digits, alone and beside other
+# digits; normalize skips a detector when the text holds fewer.
+DIGIT_COUNT_CASES = [
+    ("April 1, 201", None), ("April 1, 2017", "this date"),
+    ("April ٣, ٢٠١", None), ("April ٣, ٢٠١٧", "this date"),
+    ("May １ ２０２", None), ("May １ ２０２０", "this date"),
+    ("1/2/201", None), ("1/2/2017", "this date"), ("٣/٣/٢٠١", None), ("٣/٣/٢٠١٧", "this date"),
+    ("１/２/２０１", None), ("１/２/２０１７", "this date"),
+    ("4-9-201", None), ("4-9-2017", "this date"), ("٤-٩-٢٠١", None), ("٤-٩-٢٠١٧", "this date"),
+    ("１-２-２０１", None), ("１-２-２０１７", "this date"),
+    ("555123456", None), ("5551234567", "this phone number"),
+    ("(555) 123-456", None), ("(555) 123-4567", "this phone number"),
+    ("٥٥٥١٢٣٤٥٦", None), ("٥٥٥١٢٣٤٥٦٧", "this phone number"),
+    ("１２３４５６７８９", None), ("１２３４５６７８９０", "this phone number"),
+    ("$ off", None), ("$١", "this amount"), ("$１", "this amount"),
+    ("1/2/2017 or 555123456", "this date"), ("May 1 201 5551234567", "this phone number"),
+    ("john@x.com 1/2/201 5551234", "this email address"),
+]
+
+
+@pytest.mark.parametrize("text, placeholder", DIGIT_COUNT_CASES)
+def test_detectors_at_their_fewest_digits_match_oracle(text, placeholder):
+    want = reference_normalize(text)
+    assert normalize(text) == want
+    phrases = ("this date", "this phone number", "this amount", "this email address")
+    assert [p for p in phrases if p in want] == ([placeholder] if placeholder else [])

@@ -191,6 +191,7 @@ def test_training_ranks_top_k_only_while_validating(monkeypatch):
             validating.pop()
 
     monkeypatch.setattr(model_module, "topk_indices", counting_rank)
+    monkeypatch.setattr(training, "topk_indices", counting_rank)
     monkeypatch.setattr(training, "_validation_topk_accuracy", flagged_validate)
     data = toy_tabular(n_per_class=8)
     train(build_variant(toy_config(), "mlp"), data, data, TrainConfig(epochs=1, batch_size=4))

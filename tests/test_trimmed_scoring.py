@@ -126,34 +126,80 @@ def test_predict_all_returns_rows_in_row_order(monkeypatch, n, chunks):
         return pred, cache
 
     monkeypatch.setattr(metrics, "forward", counting_forward)
-    assert metrics.predict_all(model, data, 3) == row_order_oracle(model, data)
+    got = metrics.predict_all(model, data)
+    assert topk_indices(got, 3).tolist() == row_order_oracle(model, data)
     assert batch_rows == chunks
     # No row was scored alone, so each row has the bytes of one chunk of all rows.
     # The chunks run in row order, so call order is row order.
     assert np.array_equal(np.concatenate(probs), scored(model, data, n)[0])
+    assert np.array_equal(got, np.concatenate(probs))
     free, _ = scored(model, data, metrics.SCORE_CHUNK)
-    assert metrics.predict_all(model, data, 4) == topk_indices(free, 4)
+    assert np.array_equal(topk_indices(metrics.predict_all(model, data), 4),
+                          topk_indices(free, 4))
+
+
+def recording_padding(monkeypatch):
+    """Each padding_states call as (count, rows), and the steps each one's recurrence ran."""
+    calls, steps, inside = [], [], []
+    padding_states, recur = BiLstmEncoder.padding_states, BiLstmEncoder._recur
+
+    def counting_padding_states(self, count, rows):
+        calls.append((count, rows))
+        inside.append(True)
+        try:
+            return padding_states(self, count, rows)
+        finally:
+            inside.pop()
+
+    def counting_recur(self, W, V, *args):
+        if inside:
+            steps.append(V.shape[1])
+        return recur(self, W, V, *args)
+
+    monkeypatch.setattr(BiLstmEncoder, "padding_states", counting_padding_states)
+    monkeypatch.setattr(BiLstmEncoder, "_recur", counting_recur)
+    return calls, steps
 
 
 def test_one_call_runs_the_padding_recurrence_once(monkeypatch):
     model, data = ragged_set("fusion", n=2 * metrics.SCORE_CHUNK + 6)
-    padding_calls, chunk_lengths = [], []
-    padding_states = BiLstmEncoder.padding_states
-
-    def counting_padding_states(self, count, rows):
-        padding_calls.append((count, rows))
-        return padding_states(self, count, rows)
+    chunk_lengths = []
 
     def measuring_encode_text(model, seq, **kwargs):
         chunk_lengths.append(int(live_lengths(seq.vectors, seq.mask).max()))
         return encode_text(model, seq, **kwargs)
 
-    monkeypatch.setattr(BiLstmEncoder, "padding_states", counting_padding_states)
+    padding_calls, padding_steps = recording_padding(monkeypatch)
     monkeypatch.setattr(metrics, "encode_text", measuring_encode_text)
-    tops = metrics.predict_all(model, data, 3)
-    assert padding_calls == [(T, len(data))]
+    probs = metrics.predict_all(model, data)
     assert len(chunk_lengths) == 3 and len({L for L in chunk_lengths if L < T}) == 2
-    assert tops == row_order_oracle(model, data)
+    # Only the T - m steps the chunks read run, m the shortest chunk's longest entry.
+    m = min(chunk_lengths)
+    assert 1 < m < T - 1
+    assert padding_calls == [(T - m + 1, len(data))] and padding_steps == [T - m]
+    assert topk_indices(probs, 3).tolist() == row_order_oracle(model, data)
+
+
+def test_chunks_of_full_length_entries_run_no_padding_step(monkeypatch):
+    model, data = ragged_set("fusion")
+    data.texts.mask[:] = True
+    padding_calls, padding_steps = recording_padding(monkeypatch)
+    probs = metrics.predict_all(model, data)
+    assert padding_calls == [(1, len(data))] and padding_steps == [0]
+    assert topk_indices(probs, 3).tolist() == row_order_oracle(model, data)
+
+
+@pytest.mark.parametrize("n", [70, metrics.SCORE_CHUNK + 1])
+@pytest.mark.parametrize("variant", ["fusion", "text", "mlp"])
+def test_each_row_has_the_bytes_of_its_chunks_untrimmed_forward(variant, n):
+    model, data = ragged_set(variant, n=n)
+    probs = metrics.predict_all(model, data)
+    assert probs.shape == (n, 13)
+    for bounds in metrics.chunk_bounds(n):
+        rows = slice(*bounds)
+        kept = forward(model, *data.inputs(model, rows))[0].probs
+        for j, row in zip(range(*bounds), kept):
+            assert probs[j].tobytes() == row.tobytes(), j
 
 
 def test_chunk_bounds_leave_no_row_alone():
@@ -176,4 +222,4 @@ def test_all_masked_error_names_the_first_such_example_in_row_order():
     data.texts.mask[HIDDEN_TAIL] = False  # still live to position 13 through its vectors
     data.texts.vectors[66], data.texts.mask[66] = 0.0, False  # live length 0, a later chunk
     with pytest.raises(AllMaskedError, match=f"example r{HIDDEN_TAIL}:"):
-        metrics.predict_all(model, data, 3)
+        metrics.predict_all(model, data)
