@@ -9,13 +9,14 @@ with an exact analytic backward pass, checked against central finite
 differences.
 """
 
+import importlib
+
 from .dataset import CLASS_NAMES, Example, FeaturePipeline, load_jsonl, save_jsonl, split
 from .embeddings import EmbeddedSequence, EmbeddingTable, embed_sequence, load_vec_file
 from .metrics import EvalReport, report, topk_accuracy, topk_recall
 from .model import (FusionModel, ModelConfig, Prediction, build_variant, forward, load,
                     predict_topk, save)
 from .numcore import Rng, affine, sigmoid, softmax
-from .synth import generate_synthetic
 from .textprep import TokenSequence, normalize, tokenize
 from .training import TrainConfig, TrainReport, grad_check, train
 
@@ -33,3 +34,11 @@ __all__ = [
     "TrainConfig", "TrainReport", "grad_check", "train",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # ``synth`` is imported on first use: train, eval and predict never run it.
+    if name in ("synth", "generate_synthetic"):
+        synth = importlib.import_module(".synth", __name__)
+        return synth if name == "synth" else synth.generate_synthetic
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import embeddings as emb
-from . import metrics, synth, training
+from . import metrics, training
 from . import model as modelmod
 from .textprep import normalize, tokenize
 
@@ -114,10 +114,15 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _add_knobs(p: argparse.ArgumentParser, specs: dict[str, tuple]) -> None:
-    """One ``--dest-name`` flag per knob, plus ``--config``; defaults are merged later."""
+    """One ``--dest-name`` flag per knob, plus ``--config``; defaults are merged later.
+
+    A help text reads its knob's default only when it is shown.
+    """
     for dest, (convert, default, about) in specs.items():
-        p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=convert, default=None,
-                       help=f"{about} (default {default})" if about else f"default {default}")
+        action = p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=convert,
+                                default=None, help=f"{about} (default %(knob_default)s)"
+                                if about else "default %(knob_default)s")
+        action.knob_default = default
     p.add_argument("--config", default=None, help="flat key=value defaults file")
 
 
@@ -144,11 +149,26 @@ def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
             except (ValueError, argparse.ArgumentTypeError) as err:
                 parser.error(f"config key {dest}: {err}")
         else:
-            setattr(args, dest, default)
+            setattr(args, dest, default.get() if isinstance(default, _SynthDefault) else default)
 
 
 # ---------------------------------------------------------------------------
 # synth
+
+
+class _SynthDefault:
+    """A knob default defined in ``synth``, which only the synth command imports."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def get(self):
+        from . import synth
+        return getattr(synth, self.name)
+
+    def __str__(self) -> str:
+        return str(self.get())
+
 
 # Each knob: dest -> (converter, default, help). A knob is a flag and a
 # --config key of the same name.
@@ -156,13 +176,15 @@ _SYNTH_SPECS = {
     "n": (_positive_int, 1300, None),
     "noise": (_fraction, 0.05, "template/profile flip probability, in [0,1)"),
     "seed": (int, 5, None),
-    "num_dim": (_positive_int, synth.DEFAULT_NUM_DIM, None),
+    "num_dim": (_positive_int, _SynthDefault("DEFAULT_NUM_DIM"), None),
     "vec_dim": (_positive_int, 16, None),
     "vec_seed": (int, 7, None),
 }
 
 
 def _cmd_synth(parser, args) -> int:
+    from . import synth
+
     _merge_config(parser, args, _SYNTH_SPECS)
     if args.n < 130:
         parser.error(f"--n must be at least 130, got {args.n}")

@@ -2,10 +2,16 @@
 
 The file format is the plain-text one FastText distributes: a header
 line ``V d``, then V lines of ``word v1 ... vd`` separated by single
-spaces, UTF-8. Vectors are frozen; lookup of an in-vocabulary word
-returns exactly its stored row (equivalent to multiplying the table by
-the word's one-hot vector). Out-of-vocabulary tokens map to a zero row
-with a true mask entry and are counted, never silently dropped.
+spaces, UTF-8. ``load_vec_file`` scans the file's bytes a block at a
+time: on every row it checks the field count and UTF-8, and it converts,
+and checks as finite numbers, only the values of the rows it keeps (all
+of them, or with ``only=`` the first row of each wanted word). A word may
+hold any character but a space or a line end, a tab included.
+
+Vectors are frozen; lookup of an in-vocabulary word returns exactly its
+stored row (equivalent to multiplying the table by the word's one-hot
+vector). Out-of-vocabulary tokens map to a zero row with a true mask
+entry and are counted, never silently dropped.
 """
 
 from __future__ import annotations
@@ -21,8 +27,9 @@ from .numcore import Rng
 from .textprep import TokenSequence
 
 
-# Rows of a .vec file parsed and checked together.
-VEC_CHUNK_ROWS = 1024
+# Bytes of a .vec file read at a time. A block is cut after its last
+# newline, and its rows are checked together.
+VEC_BLOCK_BYTES = 1 << 17
 
 
 class VecParseError(ValueError):
@@ -71,27 +78,33 @@ class EmbeddedSequence:
 def load_vec_file(path, only=None) -> EmbeddingTable:
     """Read a .vec file: the header's V rows, and nothing after them.
 
-    Rows are read ``VEC_CHUNK_ROWS`` at a time and every row is checked,
-    each check one pass over the chunk. Duplicate words keep their first
-    occurrence. Raises VecParseError naming the first bad line in file
-    order: a malformed header, a file that ends early, a row with the
-    wrong number of fields, or a non-numeric or non-finite value. Text
-    that is not UTF-8 is a VecParseError naming the line that holds it.
+    The file is read in blocks of ``VEC_BLOCK_BYTES``, each cut after its
+    last newline (a row longer than a block is read whole); ``\\r\\n``
+    and a lone ``\\r`` end a line as ``\\n`` does. Every row is checked
+    with one numpy pass and one decode per block: its spaces and newlines
+    must come as d spaces then a newline, and the text of its block must
+    be UTF-8, to the block's end (also past row V). The rows kept are
+    then converted to floats, which must be finite. Duplicate words keep
+    their first occurrence. Raises VecParseError naming the first bad
+    line in file order: a malformed header, a file that ends early, a row
+    with the wrong number of fields, a non-numeric or non-finite value, or
+    text that is not UTF-8.
 
     With ``only``, a collection of words, the table holds just those of
-    them the file has, in file order, and only the first row of each is
-    converted to floats. A non-numeric or non-finite value is then an
-    error only in such a row; every other check still covers every row.
+    them the file has, in file order. A row's word is compared with them
+    only when it has the byte length and first byte of one, and only the
+    first row of each is decoded and converted. A non-numeric or
+    non-finite value is then an error only in such a row; the field count
+    and UTF-8 checks still cover every row.
     """
-    try:
-        return _read_vec_file(path, only)
-    except UnicodeDecodeError:
-        raise _undecodable_line(path) from None
-
-
-def _read_vec_file(path, only) -> EmbeddingTable:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
+    with open(path, "rb") as fh:
+        blocks = _blocks(fh)
+        block = next(blocks, b"")
+        cut = block.find(b"\n") + 1
+        try:
+            header = block[:cut].decode("utf-8")
+        except UnicodeDecodeError:
+            raise _undecodable_line(path) from None
         parts = header.split()
         if len(parts) != 2:
             raise VecParseError(f"line 1: expected header 'V d', got {header.strip()!r}")
@@ -107,23 +120,18 @@ def _read_vec_file(path, only) -> EmbeddingTable:
         most = declared_v if wanted is None else min(declared_v, len(wanted))
         matrix = np.empty((_rows_to_allocate(fh, dim, most), dim))
         vocab: dict[str, int] = {}
-        for start in range(0, declared_v, VEC_CHUNK_ROWS):
-            size = min(VEC_CHUNK_ROWS, declared_v - start)
-            lines = []
-            try:
-                for line in itertools.islice(fh, size):
-                    lines.append(line)
-            except UnicodeDecodeError as err:
-                # Rows before the undecodable text come first in file order.
-                raise _row_error(lines, start + 2, dim, _select(lines, wanted)) or err
-            rows = _select(lines, wanted)
-            chunk = _parse_chunk(lines, dim, rows) if len(lines) == size else None
-            if chunk is None:
-                lineno = start + 2 + len(lines)
-                raise _row_error(lines, start + 2, dim, rows) or VecParseError(
-                    f"line {lineno}: file ends after {lineno - 2} of {declared_v} rows"
-                )
-            words, values = chunk
+        lineno, end = 2, declared_v + 2
+        blocks = itertools.chain([block[cut:]], blocks)
+        while lineno < end:
+            block = next(blocks, None)
+            if block is None:
+                raise VecParseError(
+                    f"line {lineno}: file ends after {lineno - 2} of {declared_v} rows")
+            parsed = _parse_block(block, dim, end - lineno, wanted)
+            if parsed is None:
+                raise _block_error(path, block, lineno, dim, end - lineno, wanted)
+            rows, words, values = parsed
+            lineno += rows
             first = len(vocab)
             keep = []
             for i, word in enumerate(words):
@@ -131,16 +139,132 @@ def _read_vec_file(path, only) -> EmbeddingTable:
                     vocab[word] = len(vocab)
                     keep.append(i)
             matrix[first:len(vocab)] = values if len(keep) == len(words) else values[keep]
+            if wanted is not None:
+                wanted.difference_update(words)
 
     return EmbeddingTable(vocab=vocab, matrix=matrix[:len(vocab)], dim=dim, file_rows=declared_v)
 
 
-def _undecodable_line(path) -> VecParseError:
-    """The error naming the first line of ``path`` that is not valid UTF-8.
+def _blocks(fh):
+    """The bytes of ``fh`` in blocks of whole lines, each ending in ``\\n``.
 
-    A text reader decodes ahead of the line it returns, so the line is
-    found again from the file's bytes, split at the same line endings.
+    ``\\r\\n`` and a lone ``\\r`` become ``\\n``, and a last line without a
+    newline gets one, so the lines are those text mode reads. Each block
+    is ``VEC_BLOCK_BYTES`` read, cut after its last newline; the bytes
+    after the cut start the next block, so a line longer than a block is
+    carried until its newline is read.
     """
+    carry = []  # what was read after the last newline
+    after_cr = False  # the last read ended in \r: a \n opening the next one ends the same line
+    while True:
+        data = fh.read(VEC_BLOCK_BYTES)
+        last = len(data) < VEC_BLOCK_BYTES
+        if after_cr and data.startswith(b"\n"):
+            data = data[1:]
+        after_cr = data.endswith(b"\r")
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if last:
+            block = b"".join([*carry, data])
+            if block:
+                yield block if block.endswith(b"\n") else block + b"\n"
+            return
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*carry, memoryview(data)[:cut]])
+            carry = []
+        carry.append(data[cut:])
+
+
+def _parse_block(block: bytes, dim: int, most: int, wanted: set[str] | None):
+    """The row count, words and values of the first rows of ``block``, at
+    most ``most``, or None when a check fails.
+
+    With ``wanted`` the words and values are those of the first row of
+    each wanted word, and the set is left as it is. All of ``block`` must
+    be UTF-8, also past its first ``most`` rows.
+    """
+    a = np.frombuffer(block, dtype=np.uint8)
+    seps = np.flatnonzero(a <= 32)  # spaces and newlines, and control bytes a word may hold
+    kind = a[seps]
+    newline = kind == 10
+    is_sep = newline | (kind == 32)
+    if not is_sep.all():
+        seps, newline = seps[is_sep], newline[is_sep]
+    nl = np.flatnonzero(newline)[:most]  # each row's newline, as an index into seps
+    rows = len(nl)
+    # Row i is d spaces, then its newline: separator i * (d + 1) + d.
+    if not np.array_equal(nl, np.arange(dim, rows * (dim + 1), dim + 1)):
+        return None
+    try:
+        # A selection decodes its rows below; here it only checks, and ASCII is UTF-8.
+        text = "" if wanted is not None and block.isascii() else block.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    taken = rows
+    if wanted is not None:
+        ends = seps[nl]
+        starts = np.concatenate([[0], ends[:-1] + 1]) if rows else ends
+        picked = _first_rows(block, a, starts, seps[nl - dim], wanted)
+        text = "".join(block[starts[i]:ends[i] + 1].decode("utf-8") for i in picked)
+        taken = len(picked)
+    # Each newline stays on its row's last value, which float conversion
+    # ignores; the text after the rows taken is one more field, dropped.
+    size = taken * (dim + 1)
+    fields = text.replace("\n", "\n ").split(" ", size)
+    del fields[size:]
+    words = fields[:: dim + 1]
+    del fields[:: dim + 1]
+    try:
+        values = np.array(fields, dtype=np.float64)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return rows, words, values.reshape(len(words), dim)
+
+
+def _first_rows(block: bytes, a: np.ndarray, starts: np.ndarray, word_ends: np.ndarray,
+                wanted: set[str]) -> list[int]:
+    """Rows, in order, that are the first in ``block`` of a ``wanted`` word.
+
+    Only a row whose word has the byte length and the first byte of a
+    wanted word (for the empty word, the space after it) is compared.
+    """
+    if not wanted:
+        return []
+    left = dict.fromkeys((w.encode("utf-8", "surrogatepass") for w in wanted), True)
+    longest = max(map(len, left)) + 1  # any longer word is no wanted word
+    keys = np.zeros((longest + 1) * 256, dtype=bool)
+    for w in left:
+        keys[len(w) * 256 + (w + b" ")[0]] = True
+    hits = np.flatnonzero(keys[np.minimum(word_ends - starts, longest) * 256 + a[starts]])
+    # A word is popped at its first row.
+    return [i for i, start, end in zip(hits.tolist(), starts[hits].tolist(),
+                                       word_ends[hits].tolist())
+            if left.pop(block[start:end], False)]
+
+
+def _block_error(path, block: bytes, first_lineno: int, dim: int, most: int,
+                 wanted: set[str] | None) -> VecParseError:
+    """The error of the first bad line of ``block``: among its first ``most``
+    rows (see ``_row_error``), or a later line that is not UTF-8."""
+    lines, undecodable = [], False
+    for raw in block.splitlines(keepends=True):
+        try:
+            lines.append(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            undecodable = True
+            break
+    err = _row_error(lines[:most], first_lineno, dim, wanted)
+    if err is None and undecodable:
+        err = _undecodable_line(path)
+    return err
+
+
+def _undecodable_line(path) -> VecParseError:
+    """The error naming the first line of ``path`` that is not valid UTF-8,
+    split at the line endings ``_blocks`` reads."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh.read().splitlines(), start=1):
             try:
@@ -164,62 +288,25 @@ def _rows_to_allocate(fh, dim: int, want: int) -> int:
     return min(want, (info.st_size + 1) // (2 * dim + 1))
 
 
-def _select(lines: list[str], wanted: set[str] | None) -> list[int] | None:
-    """Indices of the lines that are the first row of a ``wanted`` word, or None for all.
-
-    Each word found is removed from ``wanted``, so a later row of it is
-    never selected.
-    """
-    if wanted is None:
-        return None
-    rows = []
-    for i, line in enumerate(lines):
-        word = line.partition(" ")[0]
-        if word in wanted:
-            wanted.remove(word)
-            rows.append(i)
-    return rows
-
-
-def _parse_chunk(lines: list[str], dim: int, rows: list[int] | None):
-    """Words and values of the ``rows`` of ``lines`` (all when None), or None when a check fails.
-
-    Every line must have exactly ``dim`` spaces; the selected rows, joined
-    by spaces, then split into ``dim + 1`` fields per row: the word, then
-    its values. A row's last value keeps the line's newline, which float
-    conversion ignores as it ignores any surrounding whitespace.
-    """
-    if not all(line.count(" ") == dim for line in lines):
-        return None
-    if rows is not None:
-        lines = [lines[i] for i in rows]
-    fields = " ".join(lines).split(" ") if lines else []
-    words = fields[:: dim + 1]
-    del fields[:: dim + 1]
-    try:
-        values = np.array(fields, dtype=np.float64)
-    except ValueError:
-        return None
-    if not np.isfinite(values).all():
-        return None
-    return words, values.reshape(len(lines), dim)
-
-
 def _row_error(lines: list[str], first_lineno: int, dim: int,
-               rows: list[int] | None) -> VecParseError | None:
+               wanted: set[str] | None) -> VecParseError | None:
     """The error of the first bad row among ``lines``, in file order, or None.
 
-    Every row's field count is checked, and the values of the ``rows``
-    selected (all when None).
+    Every row's field count is checked, and the values of every row, or
+    with ``wanted`` those of the first row among ``lines`` of each wanted
+    word, as ``_parse_block`` selects them.
     """
+    left = None if wanted is None else set(wanted)
     for lineno, line in enumerate(lines, start=first_lineno):
         fields = line.rstrip("\n").split(" ")
         if len(fields) != dim + 1:
             return VecParseError(
                 f"line {lineno}: expected a word plus {dim} values, got {len(fields)} fields"
             )
-        if rows is not None and lineno - first_lineno not in rows:
-            continue
+        if left is not None:
+            if fields[0] not in left:
+                continue
+            left.remove(fields[0])
         try:
             vec = np.array(fields[1:], dtype=np.float64)
         except ValueError:

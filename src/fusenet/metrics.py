@@ -183,7 +183,8 @@ def predict_all(model: FusionModel, data: PreparedDataset) -> np.ndarray:
     """The (n, num_classes) probabilities of every example in ``data``, in
     row order, after ``check_inputs`` of ``data``.
 
-    The text branch runs once per entry of ``data.texts``, keeping no
+    The text branch runs once per entry of ``data.texts`` that a row's
+    ``groups`` value names (``check_inputs`` checks no other), keeping no
     backward cache, in ``chunk_bounds`` chunks in a stable sort by live
     length (``layers.live_lengths``: 1 + an entry's last position whose
     mask entry is true or whose vector is non-zero). Each chunk's encoder
@@ -202,7 +203,10 @@ def predict_all(model: FusionModel, data: PreparedDataset) -> np.ndarray:
     if model.uses_text:
         texts = data.texts
         lengths = live_lengths(texts.vectors, texts.mask)
-        order = np.argsort(lengths, kind="stable")
+        used = np.zeros(len(lengths), dtype=bool)
+        used[data.groups] = True
+        used = np.flatnonzero(used)
+        order = used[np.argsort(lengths[used], kind="stable")]
         if len(order) == 1 < len(data):
             order = np.repeat(order, 2)
         chunks = chunk_bounds(len(order))

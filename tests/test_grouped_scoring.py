@@ -16,7 +16,7 @@ import pytest
 
 from fusenet import metrics, synth
 from fusenet.dataset import Example, FeaturePipeline, prepare
-from fusenet.embeddings import random_table
+from fusenet.embeddings import EmbeddedSequence, random_table
 from fusenet.layers import AllMaskedError, BiLstmEncoder
 from fusenet.model import (ModelConfig, backward, build_variant, encode_text, forward,
                            topk_indices)
@@ -115,6 +115,15 @@ def test_a_synth_corpus(monkeypatch, variant):
     encoded = assert_scores_like_the_oracle(monkeypatch, model, data)
     assert sum(encoded) == data.groups.max() + 1 < len(data) / 5
     assert_scores_like_the_oracle(monkeypatch, model, renumbered(data))
+    # Entries no row names, one all padding and one live, are never encoded.
+    texts = data.texts
+    unused = dataclasses.replace(data, groups=data.groups + 1, texts=EmbeddedSequence(
+        vectors=np.concatenate([np.zeros_like(texts.vectors[:1]), texts.vectors,
+                                texts.vectors[:1]]),
+        mask=np.concatenate([np.zeros_like(texts.mask[:1]), texts.mask, texts.mask[:1]])))
+    got, with_unused = scored(monkeypatch, model, unused)
+    assert got.tobytes() == metrics.predict_all(model, data).tobytes()
+    assert sum(with_unused) == sum(encoded)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -95,7 +95,21 @@ def test_predict_and_eval_never_import_numpy_random(workspace):
     proc = python("import json, sys, fusenet.cli\n"
                   "for argv in json.loads(sys.argv[1]):\n"
                   "    assert fusenet.cli.main(argv) == 0, argv\n"
-                  "print('numpy.random' in sys.modules)",
+                  "print('numpy.random' in sys.modules, 'fusenet.synth' in sys.modules)",
                   json.dumps([workspace["predict"], workspace["eval"]]))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "False False"
+
+
+def test_the_cli_import_loads_training_and_metrics_but_not_synth():
+    # The benchmark wraps training.train and metrics.report right after
+    # this import, to mark where a command's compute starts.
+    proc = python("import sys, fusenet.cli\n"
+                  "print(*(m in sys.modules for m in "
+                  "('fusenet.training', 'fusenet.metrics', 'fusenet.synth')))\n"
+                  "import fusenet\n"
+                  "print(fusenet.generate_synthetic is fusenet.synth.generate_synthetic)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True True False", "True"]
+    proc = python(SCRIPT, "synth", "--help")
+    assert proc.returncode == 0 and "  --num-dim NUM_DIM    default 20\n" in proc.stdout

@@ -1,16 +1,21 @@
-"""The chunked .vec parser against the per-row parser it replaced.
+"""The block-scanning .vec parser against the per-row parser it replaced.
 
 ``reference_load_vec_file`` reads, converts and checks one row at a time
 and is kept here only as the oracle. On every file below both parsers
 must give the same vocabulary order, the same matrix bytes and width,
 or the same error message. So must both with ``only=`` a seeded sample
 of the file's words, and the rows selected must be the full parse's.
+
+Files built by the ``vec`` fixture are read in blocks of their first
+``CUT`` rows' bytes, so that a block cut falls between rows ``CUT - 1``
+and ``CUT``; other tests set their own block size.
 """
 
 import numpy as np
 import pytest
 
-from fusenet.embeddings import VEC_CHUNK_ROWS, EmbeddingTable, VecParseError, load_vec_file
+from fusenet import embeddings
+from fusenet.embeddings import EmbeddingTable, VecParseError, load_vec_file
 
 
 def reference_load_vec_file(path, only=None):
@@ -148,23 +153,36 @@ def write_vec(path, rows, dim, declared=None, bad=None, newline="\n", final_newl
     return path
 
 
+# Rows before the first block cut of a file from the ``vec`` fixture.
+CUT = 1024
+
+
+def cut_after(monkeypatch, path, rows=CUT):
+    """Read ``path`` in blocks of the bytes of its header and first ``rows``
+    rows, so that the first block ends after row ``rows - 1``."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    monkeypatch.setattr(embeddings, "VEC_BLOCK_BYTES", max(sum(map(len, lines[:rows + 1])), 1))
+    return path
+
+
 @pytest.fixture
-def vec(tmp_path):
+def vec(tmp_path, monkeypatch):
     rng = np.random.default_rng(11)
 
     def build(n, dim=3, **kwargs):
-        return write_vec(tmp_path / "t.vec", make_rows(rng, n, dim), dim, **kwargs)
+        path = write_vec(tmp_path / "t.vec", make_rows(rng, n, dim), dim, **kwargs)
+        return cut_after(monkeypatch, path)
     return build
 
 
-@pytest.mark.parametrize("n", [0, 1, VEC_CHUNK_ROWS - 1, VEC_CHUNK_ROWS, VEC_CHUNK_ROWS + 1, 2100])
+@pytest.mark.parametrize("n", [0, 1, CUT - 1, CUT, CUT + 1, 2100])
 def test_well_formed_sizes(vec, n):
     vocab, shape, _, dim = assert_same(vec(n))
     assert len(vocab) == n and shape == (n, 3) and dim == 3
 
 
 @pytest.mark.parametrize("kind", sorted(BAD_ROWS))
-@pytest.mark.parametrize("index", [VEC_CHUNK_ROWS - 1, VEC_CHUNK_ROWS])
+@pytest.mark.parametrize("index", [CUT - 1, CUT])
 def test_bad_row_either_side_of_a_chunk_boundary(vec, kind, index):
     got = assert_same(vec(2100, bad={index: kind}))
     assert got[0] == "error" and got[1].startswith(f"line {index + 2}: ")
@@ -181,11 +199,11 @@ VALUE_FAULTS = {"non-numeric", "empty-field", "nan", "inf", "overflow"}
 
 
 @pytest.mark.parametrize("kind", sorted(BAD_ROWS))
-@pytest.mark.parametrize("index", [VEC_CHUNK_ROWS - 1, VEC_CHUNK_ROWS])
-def test_selection_checks_values_only_in_the_rows_it_converts(tmp_path, kind, index):
+@pytest.mark.parametrize("index", [CUT - 1, CUT])
+def test_selection_checks_values_only_in_the_rows_it_converts(tmp_path, monkeypatch, kind, index):
     rows = make_rows(np.random.default_rng(13), 2100, 3)
     clean = write_vec(tmp_path / "clean.vec", rows, 3)
-    path = write_vec(tmp_path / "bad.vec", rows, 3, bad={index: kind})
+    path = cut_after(monkeypatch, write_vec(tmp_path / "bad.vec", rows, 3, bad={index: kind}))
     full = outcome(load_vec_file, path)
     assert full[0] == "error" and full[1].startswith(f"line {index + 2}: ")
     used = [rows[index][0], "w5", "w2000"]
@@ -198,18 +216,23 @@ def test_selection_checks_values_only_in_the_rows_it_converts(tmp_path, kind, in
         assert unused == full
 
 
-def test_selection_keeps_the_first_row_of_a_repeated_word(tmp_path):
+def test_selection_keeps_the_first_row_of_a_repeated_word(tmp_path, monkeypatch):
     rows = make_rows(np.random.default_rng(3), 2100, 4)
     for dup, orig in [(1500, 10), (30, 5), (31, 5)]:
         rows[dup][0] = rows[orig][0]
     full = load_vec_file(write_vec(tmp_path / "d.vec", rows, 4))
     # A later row of a selected word is never converted, so a bad value there loads.
     path = write_vec(tmp_path / "bad.vec", rows, 4, bad={1500: "nan", 31: "non-numeric"})
+    cut_after(monkeypatch, path)
     assert outcome(load_vec_file, path)[0] == "error"
     table = load_vec_file(path, only=["w10", "w5", "w1501"])
     assert list(table.vocab) == ["w5", "w10", "w1501"]
     for word in table.vocab:
         assert table.lookup(word).tobytes() == full.lookup(word).tobytes()
+    # A malformed row later in the block is the error, not the repeat's value.
+    path = write_vec(tmp_path / "short.vec", rows, 4, bad={31: "non-numeric", 500: "short"})
+    assert outcome(load_vec_file, path, only=["w10", "w5", "w1501"]) == (
+        "error", "line 502: expected a word plus 4 values, got 4 fields")
 
 
 @pytest.mark.parametrize("header", ["not a header", "2", "x 3", "2 0", "-1 3", "2 3 4", ""])
@@ -220,11 +243,12 @@ def test_malformed_header(tmp_path, header):
     assert got[0] == "error" and got[1].startswith("line 1: ")
 
 
-def test_duplicates_within_and_across_chunks_keep_the_first(tmp_path):
+def test_duplicates_within_and_across_chunks_keep_the_first(tmp_path, monkeypatch):
     rows = make_rows(np.random.default_rng(3), 2100, 4)
     for dup, orig in [(1500, 10), (1501, 10), (2000, 1499), (30, 5)]:
         rows[dup][0] = rows[orig][0]
-    vocab, shape, _, _ = assert_same(write_vec(tmp_path / "d.vec", rows, 4))
+    path = cut_after(monkeypatch, write_vec(tmp_path / "d.vec", rows, 4))
+    vocab, shape, _, _ = assert_same(path)
     assert shape == (2096, 4) and len(vocab) == 2096
 
 
@@ -242,7 +266,7 @@ def test_rows_after_the_declared_count_are_ignored(vec):
     assert len(vocab) == 1030 and shape == (1030, 3)
 
 
-@pytest.mark.parametrize("rows", [0, 500, VEC_CHUNK_ROWS, 1500])
+@pytest.mark.parametrize("rows", [0, 500, CUT, 1500])
 def test_truncated_file(vec, rows):
     got = assert_same(vec(rows, declared=2100))
     assert got == ("error", f"line {rows + 2}: file ends after {rows} of 2100 rows")
@@ -271,7 +295,7 @@ def test_blank_row(vec):
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_random_malformed_files(tmp_path, seed):
+def test_random_malformed_files(tmp_path, monkeypatch, seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(0, 2300))
     dim = int(rng.integers(1, 5))
@@ -286,6 +310,8 @@ def test_random_malformed_files(tmp_path, seed):
     path = write_vec(tmp_path / "r.vec", rows, dim, declared=declared, bad=bad,
                      newline=["\n", "\r\n"][int(rng.integers(2))],
                      final_newline=bool(rng.integers(2)))
+    # Blocks from a few bytes, shorter than a row, to a few rows.
+    monkeypatch.setattr(embeddings, "VEC_BLOCK_BYTES", int(rng.integers(1, 400)))
     assert_same(path)
 
 
@@ -302,8 +328,8 @@ def test_shortest_possible_rows(tmp_path):
 
 @pytest.mark.parametrize("bad", [{3: "nan"}, {}], ids=["bad-row-first", "decode-error"])
 def test_undecodable_text_later_in_the_chunk(tmp_path, bad):
-    # The invalid byte sits past the reader's first 8 KB buffer but inside
-    # the first chunk: a bad row before it is still the error reported.
+    # The invalid byte sits past the first 8 KB of the file but inside the
+    # first block: a bad row before it is still the error reported.
     rows = make_rows(np.random.default_rng(5), 2000, 2)
     rows[900][0] = "undecodable"
     path = write_vec(tmp_path / "u.vec", rows, 2, bad=bad)
@@ -324,6 +350,113 @@ def test_undecodable_text_later_in_the_chunk(tmp_path, bad):
         assert errors[0] == errors[1] and errors[0][0] is VecParseError
     else:
         # The per-row reader passes the decoder's error through; the
-        # chunked one names the line that holds the invalid byte.
+        # block scan names the line that holds the invalid byte.
         assert errors[1][0] is UnicodeDecodeError
         assert errors[0] == (VecParseError, "line 902: not valid UTF-8 (invalid start byte at byte 2)")
+
+
+# ---------------------------------------------------------------------------
+# Block cuts at every position.
+
+
+def special_file(path, case):
+    """A 12-row, d=2 file holding ``case`` around row 6, and its line ending."""
+    rows = make_rows(np.random.default_rng(17), 12, 2)
+    bad, newline = {}, "\n"
+    if case == "bad-row":
+        bad = {6: "short"}
+    elif case == "repeated-word":
+        rows[6][0] = rows[5][0]
+        rows[7][0] = rows[2][0]
+    elif case in ("crlf", "cr"):
+        newline = {"crlf": "\r\n", "cr": "\r"}[case]
+    elif case == "multibyte-word":
+        rows[5][0], rows[6][0], rows[7][0] = "café", "日本語", "\U0001f600"
+    elif case == "invalid-byte":
+        rows[6][0] = "invalid"
+    write_vec(path, rows, 2, bad=bad, newline=newline)
+    if case == "invalid-byte":
+        path.write_bytes(path.read_bytes().replace(b"invalid", b"in\xffvalid"))
+    return path
+
+
+@pytest.mark.parametrize("case", ["bad-row", "repeated-word", "crlf", "cr", "multibyte-word",
+                                  "invalid-byte"])
+def test_each_case_on_both_sides_of_every_block_cut(tmp_path, monkeypatch, case):
+    # Every block size from one byte to the whole file puts a cut before,
+    # inside and after the case's bytes: inside a \r\n pair, a multi-byte
+    # character or a row longer than the block.
+    path = special_file(tmp_path / "s.vec", case)
+    for size in range(1, len(path.read_bytes()) + 2):
+        monkeypatch.setattr(embeddings, "VEC_BLOCK_BYTES", size)
+        if case != "invalid-byte":
+            assert_same(path)
+            continue
+        # The per-row reader raises the decoder's own error here.
+        for only in (None, ["w1", "w11"], ["w1", "in\ufffdvalid"]):
+            with pytest.raises(VecParseError) as exc:
+                load_vec_file(path, only=only)
+            assert str(exc.value) == "line 8: not valid UTF-8 (invalid start byte at byte 3)"
+
+
+def test_a_row_longer_than_one_block(tmp_path):
+    dim = 12_000
+    rows = make_rows(np.random.default_rng(19), 4, dim)
+    rows[1][0] = "long" * 40_000  # a word alone longer than a block
+    path = write_vec(tmp_path / "wide.vec", rows, dim)
+    assert len(" ".join(rows[2][1])) > embeddings.VEC_BLOCK_BYTES
+    vocab, shape, _, _ = assert_same(path)
+    assert shape == (4, dim)
+    got = assert_same(write_vec(tmp_path / "bad.vec", rows, dim, bad={2: "nan"}))
+    assert got == ("error", "line 4: non-finite vector component")
+
+
+def test_malformed_text_after_the_declared_rows_is_never_reported(tmp_path, monkeypatch):
+    rows = make_rows(np.random.default_rng(23), 400, 3)
+    clean = load_vec_file(write_vec(tmp_path / "clean.vec", rows[:100], 3))
+    bad = {i: kind for i, kind in zip(range(100, 400, 7), sorted(BAD_ROWS) * 5)}
+    path = write_vec(tmp_path / "tail.vec", rows, 3, declared=100, bad=bad)
+    # Past the blocks read, and past the per-row reader's 8 KB read-ahead.
+    path.write_bytes(path.read_bytes() + b"\xff\xfe \x00\r\r\n")
+    for cut in (50, 99, 100, 101):
+        cut_after(monkeypatch, path, cut)
+        vocab, shape, matrix, _ = assert_same(path)
+        assert vocab == list(clean.vocab.items()) and matrix == clean.matrix.tobytes()
+    # Bytes read past row V, in the block that holds it, must still be UTF-8.
+    rows[100][0] = "invalid"
+    path = write_vec(tmp_path / "utf8.vec", rows, 3, declared=100)
+    path.write_bytes(path.read_bytes().replace(b"invalid", b"\xff"))
+    cut_after(monkeypatch, path, 150)
+    with pytest.raises(VecParseError, match="^line 102: not valid UTF-8 "):
+        load_vec_file(path)
+
+
+def test_wanted_words_of_a_byte_length_and_first_byte_that_most_rows_share(tmp_path,
+                                                                            monkeypatch):
+    rows = make_rows(np.random.default_rng(29), 2000, 3)
+    for i, row in enumerate(rows):
+        row[0] = f"w{i:04d}"
+    rows[1500][0] = rows[1200][0]
+    path = cut_after(monkeypatch, write_vec(tmp_path / "same.vec", rows, 3))
+    full = load_vec_file(path)
+    only = ["w1999", "w1200", "w0000", "w1023", "w1024", "wzzzz", "w100", "w10000"]
+    got = outcome(load_vec_file, path, only=only)
+    assert got == outcome(reference_load_vec_file, path, only=only)
+    assert [word for word, _ in got[0]] == ["w0000", "w1023", "w1024", "w1200", "w1999"]
+    for (word, i) in got[0]:
+        assert got[2][i * 24:(i + 1) * 24] == full.lookup(word).tobytes()
+
+
+def test_a_tab_or_other_control_character_inside_a_word(tmp_path, monkeypatch):
+    rows = make_rows(np.random.default_rng(31), 30, 2)
+    rows[4][0], rows[9][0], rows[10][0], rows[20][0] = "a\tb", "\tlead", "c\x0bd", "e\x1c\x85"
+    path = write_vec(tmp_path / "tab.vec", rows, 2)
+    for size in (7, 64, embeddings.VEC_BLOCK_BYTES):
+        monkeypatch.setattr(embeddings, "VEC_BLOCK_BYTES", size)
+        got = outcome(load_vec_file, path)
+        assert got == outcome(reference_load_vec_file, path)
+        assert [word for word, _ in got[0]][9:11] == ["\tlead", "c\x0bd"]
+        only = ["a\tb", "c\x0bd", "e\x1c\x85", "a", "b", "c"]
+        got = outcome(load_vec_file, path, only=only)
+        assert got == outcome(reference_load_vec_file, path, only=only)
+        assert [word for word, _ in got[0]] == ["a\tb", "c\x0bd", "e\x1c\x85"]
