@@ -13,7 +13,7 @@ import importlib
 
 from .dataset import CLASS_NAMES, Example, FeaturePipeline, load_jsonl, save_jsonl, split
 from .embeddings import EmbeddedSequence, EmbeddingTable, embed_sequence, load_vec_file
-from .metrics import EvalReport, report, topk_accuracy, topk_recall
+from .metrics import EvalReport, report, topk_accuracy
 from .model import (FusionModel, ModelConfig, Prediction, build_variant, forward, load,
                     predict_topk, save)
 from .numcore import Rng, affine, sigmoid, softmax
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CLASS_NAMES", "Example", "FeaturePipeline", "load_jsonl", "save_jsonl", "split",
     "EmbeddedSequence", "EmbeddingTable", "embed_sequence", "load_vec_file",
-    "EvalReport", "report", "topk_accuracy", "topk_recall",
+    "EvalReport", "report", "topk_accuracy",
     "FusionModel", "ModelConfig", "Prediction", "build_variant", "forward", "load",
     "predict_topk", "save",
     "Rng", "affine", "sigmoid", "softmax",

@@ -374,9 +374,10 @@ class PreparedDataset:
     def inputs(self, model, rows) -> tuple:
         """``(num, cat, seq)`` of the examples ``rows`` selects.
 
-        A slice or an index array gives the batch ``model.forward`` takes,
-        one index the single example ``model.predict_topk`` takes. A branch
-        ``model`` does not use gets None.
+        A slice or an index array gives the batch ``model.forward`` takes
+        (its sequences are the batch ``model.encode_text`` takes), one index
+        the single example ``model.predict_topk`` takes. A branch ``model``
+        does not use gets None.
         """
         tabular = model.uses_tabular
         return (self.num[rows] if tabular else None, self.cat[rows] if tabular else None,

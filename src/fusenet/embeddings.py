@@ -61,9 +61,11 @@ class EmbeddedSequence:
     """Right-padded embedding matrices of N token sequences, one per row.
 
     Indexing with a slice or an index array gives those rows as a batch
-    (a view, for a slice). ``embed_sequence`` and indexing with one row
-    give a single sequence without the leading axis, the form only
-    ``model.predict_topk`` takes.
+    (a view, for a slice), the form ``model.forward`` and
+    ``model.encode_text`` take. ``embed_sequence`` and indexing with one
+    row give a single sequence without the leading axis, the form only
+    ``model.predict_topk`` takes; it scores that sequence as a one-row
+    batch.
     """
 
     vectors: np.ndarray  # (N, max_seq_len, d); (max_seq_len, d) for one sequence
@@ -102,9 +104,9 @@ def load_vec_file(path, only=None) -> EmbeddingTable:
         block = next(blocks, b"")
         cut = block.find(b"\n") + 1
         try:
-            header = block[:cut].decode("utf-8")
-        except UnicodeDecodeError:
-            raise _undecodable_line(path) from None
+            header = block[:cut].rstrip(b"\n").decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise _utf8_error(1, err) from None
         parts = header.split()
         if len(parts) != 2:
             raise VecParseError(f"line 1: expected header 'V d', got {header.strip()!r}")
@@ -117,6 +119,7 @@ def load_vec_file(path, only=None) -> EmbeddingTable:
 
         # Words still to find; each is dropped from the set at its first row.
         wanted = None if only is None else set(only)
+        pick = None if wanted is None else _first_row_picker(wanted)
         most = declared_v if wanted is None else min(declared_v, len(wanted))
         matrix = np.empty((_rows_to_allocate(fh, dim, most), dim))
         vocab: dict[str, int] = {}
@@ -127,9 +130,9 @@ def load_vec_file(path, only=None) -> EmbeddingTable:
             if block is None:
                 raise VecParseError(
                     f"line {lineno}: file ends after {lineno - 2} of {declared_v} rows")
-            parsed = _parse_block(block, dim, end - lineno, wanted)
+            parsed = _parse_block(block, dim, end - lineno, pick)
             if parsed is None:
-                raise _block_error(path, block, lineno, dim, end - lineno, wanted)
+                raise _block_error(block, lineno, dim, end - lineno, wanted)
             rows, words, values = parsed
             lineno += rows
             first = len(vocab)
@@ -176,13 +179,13 @@ def _blocks(fh):
         carry.append(data[cut:])
 
 
-def _parse_block(block: bytes, dim: int, most: int, wanted: set[str] | None):
+def _parse_block(block: bytes, dim: int, most: int, pick=None):
     """The row count, words and values of the first rows of ``block``, at
     most ``most``, or None when a check fails.
 
-    With ``wanted`` the words and values are those of the first row of
-    each wanted word, and the set is left as it is. All of ``block`` must
-    be UTF-8, also past its first ``most`` rows.
+    With ``pick`` (see ``_first_row_picker``) the words and values are
+    those of the rows it picks. All of ``block`` must be UTF-8, also past
+    its first ``most`` rows.
     """
     a = np.frombuffer(block, dtype=np.uint8)
     seps = np.flatnonzero(a <= 32)  # spaces and newlines, and control bytes a word may hold
@@ -198,14 +201,14 @@ def _parse_block(block: bytes, dim: int, most: int, wanted: set[str] | None):
         return None
     try:
         # A selection decodes its rows below; here it only checks, and ASCII is UTF-8.
-        text = "" if wanted is not None and block.isascii() else block.decode("utf-8")
+        text = "" if pick is not None and block.isascii() else block.decode("utf-8")
     except UnicodeDecodeError:
         return None
     taken = rows
-    if wanted is not None:
+    if pick is not None:
         ends = seps[nl]
         starts = np.concatenate([[0], ends[:-1] + 1]) if rows else ends
-        picked = _first_rows(block, a, starts, seps[nl - dim], wanted)
+        picked = pick(block, a, starts, seps[nl - dim])
         text = "".join(block[starts[i]:ends[i] + 1].decode("utf-8") for i in picked)
         taken = len(picked)
     # Each newline stays on its row's last value, which float conversion
@@ -224,55 +227,50 @@ def _parse_block(block: bytes, dim: int, most: int, wanted: set[str] | None):
     return rows, words, values.reshape(len(words), dim)
 
 
-def _first_rows(block: bytes, a: np.ndarray, starts: np.ndarray, word_ends: np.ndarray,
-                wanted: set[str]) -> list[int]:
-    """Rows, in order, that are the first in ``block`` of a ``wanted`` word.
+def _first_row_picker(wanted: set[str]):
+    """``pick(block, a, starts, word_ends)``: the rows of a block, in order,
+    that are the first in the file of a ``wanted`` word, for one
+    ``load_vec_file`` call to pass each of its blocks in turn.
 
     Only a row whose word has the byte length and the first byte of a
-    wanted word (for the empty word, the space after it) is compared.
+    wanted word (for the empty word, the space after it) is compared. A
+    word is dropped at its first row; its key stays in the table, where
+    it costs only a comparison.
     """
-    if not wanted:
-        return []
     left = dict.fromkeys((w.encode("utf-8", "surrogatepass") for w in wanted), True)
-    longest = max(map(len, left)) + 1  # any longer word is no wanted word
+    longest = max(map(len, left), default=0) + 1  # any longer word is no wanted word
     keys = np.zeros((longest + 1) * 256, dtype=bool)
     for w in left:
         keys[len(w) * 256 + (w + b" ")[0]] = True
-    hits = np.flatnonzero(keys[np.minimum(word_ends - starts, longest) * 256 + a[starts]])
-    # A word is popped at its first row.
-    return [i for i, start, end in zip(hits.tolist(), starts[hits].tolist(),
-                                       word_ends[hits].tolist())
-            if left.pop(block[start:end], False)]
+
+    def pick(block: bytes, a: np.ndarray, starts: np.ndarray, word_ends: np.ndarray) -> list[int]:
+        if not left:
+            return []
+        hits = np.flatnonzero(keys[np.minimum(word_ends - starts, longest) * 256 + a[starts]])
+        return [i for i, start, end in zip(hits.tolist(), starts[hits].tolist(),
+                                           word_ends[hits].tolist())
+                if left.pop(block[start:end], False)]
+
+    return pick
 
 
-def _block_error(path, block: bytes, first_lineno: int, dim: int, most: int,
+def _block_error(block: bytes, first_lineno: int, dim: int, most: int,
                  wanted: set[str] | None) -> VecParseError:
     """The error of the first bad line of ``block``: among its first ``most``
     rows (see ``_row_error``), or a later line that is not UTF-8."""
-    lines, undecodable = [], False
-    for raw in block.splitlines(keepends=True):
+    lines, undecodable = [], None
+    for lineno, raw in enumerate(block.splitlines(), start=first_lineno):
         try:
             lines.append(raw.decode("utf-8"))
-        except UnicodeDecodeError:
-            undecodable = True
+        except UnicodeDecodeError as err:
+            undecodable = _utf8_error(lineno, err)
             break
-    err = _row_error(lines[:most], first_lineno, dim, wanted)
-    if err is None and undecodable:
-        err = _undecodable_line(path)
-    return err
+    return _row_error(lines[:most], first_lineno, dim, wanted) or undecodable
 
 
-def _undecodable_line(path) -> VecParseError:
-    """The error naming the first line of ``path`` that is not valid UTF-8,
-    split at the line endings ``_blocks`` reads."""
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as err:
-                return VecParseError(
-                    f"line {lineno}: not valid UTF-8 ({err.reason} at byte {err.start + 1})")
-    return VecParseError("not valid UTF-8")
+def _utf8_error(lineno: int, err: UnicodeDecodeError) -> VecParseError:
+    """The error naming line ``lineno``, ``err`` from decoding it without its newline."""
+    return VecParseError(f"line {lineno}: not valid UTF-8 ({err.reason} at byte {err.start + 1})")
 
 
 def _rows_to_allocate(fh, dim: int, want: int) -> int:

@@ -47,16 +47,6 @@ def _hits(preds, labels) -> np.ndarray:
     return (preds == labels[:, None]).any(axis=-1)
 
 
-def topk_recall(preds, labels, class_idx: int):
-    """Recall restricted to cases labeled class_idx; None when there are none."""
-    hits = _hits(preds, labels)
-    ours = np.asarray(labels) == class_idx
-    n_k = int(np.count_nonzero(ours))
-    if n_k == 0:
-        return None
-    return int(np.count_nonzero(hits[ours])) / n_k
-
-
 def topk_accuracy(preds, labels) -> float:
     if len(labels) == 0:
         raise ValueError("top-k accuracy of an empty set is undefined")
@@ -95,9 +85,9 @@ def compute_report(preds, labels, k: int, class_names=CLASS_NAMES) -> EvalReport
     """Aggregate predictions into an EvalReport (identity-checked).
 
     ``preds`` is (n, k) class indices (see ``_hits``). Two counts per
-    class, its cases and its top-k hits, give recall and accuracy, the
-    same fractions topk_recall and topk_accuracy give. A label outside
-    [0, len(class_names)) is a ValueError naming its row.
+    class, its cases and its top-k hits, give its recall (None when it
+    has no cases) and the accuracy, the fraction topk_accuracy gives. A
+    label outside [0, len(class_names)) is a ValueError naming its row.
     """
     labels = np.asarray(labels)
     if len(labels) == 0:
@@ -184,19 +174,20 @@ def predict_all(model: FusionModel, data: PreparedDataset) -> np.ndarray:
     row order, after ``check_inputs`` of ``data``.
 
     The text branch runs once per entry of ``data.texts`` that a row's
-    ``groups`` value names (``check_inputs`` checks no other), keeping no
-    backward cache, in ``chunk_bounds`` chunks in a stable sort by live
-    length (``layers.live_lengths``: 1 + an entry's last position whose
-    mask entry is true or whose vector is non-zero). Each chunk's encoder
-    then runs only to its longest entry L, its backward direction starting
-    from the state T-L trailing zero-input steps reach
-    (``BiLstmEncoder.padding_states``, run once per call for the T-m steps
-    the chunks read, m being the shortest chunk's longest entry). A lone
-    entry among several rows is encoded twice, as no chunk may hold one
-    row. Then the rows are scored in ``chunk_bounds`` chunks in row order,
-    each with its entry's text features, into one preallocated array. So
-    each row's probabilities are bit-identical to its row of the untrimmed
-    ``forward(keep=True)`` of its chunk.
+    ``groups`` value names (``check_inputs`` checks no other), by
+    ``encode_text``, which keeps no backward cache, in ``chunk_bounds``
+    chunks in a stable sort by live length (``layers.live_lengths``: 1 +
+    an entry's last position whose mask entry is true or whose vector is
+    non-zero). Each chunk's encoder then runs only to its longest entry
+    L, its backward direction starting from the state T-L trailing
+    zero-input steps reach (``BiLstmEncoder.padding_states``, run once
+    per call for the T-m steps the chunks read, m being the shortest
+    chunk's longest entry). A lone entry among several rows is encoded
+    twice, as no chunk may hold one row. Then the rows are scored in
+    ``chunk_bounds`` chunks in row order, by ``forward`` with each row's
+    entry's text features, into one preallocated array. So each row's
+    probabilities are bit-identical to its row of ``forward`` of its
+    chunk's sequences, which runs every timestep.
     """
     check_inputs(model, data, "data")
     encoded = None
@@ -217,15 +208,14 @@ def predict_all(model: FusionModel, data: PreparedDataset) -> np.ndarray:
         encoded = np.empty((len(texts.mask), model.encoder.out_dim))
         for bounds in chunks:
             entries = order[slice(*bounds)]
-            encoded[entries] = encode_text(model, texts[entries], keep=False,
-                                           padding=padding)[0]
+            encoded[entries] = encode_text(model, texts[entries], padding)
     probs = np.empty((len(data), model.config.num_classes))
 
     def score(bounds: tuple[int, int]) -> None:
         # A variant without the tabular branches ignores num and cat.
         rows = slice(*bounds)
-        probs[rows] = forward(model, data.num[rows], data.cat[rows], None, keep=False,
-                              text=None if encoded is None else encoded[data.groups[rows]])[0].probs
+        probs[rows] = forward(model, data.num[rows], data.cat[rows],
+                              text=None if encoded is None else encoded[data.groups[rows]])[0]
 
     ordered_map(score, chunk_bounds(len(data)))
     return probs

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -86,15 +85,10 @@ class ModelConfig:
 
 @dataclass
 class Prediction:
-    probs: np.ndarray  # (B, C); (C,) from predict_topk
-    k: int  # how many classes top_k ranks
+    """One example's class probabilities and its k most probable classes."""
 
-    @cached_property
-    def top_k(self) -> list:
-        """One list of the k most probable class indices per row, or one flat
-        list for (C,) probs; ranked on first read, as training reads only probs."""
-        ranked = topk_indices(np.atleast_2d(self.probs), self.k).tolist()
-        return ranked if self.probs.ndim == 2 else ranked[0]
+    probs: np.ndarray  # (C,)
+    top_k: list[int]  # class indices, most probable first
 
 
 def head_input_dim(config: ModelConfig, variant: str) -> int:
@@ -247,49 +241,36 @@ def _run_branch(branch: list[DenseLayer], x: np.ndarray):
     return out, caches
 
 
-def encode_text(model: FusionModel, seq: EmbeddedSequence, keep: bool = True, padding=None):
-    """The text branch, encoder then attention: its (B, 2*lstm_hidden) output,
-    the text features, and the two layers' caches. ``keep`` is forward's;
-    ``padding`` passes the encoder its ``padding_states`` (see
-    ``BiLstmEncoder.forward``).
+def encode_text(model: FusionModel, seq: EmbeddedSequence, padding=None) -> np.ndarray:
+    """The text features of a batch, its (B, 2*lstm_hidden) encoder-then-attention
+    output, for scoring: the encoder keeps no backward cache and runs only
+    up to the rows' longest live length (see ``BiLstmEncoder.forward``),
+    which leaves the features bit-identical to ``forward``'s. ``padding``
+    passes the encoder its ``padding_states``.
     """
-    H, enc_cache = model.encoder.forward(seq.vectors, keep, seq.mask, padding)
-    a, _alphas, attn_cache = model.attention.forward(H, seq.mask)
-    return a, [enc_cache, attn_cache]
+    H, _ = model.encoder.forward(seq.vectors, False, seq.mask, padding)
+    return model.attention.forward(H, seq.mask)[0]
 
 
 def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | None = None,
-            k: int | None = None, dropout_rate: float = 0.0, drop_rng: Rng | None = None,
-            keep: bool = True, text=None):
+            dropout_rate: float = 0.0, drop_rng: Rng | None = None, text=None):
     """Run a batch of B examples, one per row, through the branches and softmax head.
 
     ``num_x`` is (B, num_dim), ``cat_x`` (B, cat_dim), and ``seq`` holds
     (B, T, embed_dim) vectors with a (B, T) mask (as
-    ``PreparedDataset.inputs`` gives them). The prediction's probs are
-    (B, C) and its top_k has one list per row. A row whose mask is all
-    false raises AllMaskedError naming its batch row; ``metrics.check_inputs``
+    ``PreparedDataset.inputs`` gives them). A row whose mask is all false
+    raises AllMaskedError naming its batch row; ``metrics.check_inputs``
     names its example before a dataset's first forward.
 
-    Returns (Prediction, cache); the cache carries everything backward()
-    needs. The prediction's top_k defaults to min(3, num_classes) entries
-    and is ranked only when it is first read, so a training step, which
-    reads only the probs, ranks nothing; a ``k`` outside [1, num_classes]
-    raises ValueError before the branches run.
+    Returns ((B, C) probabilities, cache); given ``seq``, the cache carries
+    everything backward() needs. ``text``, the rows' text features as
+    ``encode_text`` returns them, stands in for ``seq``: the branch is not
+    run, and backward() cannot run on the cache. Scoring takes that route.
     Dropout (inverted, per branch output) is applied only when a rate and
     rng are given, i.e. during training. Its masks are drawn row by row,
     so a batch sees the same masks as its rows run one at a time in order.
-    ``keep=False`` is for scoring: the encoder keeps no backward cache, so
-    backward() cannot run on the returned cache, and it runs only up to
-    the rows' longest live length (see ``BiLstmEncoder.forward``), which
-    leaves the probabilities bit-identical to ``keep=True``. ``text``, the
-    rows' text features as ``encode_text`` returns them, stands in for
-    ``seq``: the branch is not run, and backward() cannot run on the cache.
     """
     cfg = model.config
-    if k is None:
-        k = min(3, cfg.num_classes)
-    elif not 1 <= k <= cfg.num_classes:
-        raise ValueError(f"k must be in [1, {cfg.num_classes}], got {k}")
     outputs = []  # (branch output, its layers' caches), in branches() order
 
     if model.uses_tabular:
@@ -313,7 +294,9 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
         elif model.uses_tabular and seq.vectors.shape[:-2] != num_x.shape[:1]:
             raise ShapeError(f"sequence batch {seq.vectors.shape} vs features {num_x.shape}")
         else:
-            outputs.append(encode_text(model, seq, keep))
+            H, enc_cache = model.encoder.forward(seq.vectors, True, seq.mask)
+            a, _alphas, attn_cache = model.attention.forward(H, seq.mask)
+            outputs.append((a, [enc_cache, attn_cache]))
 
     parts = [out for out, _ in outputs]
     widths = [out.shape[-1] for out in parts]
@@ -331,7 +314,7 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
     probs = softmax(logits)
     cache["head"] = head_cache
     cache["logits"] = logits
-    return Prediction(probs=probs, k=k), cache
+    return probs, cache
 
 
 def backward(model: FusionModel, cache, dlogits: np.ndarray) -> np.ndarray:
@@ -375,13 +358,13 @@ def predict_topk(model: FusionModel, num_x=None, cat_x=None, seq=None, k: int = 
     """Top-k classes of one example: ``num_x`` (num_dim,), ``cat_x`` (cat_dim,)
     and a (T, embed_dim) ``seq``, each None where the variant has no branch for it.
 
-    The one entry point for a single example: it runs as a one-row batch of
-    ``forward(keep=False)``, and the prediction is row 0, with (C,) probs
-    and a flat top-k list.
+    The example is scored as a one-row batch by the calls ``metrics.predict_all``
+    makes for a chunk: ``encode_text``, then ``forward`` with its text features.
     """
-    batch = (None if x is None else x[None] for x in (num_x, cat_x, seq))
-    pred, _ = forward(model, *batch, k=k, keep=False)
-    return Prediction(probs=pred.probs[0], k=k)
+    num, cat = (None if x is None else x[None] for x in (num_x, cat_x))
+    text = encode_text(model, seq[None]) if model.uses_text and seq is not None else None
+    probs = forward(model, num, cat, text=text)[0]
+    return Prediction(probs=probs[0], top_k=topk_indices(probs, k)[0].tolist())
 
 
 _CONFIG_FIELDS = ("num_feature_dim", "cat_feature_dim", "embed_dim", "lstm_hidden",

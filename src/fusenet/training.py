@@ -173,8 +173,8 @@ def _batch_gradients(model: FusionModel, data: PreparedDataset, rows: np.ndarray
     forward never holds two of them at once.
     """
     num, cat, seq = data.inputs(model, rows)
-    pred, cache = forward(model, num, cat, seq, dropout_rate=dropout_rate, drop_rng=drop_rng)
-    loss, dlogits = batch_loss(pred.probs, data.labels[rows])
+    probs, cache = forward(model, num, cat, seq, dropout_rate=dropout_rate, drop_rng=drop_rng)
+    loss, dlogits = batch_loss(probs, data.labels[rows])
     return loss, backward(model, cache, dlogits)
 
 
@@ -319,11 +319,11 @@ def grad_check(variant: str = "fusion", seed: int = 0) -> GradCheckResult:
     seq_in = seq if model.uses_text else None
 
     def loss() -> float:
-        pred, _ = forward(model, num_in, cat_in, seq_in)
-        return batch_loss(pred.probs, labels)[0]
+        probs, _ = forward(model, num_in, cat_in, seq_in)
+        return batch_loss(probs, labels)[0]
 
-    pred, cache = forward(model, num_in, cat_in, seq_in)
-    analytic = dict(model.param_blocks(backward(model, cache, batch_loss(pred.probs, labels)[1])))
+    probs, cache = forward(model, num_in, cat_in, seq_in)
+    analytic = dict(model.param_blocks(backward(model, cache, batch_loss(probs, labels)[1])))
 
     per_block: dict[str, float] = {}
     for name, arr in model.param_blocks():

@@ -13,7 +13,8 @@ import pytest
 
 from fusenet.embeddings import EmbeddedSequence
 from fusenet.layers import BiLstmEncoder, DenseLayer, FeedforwardAttention, LstmCell
-from fusenet.model import VARIANTS, build_variant, forward, predict_topk
+from fusenet.model import (VARIANTS, build_variant, encode_text, forward, predict_topk,
+                           topk_indices)
 from fusenet.numcore import Rng, ShapeError, affine
 from fusenet.training import small_check_config
 
@@ -67,6 +68,8 @@ def test_predict_topk_is_row_0_of_a_one_row_batch(variant):
                            mask)
     k = CONFIG.num_classes
     one = predict_topk(model, num, cat, seq, k=k)
-    batch, _ = forward(model, num[None], cat[None], seq[None], k=k, keep=False)
-    assert one.probs.shape == (k,) and one.probs.tobytes() == batch.probs[0].tobytes()
-    assert one.top_k == batch.top_k[0]
+    text = encode_text(model, seq[None]) if model.uses_text else None
+    batch, _ = forward(model, num[None], cat[None], text=text)
+    assert one.probs.shape == (k,) and one.probs.tobytes() == batch[0].tobytes()
+    assert one.probs.tobytes() == forward(model, num[None], cat[None], seq[None])[0][0].tobytes()
+    assert one.top_k == topk_indices(batch, k)[0].tolist()

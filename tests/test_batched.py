@@ -17,7 +17,7 @@ from fusenet import training
 from fusenet.dataset import PreparedDataset
 from fusenet.embeddings import EmbeddedSequence
 from fusenet.layers import ACTIVATIONS, AllMaskedError, DenseLayer
-from fusenet.model import VARIANTS, backward, build_variant, forward, load, save
+from fusenet.model import VARIANTS, backward, build_variant, forward, load, save, topk_indices
 from fusenet.numcore import Rng, sigmoid
 from fusenet.training import (TrainConfig, batch_loss, max_relative_error, numeric_gradient,
                               small_check_config, train)
@@ -59,10 +59,10 @@ def test_batch_gradient_matches_finite_differences(variant, weights):
     num, cat, seq, labels = ragged_batch(2, config)
 
     def loss():
-        return scaled_loss(forward(model, num, cat, seq)[0].probs, labels, weights)[0]
+        return scaled_loss(forward(model, num, cat, seq)[0], labels, weights)[0]
 
-    pred, cache = forward(model, num, cat, seq)
-    analytic = dict(model.param_blocks(backward(model, cache, scaled_loss(pred.probs, labels,
+    probs, cache = forward(model, num, cat, seq)
+    analytic = dict(model.param_blocks(backward(model, cache, scaled_loss(probs, labels,
                                                                            weights)[1])))
     for name, arr in model.param_blocks():
         err = max_relative_error(analytic[name], numeric_gradient(loss, arr))
@@ -75,8 +75,8 @@ def test_batch_equals_sum_of_examples(variant, weights):
     config = small_check_config(seed=4)
     model = build_variant(config, variant)
     num, cat, seqs, labels = ragged_batch(4, config)
-    pred, cache = forward(model, num, cat, seqs)
-    loss, dlogits = scaled_loss(pred.probs, labels, weights)
+    probs, cache = forward(model, num, cat, seqs)
+    loss, dlogits = scaled_loss(probs, labels, weights)
     grad = backward(model, cache, dlogits)
 
     n = len(LENGTHS)
@@ -86,10 +86,10 @@ def test_batch_equals_sum_of_examples(variant, weights):
     for j, label in enumerate(labels):
         row = slice(j, j + 1)
         one, one_cache = forward(model, num[row], cat[row], seqs[row])
-        assert np.max(np.abs(one.probs[0] - pred.probs[j])) <= 1e-12
-        assert one.top_k[0] == pred.top_k[j]
-        ref_loss += w[label] * batch_loss(one.probs, labels[row])[0] / n
-        d = one.probs.copy()
+        assert np.max(np.abs(one[0] - probs[j])) <= 1e-12
+        assert np.array_equal(topk_indices(one, 3)[0], topk_indices(probs, 3)[j])
+        ref_loss += w[label] * batch_loss(one, labels[row])[0] / n
+        d = one.copy()
         d[0, label] -= 1.0
         ref_grad += backward(model, one_cache, d * (w[label] / n))
     assert abs(loss - ref_loss) <= 1e-12
@@ -111,8 +111,8 @@ def test_backward_bytes_are_pinned(variant):
     config = small_check_config(seed=3)
     model = build_variant(config, variant)
     num, cat, seqs, labels = ragged_batch(3, config)
-    pred, cache = forward(model, num, cat, seqs)
-    grad = backward(model, cache, batch_loss(pred.probs, labels)[1])
+    probs, cache = forward(model, num, cat, seqs)
+    grad = backward(model, cache, batch_loss(probs, labels)[1])
     assert grad.dtype == np.float64 and grad.shape == model.theta.shape
     assert hashlib.sha256(grad.tobytes()).hexdigest() == BACKWARD_SHA256[variant]
 
@@ -153,7 +153,7 @@ def test_batch_dropout_masks_match_rows_run_in_order():
     for j in range(len(LENGTHS)):
         row = slice(j, j + 1)
         one, _ = forward(model, num[row], cat[row], seqs[row], dropout_rate=0.5, drop_rng=rng)
-        assert np.max(np.abs(one.probs[0] - batched.probs[j])) <= 1e-12
+        assert np.max(np.abs(one[0] - batched[j])) <= 1e-12
 
 
 def _reference_text_vector(model, vectors, mask):
@@ -248,9 +248,10 @@ def test_v1_checkpoint_bytes_and_predictions_unchanged(tmp_path):
     vectors = rng.normal((config.max_seq_len, config.embed_dim))
     mask = np.array([True, True, True, False, False])
     vectors[~mask] = 0.0
-    pred, _ = forward(load(path), num[None], cat[None], EmbeddedSequence(vectors[None], mask[None]))
+    seq = EmbeddedSequence(vectors[None], mask[None])
+    probs, _ = forward(load(path), num[None], cat[None], seq)
     expected = np.array([float.fromhex(p) for p in V1_PROBS])
-    assert np.max(np.abs(pred.probs[0] - expected)) <= 1e-12
+    assert np.max(np.abs(probs[0] - expected)) <= 1e-12
 
 
 @pytest.mark.parametrize("bad", ["rows", "length", "width", "mask"])

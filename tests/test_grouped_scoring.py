@@ -63,8 +63,8 @@ def renumbered(data):
 
 
 def oracle_probs(model, data):
-    """keep=True forwards of every row itself, chunk_bounds chunks in row order."""
-    return np.concatenate([forward(model, *data.inputs(model, slice(*bounds)))[0].probs
+    """Forwards of every row's own sequence, chunk_bounds chunks in row order."""
+    return np.concatenate([forward(model, *data.inputs(model, slice(*bounds)))[0]
                            for bounds in metrics.chunk_bounds(len(data))])
 
 
@@ -77,9 +77,9 @@ def scored(monkeypatch, model, data):
     encoder_forward = BiLstmEncoder.forward
 
     def recording_forward(model, *args, **kwargs):
-        pred, cache = forward(model, *args, **kwargs)
-        probs.append(pred.probs)
-        return pred, cache
+        out, cache = forward(model, *args, **kwargs)
+        probs.append(out)
+        return out, cache
 
     def recording_encoder_forward(self, vectors, *args, **kwargs):
         encoded.append(len(vectors))
@@ -214,11 +214,11 @@ def test_given_text_features_must_fit_and_keep_no_cache(variant):
     data = corpus_of(["what does it cost", "when will the funds arrive"])
     model = model_for(variant, data)
     num, cat, seq = data.inputs(model, slice(None))
-    features = encode_text(model, seq)[0]
-    pred, cache = forward(model, num, cat, text=features, keep=False)
-    assert np.array_equal(pred.probs, forward(model, num, cat, seq)[0].probs)
+    features = encode_text(model, seq)
+    probs, cache = forward(model, num, cat, text=features)
+    assert np.array_equal(probs, forward(model, num, cat, seq)[0])
     with pytest.raises(ValueError, match="kept no cache"):
-        backward(model, cache, np.ones_like(pred.probs))
+        backward(model, cache, np.ones_like(probs))
     with pytest.raises(ShapeError, match="text features"):
         forward(model, num, cat, text=features[:, 1:])
     with pytest.raises(ShapeError, match="text features"):

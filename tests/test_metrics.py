@@ -9,9 +9,9 @@ from fusenet.dataset import CLASS_NAMES, PreparedDataset
 from fusenet.embeddings import EmbeddedSequence
 from fusenet.layers import AllMaskedError
 from fusenet.metrics import (EvalReport, ReportError, compute_report, from_json, to_json,
-                             topk_accuracy, topk_recall)
-from fusenet.model import (ModelConfig, backward, build_variant, forward, predict_topk,
-                           topk_indices)
+                             topk_accuracy)
+from fusenet.model import (ModelConfig, backward, build_variant, encode_text, forward,
+                           predict_topk, topk_indices)
 from fusenet.numcore import Rng
 from fusenet.training import TrainConfig, _validation_topk_accuracy, train
 
@@ -56,32 +56,37 @@ def random_prediction_set(rng, n, k=3, num_classes=13):
     return preds, labels
 
 
+def recall(preds, labels, class_idx):
+    """The top-k recall of ``class_idx`` as its report counts it."""
+    return compute_report(preds, labels, len(preds[0])).per_class_recall[class_idx]
+
+
 class TestRecall:
     def test_all_hits(self):
         preds = [[2, 0, 1]] * 4
         labels = [2] * 4
-        assert topk_recall(preds, labels, 2) == 1.0
+        assert recall(preds, labels, 2) == 1.0
 
     def test_no_hits(self):
         preds = [[0, 1, 3]] * 4
         labels = [2] * 4
-        assert topk_recall(preds, labels, 2) == 0.0
+        assert recall(preds, labels, 2) == 0.0
 
     def test_absent_class_is_undefined_not_zero(self):
         preds = [[0, 1, 2]]
         labels = [0]
-        assert topk_recall(preds, labels, 5) is None
+        assert recall(preds, labels, 5) is None
 
     def test_matches_enumeration_oracle(self):
         rng = Rng(51)
         for _ in range(500):
             preds, labels = random_prediction_set(rng, int(rng.integers(1, 40)))
             cls = int(rng.integers(0, 13))
-            assert topk_recall(preds, labels, cls) == brute_force_recall(preds, labels, cls)
+            assert recall(preds, labels, cls) == brute_force_recall(preds, labels, cls)
 
     def test_duplicate_prediction_rejected(self):
         with pytest.raises(ValueError):
-            topk_recall([[1, 1, 2]], [1], 1)
+            recall([[1, 1, 2]], [1], 1)
 
 
 class TestAccuracy:
@@ -128,13 +133,14 @@ class TestReport:
             )
             assert abs(weighted - rep.accuracy) <= 1e-12
 
-    def test_counts_match_topk_recall_and_accuracy_exactly(self):
+    def test_counts_match_the_enumeration_oracles_exactly(self):
         rng = Rng(58)
         for _ in range(50):
             preds, labels = random_prediction_set(rng, int(rng.integers(1, 60)))
             rep = compute_report(preds, labels, k=3)
             assert rep.n_k == [labels.count(idx) for idx in range(13)]
-            assert rep.per_class_recall == [topk_recall(preds, labels, idx) for idx in range(13)]
+            assert rep.per_class_recall == [brute_force_recall(preds, labels, idx)
+                                            for idx in range(13)]
             assert rep.accuracy == topk_accuracy(preds, labels)
 
     def test_repeated_class_in_a_prediction_rejected(self):
@@ -219,8 +225,9 @@ class TestReport:
             from_json(doc)
 
 
-def ragged_fusion_set(n=40, seed=60):
-    """A small 13-class fusion model and n rows with text lengths 1..T."""
+def ragged_fusion_set(n=40, seed=60, variant="fusion"):
+    """A small 13-class model (fusion unless ``variant`` says otherwise) and
+    n rows with text lengths 1..T."""
     config = ModelConfig(num_feature_dim=4, cat_feature_dim=2, embed_dim=3, lstm_hidden=4,
                          mlp_hidden=6, num_classes=13, max_seq_len=5, seed=2)
     rng = Rng(seed)
@@ -235,19 +242,31 @@ def ragged_fusion_set(n=40, seed=60):
         texts=EmbeddedSequence(vectors=vectors, mask=mask),
         groups=np.arange(n),
     )
-    return build_variant(config, "fusion"), data
+    return build_variant(config, variant), data
 
 
 def one_at_a_time(model, data, k):
-    return [predict_topk(model, *data.inputs(model, j), k=k).top_k for j in range(len(data))]
+    return [predict_topk(model, *data.inputs(model, j), k=k) for j in range(len(data))]
 
 
-def test_report_scores_chunks_and_matches_one_example_predictions(monkeypatch):
-    model, data = ragged_fusion_set(metrics.SCORE_CHUNK + 8)
-    expected = one_at_a_time(model, data, 3)
+def one_row(data, j):
+    """Row ``j`` of ``data`` as a dataset of its own."""
+    rows = slice(j, j + 1)
+    return dataclasses.replace(data, ids=data.ids[rows], labels=data.labels[rows],
+                               num=data.num[rows], cat=data.cat[rows], groups=data.groups[rows])
+
+
+@pytest.mark.parametrize("variant", ["fusion", "text", "mlp"])
+def test_report_scores_chunks_and_matches_one_example_predictions(monkeypatch, variant):
+    model, data = ragged_fusion_set(metrics.SCORE_CHUNK + 8, variant=variant)
+    one = one_at_a_time(model, data, 3)
+    # One example takes predict_all's route: the same bytes as a one-row dataset.
+    for j, pred in enumerate(one):
+        assert pred.probs.tobytes() == metrics.predict_all(model, one_row(data, j))[0].tobytes()
+    expected = [pred.top_k for pred in one]
     batch_rows = []
 
-    def counting_forward(model, num_x, cat_x, seq, **kwargs):
+    def counting_forward(model, num_x, cat_x, seq=None, **kwargs):
         batch_rows.append(len(num_x))
         return forward(model, num_x, cat_x, seq, **kwargs)
 
@@ -261,17 +280,18 @@ def test_cache_free_forward_scores_bit_identically_and_cannot_run_backward():
     model, data = ragged_fusion_set()
     num, cat, seq = data.inputs(model, slice(None))
     kept, cache = forward(model, num, cat, seq)
-    free, free_cache = forward(model, num, cat, seq, keep=False)
-    assert np.array_equal(free.probs, kept.probs) and free.top_k == kept.top_k
-    backward(model, cache, np.ones_like(kept.probs))
-    with pytest.raises(ValueError, match="keep=False"):
-        backward(model, free_cache, np.ones_like(free.probs))
+    free, free_cache = forward(model, num, cat, text=encode_text(model, seq))
+    assert np.array_equal(free, kept)
+    backward(model, cache, np.ones_like(kept))
+    with pytest.raises(ValueError, match="given the text features and kept no cache"):
+        backward(model, free_cache, np.ones_like(free))
 
 
 def test_validation_accuracy_is_topk_accuracy_of_the_same_predictions():
     model, data = ragged_fusion_set()
     accuracy = _validation_topk_accuracy(model, data, 3)
-    assert accuracy == topk_accuracy(one_at_a_time(model, data, 3), data.labels)
+    expected = [pred.top_k for pred in one_at_a_time(model, data, 3)]
+    assert accuracy == topk_accuracy(expected, data.labels)
 
 
 def test_report_names_an_all_masked_example():

@@ -76,9 +76,9 @@ class TestForward:
         for _, arr in model.param_blocks():
             arr[...] = 0.0
         num, cat, seq = random_inputs(0, model.config)
-        pred, _ = forward(model, num, cat, seq)
-        assert np.max(np.abs(pred.probs - 1.0 / 13)) < 1e-15
-        assert pred.top_k == [[0, 1, 2]]
+        probs, _ = forward(model, num, cat, seq)
+        assert np.max(np.abs(probs - 1.0 / 13)) < 1e-15
+        assert topk_indices(probs, 3).tolist() == [[0, 1, 2]]
 
     def test_all_masked_error_names_its_batch_row(self):
         model = build_variant(small_config(), "fusion")
@@ -94,8 +94,8 @@ class TestForward:
         model = build_variant(small_config(), "fusion")
         for seed in range(5):
             num, cat, seq = random_inputs(seed, model.config)
-            pred, _ = forward(model, num, cat, seq)
-            assert abs(pred.probs.sum() - 1.0) < 1e-12
+            probs, _ = forward(model, num, cat, seq)
+            assert abs(probs.sum() - 1.0) < 1e-12
 
 
 class TestVariants:
@@ -113,7 +113,7 @@ class TestVariants:
         p1, _ = forward(model, num, cat, seq)
         seq2 = random_seq(Rng(99), model.config)
         p2, _ = forward(model, num, cat, seq2)
-        assert np.array_equal(p1.probs, p2.probs)
+        assert np.array_equal(p1, p2)
 
     def test_text_only_requires_sequence(self):
         model = build_variant(small_config(), "text")
@@ -162,7 +162,7 @@ class TestProperties:
         num, cat, seq = random_inputs(4, model.config)
         p1, _ = forward(model, num, cat, seq)
         p2, _ = forward(model, num, cat, random_seq(Rng(5).child(9), model.config))
-        assert np.max(np.abs(p1.probs - p2.probs)) < 1e-12
+        assert np.max(np.abs(p1 - p2)) < 1e-12
 
     def test_argmax_stable_under_positive_scaling(self):
         config = small_config()
@@ -202,7 +202,7 @@ class TestSaveLoad:
         num, cat, seq = random_inputs(5, model.config)
         p1, cache = forward(model, num, cat, seq)
         p2, _ = forward(loaded, num, cat, seq)
-        assert np.array_equal(p1.probs, p2.probs)
+        assert np.array_equal(p1, p2)
         assert np.array_equal(model.theta, loaded.theta)
         for (na, a), (nb, b) in zip(model.param_blocks(), loaded.param_blocks()):
             assert na == nb and np.array_equal(a, b)
@@ -211,7 +211,7 @@ class TestSaveLoad:
         assert model.theta.shape == (param_count(model.config, variant),)
         assert_blocks_tile(model.param_blocks(), model.theta)
         assert_blocks_tile(loaded.param_blocks(), loaded.theta)
-        dlogits = p1.probs.copy()
+        dlogits = p1.copy()
         dlogits[0, 2] -= 1.0
         grad = backward(model, cache, dlogits)
         assert grad.shape == model.theta.shape and not np.shares_memory(grad, model.theta)
@@ -241,7 +241,7 @@ class TestSaveLoad:
         labels = np.array([2])
 
         def loss():
-            return batch_loss(forward(model, num, cat, seq)[0].probs, labels)[0]
+            return batch_loss(forward(model, num, cat, seq)[0], labels)[0]
 
         analytic = dict(model.param_blocks(grad))["encoder.bwd.W_o"]
         assert max_relative_error(analytic, numeric_gradient(loss, gate)) < 1e-4
@@ -312,8 +312,8 @@ def test_cross_entropy_gradient_identity_at_logits():
     num = rng.normal((1, model.config.num_feature_dim))
     cat = rng.normal((1, model.config.cat_feature_dim))
     labels = np.array([4])
-    pred, cache = forward(model, num, cat, None)
-    analytic = pred.probs.copy()
+    probs, cache = forward(model, num, cat, None)
+    analytic = probs.copy()
     analytic[0, 4] -= 1.0
 
     logits = cache["logits"]

@@ -113,3 +113,15 @@ def test_the_cli_import_loads_training_and_metrics_but_not_synth():
     assert proc.stdout.splitlines() == ["True True False", "True"]
     proc = python(SCRIPT, "synth", "--help")
     assert proc.returncode == 0 and "  --num-dim NUM_DIM    default 20\n" in proc.stdout
+
+
+def test_every_exported_name_resolves_and_only_the_synth_names_import_synth():
+    # A fresh interpreter: this one may have imported fusenet.synth already.
+    proc = python("import sys, fusenet\n"
+                  "lazy = ('synth', 'generate_synthetic')\n"
+                  "eager = [n for n in fusenet.__all__ if n not in lazy]\n"
+                  "print([n for n in eager if not hasattr(fusenet, n)], "
+                  "'fusenet.synth' in sys.modules)\n"
+                  "print([n for n in fusenet.__all__ if not hasattr(fusenet, n)])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[] False", "[]"]

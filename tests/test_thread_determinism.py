@@ -17,8 +17,8 @@ from fusenet import cli
 SRC = Path(fusenet.__file__).resolve().parents[1]
 TESTS = Path(__file__).resolve().parent
 
-# Prints, per variant and chunk size, a digest of the keep=False
-# probabilities and whether they equal the keep=True ones byte for byte.
+# Prints, per variant and chunk size, a digest of the cache-free
+# probabilities and whether they equal the untrimmed ones byte for byte.
 SCORE_RAGGED_SET = """
 import hashlib
 from test_trimmed_scoring import ragged_set, scored

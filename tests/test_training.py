@@ -9,7 +9,7 @@ from fusenet import model as model_module
 from fusenet import training
 from fusenet.dataset import PreparedDataset
 from fusenet.embeddings import EmbeddedSequence
-from fusenet.model import ModelConfig, build_variant, clone, forward, save
+from fusenet.model import ModelConfig, build_variant, clone, forward, save, topk_indices
 from fusenet.numcore import Rng
 from fusenet.training import (TrainConfig, TrainingAbort, _Adam, batch_loss, grad_check,
                               small_check_config, train, write_report)
@@ -209,8 +209,8 @@ class TestTrain:
         assert all(losses[i + 1] < losses[i] for i in range(min(4, len(losses) - 1)))
         hits = 0
         for i in range(len(val)):
-            pred, _ = forward(best, val.num[i:i + 1], val.cat[i:i + 1], None, k=1)
-            hits += int(pred.top_k[0][0] == int(val.labels[i]))
+            probs, _ = forward(best, val.num[i:i + 1], val.cat[i:i + 1], None)
+            hits += int(topk_indices(probs, 1)[0][0] == int(val.labels[i]))
         assert hits == len(val)
 
     def test_zero_learning_rate_leaves_parameters_bit_identical(self):
@@ -233,7 +233,7 @@ class TestTrain:
 
         def frozen_loss(m):
             return sum(
-                batch_loss(forward(m, data.num[i:i + 1], data.cat[i:i + 1], None)[0].probs,
+                batch_loss(forward(m, data.num[i:i + 1], data.cat[i:i + 1], None)[0],
                            data.labels[i:i + 1])[0]
                 for i in range(len(data))
             ) / len(data)
@@ -257,8 +257,8 @@ class TestTrain:
         assert accs[report.best_epoch] == max(accs)
         hits = 0
         for i in range(len(val)):
-            pred, _ = forward(best, val.num[i:i + 1], val.cat[i:i + 1], None, k=2)
-            hits += int(int(val.labels[i]) in pred.top_k[0])
+            probs, _ = forward(best, val.num[i:i + 1], val.cat[i:i + 1], None)
+            hits += int(int(val.labels[i]) in topk_indices(probs, 2)[0])
         assert hits / len(val) == max(accs)
 
     def test_nan_abort_names_block_and_batch(self):
@@ -299,7 +299,7 @@ class TestTrain:
         # Inference applies no dropout: repeated forwards agree bit-for-bit.
         p1, _ = forward(best1, data.num[:1], data.cat[:1], None)
         p2, _ = forward(best1, data.num[:1], data.cat[:1], None)
-        assert np.array_equal(p1.probs, p2.probs)
+        assert np.array_equal(p1, p2)
         for (n1, a1), (_, a2) in zip(best1.param_blocks(), best2.param_blocks()):
             assert np.array_equal(a1, a2), n1
 

@@ -1,8 +1,8 @@
 """Length-aware scoring against the untrimmed forward.
 
-``forward(..., keep=False)`` runs the encoder only up to the rows' longest
-live length and starts the backward direction from the padding state;
-``forward(..., keep=True)`` runs every timestep and is the oracle. The
+``encode_text`` runs the encoder only up to the rows' longest live length
+and starts the backward direction from the padding state; ``forward``
+given the sequences runs every timestep and is the oracle. The
 ragged set uses the quickstart shapes (T=20, E=16, H=32) with weights
 moved away from their initial values, and holds full-length rows,
 length-1 rows, an empty text (one OOV position), zero-vector OOV tokens
@@ -50,16 +50,21 @@ def ragged_set(variant, n=70, seed=3):
     return model, data
 
 
+def cache_free(model, num, cat, seq):
+    """The probabilities of one batch from ``encode_text``'s text features."""
+    return forward(model, num, cat, text=encode_text(model, seq))[0]
+
+
 def scored(model, data, size):
-    """keep=False and keep=True probabilities of every row (in row order),
+    """Cache-free and untrimmed probabilities of every row (in row order),
     scored ``size`` rows per forward in stable live-length order."""
     order = np.argsort(live_lengths(data.texts.vectors, data.texts.mask), kind="stable")
     free, kept = (np.empty((len(data), model.config.num_classes)) for _ in range(2))
     for start in range(0, len(data), size):
         rows = order[start:start + size]
         inputs = data.inputs(model, rows)
-        free[rows] = forward(model, *inputs, keep=False)[0].probs
-        kept[rows] = forward(model, *inputs)[0].probs
+        free[rows] = cache_free(model, *inputs)
+        kept[rows] = forward(model, *inputs)[0]
     return free, kept
 
 
@@ -68,7 +73,7 @@ def row_order_oracle(model, data, k=3):
     tops = []
     for start in range(0, len(data), metrics.SCORE_CHUNK):
         rows = slice(start, start + metrics.SCORE_CHUNK)
-        tops += forward(model, *data.inputs(model, rows), k=k)[0].top_k
+        tops += topk_indices(forward(model, *data.inputs(model, rows))[0], k).tolist()
     return tops
 
 
@@ -105,8 +110,8 @@ def test_one_example_forward_equals_the_untrimmed_forward_bit_for_bit(variant):
     for j in (3, 5, EMPTY, HIDDEN_TAIL, 20):
         inputs = data.inputs(model, slice(j, j + 1))
         assert inputs[2].vectors.shape[0] == 1
-        free = forward(model, *inputs, keep=False)[0].probs
-        assert np.array_equal(free, forward(model, *inputs)[0].probs), j
+        free = cache_free(model, *inputs)
+        assert np.array_equal(free, forward(model, *inputs)[0]), j
 
 
 HALF = metrics.SCORE_CHUNK // 2
@@ -119,11 +124,11 @@ def test_predict_all_returns_rows_in_row_order(monkeypatch, n, chunks):
     model, data = ragged_set("fusion", n=n)
     batch_rows, probs = [], []
 
-    def counting_forward(model, num_x, cat_x, seq, **kwargs):
+    def counting_forward(model, num_x, cat_x, seq=None, **kwargs):
         batch_rows.append(len(num_x))
-        pred, cache = forward(model, num_x, cat_x, seq, **kwargs)
-        probs.append(pred.probs)
-        return pred, cache
+        out, cache = forward(model, num_x, cat_x, seq, **kwargs)
+        probs.append(out)
+        return out, cache
 
     monkeypatch.setattr(metrics, "forward", counting_forward)
     got = metrics.predict_all(model, data)
@@ -165,9 +170,9 @@ def test_one_call_runs_the_padding_recurrence_once(monkeypatch):
     model, data = ragged_set("fusion", n=2 * metrics.SCORE_CHUNK + 6)
     chunk_lengths = []
 
-    def measuring_encode_text(model, seq, **kwargs):
+    def measuring_encode_text(model, seq, padding=None):
         chunk_lengths.append(int(live_lengths(seq.vectors, seq.mask).max()))
-        return encode_text(model, seq, **kwargs)
+        return encode_text(model, seq, padding)
 
     padding_calls, padding_steps = recording_padding(monkeypatch)
     monkeypatch.setattr(metrics, "encode_text", measuring_encode_text)
@@ -197,7 +202,7 @@ def test_each_row_has_the_bytes_of_its_chunks_untrimmed_forward(variant, n):
     assert probs.shape == (n, 13)
     for bounds in metrics.chunk_bounds(n):
         rows = slice(*bounds)
-        kept = forward(model, *data.inputs(model, rows))[0].probs
+        kept = forward(model, *data.inputs(model, rows))[0]
         for j, row in zip(range(*bounds), kept):
             assert probs[j].tobytes() == row.tobytes(), j
 
