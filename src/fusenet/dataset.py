@@ -67,6 +67,12 @@ _FLOAT_OVERFLOW = 2**1024 - 2**970
 # squares that FeatureScaler.fit computes stays finite for up to 1e8 rows:
 # it is at most rows * MAX_FEATURE_MAGNITUDE**2 = rows * 1e300.
 MAX_FEATURE_MAGNITUDE = 1e150
+# What a pipeline's statistics must keep, and every fitted one does: the
+# mean and std of values within MAX_FEATURE_MAGNITUDE lie within twice it
+# (rounding included), and a std below MIN_STD counts as constant. A
+# standardized value then stays below 3 * MAX_FEATURE_MAGNITUDE**2 = 3e300.
+MAX_STATISTIC = 2 * MAX_FEATURE_MAGNITUDE
+MIN_STD = 1 / MAX_FEATURE_MAGNITUDE
 
 
 def is_finite_number(v) -> bool:
@@ -172,7 +178,11 @@ def save_jsonl(examples: list[Example], path) -> None:
 
 
 class FeatureScaler:
-    """Per-feature standardization; constant features scale to zero."""
+    """Per-feature standardization; constant features scale to zero.
+
+    A feature counts as constant when its std is below MIN_STD: dividing
+    by less would scale values within MAX_FEATURE_MAGNITUDE past 1e300.
+    """
 
     def __init__(self, mean: np.ndarray, std: np.ndarray, constant: np.ndarray):
         self.mean = mean
@@ -185,7 +195,7 @@ class FeatureScaler:
             raise DatasetError("cannot fit a scaler on zero rows")
         mean = train_matrix.mean(axis=0)
         std = train_matrix.std(axis=0)
-        constant = std == 0.0
+        constant = std < MIN_STD
         safe_std = np.where(constant, 1.0, std)
         return cls(mean, safe_std, constant)
 
@@ -296,9 +306,12 @@ class FeaturePipeline:
                 raise DatasetError(f"field {key!r} must be a list of {what}")
             return doc[key]
 
-        mean = list_field("numerical_mean", is_finite_number, "finite numbers")
-        std = list_field("numerical_std", lambda v: is_finite_number(v) and v > 0,
-                         "positive finite numbers")
+        mean = list_field("numerical_mean",
+                          lambda v: is_finite_number(v) and abs(v) <= MAX_STATISTIC,
+                          f"numbers of magnitude at most {MAX_STATISTIC:g}")
+        std = list_field("numerical_std",
+                         lambda v: is_finite_number(v) and MIN_STD <= v <= MAX_STATISTIC,
+                         f"numbers in [{MIN_STD:g}, {MAX_STATISTIC:g}]")
         constant = list_field("numerical_constant", lambda v: isinstance(v, bool), "booleans")
         if not len(mean) == len(std) == len(constant):
             raise DatasetError("fields 'numerical_mean', 'numerical_std' and "

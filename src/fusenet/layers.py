@@ -117,7 +117,7 @@ class DenseLayer:
         if dy.shape != cache["z"].shape:
             raise ShapeError(f"dense backward: grad{dy.shape} vs output{cache['z'].shape}")
         dz = _act_backward(self.activation, dy, cache["z"], cache["y"])
-        grads = {"W": cache["x"].T @ dz, "b": dz.sum(axis=0)}
+        grads = {"W": cache["x"].T @ dz, "b": np.add.reduce(dz, axis=0)}
         return (dz @ self.W.T if input_grad else None), grads
 
 

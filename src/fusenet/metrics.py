@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import CLASS_NAMES, PreparedDataset, is_finite_number
 from .layers import AllMaskedError, live_lengths
-from .model import FusionModel, encode_text, forward, topk_indices
+from .model import NON_FINITE_PROBS, FusionModel, encode_text, forward, topk_indices
 from .parallel import ordered_map
 
 REPORT_VERSION = 1
@@ -187,7 +187,8 @@ def predict_all(model: FusionModel, data: PreparedDataset) -> np.ndarray:
     ``chunk_bounds`` chunks in row order, by ``forward`` with each row's
     entry's text features, into one preallocated array. So each row's
     probabilities are bit-identical to its row of ``forward`` of its
-    chunk's sequences, which runs every timestep.
+    chunk's sequences, which runs every timestep. A row whose
+    probabilities are not all finite is a ValueError naming its example.
     """
     check_inputs(model, data, "data")
     encoded = None
@@ -218,6 +219,9 @@ def predict_all(model: FusionModel, data: PreparedDataset) -> np.ndarray:
                               text=None if encoded is None else encoded[data.groups[rows]])[0]
 
     ordered_map(score, chunk_bounds(len(data)))
+    if not np.isfinite(probs).all():
+        bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))[0]
+        raise ValueError(f"example {data.ids[bad]}: {NON_FINITE_PROBS}")
     return probs
 
 

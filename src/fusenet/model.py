@@ -36,6 +36,10 @@ _MAGIC = "afn-checkpoint"
 
 VARIANTS = ("fusion", "mlp", "text")
 
+# Why a row of probabilities that is not all finite is refused: softmax of
+# finite logits is finite, so its inputs or parameters overflowed.
+NON_FINITE_PROBS = "class probabilities are not finite (the model's inputs or parameters overflow)"
+
 
 class ConfigError(ValueError):
     pass
@@ -158,10 +162,18 @@ class FusionModel:
             self.encoder = BiLstmEncoder(LstmCell(*next(pairs)), LstmCell(*next(pairs)))
             self.attention = FeedforwardAttention(*next(pairs))
         self.head = DenseLayer(*next(pairs), "identity")
+        self._branches = []
+        if self.uses_tabular:
+            self._branches += [[(f"{name}.{idx}", layer) for idx, layer
+                                in enumerate(getattr(self, name))]
+                               for name in ("mlp_num", "mlp_cat")]
+        if self.uses_text:
+            self._branches.append([("encoder", self.encoder), ("attention", self.attention)])
+        self._branches.append([("head", self.head)])
         # Every block as (name, shape, strides, byte offset in theta): once in
         # the serialized order, once in the order backward() computes them.
         base = theta.__array_interface__["data"][0]
-        *branches, head = self.branches()
+        *branches, head = self._branches
 
         def layout(layers):
             return [(name, arr.shape, arr.strides, arr.__array_interface__["data"][0] - base)
@@ -180,14 +192,11 @@ class FusionModel:
         return self.variant in ("fusion", "text")
 
     def branches(self) -> list[list[tuple[str, object]]]:
-        """(block-name prefix, layer) of each branch in head-input order, then of the head."""
-        out = []
-        if self.uses_tabular:
-            out += [[(f"{name}.{idx}", layer) for idx, layer in enumerate(getattr(self, name))]
-                    for name in ("mlp_num", "mlp_cat")]
-        if self.uses_text:
-            out.append([("encoder", self.encoder), ("attention", self.attention)])
-        return out + [[("head", self.head)]]
+        """(block-name prefix, layer) of each branch in head-input order, then of the head.
+
+        The list is built once, by ``__init__``; callers must not change it.
+        """
+        return self._branches
 
     def _views(self, layout, vec: np.ndarray) -> list[tuple[str, np.ndarray]]:
         _check_flat(vec, self.theta.size, "vector laid out like theta")
@@ -317,13 +326,16 @@ def forward(model: FusionModel, num_x=None, cat_x=None, seq: EmbeddedSequence | 
     return probs, cache
 
 
-def backward(model: FusionModel, cache, dlogits: np.ndarray) -> np.ndarray:
+def backward(model: FusionModel, cache, dlogits: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
     """The parameter gradient, summed over batch rows, as one vector laid out like theta.
 
     Each layer's gradients come back keyed like its ``params()``, and are
-    concatenated in ``theta`` order. ``model.param_blocks(grad)`` names
-    the blocks. The first layer of each branch computes no input
-    gradient: features and embeddings are not parameters.
+    concatenated in ``theta`` order, into ``out`` when it is given (a
+    contiguous float64 vector of ``theta``'s length, else a ShapeError),
+    which is returned. ``model.param_blocks(grad)`` names the blocks. The
+    first layer of each branch computes no input gradient: features and
+    embeddings are not parameters.
     """
     grads = {}  # block-name prefix -> that layer's gradients
     *branches, head = model.branches()
@@ -342,8 +354,10 @@ def backward(model: FusionModel, cache, dlogits: np.ndarray) -> np.ndarray:
         for (prefix, later), later_cache in zip(reversed(rest), reversed(caches[1:])):
             d, grads[prefix] = later.backward(later_cache, d)
         grads[first] = layer.backward(caches[0], d, input_grad=False)[1]
+    if out is not None:
+        _check_flat(out, model.theta.size, "backward's out")
     return np.concatenate([grads[prefix][pname].ravel() for branch in branches + [head]
-                           for prefix, layer in branch for pname in layer.params()])
+                           for prefix, layer in branch for pname in layer.params()], out=out)
 
 
 def topk_indices(probs: np.ndarray, k: int) -> np.ndarray:
@@ -360,10 +374,13 @@ def predict_topk(model: FusionModel, num_x=None, cat_x=None, seq=None, k: int = 
 
     The example is scored as a one-row batch by the calls ``metrics.predict_all``
     makes for a chunk: ``encode_text``, then ``forward`` with its text features.
+    Probabilities that are not all finite are a ValueError.
     """
     num, cat = (None if x is None else x[None] for x in (num_x, cat_x))
     text = encode_text(model, seq[None]) if model.uses_text and seq is not None else None
     probs = forward(model, num, cat, text=text)[0]
+    if not np.isfinite(probs).all():
+        raise ValueError(f"the example's {NON_FINITE_PROBS}")
     return Prediction(probs=probs[0], top_k=topk_indices(probs, k)[0].tolist())
 
 

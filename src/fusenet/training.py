@@ -7,10 +7,18 @@ backward pass, whose gradients are the mean over the batch rows.
 Gradients are global-norm clipped (exploding recurrent gradients are the
 known failure mode). The returned model is the best-validation
 checkpoint, scored by top-3 accuracy after each epoch.
+
+A run allocates its step bookkeeping once: one flat gradient that every
+backward fills, its named block views, and one buffer of its squares,
+which the clipping norm reads. So that this reuse does not fault the
+heap back in every batch, ``train`` first fixes glibc's heap thresholds
+(``_fix_heap_thresholds``).
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -27,6 +35,14 @@ from .numcore import Rng
 GRAD_EPS = 1e-8  # denominator floor in relative-error comparisons
 LOSS_FLOOR = 1e-12  # smallest probability the cross-entropy takes the log of
 FD_STEP = 1e-5  # central finite-difference step
+
+# mallopt parameters (glibc's malloc.h), and the mmap threshold training
+# fixes: glibc's 64-bit maximum, above the largest block a step of the
+# default CLI config allocates (the encoder's 13 MiB gate buffer at
+# T=100, B=32, H=64). The trim threshold is twice it, the relation
+# glibc's dynamic thresholds keep.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 32 * 1024 * 1024
 
 
 class TrainingAbort(RuntimeError):
@@ -146,14 +162,24 @@ def _make_optimizer(cfg: TrainConfig, size: int):
     return _Adam(cfg.learning_rate, size)
 
 
-def clip_grads_(grads: dict[str, np.ndarray], max_norm: float) -> float:
+def clip_grads_(grads: dict[str, np.ndarray], max_norm: float,
+                squares: dict[str, np.ndarray] | None = None) -> float:
     """Scale ``grads`` in place to a global norm of at most ``max_norm``; return
     the norm before clipping, summed block by block in the dict's order.
 
-    Each block's sum is ``np.sum``'s pairwise one, without its wrapper. A
-    non-finite norm leaves ``grads`` as they are.
+    Each block's sum is ``np.sum``'s pairwise one of ``g * g``, without its
+    wrapper. ``squares``, when given, holds those squares already, as
+    views named and ordered like ``grads`` of one buffer filled by one
+    ``np.multiply``: a C-contiguous block is summed in place, and a
+    non-contiguous one (an LSTM gate-column view) through a contiguous
+    copy, so that each sum keeps its bits. A non-finite norm leaves
+    ``grads`` as they are.
     """
-    norm = math.sqrt(sum(float(np.add.reduce(g * g, axis=None)) for g in grads.values()))
+    if squares is None:
+        terms = (g * g for g in grads.values())
+    else:
+        terms = (s if s.flags.c_contiguous else s.copy() for s in squares.values())
+    norm = math.sqrt(sum(float(np.add.reduce(t, axis=None)) for t in terms))
     if max_norm < norm < math.inf:
         scale = max_norm / norm
         for g in grads.values():
@@ -166,8 +192,9 @@ def _validation_topk_accuracy(model: FusionModel, data: PreparedDataset, k: int)
 
 
 def _batch_gradients(model: FusionModel, data: PreparedDataset, rows: np.ndarray,
-                     dropout_rate: float, drop_rng: Rng):
-    """Mean loss and flat gradient of one mini-batch: one forward, one backward.
+                     dropout_rate: float, drop_rng: Rng, out: np.ndarray):
+    """Mean loss and flat gradient of one mini-batch: one forward, one backward
+    that fills ``out``, which is returned.
 
     The forward cache dies when this returns, so the next batch's
     forward never holds two of them at once.
@@ -175,7 +202,28 @@ def _batch_gradients(model: FusionModel, data: PreparedDataset, rows: np.ndarray
     num, cat, seq = data.inputs(model, rows)
     probs, cache = forward(model, num, cat, seq, dropout_rate=dropout_rate, drop_rng=drop_rng)
     loss, dlogits = batch_loss(probs, data.labels[rows])
-    return loss, backward(model, cache, dlogits)
+    return loss, backward(model, cache, dlogits, out=out)
+
+
+@functools.cache
+def _fix_heap_thresholds() -> None:
+    """Fix this process's glibc mmap and trim thresholds, once; a no-op where
+    the C library has no ``mallopt``.
+
+    Left dynamic, glibc trims the heap top whenever the blocks above it
+    are freed, and a step that reuses its buffers frees its temporaries
+    at the top each batch, to fault them in again on the next. Only
+    training sets them: a process that imports the package keeps glibc's
+    defaults until it trains.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_BYTES)
 
 
 def train(model: FusionModel, train_set: PreparedDataset, val_set: PreparedDataset,
@@ -186,8 +234,12 @@ def train(model: FusionModel, train_set: PreparedDataset, val_set: PreparedDatas
             raise ValueError(f"{split} split is empty")
         check_inputs(model, data, split)
 
+    _fix_heap_thresholds()
     work = clone(model)
     optimizer = _make_optimizer(cfg, work.theta.size)
+    grad = np.empty_like(work.theta)
+    squares = np.empty_like(grad)
+    grad_blocks, square_blocks = work.grad_blocks(grad), work.grad_blocks(squares)
     shuffle_rng = Rng(cfg.seed).child(0)
     drop_rng = Rng(cfg.seed).child(1)
     val_k = min(3, work.config.num_classes)
@@ -205,11 +257,12 @@ def train(model: FusionModel, train_set: PreparedDataset, val_set: PreparedDatas
         loss_sum = 0.0
         for batch_idx, start in enumerate(range(0, n, cfg.batch_size)):
             rows = order[start : start + cfg.batch_size]
-            loss, grad = _batch_gradients(work, train_set, rows, cfg.dropout_rate, drop_rng)
+            loss = _batch_gradients(work, train_set, rows, cfg.dropout_rate, drop_rng, grad)[0]
             if not math.isfinite(loss):
                 raise TrainingAbort(f"non-finite loss in epoch {epoch} batch {batch_idx}")
             loss_sum += loss * len(rows)
-            if not math.isfinite(clip_grads_(work.grad_blocks(grad), cfg.clip_norm)):
+            np.multiply(grad, grad, out=squares)
+            if not math.isfinite(clip_grads_(grad_blocks, cfg.clip_norm, squares=square_blocks)):
                 what = next((f"non-finite gradient in block {name}"
                              for name, g in work.param_blocks(grad) if not np.all(np.isfinite(g))),
                             "gradient norm overflows")

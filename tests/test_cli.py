@@ -890,6 +890,60 @@ class TestHugeFeatureValues:
                          "--split", "all"]) == 0
 
 
+class TestScoresAreFiniteOrRefused:
+    """Pipeline statistics beyond what fitting can produce are refused by name, and
+    probabilities that overflow are an error naming the example: no ``nan`` is printed."""
+
+    def argv(self, workspace, tmp_path, command, model, pipeline):
+        if command == "eval":
+            argv = ["eval", "--model", model, "--data", workspace["data"], "--split", "all"]
+        else:
+            features = tmp_path / "features.json"
+            record = json.loads(open(workspace["data"], encoding="utf-8").readline())
+            features.write_text(json.dumps({key: record[key]
+                                            for key in ("numerical", "categorical")}))
+            argv = ["predict", "--model", model, "--features", str(features)]
+        return argv + ["--pipeline", str(pipeline)]
+
+    @pytest.mark.parametrize("field, value, what", [
+        ("numerical_mean", 1e308, "numbers of magnitude at most 2e+150"),
+        ("numerical_std", 1e-308, "numbers in [1e-150, 2e+150]"),
+        ("numerical_std", 1e300, "numbers in [1e-150, 2e+150]"),
+    ], ids=["mean-1e308", "std-1e-308", "std-1e300"])
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_extreme_statistics_name_the_pipeline(self, workspace, tmp_path, capsys, command,
+                                                  field, value, what):
+        mlp = workspace["checkpoints"]["mlp"]
+        doc = json.loads(open(mlp + ".pipeline.json", encoding="utf-8").read())
+        doc[field] = [value] * len(doc[field])
+        pipeline = tmp_path / "extreme.pipeline.json"
+        pipeline.write_text(json.dumps(doc))
+        err = one_error_line(capsys, self.argv(workspace, tmp_path, command, mlp, pipeline))
+        assert err == f"error: --pipeline {pipeline}: field '{field}' must be a list of {what}"
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_probabilities_that_overflow_are_an_error(self, workspace, tmp_path, capsys,
+                                                      command):
+        # Finite parameters load, but with every one at 1e120 each row's
+        # categorical branch (one-hot, non-negative) sends every logit to
+        # inf, and softmax to nan.
+        model = load(workspace["checkpoints"]["mlp"])
+        model.theta[...] = 1e120
+        path = str(tmp_path / "huge.afn")
+        save(model, path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = one_error_line(capsys, self.argv(workspace, tmp_path, command, path,
+                                                   workspace["checkpoints"]["mlp"]
+                                                   + ".pipeline.json"))
+        if command == "predict":
+            assert err == ("error: the example's class probabilities are not finite "
+                           "(the model's inputs or parameters overflow)")
+        else:
+            first = json.loads(open(workspace["data"], encoding="utf-8").readline())["id"]
+            assert err == (f"error: example {first}: class probabilities are not finite "
+                           "(the model's inputs or parameters overflow)")
+
+
 # Each subcommand's required flags, so that only the unknown one is wrong.
 SUBCOMMAND_ARGV = {
     "synth": ["synth", "--out", "x.jsonl"],

@@ -142,6 +142,21 @@ class TestScaler:
         out = scaler.transform(np.array([[2.0, 2.0], [99.0, 2.0]]))
         assert out[0, 0] == 0.0 and out[1, 0] == 0.0
 
+    def test_a_spread_below_min_std_counts_as_constant(self):
+        # Dividing by a smaller std would scale MAX_FEATURE_MAGNITUDE past 1e300.
+        train = np.array([[1e-160, 1e-140], [3e-160, 3e-140]])
+        scaler = FeatureScaler.fit(train)
+        assert scaler.constant.tolist() == [True, False] and scaler.std[0] == 1.0
+        out = scaler.transform(np.array([[MAX_FEATURE_MAGNITUDE, 2e-140]]))
+        assert out.tolist() == [[0.0, 0.0]]
+
+    @pytest.mark.parametrize("values", [[-1.0, 1.0], [1.0, 1.0]], ids=["mixed", "positive"])
+    def test_statistics_at_the_value_bound_load(self, values):
+        train = [make_example(i, numerical=[v * MAX_FEATURE_MAGNITUDE, 0.0])
+                 for i, v in enumerate(values * 3)]
+        doc = json.loads(json.dumps(FeaturePipeline.fit(train).to_json()))
+        assert FeaturePipeline.from_json(doc).scaler.mean.tolist() == doc["numerical_mean"]
+
 
 class TestOneHot:
     def test_unseen_category_is_zero_block(self):
@@ -192,8 +207,11 @@ class TestOneHot:
         ("numerical_std", None), ("numerical_mean", None), ("numerical_constant", None),
         ("categorical", None), ("numerical_std", [1.0, 0.0]), ("numerical_mean", "0"),
         ("numerical_constant", [0, 1]), ("categorical", [{"name": "state"}]),
+        ("numerical_mean", [0.0, 2.1e150]), ("numerical_std", [1.0, 9e-151]),
+        ("numerical_std", [2.1e150, 1.0]),
     ], ids=["no-std", "no-mean", "no-constant", "no-categorical", "zero-std", "string-mean",
-            "int-constant", "entry-without-categories"])
+            "int-constant", "entry-without-categories", "mean-above-bound",
+            "std-below-bound", "std-above-bound"])
     def test_pipeline_json_missing_or_mistyped_field_named(self, field, value):
         doc = FeaturePipeline.fit([make_example(i) for i in range(4)]).to_json()
         if value is None:

@@ -1,12 +1,17 @@
-"""Seeded fuzz of dataset records through ``cli.main train`` and ``eval``.
+"""Seeded fuzz of dataset records through ``cli.main train`` and ``eval``, and of
+feature files through ``predict --features``.
 
 Each case damages the ``numerical`` or ``categorical`` field of one line
 of a valid JSONL corpus. Every case must exit 0, or exit 1 with exactly
 one ``error: --data <path>: line N: ...`` line on stderr. An exception
 escaping ``main`` (a traceback, for the command) or a usage exit fails it.
+The same damage to a ``--features`` file must exit 0 printing finite
+probabilities, or exit 1 with exactly one ``error: --features <path>: ...``
+line.
 """
 
 import json
+import math
 import random
 import re
 
@@ -99,4 +104,26 @@ def test_every_damaged_record_is_accepted_or_named(corpus, capsys):
                 match = re.match(rf"error: --data {re.escape(str(data))}: line (\d+): ", err)
                 assert match and int(match.group(1)) in named, (case, err)
             outcomes[code] += 1
+    assert outcomes[0] > 0 and outcomes[1] > 0
+
+
+def test_every_damaged_features_file_is_accepted_or_named(corpus, capsys):
+    capsys.readouterr()
+    outcomes = {0: 0, 1: 0}
+    for i, (field, how, raw, lineno, at) in enumerate(cases()):
+        record = json.loads(corpus["lines"][lineno - 1])
+        doc = json.dumps({key: record[key] for key in ("numerical", "categorical")})
+        features = corpus["root"] / f"features-{i}.json"
+        features.write_text(damage(doc, field, how, raw, at), encoding="utf-8")
+        case = f"predict {field} {how} {(raw or '')[:40]}"
+        code = cli.main(["predict", "--model", corpus["model"], "--features", str(features)])
+        out, err = capsys.readouterr()
+        assert code in (0, 1), case
+        if code == 1:
+            assert out == "" and len(err.splitlines()) == 1, (case, err)
+            assert err.startswith(f"error: --features {features}: "), (case, err)
+        else:
+            probs = [line.split("\t")[1] for line in out.splitlines()]
+            assert len(probs) == 3 and all(math.isfinite(float(p)) for p in probs), (case, out)
+        outcomes[code] += 1
     assert outcomes[0] > 0 and outcomes[1] > 0

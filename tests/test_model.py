@@ -305,6 +305,33 @@ class TestSaveLoad:
             load(path)
 
 
+@pytest.mark.parametrize("variant", ["fusion", "text", "mlp"])
+def test_backward_into_out_gives_the_allocating_call_bytes(variant):
+    config = small_config()
+    model = build_variant(config, variant)
+    rng = Rng(8).child(1)
+    rows = 3
+    num, cat = rng.normal((rows, config.num_feature_dim)), rng.normal((rows, config.cat_feature_dim))
+    vectors = rng.normal((rows, config.max_seq_len, config.embed_dim))
+    mask = np.arange(config.max_seq_len) < np.array([[5], [3], [1]])
+    vectors[~mask] = 0.0
+    seq = EmbeddedSequence(vectors=vectors, mask=mask, oov_count=0)
+    dlogits = rng.normal((rows, config.num_classes))
+
+    def cache():  # a fresh one per backward, which overwrites the encoder's
+        return forward(model, num, cat, seq if model.uses_text else None)[1]
+
+    expected = backward(model, cache(), dlogits)
+    out = np.full(model.theta.size, np.nan)
+    assert backward(model, cache(), dlogits, out=out) is out
+    assert out.tobytes() == expected.tobytes()
+    size = model.theta.size
+    for bad in (np.empty(size + 1), np.empty(size - 1), np.empty(size, np.float32),
+                np.empty((1, size)), np.empty(2 * size)[::2]):
+        with pytest.raises(ShapeError, match="backward's out"):
+            backward(model, cache(), dlogits, out=bad)
+
+
 def test_cross_entropy_gradient_identity_at_logits():
     # d loss / d logits == probs - onehot(label), via finite differences.
     model = build_variant(small_config(mlp_activation="tanh"), "mlp")

@@ -125,3 +125,21 @@ def test_every_exported_name_resolves_and_only_the_synth_names_import_synth():
                   "print([n for n in fusenet.__all__ if not hasattr(fusenet, n)])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[] False", "[]"]
+
+
+def test_the_cli_import_keeps_glibcs_heap_thresholds():
+    # The benchmark harness imports the package and scores in-process, so
+    # only training may fix the thresholds (training._fix_heap_thresholds).
+    proc = python("import ctypes\n"
+                  "looked_up = []\n"
+                  "class Spy(ctypes.CDLL):\n"
+                  "    def __getattr__(self, name):\n"
+                  "        looked_up.append(name)\n"
+                  "        return super().__getattr__(name)\n"
+                  "ctypes.CDLL = Spy\n"
+                  "import fusenet.cli\n"
+                  "print(looked_up.count('mallopt'))\n"
+                  "fusenet.training._fix_heap_thresholds()\n"
+                  "print(looked_up.count('mallopt'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0", "1"]

@@ -126,17 +126,32 @@ def test_adam_step_matches_the_reference_bytes():
 
 @pytest.mark.parametrize("max_norm", [0.5, 1e9], ids=["clipped", "unclipped"])
 def test_clip_grads_matches_the_reference_bytes(max_norm):
-    # Quickstart-sized blocks, so each sum is long enough to be pairwise.
-    config = ModelConfig(num_feature_dim=20, cat_feature_dim=40, embed_dim=16, lstm_hidden=32,
-                         mlp_hidden=32, num_classes=13)
-    model = build_variant(config, "fusion")
-    grad = Rng(13).normal(model.theta.shape)
-    grad_ref = grad.copy()
-    blocks = model.grad_blocks(grad)
-    assert not blocks["encoder.fwd.W_i"].flags.c_contiguous  # a gate-column view
-    norm = training.clip_grads_(blocks, max_norm)
-    assert norm == reference_clip(model.grad_blocks(grad_ref), max_norm)
-    assert grad.tobytes() == grad_ref.tobytes()
+    # Quickstart-sized blocks, so each sum is long enough to be pairwise,
+    # then blocks at the CLI's default hidden size with 100-wide embeddings,
+    # whose gate-column views hold more than the 8,192 entries numpy sums
+    # a non-contiguous array in.
+    for embed_dim, hidden in ((16, 32), (100, 64)):
+        config = ModelConfig(num_feature_dim=20, cat_feature_dim=40, embed_dim=embed_dim,
+                             lstm_hidden=hidden, mlp_hidden=32, num_classes=13)
+        model = build_variant(config, "fusion")
+        grad = Rng(13).normal(model.theta.shape)
+        grad_ref = grad.copy()
+        blocks = model.grad_blocks(grad)
+        assert not blocks["encoder.fwd.W_i"].flags.c_contiguous  # a gate-column view
+        norm = training.clip_grads_(blocks, max_norm)
+        assert norm == reference_clip(model.grad_blocks(grad_ref), max_norm)
+        assert grad.tobytes() == grad_ref.tobytes()
+        # The squares-buffer path that train() takes: one product over the
+        # flat gradient, read through views named like the gradient's blocks.
+        # Block by block too, where a last-bit difference in one block's sum
+        # cannot vanish into the total.
+        grad = Rng(13).normal(model.theta.shape)
+        squares = model.grad_blocks(np.multiply(grad, grad))
+        for name, g in model.grad_blocks(grad.copy()).items():
+            assert (training.clip_grads_({name: g.copy()}, max_norm, squares={name: squares[name]})
+                    == reference_clip({name: g.copy()}, max_norm)), name
+        assert training.clip_grads_(model.grad_blocks(grad), max_norm, squares=squares) == norm
+        assert grad.tobytes() == grad_ref.tobytes()
 
 
 def test_clip_grads_leaves_a_non_finite_norm_unscaled():
@@ -172,6 +187,25 @@ def test_a_non_finite_gradient_norm_aborts_training(monkeypatch, rig, message):
     data = toy_tabular(n_per_class=8)
     with np.errstate(over="ignore"), pytest.raises(TrainingAbort, match=f"^{re.escape(message)}$"):
         train(build_variant(toy_config(), "mlp"), data, data, TrainConfig(epochs=1, batch_size=4))
+
+
+def test_train_hands_clipping_one_gradient_buffer(monkeypatch):
+    calls = []
+    clip = training.clip_grads_
+
+    def recording_clip(grads, max_norm, squares=None):
+        calls.append((grads, squares))
+        return clip(grads, max_norm, squares=squares)
+
+    monkeypatch.setattr(training, "clip_grads_", recording_clip)
+    data = toy_tabular(n_per_class=8)
+    train(build_variant(toy_config(), "mlp"), data, data, TrainConfig(epochs=2, batch_size=4))
+    assert len(calls) == 2 * 4
+    grads, squares = calls[0]
+    assert all(g is grads and s is squares for g, s in calls)
+    flat = next(iter(grads.values())).base
+    assert flat.ndim == 1 and all(g.base is flat for g in grads.values())
+    assert not any(np.shares_memory(flat, s) for s in squares.values())
 
 
 def test_training_ranks_top_k_only_while_validating(monkeypatch):
@@ -371,6 +405,10 @@ TRAINED_SHA256 = {
 
 @pytest.mark.parametrize("optimizer", sorted(TRAINED_SHA256))
 def test_trained_checkpoint_bytes_are_pinned(optimizer, tmp_path, monkeypatch):
+    check_pinned_checkpoint(optimizer, tmp_path, monkeypatch)
+
+
+def check_pinned_checkpoint(optimizer, tmp_path, monkeypatch):
     config = small_check_config(seed=3)
     rng = Rng(3).child(5)
     n, T = 48, config.max_seq_len
@@ -403,3 +441,53 @@ def test_trained_checkpoint_bytes_are_pinned(optimizer, tmp_path, monkeypatch):
     path = tmp_path / "trained.afn"
     save(best, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TRAINED_SHA256[optimizer]
+
+
+@pytest.fixture
+def fresh_heap_helper():
+    """``_fix_heap_thresholds`` as if no run had called it yet, before and after."""
+    training._fix_heap_thresholds.cache_clear()
+    yield
+    training._fix_heap_thresholds.cache_clear()
+
+
+class FakeLibc:
+    opened: list = []  # every instance, in order
+
+    def __init__(self, name):
+        assert name is None
+        self.calls = []
+        FakeLibc.opened.append(self)
+
+        def mallopt(param, value):  # a function, which takes argtypes like a foreign one
+            self.calls.append((param, value))
+            return 1
+        self.mallopt = mallopt
+
+
+def test_training_fixes_the_heap_thresholds_once(monkeypatch, fresh_heap_helper):
+    FakeLibc.opened = []
+    monkeypatch.setattr(training.ctypes, "CDLL", FakeLibc)
+    data = toy_tabular(n_per_class=4)
+    for _ in range(2):
+        train(build_variant(toy_config(), "mlp"), data, data, TrainConfig(epochs=1))
+    [libc] = FakeLibc.opened
+    mib = 1024 * 1024
+    assert libc.calls == [(-3, 32 * mib), (-1, 64 * mib)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+class _NoMallopt:
+    def __init__(self, name):
+        pass
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, _NoMallopt], ids=["cannot-load", "no-mallopt"])
+def test_without_mallopt_training_runs_and_keeps_its_bytes(cdll, tmp_path, monkeypatch,
+                                                           fresh_heap_helper):
+    monkeypatch.setattr(training.ctypes, "CDLL", cdll)
+    assert training._fix_heap_thresholds() is None
+    check_pinned_checkpoint("adam", tmp_path, monkeypatch)
