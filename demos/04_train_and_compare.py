@@ -56,7 +56,8 @@ print()
 print("=== Per-class top-3 recall (weakest classes expose each blind spot) ===")
 print(f"  {'class':<34} {'signals':>8} {'text':>6} {'fusion':>7}")
 for name in ds.CLASS_NAMES:
-    row = [reports[v].recall_of(name) for v in ("mlp", "text", "fusion")]
+    row = [reports[v].per_class_recall[reports[v].class_names.index(name)]
+           for v in ("mlp", "text", "fusion")]
     print(f"  {name:<34} {row[0]:>8.2f} {row[1]:>6.2f} {row[2]:>7.2f}")
 
 print()

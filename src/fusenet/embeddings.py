@@ -48,13 +48,6 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.vocab)
 
-    def lookup(self, word: str):
-        """Row for ``word``, or None when out of vocabulary."""
-        idx = self.vocab.get(word)
-        if idx is None:
-            return None
-        return self.matrix[idx]
-
 
 @dataclass
 class EmbeddedSequence:

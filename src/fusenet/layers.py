@@ -96,14 +96,6 @@ class DenseLayer:
     def init(cls, rng: Rng, in_dim: int, out_dim: int, activation: str = "identity"):
         return cls(glorot_uniform(rng, in_dim, out_dim), np.zeros(out_dim), activation)
 
-    @property
-    def in_dim(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.W.shape[1]
-
     def params(self) -> dict[str, np.ndarray]:
         return {"W": self.W, "b": self.b}
 

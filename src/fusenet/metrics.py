@@ -77,9 +77,6 @@ class EvalReport:
             if recall is not None and not 0.0 <= recall <= 1.0:
                 raise ReportError(f"recall out of range: {recall}")
 
-    def recall_of(self, class_name: str):
-        return self.per_class_recall[self.class_names.index(class_name)]
-
 
 def compute_report(preds, labels, k: int, class_names=CLASS_NAMES) -> EvalReport:
     """Aggregate predictions into an EvalReport (identity-checked).
@@ -169,6 +166,8 @@ def check_inputs(model: FusionModel, data: PreparedDataset, name: str) -> None:
                              "no unmasked positions to attend to")
 
 
+# Overflow is refused at the end, by name, so numpy need not warn of it first.
+@np.errstate(over="ignore", invalid="ignore")
 def predict_all(model: FusionModel, data: PreparedDataset) -> np.ndarray:
     """The (n, num_classes) probabilities of every example in ``data``, in
     row order, after ``check_inputs`` of ``data``.

@@ -9,7 +9,9 @@ the head accordingly but reuse the identical layer code.
 
 All parameters live in one float64 vector, ``theta``; every layer array
 is a view of it, and ``backward`` concatenates the layers' gradients into
-one vector of the same layout.
+one vector of the same layout. A model built on any such vector (a
+gradient, say) names its blocks: ``param_blocks(vec)`` and
+``grad_blocks(grad)`` are the block views of one.
 
 Checkpoints are a self-describing container: a diff-able text header
 (format version, variant, config) followed by named parameter blocks of
@@ -130,6 +132,12 @@ def _checkpoint_blocks(name: str, arr: np.ndarray) -> list[tuple[str, np.ndarray
             for gate, part in zip(LstmCell.GATES, np.split(arr, 4, axis=-1))]
 
 
+def _named_blocks(layers) -> list[tuple[str, np.ndarray]]:
+    """The checkpoint blocks of (block-name prefix, layer) pairs, in their order."""
+    return [block for prefix, layer in layers for pname, fused in layer.params().items()
+            for block in _checkpoint_blocks(f"{prefix}.{pname}", fused)]
+
+
 def _check_flat(vec: np.ndarray, size: int, what: str) -> None:
     if vec.dtype != np.float64 or vec.shape != (size,) or not vec.flags.c_contiguous:
         raise ShapeError(f"{what}: {vec.dtype} {vec.shape}, not contiguous float64 ({size},)")
@@ -170,18 +178,6 @@ class FusionModel:
         if self.uses_text:
             self._branches.append([("encoder", self.encoder), ("attention", self.attention)])
         self._branches.append([("head", self.head)])
-        # Every block as (name, shape, strides, byte offset in theta): once in
-        # the serialized order, once in the order backward() computes them.
-        base = theta.__array_interface__["data"][0]
-        *branches, head = self._branches
-
-        def layout(layers):
-            return [(name, arr.shape, arr.strides, arr.__array_interface__["data"][0] - base)
-                    for prefix, layer in layers for pname, fused in layer.params().items()
-                    for name, arr in _checkpoint_blocks(f"{prefix}.{pname}", fused)]
-
-        self._blocks = layout(pair for branch in branches + [head] for pair in branch)
-        self._grad_blocks = layout(head + [pair for branch in branches for pair in branch[::-1]])
 
     @property
     def uses_tabular(self) -> bool:
@@ -198,33 +194,31 @@ class FusionModel:
         """
         return self._branches
 
-    def _views(self, layout, vec: np.ndarray) -> list[tuple[str, np.ndarray]]:
-        _check_flat(vec, self.theta.size, "vector laid out like theta")
-        return [(name, np.ndarray(shape, np.float64, vec, offset, strides))
-                for name, shape, strides, offset in layout]
-
     def param_blocks(self, vec: np.ndarray | None = None) -> list[tuple[str, np.ndarray]]:
         """All learnable parameters as (name, view of theta), in the serialized order.
 
         Given ``vec``, a vector laid out like ``theta`` (a gradient, say),
-        the same-named views of ``vec`` instead. An LSTM gate block is a
+        the same-named views of ``vec`` instead: the blocks of a model of
+        this variant and config built on ``vec``. An LSTM gate block is a
         column view of its direction's fused matrix.
         """
-        return self._views(self._blocks, self.theta if vec is None else vec)
+        model = self if vec is None else FusionModel(self.config, self.variant, vec)
+        return _named_blocks(pair for branch in model.branches() for pair in branch)
 
     def grad_blocks(self, grad: np.ndarray) -> dict[str, np.ndarray]:
         """Named views of ``grad`` in the order backward() computes them: the head,
         then each branch from its last layer to its first. The pre-clip norm
         sums per-block terms in this order, so clipping keeps its exact values.
         """
-        return dict(self._views(self._grad_blocks, grad))
+        *branches, head = FusionModel(self.config, self.variant, grad).branches()
+        return dict(_named_blocks(head + [pair for branch in branches for pair in branch[::-1]]))
 
 
-def build_variant(config: ModelConfig, variant: str, rng: Rng | None = None) -> FusionModel:
-    """A fresh model of ``variant``, seeded by ``config.seed`` unless ``rng`` is given."""
+def build_variant(config: ModelConfig, variant: str) -> FusionModel:
+    """A fresh model of ``variant``, seeded by ``config.seed``."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
-    rng = rng if rng is not None else Rng(config.seed)
+    rng = Rng(config.seed)
     fresh = []
     if variant in ("fusion", "mlp"):
         h, act = config.mlp_hidden, config.mlp_activation
@@ -368,6 +362,8 @@ def topk_indices(probs: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-probs, axis=1, kind="stable")[:, :k]
 
 
+# Overflow is refused at the end, by name, so numpy need not warn of it first.
+@np.errstate(over="ignore", invalid="ignore")
 def predict_topk(model: FusionModel, num_x=None, cat_x=None, seq=None, k: int = 3) -> Prediction:
     """Top-k classes of one example: ``num_x`` (num_dim,), ``cat_x`` (cat_dim,)
     and a (T, embed_dim) ``seq``, each None where the variant has no branch for it.

@@ -226,6 +226,9 @@ def _fix_heap_thresholds() -> None:
     mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_BYTES)
 
 
+# A non-finite loss or gradient norm aborts by name, and validation refuses
+# non-finite probabilities, so numpy need not warn of them first.
+@np.errstate(over="ignore", invalid="ignore")
 def train(model: FusionModel, train_set: PreparedDataset, val_set: PreparedDataset,
           cfg: TrainConfig) -> tuple[FusionModel, TrainReport]:
     """Train a working copy of ``model``; return (best checkpoint, report)."""

@@ -107,10 +107,14 @@ def test_criterion_2_fusion_ordering(ordering_runs):
           f"vs signals {mlp:.3f}; trained in {ordering_runs['elapsed']:.0f}s)")
 
 
+def _recall(report, class_name):
+    return report.per_class_recall[report.class_names.index(class_name)]
+
+
 def _weakest_pair(report, group):
     pairs = list(itertools.combinations(group, 2))
     means = {
-        pair: (report.recall_of(pair[0]) + report.recall_of(pair[1])) / 2.0
+        pair: (_recall(report, pair[0]) + _recall(report, pair[1])) / 2.0
         for pair in pairs
     }
     return min(means, key=lambda p: (means[p], p))
@@ -121,7 +125,7 @@ def test_criterion_3_single_source_blind_spots(blindspot_runs):
     reports = blindspot_runs["reports"]
 
     def pair_mean(report, pair):
-        return (report.recall_of(pair[0]) + report.recall_of(pair[1])) / 2.0
+        return (_recall(report, pair[0]) + _recall(report, pair[1])) / 2.0
 
     # Text-disambiguated classes (shared signal profile): tabular-only blind.
     mlp_pair = _weakest_pair(reports["mlp"], synth.SIGNAL_SHARED_GROUP)

@@ -29,11 +29,10 @@ def reference_embed_sequence(table, tokens, max_seq_len):
     oov = 0
     for t, tok in enumerate(tokens[:max_seq_len] or [None]):
         mask[t] = True
-        row = table.lookup(tok)
-        if row is None:
+        if tok not in table.vocab:
             oov += 1
         else:
-            vectors[t] = row
+            vectors[t] = table.matrix[table.vocab[tok]]
     return vectors, mask, oov
 
 

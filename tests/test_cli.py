@@ -891,8 +891,9 @@ class TestHugeFeatureValues:
 
 
 class TestScoresAreFiniteOrRefused:
-    """Pipeline statistics beyond what fitting can produce are refused by name, and
-    probabilities that overflow are an error naming the example: no ``nan`` is printed."""
+    """Pipeline statistics beyond what fitting can produce are refused by name,
+    probabilities that overflow are an error naming the example, and so is a training
+    loss that overflows: no ``nan`` and no numpy warning is printed."""
 
     def argv(self, workspace, tmp_path, command, model, pipeline):
         if command == "eval":
@@ -931,10 +932,8 @@ class TestScoresAreFiniteOrRefused:
         model.theta[...] = 1e120
         path = str(tmp_path / "huge.afn")
         save(model, path)
-        with np.errstate(over="ignore", invalid="ignore"):
-            err = one_error_line(capsys, self.argv(workspace, tmp_path, command, path,
-                                                   workspace["checkpoints"]["mlp"]
-                                                   + ".pipeline.json"))
+        err = one_error_line(capsys, self.argv(workspace, tmp_path, command, path,
+                                               workspace["checkpoints"]["mlp"] + ".pipeline.json"))
         if command == "predict":
             assert err == ("error: the example's class probabilities are not finite "
                            "(the model's inputs or parameters overflow)")
@@ -942,6 +941,16 @@ class TestScoresAreFiniteOrRefused:
             first = json.loads(open(workspace["data"], encoding="utf-8").readline())["id"]
             assert err == (f"error: example {first}: class probabilities are not finite "
                            "(the model's inputs or parameters overflow)")
+
+    def test_a_loss_that_overflows_is_an_error(self, workspace, tmp_path, capsys):
+        # One Adam step of this size sends the parameters, and so the next
+        # batch's logits, beyond float64.
+        err = one_error_line(capsys, [
+            "train", "--data", workspace["data"], "--variant", "mlp",
+            "--out", str(tmp_path / "huge.afn"), "--lr", "1e300", "--epochs", "2",
+            "--seed", "0", "--mlp-hidden", "8",
+        ])
+        assert err == "error: non-finite loss in epoch 0 batch 1"
 
 
 # Each subcommand's required flags, so that only the unknown one is wrong.

@@ -283,7 +283,7 @@ class TestPrepare:
         # One row, in one-example shapes.
         row = prep.seqs[2]
         assert row.vectors.shape == (5, 4) and row.mask.shape == (5,)
-        assert np.array_equal(row.vectors[0], table.lookup("hello"))
+        assert np.array_equal(row.vectors[0], table.matrix[table.vocab["hello"]])
         assert not row.vectors[2].any()  # "fee" is OOV: a zero row under a true mask
         assert prep.oov_total == 6  # "fee" is OOV once per example
 

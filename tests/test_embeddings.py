@@ -18,20 +18,20 @@ class TestLoadVecFile:
         path = write(tmp_path, "2 3\napple 1 0 0\nbanana 0 1 0\n")
         table = load_vec_file(path)
         assert len(table) == 2 and table.dim == 3
-        assert np.array_equal(table.lookup("apple"), [1, 0, 0])
-        assert np.array_equal(table.lookup("banana"), [0, 1, 0])
+        assert np.array_equal(table.matrix[table.vocab["apple"]], [1, 0, 0])
+        assert np.array_equal(table.matrix[table.vocab["banana"]], [0, 1, 0])
 
     def test_vocab_limit(self, tmp_path):
         # The header's V is the only vocabulary limit: rows after it are never read.
         path = write(tmp_path, "1 3\napple 1 0 0\nbanana 0 1 0\n")
         table = load_vec_file(path)
         assert len(table) == 1
-        assert table.lookup("banana") is None
+        assert "banana" not in table.vocab
 
     def test_duplicates_keep_first(self, tmp_path):
         path = write(tmp_path, "2 2\nword 1 2\nword 3 4\n")
         table = load_vec_file(path)
-        assert np.array_equal(table.lookup("word"), [1, 2])
+        assert np.array_equal(table.matrix[table.vocab["word"]], [1, 2])
 
     def test_malformed_header(self, tmp_path):
         with pytest.raises(VecParseError, match="line 1"):

@@ -116,7 +116,7 @@ class TestReport:
         preds = [[4, 1, 2], [4, 0, 3], [5, 6, 7]]
         labels = [4, 4, 4]
         rep = compute_report(preds, labels, k=3)
-        assert rep.recall_of(CLASS_NAMES[4]) == pytest.approx(2 / 3)
+        assert rep.per_class_recall[rep.class_names.index(CLASS_NAMES[4])] == pytest.approx(2 / 3)
         assert rep.accuracy == pytest.approx(2 / 3)
         for idx, recall in enumerate(rep.per_class_recall):
             if idx != 4:

@@ -50,7 +50,7 @@ class TestBuild:
                              lstm_hidden=64, mlp_hidden=64)
         assert head_input_dim(config, "fusion") == 64 + 64 + 128 == 256
         model = build_variant(config, "fusion")
-        assert model.head.in_dim == 256
+        assert model.head.W.shape[0] == 256
 
     def test_theta_of_the_wrong_size_is_a_construction_error(self):
         config = small_config()
@@ -101,11 +101,11 @@ class TestForward:
 class TestVariants:
     def test_text_only_head_dim(self):
         model = build_variant(small_config(), "text")
-        assert model.head.in_dim == 2 * model.config.lstm_hidden
+        assert model.head.W.shape[0] == 2 * model.config.lstm_hidden
 
     def test_mlp_only_head_dim(self):
         model = build_variant(small_config(), "mlp")
-        assert model.head.in_dim == 2 * model.config.mlp_hidden
+        assert model.head.W.shape[0] == 2 * model.config.mlp_hidden
 
     def test_mlp_only_ignores_text(self):
         model = build_variant(small_config(), "mlp")
@@ -170,7 +170,7 @@ class TestProperties:
         model.head.b[...] = 0.0
         rng = Rng(6).child(1)
         for seed in range(10):
-            c = rng.normal((1, model.head.in_dim))
+            c = rng.normal((1, model.head.W.shape[0]))
             logits1, _ = model.head.forward(c)
             logits2, _ = model.head.forward(3.7 * c)
             assert int(np.argmax(logits1)) == int(np.argmax(logits2))
@@ -187,6 +187,28 @@ def assert_blocks_tile(blocks, vec):
         vec[...] = marker
     assert sum(arr.size for _, arr in blocks) == vec.size
     assert np.all(owner == 1)
+
+
+def view_geometry(arr, vec):
+    """Shape, strides and byte offset of ``arr``, a view of ``vec``."""
+    assert np.shares_memory(arr, vec)
+    offset = arr.__array_interface__["data"][0] - vec.__array_interface__["data"][0]
+    return arr.shape, arr.strides, offset
+
+
+@pytest.mark.parametrize("variant", ["fusion", "text", "mlp"])
+def test_grad_and_param_blocks_share_their_geometry(variant):
+    # The clipping norm sums grad_blocks' views one by one: a block seen
+    # through other strides could sum in another order and change its bits.
+    model = build_variant(small_config(), variant)
+    vec = np.zeros_like(model.theta)
+    named = model.param_blocks(vec)
+    params = {name: view_geometry(arr, vec) for name, arr in named}
+    grads = {name: view_geometry(arr, vec) for name, arr in model.grad_blocks(vec).items()}
+    assert len(params) == len(named) and grads == params
+    # Both lay a vector out as the model's own blocks lay out theta.
+    assert [name for name, _ in named] == [name for name, _ in model.param_blocks()]
+    assert params == {name: view_geometry(arr, model.theta) for name, arr in model.param_blocks()}
 
 
 class TestSaveLoad:

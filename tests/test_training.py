@@ -185,7 +185,7 @@ def test_a_non_finite_gradient_norm_aborts_training(monkeypatch, rig, message):
 
     monkeypatch.setattr(training, "_batch_gradients", rigged)
     data = toy_tabular(n_per_class=8)
-    with np.errstate(over="ignore"), pytest.raises(TrainingAbort, match=f"^{re.escape(message)}$"):
+    with pytest.raises(TrainingAbort, match=f"^{re.escape(message)}$"):
         train(build_variant(toy_config(), "mlp"), data, data, TrainConfig(epochs=1, batch_size=4))
 
 

@@ -228,7 +228,7 @@ def test_selection_keeps_the_first_row_of_a_repeated_word(tmp_path, monkeypatch)
     table = load_vec_file(path, only=["w10", "w5", "w1501"])
     assert list(table.vocab) == ["w5", "w10", "w1501"]
     for word in table.vocab:
-        assert table.lookup(word).tobytes() == full.lookup(word).tobytes()
+        assert table.matrix[table.vocab[word]].tobytes() == full.matrix[full.vocab[word]].tobytes()
     # A malformed row later in the block is the error, not the repeat's value.
     path = write_vec(tmp_path / "short.vec", rows, 4, bad={31: "non-numeric", 500: "short"})
     assert outcome(load_vec_file, path, only=["w10", "w5", "w1501"]) == (
@@ -444,7 +444,7 @@ def test_wanted_words_of_a_byte_length_and_first_byte_that_most_rows_share(tmp_p
     assert got == outcome(reference_load_vec_file, path, only=only)
     assert [word for word, _ in got[0]] == ["w0000", "w1023", "w1024", "w1200", "w1999"]
     for (word, i) in got[0]:
-        assert got[2][i * 24:(i + 1) * 24] == full.lookup(word).tobytes()
+        assert got[2][i * 24:(i + 1) * 24] == full.matrix[full.vocab[word]].tobytes()
 
 
 def test_a_tab_or_other_control_character_inside_a_word(tmp_path, monkeypatch):
