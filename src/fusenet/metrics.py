@@ -18,39 +18,33 @@ import numpy as np
 
 from .dataset import CLASS_NAMES, PreparedDataset, is_finite_number
 from .layers import AllMaskedError, live_lengths
-from .model import NON_FINITE_PROBS, FusionModel, encode_text, forward, topk_indices
+from .model import NON_FINITE_PROBS, FusionModel, encode_text, forward
 from .parallel import ordered_map
 
 REPORT_VERSION = 1
-SCORE_CHUNK = 64  # rows per cache-free forward when scoring a dataset
+SCORE_CHUNK = 64  # text entries per encoder call when scoring a dataset
+ROW_CHUNK = 256  # rows per cache-free forward when scoring a dataset
 
 
 class ReportError(ValueError):
     """An inconsistent report, or report JSON with a missing or mistyped field."""
 
 
-def _hits(preds, labels) -> np.ndarray:
-    """Whether each case's label is among its predicted classes, one bool per case.
-
-    ``preds`` is (n, k) class indices, as ``model.topk_indices`` ranks them,
-    or n lists of k; a row that repeats a class is a ValueError naming it.
-    """
-    preds, labels = np.asarray(preds), np.asarray(labels)
-    # A flat list would broadcast against the labels into a wrong count.
-    if len(preds) != len(labels) or (preds.ndim != 2 and preds.size):
-        raise ValueError(f"predictions {preds.shape} vs {len(labels)} labels: "
-                         "expected one list of k classes per label")
-    ranked = np.sort(preds, axis=-1)
-    repeats = np.flatnonzero((ranked[..., 1:] == ranked[..., :-1]).any(axis=-1))
-    if len(repeats):
-        raise ValueError(f"prediction {repeats[0]} repeats a class: {preds[repeats[0]].tolist()}")
-    return (preds == labels[:, None]).any(axis=-1)
+def true_class_ranks(probs: np.ndarray, labels) -> np.ndarray:
+    """Each row's true-class position in ``model.topk_indices``' ranking of
+    finite (n, C) ``probs``: the classes with a higher probability plus the
+    equal ones with a lower index. A label is in the top k iff its rank < k."""
+    labels = np.asarray(labels)
+    true = np.take_along_axis(probs, labels[:, None], axis=1)
+    before = np.arange(probs.shape[1]) < labels[:, None]
+    return np.count_nonzero((probs > true) | (before & (probs == true)), axis=1)
 
 
-def topk_accuracy(preds, labels) -> float:
-    if len(labels) == 0:
+def topk_accuracy(ranks, k: int) -> float:
+    """The fraction of cases whose true-class rank is below ``k``."""
+    if len(ranks) == 0:
         raise ValueError("top-k accuracy of an empty set is undefined")
-    return int(np.count_nonzero(_hits(preds, labels))) / len(labels)
+    return int(np.count_nonzero(np.asarray(ranks) < k)) / len(ranks)
 
 
 @dataclass
@@ -78,24 +72,28 @@ class EvalReport:
                 raise ReportError(f"recall out of range: {recall}")
 
 
-def compute_report(preds, labels, k: int, class_names=CLASS_NAMES) -> EvalReport:
-    """Aggregate predictions into an EvalReport (identity-checked).
-
-    ``preds`` is (n, k) class indices (see ``_hits``). Two counts per
-    class, its cases and its top-k hits, give its recall (None when it
-    has no cases) and the accuracy, the fraction topk_accuracy gives. A
-    label outside [0, len(class_names)) is a ValueError naming its row.
-    """
-    labels = np.asarray(labels)
+def compute_report(ranks, labels, k: int, class_names=CLASS_NAMES) -> EvalReport:
+    """Aggregate true-class ranks (``true_class_ranks``) into an EvalReport
+    (identity-checked). A rank below ``k`` is a hit. Two counts per class,
+    its cases and its hits, give its recall (None when it has no cases) and
+    the accuracy, the fraction topk_accuracy gives. A ``k`` outside [1, C],
+    or a label or rank outside [0, C), is a ValueError naming its row; C is
+    ``len(class_names)``."""
+    ranks, labels = np.asarray(ranks), np.asarray(labels)
     if len(labels) == 0:
         raise ValueError("cannot build a report from an empty set")
     classes = len(class_names)
-    bad = np.flatnonzero((labels < 0) | (labels >= classes))
-    if len(bad):
-        raise ValueError(f"label {labels[bad[0]]} of row {bad[0]} is not in [0, {classes})")
-    hits = _hits(preds, labels)
+    if not 1 <= k <= classes:
+        raise ValueError(f"k must be in [1, {classes}], got {k}")
+    if ranks.shape != labels.shape:  # a (n, 1) column would broadcast into a wrong count
+        raise ValueError(f"ranks {ranks.shape} vs labels {labels.shape}: "
+                         "expected one rank per label")
+    for what, values in (("label", labels), ("rank", ranks)):
+        bad = np.flatnonzero((values < 0) | (values >= classes))
+        if len(bad):
+            raise ValueError(f"{what} {values[bad[0]]} of row {bad[0]} is not in [0, {classes})")
     n_k = np.bincount(labels, minlength=classes).tolist()
-    hit_k = np.bincount(labels[hits], minlength=classes).tolist()
+    hit_k = np.bincount(labels[ranks < k], minlength=classes).tolist()
     return EvalReport(
         k=k,
         n=len(labels),
@@ -106,17 +104,15 @@ def compute_report(preds, labels, k: int, class_names=CLASS_NAMES) -> EvalReport
     )
 
 
-def chunk_bounds(n: int) -> list[tuple[int, int]]:
-    """(start, stop) of each scoring chunk of ``n`` rows, SCORE_CHUNK rows each.
-
-    When the last chunk would hold one row, the last SCORE_CHUNK + 1 rows
-    split into two chunks instead: numpy sends a one-row product to gemv,
+def chunk_bounds(n: int, size: int = SCORE_CHUNK) -> list[tuple[int, int]]:
+    """(start, stop) of each chunk of ``n`` rows (``size`` ROW_CHUNK) or
+    encoder entries (SCORE_CHUNK). When the last would hold one, the last
+    ``size`` + 1 split in two instead: numpy sends a one-row product to gemv,
     whose sums can differ in the last bit from the gemm of a larger chunk.
-    So a row is scored alone only when ``n`` is 1.
-    """
-    bounds = [*range(0, n, SCORE_CHUNK), n]
+    So nothing is scored alone unless ``n`` is 1."""
+    bounds = [*range(0, n, size), n]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        bounds[-2] -= SCORE_CHUNK // 2
+        bounds[-2] -= size // 2
     return list(zip(bounds, bounds[1:]))
 
 
@@ -174,20 +170,22 @@ def predict_all(model: FusionModel, data: PreparedDataset) -> np.ndarray:
 
     The text branch runs once per entry of ``data.texts`` that a row's
     ``groups`` value names (``check_inputs`` checks no other), by
-    ``encode_text``, which keeps no backward cache, in ``chunk_bounds``
-    chunks in a stable sort by live length (``layers.live_lengths``: 1 +
-    an entry's last position whose mask entry is true or whose vector is
-    non-zero). Each chunk's encoder then runs only to its longest entry
-    L, its backward direction starting from the state T-L trailing
-    zero-input steps reach (``BiLstmEncoder.padding_states``, run once
-    per call for the T-m steps the chunks read, m being the shortest
-    chunk's longest entry). A lone entry among several rows is encoded
-    twice, as no chunk may hold one row. Then the rows are scored in
-    ``chunk_bounds`` chunks in row order, by ``forward`` with each row's
+    ``encode_text``, which keeps no backward cache, in SCORE_CHUNK-entry
+    ``chunk_bounds`` chunks in a stable sort by live length
+    (``layers.live_lengths``: 1 + an entry's last position whose mask
+    entry is true or whose vector is non-zero). Each chunk's encoder then
+    runs only to its longest entry L, its backward direction starting
+    from the state T-L trailing zero-input steps reach
+    (``BiLstmEncoder.padding_states``, run once per call for the T-m steps
+    the chunks read, m being the shortest chunk's longest entry). A lone
+    entry among several rows is encoded twice, as no chunk may hold one
+    row. Then the rows are scored in
+    ROW_CHUNK-row chunks in row order, by ``forward`` with each row's
     entry's text features, into one preallocated array. So each row's
-    probabilities are bit-identical to its row of ``forward`` of its
-    chunk's sequences, which runs every timestep. A row whose
-    probabilities are not all finite is a ValueError naming its example.
+    probabilities are bit-identical to its row of ``forward`` of the
+    sequences of any chunk of two or more rows that holds it, which runs
+    every timestep. A row whose probabilities are not all finite is a
+    ValueError naming its example.
     """
     check_inputs(model, data, "data")
     encoded = None
@@ -217,7 +215,7 @@ def predict_all(model: FusionModel, data: PreparedDataset) -> np.ndarray:
         probs[rows] = forward(model, data.num[rows], data.cat[rows],
                               text=None if encoded is None else encoded[data.groups[rows]])[0]
 
-    ordered_map(score, chunk_bounds(len(data)))
+    ordered_map(score, chunk_bounds(len(data), ROW_CHUNK))
     if not np.isfinite(probs).all():
         bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))[0]
         raise ValueError(f"example {data.ids[bad]}: {NON_FINITE_PROBS}")
@@ -226,10 +224,10 @@ def predict_all(model: FusionModel, data: PreparedDataset) -> np.ndarray:
 
 def report(model: FusionModel, prepared: PreparedDataset, k: int = 3,
            class_names=CLASS_NAMES) -> EvalReport:
-    """Predict every example (see predict_all), rank each row's top ``k``
-    (``model.topk_indices``) and aggregate."""
-    return compute_report(topk_indices(predict_all(model, prepared), k), prepared.labels, k,
-                          class_names)
+    """Predict every example (see predict_all), rank each row's true class
+    (``true_class_ranks``) and count its top-``k`` hits (``compute_report``)."""
+    ranks = true_class_ranks(predict_all(model, prepared), prepared.labels)
+    return compute_report(ranks, prepared.labels, k, class_names)
 
 
 def to_json(rep: EvalReport) -> dict:

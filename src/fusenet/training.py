@@ -27,9 +27,8 @@ import numpy as np
 
 from .dataset import PreparedDataset
 from .embeddings import EmbeddedSequence
-from .metrics import check_inputs, predict_all, topk_accuracy
-from .model import (FusionModel, ModelConfig, backward, build_variant, clone, forward,
-                    topk_indices)
+from .metrics import check_inputs, predict_all, topk_accuracy, true_class_ranks
+from .model import FusionModel, ModelConfig, backward, build_variant, clone, forward
 from .numcore import Rng
 
 GRAD_EPS = 1e-8  # denominator floor in relative-error comparisons
@@ -188,7 +187,7 @@ def clip_grads_(grads: dict[str, np.ndarray], max_norm: float,
 
 
 def _validation_topk_accuracy(model: FusionModel, data: PreparedDataset, k: int) -> float:
-    return topk_accuracy(topk_indices(predict_all(model, data), k), data.labels)
+    return topk_accuracy(true_class_ranks(predict_all(model, data), data.labels), k)
 
 
 def _batch_gradients(model: FusionModel, data: PreparedDataset, rows: np.ndarray,

@@ -172,11 +172,17 @@ def test_criterion_4_metric_exactness(ordering_runs, blindspot_runs):
     rng = Rng(404)
     for _ in range(500):
         n = int(rng.integers(1, 50))
-        preds = [[int(c) for c in rng.permutation(13)[:3]] for _ in range(n)]
+        orders = [rng.permutation(13) for _ in range(n)]
+        preds = [[int(c) for c in order[:3]] for order in orders]
         labels = [int(rng.integers(0, 13)) for _ in range(n)]
-        assert metrics.topk_accuracy(preds, labels) == oracle_accuracy(preds, labels)
+        # Each row's probabilities rank its classes in its drawn order.
+        probs = np.zeros((n, 13))
+        for row, order in zip(probs, orders):
+            row[order] = np.arange(13, 0, -1) / 13
+        ranks = metrics.true_class_ranks(probs, labels)
+        assert metrics.topk_accuracy(ranks, 3) == oracle_accuracy(preds, labels)
         cls = int(rng.integers(0, 13))
-        recall = metrics.compute_report(preds, labels, 3).per_class_recall[cls]
+        recall = metrics.compute_report(ranks, labels, 3).per_class_recall[cls]
         assert recall == oracle_recall(preds, labels, cls)
 
     # The weighted identity holds on every report this suite generated.

@@ -200,7 +200,7 @@ def test_tracer_installs_every_target():
     spans = result["spans"]
     assert {"model.forward", "layers.bilstm.fwd", "layers.attention.fwd",
             "layers.dense.fwd"} <= set(spans)
-    # metrics.report maps its two chunks (SCORE_CHUNK and 8 rows) through parallel.ordered_map,
-    # the span the benchmark's eval-bulk attribution reads.
+    # metrics.report maps its one chunk (SCORE_CHUNK + 8 rows, under ROW_CHUNK) through
+    # parallel.ordered_map, the span the benchmark's eval-bulk attribution reads.
     assert spans.count("metrics.report") == 1 and spans.count("parallel.ordered_map") == 1
-    assert spans.count("model.forward") == 1 + 2
+    assert spans.count("model.forward") == 1 + 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -770,7 +771,7 @@ def test_a_damaged_input_is_one_error_naming_its_flag_and_path(workspace, tmp_pa
     flag, name, content, argv = DAMAGED_INPUTS[case]
     (tmp_path / "features.json").write_text(
         json.dumps({"numerical": [0.0] * 20, "categorical": []}))
-    report = metrics.compute_report([[0, 1, 2]], np.array([0]), 3)
+    report = metrics.compute_report(np.array([0]), np.array([0]), 3)
     (tmp_path / "report.json").write_text(json.dumps(metrics.to_json(report)))
     (tmp_path / "m.afn").write_bytes(open(workspace["checkpoints"]["mlp"], "rb").read())
     bad = tmp_path / name
@@ -972,3 +973,31 @@ def test_unknown_flag_prints_the_subcommand_usage(capsys, command):
     assert captured.err.startswith(f"usage: fusenet {command} ")
     assert captured.err.splitlines()[-1] == (
         f"fusenet {command}: error: unrecognized arguments: --bogus 1")
+
+
+# SHA-256 of the README quickstart's fusion report over every row
+# (``eval --split all --out``) at each k. The benchmark compares eval's
+# report with an in-process metrics.report, and both run the same
+# scoring code, so only a pin catches a change to either's bytes.
+QUICKSTART_REPORT_SHA256 = {
+    1: "fc428967ea898cd66e390955de9e3178202b40f64d4cc05b41ecc57b8a4dfb79",
+    3: "882a5ce696528047b1faebf98fad99599952de2399654f33f5b57517087e4503",
+    13: "9435e72fffa1430ab3c0daf73b40bfee9309f1a3a6aa75adc9164fe9ffc30ccb",
+}
+
+
+def test_quickstart_reports_are_pinned(tmp_path, capsys):
+    data, vec, model = (str(tmp_path / name) for name in ("data.jsonl", "emb.vec", "fusion.afn"))
+    assert cli.main(["synth", "--out", data, "--n", "1300", "--noise", "0.05", "--seed", "5",
+                     "--vec-out", vec, "--vec-dim", "16"]) == 0
+    assert cli.main(["train", "--data", data, "--variant", "fusion", "--embeddings", vec,
+                     "--out", model, "--epochs", "10", "--lr", "3e-3", "--seed", "0",
+                     "--lstm-hidden", "32", "--mlp-hidden", "32", "--max-seq-len", "20"]) == 0
+    digests = {}
+    for k in QUICKSTART_REPORT_SHA256:
+        out = tmp_path / f"all{k}.report.json"
+        assert cli.main(["eval", "--model", model, "--data", data, "--embeddings", vec,
+                         "--split", "all", "--k", str(k), "--out", str(out)]) == 0
+        digests[k] = hashlib.sha256(out.read_bytes()).hexdigest()
+    capsys.readouterr()
+    assert digests == QUICKSTART_REPORT_SHA256

@@ -9,7 +9,7 @@ from fusenet.dataset import CLASS_NAMES, PreparedDataset
 from fusenet.embeddings import EmbeddedSequence
 from fusenet.layers import AllMaskedError
 from fusenet.metrics import (EvalReport, ReportError, compute_report, from_json, to_json,
-                             topk_accuracy)
+                             topk_accuracy, true_class_ranks)
 from fusenet.model import (ModelConfig, backward, build_variant, encode_text, forward,
                            predict_topk, topk_indices)
 from fusenet.numcore import Rng
@@ -47,75 +47,74 @@ def brute_force_accuracy(preds, labels):
 
 
 def random_prediction_set(rng, n, k=3, num_classes=13):
-    preds = []
-    labels = []
-    for _ in range(n):
-        order = rng.permutation(num_classes)
-        preds.append([int(c) for c in order[:k]])
-        labels.append(int(rng.integers(0, num_classes)))
-    return preds, labels
+    """n rows of probabilities, the top-k list of each (ranked in Python:
+    largest first, ties to the lower index) and n labels. Probabilities
+    are multiples of 1/5, so exact ties are common."""
+    probs = rng.integers(0, 6, (n, num_classes)) / 5.0
+    preds = [sorted(range(num_classes), key=lambda c: (-row[c], c))[:k]
+             for row in probs.tolist()]
+    labels = [int(rng.integers(0, num_classes)) for _ in range(n)]
+    return true_class_ranks(probs, labels), preds, labels
 
 
-def recall(preds, labels, class_idx):
+def recall(ranks, labels, class_idx, k=3):
     """The top-k recall of ``class_idx`` as its report counts it."""
-    return compute_report(preds, labels, len(preds[0])).per_class_recall[class_idx]
+    return compute_report(ranks, labels, k).per_class_recall[class_idx]
 
 
 class TestRecall:
     def test_all_hits(self):
-        preds = [[2, 0, 1]] * 4
+        ranks = [0, 2, 1, 0]
         labels = [2] * 4
-        assert recall(preds, labels, 2) == 1.0
+        assert recall(ranks, labels, 2) == 1.0
 
     def test_no_hits(self):
-        preds = [[0, 1, 3]] * 4
+        ranks = [3, 12, 5, 3]
         labels = [2] * 4
-        assert recall(preds, labels, 2) == 0.0
+        assert recall(ranks, labels, 2) == 0.0
 
     def test_absent_class_is_undefined_not_zero(self):
-        preds = [[0, 1, 2]]
+        ranks = [0]
         labels = [0]
-        assert recall(preds, labels, 5) is None
+        assert recall(ranks, labels, 5) is None
 
     def test_matches_enumeration_oracle(self):
         rng = Rng(51)
         for _ in range(500):
-            preds, labels = random_prediction_set(rng, int(rng.integers(1, 40)))
+            ranks, preds, labels = random_prediction_set(rng, int(rng.integers(1, 40)))
             cls = int(rng.integers(0, 13))
-            assert recall(preds, labels, cls) == brute_force_recall(preds, labels, cls)
-
-    def test_duplicate_prediction_rejected(self):
-        with pytest.raises(ValueError):
-            recall([[1, 1, 2]], [1], 1)
+            assert recall(ranks, labels, cls) == brute_force_recall(preds, labels, cls)
 
 
 class TestAccuracy:
     def test_three_of_four(self):
-        preds = [[0, 1, 2], [0, 1, 2], [0, 1, 2], [0, 1, 2]]
+        probs = np.tile([0.5, 0.3, 0.2] + [0.0] * 10, (4, 1))
         labels = [0, 1, 2, 5]
-        assert topk_accuracy(preds, labels) == 0.75
+        ranks = true_class_ranks(probs, labels)
+        assert ranks.tolist() == [0, 1, 2, 5]
+        assert topk_accuracy(ranks, 3) == 0.75
 
     def test_k_spanning_all_classes_is_one(self):
         rng = Rng(52)
-        preds, labels = random_prediction_set(rng, 50, k=13)
-        assert topk_accuracy(preds, labels) == 1.0
+        ranks, _, _ = random_prediction_set(rng, 50, k=13)
+        assert topk_accuracy(ranks, 13) == 1.0
 
     def test_matches_enumeration_oracle(self):
         rng = Rng(53)
         for _ in range(500):
-            preds, labels = random_prediction_set(rng, int(rng.integers(1, 40)))
-            assert topk_accuracy(preds, labels) == brute_force_accuracy(preds, labels)
+            ranks, preds, labels = random_prediction_set(rng, int(rng.integers(1, 40)))
+            assert topk_accuracy(ranks, 3) == brute_force_accuracy(preds, labels)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            topk_accuracy([], [])
+            topk_accuracy([], 3)
 
 
 class TestReport:
     def test_single_class_dataset(self):
-        preds = [[4, 1, 2], [4, 0, 3], [5, 6, 7]]
+        ranks = [0, 2, 3]
         labels = [4, 4, 4]
-        rep = compute_report(preds, labels, k=3)
+        rep = compute_report(ranks, labels, k=3)
         assert rep.per_class_recall[rep.class_names.index(CLASS_NAMES[4])] == pytest.approx(2 / 3)
         assert rep.accuracy == pytest.approx(2 / 3)
         for idx, recall in enumerate(rep.per_class_recall):
@@ -125,8 +124,8 @@ class TestReport:
     def test_weighted_identity_holds_exactly(self):
         rng = Rng(54)
         for _ in range(100):
-            preds, labels = random_prediction_set(rng, int(rng.integers(5, 60)))
-            rep = compute_report(preds, labels, k=3)
+            ranks, _, labels = random_prediction_set(rng, int(rng.integers(5, 60)))
+            rep = compute_report(ranks, labels, k=3)
             weighted = sum(
                 (nk / rep.n) * r
                 for nk, r in zip(rep.n_k, rep.per_class_recall) if r is not None
@@ -136,33 +135,40 @@ class TestReport:
     def test_counts_match_the_enumeration_oracles_exactly(self):
         rng = Rng(58)
         for _ in range(50):
-            preds, labels = random_prediction_set(rng, int(rng.integers(1, 60)))
-            rep = compute_report(preds, labels, k=3)
+            ranks, preds, labels = random_prediction_set(rng, int(rng.integers(1, 60)))
+            rep = compute_report(ranks, labels, k=3)
             assert rep.n_k == [labels.count(idx) for idx in range(13)]
             assert rep.per_class_recall == [brute_force_recall(preds, labels, idx)
                                             for idx in range(13)]
-            assert rep.accuracy == topk_accuracy(preds, labels)
+            assert rep.accuracy == topk_accuracy(ranks, 3)
+            assert rep.accuracy == brute_force_accuracy(preds, labels)
 
-    def test_repeated_class_in_a_prediction_rejected(self):
-        with pytest.raises(ValueError, match="repeats a class"):
-            compute_report([[0, 1, 2], [3, 3, 4]], [0, 3], k=3)
+    @pytest.mark.parametrize("rank", [-1, 13])
+    def test_a_rank_outside_the_classes_names_its_row(self, rank):
+        with pytest.raises(ValueError, match=rf"^rank {rank} of row 1 is not in \[0, 13\)$"):
+            compute_report([0, rank], [0, 3], k=3)
 
     @pytest.mark.parametrize("label", [-1, 13])
     def test_a_label_outside_the_classes_names_its_row(self, label):
         # -1 was counted as the last class, and 13 raised a bare IndexError.
         with pytest.raises(ValueError, match=rf"^label {label} of row 1 is not in \[0, 13\)$"):
-            compute_report([[0, 1, 2], [3, 4, 5]], [0, label], k=3)
+            compute_report([0, 1], [0, label], k=3)
 
-    @pytest.mark.parametrize("preds", [[0, 1], [[0, 1, 2]]], ids=["flat", "short"])
-    def test_predictions_must_be_one_list_per_label(self, preds):
-        with pytest.raises(ValueError, match="one list of k classes per label"):
-            compute_report(preds, [0, 1], k=1)
+    @pytest.mark.parametrize("ranks", [[[0], [1]], [0]], ids=["column", "short"])
+    def test_ranks_must_be_one_per_label(self, ranks):
+        with pytest.raises(ValueError, match="expected one rank per label"):
+            compute_report(ranks, [0, 1], k=1)
+
+    @pytest.mark.parametrize("k", [0, 14])
+    def test_k_outside_the_classes_rejected(self, k):
+        with pytest.raises(ValueError, match=rf"^k must be in \[1, 13\], got {k}$"):
+            compute_report([0], [0], k=k)
 
     def test_counts_a_ranked_array_as_its_lists(self):
         rng = Rng(59)
-        preds, labels = random_prediction_set(rng, 40)
-        assert compute_report(np.array(preds), np.array(labels), k=3) == compute_report(
-            preds, labels, k=3)
+        ranks, _, labels = random_prediction_set(rng, 40)
+        assert compute_report(ranks, np.array(labels), k=3) == compute_report(
+            ranks.tolist(), labels, k=3)
 
     def test_identity_violation_rejected(self):
         with pytest.raises(ValueError, match="identity"):
@@ -175,27 +181,25 @@ class TestReport:
             n = int(rng.integers(5, 40))
             probs = rng.random((n, 13))
             labels = [int(rng.integers(0, 13)) for _ in range(n)]
-            accs = []
-            for k in (1, 2, 3, 4):
-                preds = [list(np.argsort(-p, kind="stable")[:k]) for p in probs]
-                accs.append(topk_accuracy(preds, labels))
+            ranks = true_class_ranks(probs, labels)
+            accs = [topk_accuracy(ranks, k) for k in (1, 2, 3, 4)]
             assert all(accs[i + 1] >= accs[i] for i in range(3))
 
     def test_permutation_invariance(self):
         rng = Rng(56)
-        preds, labels = random_prediction_set(rng, 30)
-        rep1 = compute_report(preds, labels, k=3)
+        ranks, _, labels = random_prediction_set(rng, 30)
+        rep1 = compute_report(ranks, labels, k=3)
         order = rng.permutation(30)
-        preds2 = [preds[int(i)] for i in order]
+        ranks2 = [ranks[int(i)] for i in order]
         labels2 = [labels[int(i)] for i in order]
-        rep2 = compute_report(preds2, labels2, k=3)
+        rep2 = compute_report(ranks2, labels2, k=3)
         assert rep1.accuracy == rep2.accuracy
         assert rep1.per_class_recall == rep2.per_class_recall
 
     def test_json_round_trip(self):
         rng = Rng(57)
-        preds, labels = random_prediction_set(rng, 40)
-        rep = compute_report(preds, labels, k=3)
+        ranks, _, labels = random_prediction_set(rng, 40)
+        rep = compute_report(ranks, labels, k=3)
         doc = json.loads(json.dumps(to_json(rep)))
         clone = from_json(doc)
         assert clone == rep
@@ -209,7 +213,7 @@ class TestReport:
     ], ids=["no-per_class", "no-k", "no-n", "no-accuracy", "entry-without-recall",
             "string-k", "zero-n", "string-accuracy", "nan-accuracy", "string-recall"])
     def test_json_missing_or_mistyped_field_named(self, field, value):
-        doc = to_json(compute_report([[0, 1, 2]], [0], k=3))
+        doc = to_json(compute_report([0], [0], k=3))
         if value is None:
             del doc[field]
         else:
@@ -218,7 +222,7 @@ class TestReport:
             from_json(doc)
 
     def test_json_version_checked(self):
-        rep = compute_report([[0, 1, 2]], [0], k=3)
+        rep = compute_report([0], [0], k=3)
         doc = to_json(rep)
         doc["version"] = 99
         with pytest.raises(ValueError):
@@ -272,8 +276,44 @@ def test_report_scores_chunks_and_matches_one_example_predictions(monkeypatch, v
 
     monkeypatch.setattr(metrics, "forward", counting_forward)
     assert topk_indices(metrics.predict_all(model, data), 3).tolist() == expected
-    assert batch_rows == [metrics.SCORE_CHUNK, 8]
-    assert metrics.report(model, data, k=3) == compute_report(expected, data.labels, 3)
+    assert batch_rows == [metrics.SCORE_CHUNK + 8]  # one chunk of up to ROW_CHUNK rows
+    ranks = true_class_ranks(np.array([pred.probs for pred in one]), data.labels)
+    assert metrics.report(model, data, k=3) == compute_report(ranks, data.labels, 3)
+
+
+def assert_ranks_are_topk_positions(probs, labels):
+    """For every k, rank < k exactly when the label is in topk_indices' k."""
+    __tracebackhide__ = True
+    ranks = true_class_ranks(probs, labels)
+    for k in range(1, probs.shape[1] + 1):
+        expected = [int(y) in top for y, top in zip(labels, topk_indices(probs, k).tolist())]
+        assert (ranks < k).tolist() == expected, k
+
+
+@pytest.mark.parametrize("variant", ["fusion", "text", "mlp"])
+def test_true_class_ranks_are_topk_positions_of_scored_rows(variant):
+    model, data = ragged_fusion_set(90, variant=variant)
+    assert_ranks_are_topk_positions(metrics.predict_all(model, data), data.labels)
+
+
+def test_true_class_ranks_are_topk_positions_with_ties_duplicates_and_zeros():
+    rng = Rng(61)
+    coarse = rng.integers(0, 4, (40, 13)) / 3.0  # exact ties, zeros and ones
+    rows = np.concatenate([coarse, coarse[:10], np.zeros((3, 13)), np.eye(13)[:4]])
+    rows[5] = rows[6]  # a duplicated row inside the block as well
+    labels = rng.integers(0, 13, len(rows))
+    labels[-7:] = [0, 12, 6, 0, 1, 2, 5]  # all-zero rows and one-hot rows
+    assert_ranks_are_topk_positions(rows, labels)
+    # Each label of one row: its rank is its position in the stable ranking.
+    order = topk_indices(rows[:1], 13)[0]
+    assert true_class_ranks(np.repeat(rows[:1], 13, axis=0), order).tolist() == list(range(13))
+
+
+@pytest.mark.parametrize("k", [0, 14])
+def test_report_refuses_a_k_outside_the_classes(k):
+    model, data = ragged_fusion_set()
+    with pytest.raises(ValueError, match=rf"^k must be in \[1, 13\], got {k}$"):
+        metrics.report(model, data, k=k)
 
 
 def test_cache_free_forward_scores_bit_identically_and_cannot_run_backward():
@@ -290,8 +330,11 @@ def test_cache_free_forward_scores_bit_identically_and_cannot_run_backward():
 def test_validation_accuracy_is_topk_accuracy_of_the_same_predictions():
     model, data = ragged_fusion_set()
     accuracy = _validation_topk_accuracy(model, data, 3)
-    expected = [pred.top_k for pred in one_at_a_time(model, data, 3)]
-    assert accuracy == topk_accuracy(expected, data.labels)
+    one = one_at_a_time(model, data, 3)
+    hits = sum(int(y) in pred.top_k for y, pred in zip(data.labels, one))
+    assert accuracy == hits / len(data)
+    ranks = true_class_ranks(np.array([pred.probs for pred in one]), data.labels)
+    assert accuracy == topk_accuracy(ranks, 3)
 
 
 def test_report_names_an_all_masked_example():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fusenet import model as model_module
-from fusenet import training
+from fusenet import metrics, training
 from fusenet.dataset import PreparedDataset
 from fusenet.embeddings import EmbeddedSequence
 from fusenet.model import ModelConfig, build_variant, clone, forward, save, topk_indices
@@ -211,11 +211,13 @@ def test_train_hands_clipping_one_gradient_buffer(monkeypatch):
 def test_training_ranks_top_k_only_while_validating(monkeypatch):
     calls = {"validation": 0, "training": 0}
     validating = []
-    rank, validate = model_module.topk_indices, training._validation_topk_accuracy
+    validate = training._validation_topk_accuracy
 
-    def counting_rank(*args):
-        calls["validation" if validating else "training"] += 1
-        return rank(*args)
+    def counting(rank):
+        def counting_rank(*args):
+            calls["validation" if validating else "training"] += 1
+            return rank(*args)
+        return counting_rank
 
     def flagged_validate(*args):
         validating.append(True)
@@ -224,8 +226,9 @@ def test_training_ranks_top_k_only_while_validating(monkeypatch):
         finally:
             validating.pop()
 
-    monkeypatch.setattr(model_module, "topk_indices", counting_rank)
-    monkeypatch.setattr(training, "topk_indices", counting_rank)
+    monkeypatch.setattr(model_module, "topk_indices", counting(model_module.topk_indices))
+    monkeypatch.setattr(metrics, "true_class_ranks", counting(metrics.true_class_ranks))
+    monkeypatch.setattr(training, "true_class_ranks", counting(training.true_class_ranks))
     monkeypatch.setattr(training, "_validation_topk_accuracy", flagged_validate)
     data = toy_tabular(n_per_class=8)
     train(build_variant(toy_config(), "mlp"), data, data, TrainConfig(epochs=1, batch_size=4))

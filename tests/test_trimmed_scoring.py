@@ -17,7 +17,7 @@ from fusenet import metrics
 from fusenet.dataset import PreparedDataset
 from fusenet.embeddings import EmbeddedSequence
 from fusenet.layers import AllMaskedError, BiLstmEncoder, live_lengths
-from fusenet.metrics import compute_report, topk_accuracy
+from fusenet.metrics import compute_report, topk_accuracy, true_class_ranks
 from fusenet.model import ModelConfig, build_variant, encode_text, forward, topk_indices
 from fusenet.numcore import Rng
 from fusenet.training import _validation_topk_accuracy
@@ -68,13 +68,16 @@ def scored(model, data, size):
     return free, kept
 
 
+def row_order_probs(model, data):
+    """Probabilities of every row from untrimmed forwards of SCORE_CHUNK rows in row order."""
+    size = metrics.SCORE_CHUNK
+    return np.concatenate([forward(model, *data.inputs(model, slice(start, start + size)))[0]
+                           for start in range(0, len(data), size)])
+
+
 def row_order_oracle(model, data, k=3):
     """Top-k of every row from untrimmed forwards of SCORE_CHUNK rows in row order."""
-    tops = []
-    for start in range(0, len(data), metrics.SCORE_CHUNK):
-        rows = slice(start, start + metrics.SCORE_CHUNK)
-        tops += topk_indices(forward(model, *data.inputs(model, rows))[0], k).tolist()
-    return tops
+    return topk_indices(row_order_probs(model, data), k).tolist()
 
 
 def test_live_lengths_count_true_mask_entries_and_non_zero_vectors():
@@ -117,8 +120,8 @@ def test_one_example_forward_equals_the_untrimmed_forward_bit_for_bit(variant):
 HALF = metrics.SCORE_CHUNK // 2
 
 
-@pytest.mark.parametrize("n, chunks", [(70, [metrics.SCORE_CHUNK, 6]),
-                                       (metrics.SCORE_CHUNK + 1, [HALF, HALF + 1])],
+@pytest.mark.parametrize("n, chunks", [(70, [70]),
+                                       (metrics.SCORE_CHUNK + 1, [metrics.SCORE_CHUNK + 1])],
                          ids=["70", str(metrics.SCORE_CHUNK + 1)])
 def test_predict_all_returns_rows_in_row_order(monkeypatch, n, chunks):
     model, data = ragged_set("fusion", n=n)
@@ -215,11 +218,63 @@ def test_chunk_bounds_leave_no_row_alone():
     assert metrics.chunk_bounds(2 * c + 1) == [(0, c), (c, c + HALF), (c + HALF, 2 * c + 1)]
 
 
+def first_rows(data, n):
+    """The first ``n`` rows of ``data``, each with its own entry."""
+    return PreparedDataset(ids=data.ids[:n], labels=data.labels[:n], num=data.num[:n],
+                           cat=data.cat[:n], texts=data.texts[:n], groups=np.arange(n))
+
+
+@pytest.fixture(scope="module")
+def ragged_1560():
+    return ragged_set("fusion", n=1560)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 255, 256, 257, 511, 512, 513, 1560])
+def test_row_chunks_leave_no_row_alone_and_keep_one_chunk_bytes(monkeypatch, ragged_1560, n):
+    bounds = metrics.chunk_bounds(n, metrics.ROW_CHUNK)
+    sizes = [stop - start for start, stop in bounds]
+    assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
+    assert bounds[-1][1] == n and max(sizes) <= metrics.ROW_CHUNK
+    assert 1 not in sizes or n == 1
+    model, data = ragged_1560[0], first_rows(ragged_1560[1], n)
+    batch_rows = []
+
+    def counting_forward(model, num_x, cat_x, seq=None, **kwargs):
+        batch_rows.append(len(num_x))
+        return forward(model, num_x, cat_x, seq, **kwargs)
+
+    monkeypatch.setattr(metrics, "forward", counting_forward)
+    got = metrics.predict_all(model, data)
+    assert batch_rows == sizes
+    # One untrimmed forward of all n rows: no row of a larger set is scored alone.
+    assert got.tobytes() == forward(model, *data.inputs(model, slice(None)))[0].tobytes()
+
+
+@pytest.mark.parametrize("n, chunks", [(200, [64, 64, 64, 8]), (129, [64, 32, 33])])
+def test_encoder_entries_go_in_score_chunk_entry_chunks(monkeypatch, ragged_1560, n, chunks):
+    model, data = ragged_1560[0], first_rows(ragged_1560[1], n)
+    entries, batch_rows = [], []
+
+    def counting_encode_text(model, seq, padding=None):
+        entries.append(len(seq.mask))
+        return encode_text(model, seq, padding)
+
+    def counting_forward(model, num_x, cat_x, seq=None, **kwargs):
+        batch_rows.append(len(num_x))
+        return forward(model, num_x, cat_x, seq, **kwargs)
+
+    monkeypatch.setattr(metrics, "encode_text", counting_encode_text)
+    monkeypatch.setattr(metrics, "forward", counting_forward)
+    metrics.predict_all(model, data)
+    assert metrics.SCORE_CHUNK == 64 and entries == chunks
+    assert batch_rows == [n]
+
+
 def test_report_and_validation_accuracy_are_those_of_the_untrimmed_forward():
     model, data = ragged_set("fusion")
-    expected = row_order_oracle(model, data)
-    assert metrics.report(model, data, k=3) == compute_report(expected, data.labels, 3)
-    assert _validation_topk_accuracy(model, data, 3) == topk_accuracy(expected, data.labels)
+    ranks = true_class_ranks(row_order_probs(model, data), data.labels)
+    assert metrics.report(model, data, k=3) == compute_report(ranks, data.labels, 3)
+    assert _validation_topk_accuracy(model, data, 3) == topk_accuracy(ranks, 3)
 
 
 def test_all_masked_error_names_the_first_such_example_in_row_order():
