@@ -57,8 +57,7 @@ class EmbeddedSequence:
     (a view, for a slice), the form ``model.forward`` and
     ``model.encode_text`` take. ``embed_sequence`` and indexing with one
     row give a single sequence without the leading axis, the form only
-    ``model.predict_topk`` takes; it scores that sequence as a one-row
-    batch.
+    ``model.predict_topk`` takes.
     """
 
     vectors: np.ndarray  # (N, max_seq_len, d); (max_seq_len, d) for one sequence

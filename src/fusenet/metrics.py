@@ -8,6 +8,8 @@ every report asserts the identity accuracy == sum_k (n_k/n) * recall_k.
 A class absent from the evaluation set has UNDEFINED recall, surfaced as
 None (JSON null) rather than silently zeroed: a fake zero would corrupt
 the weighted identity.
+
+``predict_all`` checks a dataset and scores it by ``model.score_rows``.
 """
 
 from __future__ import annotations
@@ -17,13 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CLASS_NAMES, PreparedDataset, is_finite_number
-from .layers import AllMaskedError, live_lengths
-from .model import NON_FINITE_PROBS, FusionModel, encode_text, forward
-from .parallel import ordered_map
+from .layers import AllMaskedError
+from .model import NON_FINITE_PROBS, FusionModel, score_rows
 
 REPORT_VERSION = 1
-SCORE_CHUNK = 64  # text entries per encoder call when scoring a dataset
-ROW_CHUNK = 256  # rows per cache-free forward when scoring a dataset
 
 
 class ReportError(ValueError):
@@ -104,18 +103,6 @@ def compute_report(ranks, labels, k: int, class_names=CLASS_NAMES) -> EvalReport
     )
 
 
-def chunk_bounds(n: int, size: int = SCORE_CHUNK) -> list[tuple[int, int]]:
-    """(start, stop) of each chunk of ``n`` rows (``size`` ROW_CHUNK) or
-    encoder entries (SCORE_CHUNK). When the last would hold one, the last
-    ``size`` + 1 split in two instead: numpy sends a one-row product to gemv,
-    whose sums can differ in the last bit from the gemm of a larger chunk.
-    So nothing is scored alone unless ``n`` is 1."""
-    bounds = [*range(0, n, size), n]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        bounds[-2] -= size // 2
-    return list(zip(bounds, bounds[1:]))
-
-
 def check_inputs(model: FusionModel, data: PreparedDataset, name: str) -> None:
     """Check ``data`` against what ``model``'s branches take, once, before any forward.
 
@@ -162,60 +149,14 @@ def check_inputs(model: FusionModel, data: PreparedDataset, name: str) -> None:
                              "no unmasked positions to attend to")
 
 
-# Overflow is refused at the end, by name, so numpy need not warn of it first.
-@np.errstate(over="ignore", invalid="ignore")
 def predict_all(model: FusionModel, data: PreparedDataset) -> np.ndarray:
     """The (n, num_classes) probabilities of every example in ``data``, in
-    row order, after ``check_inputs`` of ``data``.
-
-    The text branch runs once per entry of ``data.texts`` that a row's
-    ``groups`` value names (``check_inputs`` checks no other), by
-    ``encode_text``, which keeps no backward cache, in SCORE_CHUNK-entry
-    ``chunk_bounds`` chunks in a stable sort by live length
-    (``layers.live_lengths``: 1 + an entry's last position whose mask
-    entry is true or whose vector is non-zero). Each chunk's encoder then
-    runs only to its longest entry L, its backward direction starting
-    from the state T-L trailing zero-input steps reach
-    (``BiLstmEncoder.padding_states``, run once per call for the T-m steps
-    the chunks read, m being the shortest chunk's longest entry). A lone
-    entry among several rows is encoded twice, as no chunk may hold one
-    row. Then the rows are scored in
-    ROW_CHUNK-row chunks in row order, by ``forward`` with each row's
-    entry's text features, into one preallocated array. So each row's
-    probabilities are bit-identical to its row of ``forward`` of the
-    sequences of any chunk of two or more rows that holds it, which runs
-    every timestep. A row whose probabilities are not all finite is a
-    ValueError naming its example.
+    row order: ``model.score_rows`` of its rows, after ``check_inputs`` of
+    ``data``. A row whose probabilities are not all finite is a ValueError
+    naming its example.
     """
     check_inputs(model, data, "data")
-    encoded = None
-    if model.uses_text:
-        texts = data.texts
-        lengths = live_lengths(texts.vectors, texts.mask)
-        used = np.zeros(len(lengths), dtype=bool)
-        used[data.groups] = True
-        used = np.flatnonzero(used)
-        order = used[np.argsort(lengths[used], kind="stable")]
-        if len(order) == 1 < len(data):
-            order = np.repeat(order, 2)
-        chunks = chunk_bounds(len(order))
-        T = texts.mask.shape[-1]
-        # Sorted by length, the first chunk's longest entry is the shortest chunk's.
-        m = lengths[order[chunks[0][1] - 1]] if chunks else T
-        padding = model.encoder.padding_states(T - m + 1, len(order))
-        encoded = np.empty((len(texts.mask), model.encoder.out_dim))
-        for bounds in chunks:
-            entries = order[slice(*bounds)]
-            encoded[entries] = encode_text(model, texts[entries], padding)
-    probs = np.empty((len(data), model.config.num_classes))
-
-    def score(bounds: tuple[int, int]) -> None:
-        # A variant without the tabular branches ignores num and cat.
-        rows = slice(*bounds)
-        probs[rows] = forward(model, data.num[rows], data.cat[rows],
-                              text=None if encoded is None else encoded[data.groups[rows]])[0]
-
-    ordered_map(score, chunk_bounds(len(data), ROW_CHUNK))
+    probs = score_rows(model, data.num, data.cat, data.texts, data.groups)
     if not np.isfinite(probs).all():
         bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))[0]
         raise ValueError(f"example {data.ids[bad]}: {NON_FINITE_PROBS}")

@@ -13,6 +13,9 @@ one vector of the same layout. A model built on any such vector (a
 gradient, say) names its blocks: ``param_blocks(vec)`` and
 ``grad_blocks(grad)`` are the block views of one.
 
+``score_rows`` scores a dataset for ``metrics.predict_all`` and one
+example, as a one-row set, for ``predict_topk``: the same bytes either way.
+
 Checkpoints are a self-describing container: a diff-able text header
 (format version, variant, config) followed by named parameter blocks of
 little-endian float64, so save -> load round-trips bit-exactly. A block
@@ -30,13 +33,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddedSequence
-from .layers import BiLstmEncoder, DenseLayer, FeedforwardAttention, LstmCell
+from .layers import BiLstmEncoder, DenseLayer, FeedforwardAttention, LstmCell, live_lengths
 from .numcore import Rng, ShapeError, softmax
+from .parallel import ordered_map
 
 FORMAT_VERSION = 1
 _MAGIC = "afn-checkpoint"
 
 VARIANTS = ("fusion", "mlp", "text")
+SCORE_CHUNK = 64  # text entries per encoder call when scoring rows
+ROW_CHUNK = 256  # rows per cache-free forward when scoring rows
 
 # Why a row of probabilities that is not all finite is refused: softmax of
 # finite logits is finite, so its inputs or parameters overflowed.
@@ -245,11 +251,10 @@ def _run_branch(branch: list[DenseLayer], x: np.ndarray):
 
 
 def encode_text(model: FusionModel, seq: EmbeddedSequence, padding=None) -> np.ndarray:
-    """The text features of a batch, its (B, 2*lstm_hidden) encoder-then-attention
-    output, for scoring: the encoder keeps no backward cache and runs only
-    up to the rows' longest live length (see ``BiLstmEncoder.forward``),
-    which leaves the features bit-identical to ``forward``'s. ``padding``
-    passes the encoder its ``padding_states``.
+    """A batch's (B, 2*lstm_hidden) encoder-then-attention output, for scoring:
+    the encoder keeps no backward cache and runs only to the rows' longest
+    live length (``BiLstmEncoder.forward``), leaving the features those of
+    ``forward``, bit for bit. ``padding`` is the encoder's ``padding_states``.
     """
     H, _ = model.encoder.forward(seq.vectors, False, seq.mask, padding)
     return model.attention.forward(H, seq.mask)[0]
@@ -362,19 +367,78 @@ def topk_indices(probs: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-probs, axis=1, kind="stable")[:, :k]
 
 
-# Overflow is refused at the end, by name, so numpy need not warn of it first.
+def chunk_bounds(n: int, size: int = SCORE_CHUNK) -> list[tuple[int, int]]:
+    """(start, stop) of each chunk of ``n`` rows (``size`` ROW_CHUNK) or
+    encoder entries (SCORE_CHUNK). When the last would hold one, the last
+    ``size`` + 1 split in two instead: numpy sends a one-row product to gemv,
+    whose sums can differ in the last bit from the gemm of a larger chunk.
+    ``score_rows`` never passes an ``n`` of 1."""
+    bounds = [*range(0, n, size), n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        bounds[-2] -= size // 2
+    return list(zip(bounds, bounds[1:]))
+
+
+# Overflow is refused by the callers, by name, so numpy need not warn of it first.
 @np.errstate(over="ignore", invalid="ignore")
+def score_rows(model: FusionModel, num, cat, texts: EmbeddedSequence | None = None,
+               groups=None) -> np.ndarray:
+    """The (n, num_classes) probabilities of n rows in row order, which may
+    not all be finite: ``num`` (n, num_dim), ``cat`` (n, cat_dim) and
+    ``groups``, each row's entry of the G ``texts`` ((G, T, embed_dim)
+    vectors, (G, T) mask), each None where the variant has no branch for
+    it; n is ``len(groups)`` when it is given.
+
+    No ``encode_text`` or ``forward`` call holds one row: a lone row is
+    scored as two copies of itself, and a lone entry is encoded twice.
+    The entries rows name are encoded once each, in SCORE_CHUNK-entry
+    ``chunk_bounds`` chunks in a stable sort by ``layers.live_lengths``,
+    each run only to its longest entry L from the backward state T-L
+    zero-input steps reach (``BiLstmEncoder.padding_states``, run once for
+    the T-m steps the chunks read, m the shortest chunk's longest entry).
+    ``forward`` then scores ROW_CHUNK-row chunks in row order. So each row
+    gets the bytes of its row of ``forward`` of the sequences of any chunk
+    of two or more rows that holds it, which runs every timestep.
+    """
+    n = len(num) if groups is None else len(groups)
+    if n == 1:
+        twice = [None if x is None else np.repeat(x, 2, axis=0) for x in (num, cat, groups)]
+        return score_rows(model, *twice[:2], texts, twice[2])[:1]
+    encoded = None
+    if model.uses_text and texts is not None:
+        lengths = live_lengths(texts.vectors, texts.mask)
+        used = np.flatnonzero(np.bincount(groups, minlength=len(lengths)))
+        order = used[np.argsort(lengths[used], kind="stable")].repeat(2 if len(used) == 1 else 1)
+        chunks = chunk_bounds(len(order))
+        T = texts.mask.shape[-1]
+        # Sorted by length, the first chunk's longest entry is the shortest chunk's.
+        m = lengths[order[chunks[0][1] - 1]] if chunks else T
+        padding = model.encoder.padding_states(T - m + 1, len(order))
+        encoded = np.empty((len(texts.mask), model.encoder.out_dim))
+        for bounds in chunks:
+            entries = order[slice(*bounds)]
+            encoded[entries] = encode_text(model, texts[entries], padding)
+    probs = np.empty((n, model.config.num_classes))
+
+    def score(bounds: tuple[int, int]) -> None:
+        rows = slice(*bounds)
+        probs[rows] = forward(model, *(None if x is None else x[rows] for x in (num, cat)),
+                              text=None if encoded is None else encoded[groups[rows]])[0]
+
+    ordered_map(score, chunk_bounds(n, ROW_CHUNK))
+    return probs
+
+
 def predict_topk(model: FusionModel, num_x=None, cat_x=None, seq=None, k: int = 3) -> Prediction:
     """Top-k classes of one example: ``num_x`` (num_dim,), ``cat_x`` (cat_dim,)
     and a (T, embed_dim) ``seq``, each None where the variant has no branch for it.
 
-    The example is scored as a one-row batch by the calls ``metrics.predict_all``
-    makes for a chunk: ``encode_text``, then ``forward`` with its text features.
-    Probabilities that are not all finite are a ValueError.
+    The example is scored by ``score_rows`` as a one-row set, so its
+    probabilities are its row of ``metrics.predict_all`` of any set that
+    holds it. Probabilities that are not all finite are a ValueError.
     """
-    num, cat = (None if x is None else x[None] for x in (num_x, cat_x))
-    text = encode_text(model, seq[None]) if model.uses_text and seq is not None else None
-    probs = forward(model, num, cat, text=text)[0]
+    one = [None if x is None else x[None] for x in (num_x, cat_x, seq)]
+    probs = score_rows(model, *one, groups=np.zeros(1, dtype=np.intp))
     if not np.isfinite(probs).all():
         raise ValueError(f"the example's {NON_FINITE_PROBS}")
     return Prediction(probs=probs[0], top_k=topk_indices(probs, k)[0].tolist())

@@ -162,22 +162,18 @@ def _make_optimizer(cfg: TrainConfig, size: int):
 
 
 def clip_grads_(grads: dict[str, np.ndarray], max_norm: float,
-                squares: dict[str, np.ndarray] | None = None) -> float:
+                squares: dict[str, np.ndarray]) -> float:
     """Scale ``grads`` in place to a global norm of at most ``max_norm``; return
     the norm before clipping, summed block by block in the dict's order.
 
-    Each block's sum is ``np.sum``'s pairwise one of ``g * g``, without its
-    wrapper. ``squares``, when given, holds those squares already, as
-    views named and ordered like ``grads`` of one buffer filled by one
-    ``np.multiply``: a C-contiguous block is summed in place, and a
-    non-contiguous one (an LSTM gate-column view) through a contiguous
-    copy, so that each sum keeps its bits. A non-finite norm leaves
-    ``grads`` as they are.
+    ``squares`` holds each block's ``g * g``, as views named and ordered
+    like ``grads`` of one buffer filled by one ``np.multiply``. Each
+    block's sum is ``np.sum``'s pairwise one of its squares, without its
+    wrapper: a C-contiguous block is summed in place, and a non-contiguous
+    one (an LSTM gate-column view) through a contiguous copy, so that each
+    sum keeps its bits. A non-finite norm leaves ``grads`` as they are.
     """
-    if squares is None:
-        terms = (g * g for g in grads.values())
-    else:
-        terms = (s if s.flags.c_contiguous else s.copy() for s in squares.values())
+    terms = (s if s.flags.c_contiguous else s.copy() for s in squares.values())
     norm = math.sqrt(sum(float(np.add.reduce(t, axis=None)) for t in terms))
     if max_norm < norm < math.inf:
         scale = max_norm / norm

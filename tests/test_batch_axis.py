@@ -2,8 +2,9 @@
 
 Every layer, ``numcore.affine`` and ``model.forward`` take a leading row
 axis and name the shape of an input that lacks it. ``predict_topk`` is
-the one entry point for a single example: it scores it as a one-row
-batch and returns that row.
+the one entry point for a single example: it scores it as a batch of two
+copies of itself, as ``model.score_rows`` scores a lone row, and returns
+the first row.
 """
 
 import re
@@ -57,7 +58,7 @@ def test_an_input_without_the_batch_axis_is_a_shape_error_naming_its_shape(name,
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_predict_topk_is_row_0_of_a_one_row_batch(variant):
+def test_predict_topk_is_row_0_of_a_batch_of_two_copies(variant):
     model = build_variant(CONFIG, variant)
     model.theta += Rng(5).normal(model.theta.shape, scale=0.3)
     rng = Rng(6)
@@ -68,8 +69,12 @@ def test_predict_topk_is_row_0_of_a_one_row_batch(variant):
                            mask)
     k = CONFIG.num_classes
     one = predict_topk(model, num, cat, seq, k=k)
-    text = encode_text(model, seq[None]) if model.uses_text else None
-    batch, _ = forward(model, num[None], cat[None], text=text)
+    # Never a one-row batch: numpy sends a one-row product to gemv.
+    num2, cat2, vectors2, mask2 = (np.repeat(x[None], 2, axis=0)
+                                   for x in (num, cat, seq.vectors, seq.mask))
+    seq2 = EmbeddedSequence(vectors2, mask2)
+    text = encode_text(model, seq2) if model.uses_text else None
+    batch, _ = forward(model, num2, cat2, text=text)
     assert one.probs.shape == (k,) and one.probs.tobytes() == batch[0].tobytes()
-    assert one.probs.tobytes() == forward(model, num[None], cat[None], seq[None])[0][0].tobytes()
+    assert one.probs.tobytes() == forward(model, num2, cat2, seq2)[0][0].tobytes()
     assert one.top_k == topk_indices(batch, k)[0].tolist()

@@ -170,7 +170,7 @@ mask = np.array([[True] * cfg.max_seq_len, [True] + [False] * (cfg.max_seq_len -
 seq = embeddings.EmbeddedSequence(rng.normal((2, cfg.max_seq_len, cfg.embed_dim)), mask)
 model.forward(m, rng.normal((2, cfg.num_feature_dim)), rng.normal((2, cfg.cat_feature_dim)), seq)
 forward_counts = dict(rec.counts)
-n = metrics.SCORE_CHUNK + 8
+n = model.SCORE_CHUNK + 8
 data = dataset.PreparedDataset(
     ids=[str(i) for i in range(n)], labels=np.arange(n) % cfg.num_classes,
     num=rng.normal((n, cfg.num_feature_dim)), cat=rng.normal((n, cfg.cat_feature_dim)),

@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 from fusenet import metrics, synth
+from fusenet import model as model_module
 from fusenet.dataset import Example, FeaturePipeline, prepare
 from fusenet.embeddings import EmbeddedSequence, random_table
 from fusenet.layers import AllMaskedError, BiLstmEncoder
-from fusenet.model import (ModelConfig, backward, build_variant, encode_text, forward,
-                           topk_indices)
+from fusenet.model import (ModelConfig, backward, build_variant, chunk_bounds, encode_text,
+                           forward, topk_indices)
 from fusenet.numcore import Rng, ShapeError
 from fusenet.textprep import normalize, tokenize
 
@@ -63,16 +64,19 @@ def renumbered(data):
 
 
 def oracle_probs(model, data):
-    """Forwards of every row's own sequence, chunk_bounds chunks in row order."""
-    return np.concatenate([forward(model, *data.inputs(model, slice(*bounds)))[0]
-                           for bounds in metrics.chunk_bounds(len(data))])
+    """Forwards of every row's own sequence, chunk_bounds chunks in row order,
+    a lone row as two copies of itself."""
+    rows = np.arange(len(data)).repeat(2 if len(data) == 1 else 1)
+    return np.concatenate([forward(model, *data.inputs(model, rows[slice(*bounds)]))[0]
+                           for bounds in chunk_bounds(len(rows))])[:len(data)]
 
 
 def scored(monkeypatch, model, data):
     """predict_all's probabilities, and the rows of each encoder call.
 
     The chunks are scored in row order, so the probabilities of the
-    forwards, in call order, must be those predict_all returns."""
+    forwards, in call order, must be those predict_all returns (a lone
+    row's forward holds it twice)."""
     probs, encoded = [], []
     encoder_forward = BiLstmEncoder.forward
 
@@ -86,10 +90,10 @@ def scored(monkeypatch, model, data):
         return encoder_forward(self, vectors, *args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(metrics, "forward", recording_forward)
+        patch.setattr(model_module, "forward", recording_forward)
         patch.setattr(BiLstmEncoder, "forward", recording_encoder_forward)
         got = metrics.predict_all(model, data)
-    assert np.array_equal(got, np.concatenate(probs))
+    assert np.array_equal(got, np.concatenate(probs)[:len(got)])
     return got, encoded
 
 
@@ -137,7 +141,7 @@ def test_rows_sharing_one_text_encode_it_twice(monkeypatch, variant):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_one_row(monkeypatch, variant):
     data = corpus_of(["when will the funds arrive"])
-    assert assert_scores_like_the_oracle(monkeypatch, model_for(variant, data), data) == [1]
+    assert assert_scores_like_the_oracle(monkeypatch, model_for(variant, data), data) == [2]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

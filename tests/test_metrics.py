@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from fusenet import metrics
+from fusenet import model as model_module
 from fusenet.dataset import CLASS_NAMES, PreparedDataset
 from fusenet.embeddings import EmbeddedSequence
 from fusenet.layers import AllMaskedError
 from fusenet.metrics import (EvalReport, ReportError, compute_report, from_json, to_json,
                              topk_accuracy, true_class_ranks)
-from fusenet.model import (ModelConfig, backward, build_variant, encode_text, forward,
-                           predict_topk, topk_indices)
+from fusenet.model import (ROW_CHUNK, SCORE_CHUNK, ModelConfig, backward, build_variant,
+                           encode_text, forward, predict_topk, topk_indices)
 from fusenet.numcore import Rng
 from fusenet.training import TrainConfig, _validation_topk_accuracy, train
 
@@ -262,7 +263,7 @@ def one_row(data, j):
 
 @pytest.mark.parametrize("variant", ["fusion", "text", "mlp"])
 def test_report_scores_chunks_and_matches_one_example_predictions(monkeypatch, variant):
-    model, data = ragged_fusion_set(metrics.SCORE_CHUNK + 8, variant=variant)
+    model, data = ragged_fusion_set(SCORE_CHUNK + 8, variant=variant)
     one = one_at_a_time(model, data, 3)
     # One example takes predict_all's route: the same bytes as a one-row dataset.
     for j, pred in enumerate(one):
@@ -274,11 +275,35 @@ def test_report_scores_chunks_and_matches_one_example_predictions(monkeypatch, v
         batch_rows.append(len(num_x))
         return forward(model, num_x, cat_x, seq, **kwargs)
 
-    monkeypatch.setattr(metrics, "forward", counting_forward)
+    monkeypatch.setattr(model_module, "forward", counting_forward)
     assert topk_indices(metrics.predict_all(model, data), 3).tolist() == expected
-    assert batch_rows == [metrics.SCORE_CHUNK + 8]  # one chunk of up to ROW_CHUNK rows
+    assert batch_rows == [SCORE_CHUNK + 8]  # one chunk of up to ROW_CHUNK rows
     ranks = true_class_ranks(np.array([pred.probs for pred in one]), data.labels)
     assert metrics.report(model, data, k=3) == compute_report(ranks, data.labels, 3)
+
+
+@pytest.mark.parametrize("n", [SCORE_CHUNK + 8, 1, ROW_CHUNK + 1])
+@pytest.mark.parametrize("variant", ["fusion", "text", "mlp"])
+def test_predict_topk_gives_its_row_of_predict_all_and_no_call_scores_one_row(
+        monkeypatch, variant, n):
+    model, data = ragged_fusion_set(n, variant=variant)
+    calls = []
+
+    def recording(fn):
+        def recorded(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls.append((fn.__name__, len(out[0] if fn is forward else out)))
+            return out
+        return recorded
+
+    monkeypatch.setattr(model_module, "forward", recording(forward))
+    monkeypatch.setattr(model_module, "encode_text", recording(encode_text))
+    probs = metrics.predict_all(model, data)
+    for j, pred in enumerate(one_at_a_time(model, data, 3)):
+        assert pred.probs.tobytes() == probs[j].tobytes(), j
+    assert {name for name, _ in calls} == (
+        {"forward", "encode_text"} if model.uses_text else {"forward"})
+    assert min(rows for _, rows in calls) >= 2, calls
 
 
 def assert_ranks_are_topk_positions(probs, labels):
@@ -359,7 +384,7 @@ def test_bad_labels_are_named_before_any_forward(monkeypatch, case):
     change, message = BAD_LABELS[case]
     model, data = ragged_fusion_set()
     bad = dataclasses.replace(data, labels=change(data.labels))
-    monkeypatch.setattr(metrics, "forward", None)  # never reached
+    monkeypatch.setattr(model_module, "forward", None)  # never reached
     with pytest.raises(ValueError, match=f"^data: {message}"):
         metrics.report(model, bad, k=3)
     with pytest.raises(ValueError, match=f"^data: {message}"):

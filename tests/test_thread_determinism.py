@@ -1,5 +1,6 @@
 """Same-seed training writes byte-identical checkpoints at any BLAS thread count,
-and length-trimmed scoring gives the untrimmed forward's bytes at each.
+length-trimmed scoring gives the untrimmed forward's bytes at each, and
+``predict_topk`` gives each example's row of ``predict_all`` at each.
 
 The benchmark compares checkpoints and reports of ``fusenet`` child
 processes with results computed in its own process, and the two need
@@ -18,9 +19,13 @@ SRC = Path(fusenet.__file__).resolve().parents[1]
 TESTS = Path(__file__).resolve().parent
 
 # Prints, per variant and chunk size, a digest of the cache-free
-# probabilities and whether they equal the untrimmed ones byte for byte.
+# probabilities and whether they equal the untrimmed ones byte for byte;
+# then, per variant, a digest of predict_all's probabilities and whether
+# each example's predict_topk probabilities are its row of them.
 SCORE_RAGGED_SET = """
 import hashlib
+from fusenet.metrics import predict_all
+from fusenet.model import predict_topk
 from test_trimmed_scoring import ragged_set, scored
 for variant in ("fusion", "text"):
     model, data = ragged_set(variant)
@@ -28,6 +33,12 @@ for variant in ("fusion", "text"):
         free, kept = scored(model, data, size)
         print(variant, size, hashlib.sha256(free.tobytes()).hexdigest(),
               free.tobytes() == kept.tobytes())
+for variant in ("fusion", "text", "mlp"):
+    model, data = ragged_set(variant)
+    probs = predict_all(model, data)
+    print(variant, "topk", hashlib.sha256(probs.tobytes()).hexdigest(),
+          all(predict_topk(model, *data.inputs(model, j)).probs.tobytes() == row.tobytes()
+              for j, row in enumerate(probs)))
 """
 
 
@@ -61,6 +72,7 @@ def test_trimmed_scoring_equals_the_untrimmed_forward_at_one_and_two_threads():
     for out in outputs:
         lines = [line.split() for line in out.splitlines()]
         assert [(v, size) for v, size, _, _ in lines] == [
-            (v, size) for v in ("fusion", "text") for size in ("1", "2", "64")]
+            (v, size) for v in ("fusion", "text") for size in ("1", "2", "64")] + [
+            (v, "topk") for v in ("fusion", "text", "mlp")]
         assert all(same == "True" for *_, same in lines), out
     assert outputs[0] == outputs[1]

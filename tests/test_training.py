@@ -138,26 +138,24 @@ def test_clip_grads_matches_the_reference_bytes(max_norm):
         grad_ref = grad.copy()
         blocks = model.grad_blocks(grad)
         assert not blocks["encoder.fwd.W_i"].flags.c_contiguous  # a gate-column view
-        norm = training.clip_grads_(blocks, max_norm)
-        assert norm == reference_clip(model.grad_blocks(grad_ref), max_norm)
-        assert grad.tobytes() == grad_ref.tobytes()
-        # The squares-buffer path that train() takes: one product over the
-        # flat gradient, read through views named like the gradient's blocks.
-        # Block by block too, where a last-bit difference in one block's sum
-        # cannot vanish into the total.
-        grad = Rng(13).normal(model.theta.shape)
+        # The squares buffer that train() passes: one product over the flat
+        # gradient, read through views named like the gradient's blocks.
         squares = model.grad_blocks(np.multiply(grad, grad))
+        # Block by block, where a last-bit difference in one block's sum
+        # cannot vanish into the total.
         for name, g in model.grad_blocks(grad.copy()).items():
             assert (training.clip_grads_({name: g.copy()}, max_norm, squares={name: squares[name]})
                     == reference_clip({name: g.copy()}, max_norm)), name
-        assert training.clip_grads_(model.grad_blocks(grad), max_norm, squares=squares) == norm
+        norm = training.clip_grads_(blocks, max_norm, squares=squares)
+        assert norm == reference_clip(model.grad_blocks(grad_ref), max_norm)
         assert grad.tobytes() == grad_ref.tobytes()
 
 
 def test_clip_grads_leaves_a_non_finite_norm_unscaled():
     grads = {"a": np.array([3.0, 4.0]), "b": np.array([1e300, -1e300])}
     with np.errstate(over="ignore"):
-        assert training.clip_grads_(grads, 1.0) == math.inf
+        squares = {name: g * g for name, g in grads.items()}
+    assert training.clip_grads_(grads, 1.0, squares) == math.inf
     assert grads["a"].tolist() == [3.0, 4.0] and grads["b"].tolist() == [1e300, -1e300]
 
 
@@ -193,7 +191,7 @@ def test_train_hands_clipping_one_gradient_buffer(monkeypatch):
     calls = []
     clip = training.clip_grads_
 
-    def recording_clip(grads, max_norm, squares=None):
+    def recording_clip(grads, max_norm, squares):
         calls.append((grads, squares))
         return clip(grads, max_norm, squares=squares)
 

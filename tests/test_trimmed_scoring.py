@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 from fusenet import metrics
+from fusenet import model as model_module
 from fusenet.dataset import PreparedDataset
 from fusenet.embeddings import EmbeddedSequence
 from fusenet.layers import AllMaskedError, BiLstmEncoder, live_lengths
 from fusenet.metrics import compute_report, topk_accuracy, true_class_ranks
-from fusenet.model import ModelConfig, build_variant, encode_text, forward, topk_indices
+from fusenet.model import (ROW_CHUNK, SCORE_CHUNK, ModelConfig, build_variant, chunk_bounds,
+                           encode_text, forward, topk_indices)
 from fusenet.numcore import Rng
 from fusenet.training import _validation_topk_accuracy
 
@@ -70,7 +72,7 @@ def scored(model, data, size):
 
 def row_order_probs(model, data):
     """Probabilities of every row from untrimmed forwards of SCORE_CHUNK rows in row order."""
-    size = metrics.SCORE_CHUNK
+    size = SCORE_CHUNK
     return np.concatenate([forward(model, *data.inputs(model, slice(start, start + size)))[0]
                            for start in range(0, len(data), size)])
 
@@ -96,7 +98,7 @@ def test_the_ragged_set_trims_every_chunk_size():
     _, data = ragged_set("fusion")
     lengths = live_lengths(data.texts.vectors, data.texts.mask)
     assert lengths[EMPTY] == 1 and lengths[HIDDEN_TAIL] == 13 and np.sum(lengths == T) == 2
-    assert np.sort(lengths)[metrics.SCORE_CHUNK - 1] < T
+    assert np.sort(lengths)[SCORE_CHUNK - 1] < T
 
 
 @pytest.mark.parametrize("size", [1, 2, 64])
@@ -117,12 +119,12 @@ def test_one_example_forward_equals_the_untrimmed_forward_bit_for_bit(variant):
         assert np.array_equal(free, forward(model, *inputs)[0]), j
 
 
-HALF = metrics.SCORE_CHUNK // 2
+HALF = SCORE_CHUNK // 2
 
 
 @pytest.mark.parametrize("n, chunks", [(70, [70]),
-                                       (metrics.SCORE_CHUNK + 1, [metrics.SCORE_CHUNK + 1])],
-                         ids=["70", str(metrics.SCORE_CHUNK + 1)])
+                                       (SCORE_CHUNK + 1, [SCORE_CHUNK + 1])],
+                         ids=["70", str(SCORE_CHUNK + 1)])
 def test_predict_all_returns_rows_in_row_order(monkeypatch, n, chunks):
     model, data = ragged_set("fusion", n=n)
     batch_rows, probs = [], []
@@ -133,7 +135,7 @@ def test_predict_all_returns_rows_in_row_order(monkeypatch, n, chunks):
         probs.append(out)
         return out, cache
 
-    monkeypatch.setattr(metrics, "forward", counting_forward)
+    monkeypatch.setattr(model_module, "forward", counting_forward)
     got = metrics.predict_all(model, data)
     assert topk_indices(got, 3).tolist() == row_order_oracle(model, data)
     assert batch_rows == chunks
@@ -141,7 +143,7 @@ def test_predict_all_returns_rows_in_row_order(monkeypatch, n, chunks):
     # The chunks run in row order, so call order is row order.
     assert np.array_equal(np.concatenate(probs), scored(model, data, n)[0])
     assert np.array_equal(got, np.concatenate(probs))
-    free, _ = scored(model, data, metrics.SCORE_CHUNK)
+    free, _ = scored(model, data, SCORE_CHUNK)
     assert np.array_equal(topk_indices(metrics.predict_all(model, data), 4),
                           topk_indices(free, 4))
 
@@ -170,7 +172,7 @@ def recording_padding(monkeypatch):
 
 
 def test_one_call_runs_the_padding_recurrence_once(monkeypatch):
-    model, data = ragged_set("fusion", n=2 * metrics.SCORE_CHUNK + 6)
+    model, data = ragged_set("fusion", n=2 * SCORE_CHUNK + 6)
     chunk_lengths = []
 
     def measuring_encode_text(model, seq, padding=None):
@@ -178,7 +180,7 @@ def test_one_call_runs_the_padding_recurrence_once(monkeypatch):
         return encode_text(model, seq, padding)
 
     padding_calls, padding_steps = recording_padding(monkeypatch)
-    monkeypatch.setattr(metrics, "encode_text", measuring_encode_text)
+    monkeypatch.setattr(model_module, "encode_text", measuring_encode_text)
     probs = metrics.predict_all(model, data)
     assert len(chunk_lengths) == 3 and len({L for L in chunk_lengths if L < T}) == 2
     # Only the T - m steps the chunks read run, m the shortest chunk's longest entry.
@@ -197,13 +199,13 @@ def test_chunks_of_full_length_entries_run_no_padding_step(monkeypatch):
     assert topk_indices(probs, 3).tolist() == row_order_oracle(model, data)
 
 
-@pytest.mark.parametrize("n", [70, metrics.SCORE_CHUNK + 1])
+@pytest.mark.parametrize("n", [70, SCORE_CHUNK + 1])
 @pytest.mark.parametrize("variant", ["fusion", "text", "mlp"])
 def test_each_row_has_the_bytes_of_its_chunks_untrimmed_forward(variant, n):
     model, data = ragged_set(variant, n=n)
     probs = metrics.predict_all(model, data)
     assert probs.shape == (n, 13)
-    for bounds in metrics.chunk_bounds(n):
+    for bounds in chunk_bounds(n):
         rows = slice(*bounds)
         kept = forward(model, *data.inputs(model, rows))[0]
         for j, row in zip(range(*bounds), kept):
@@ -211,11 +213,11 @@ def test_each_row_has_the_bytes_of_its_chunks_untrimmed_forward(variant, n):
 
 
 def test_chunk_bounds_leave_no_row_alone():
-    c = metrics.SCORE_CHUNK
-    assert metrics.chunk_bounds(0) == [] and metrics.chunk_bounds(1) == [(0, 1)]
-    assert metrics.chunk_bounds(c) == [(0, c)]
-    assert metrics.chunk_bounds(c + 2) == [(0, c), (c, c + 2)]
-    assert metrics.chunk_bounds(2 * c + 1) == [(0, c), (c, c + HALF), (c + HALF, 2 * c + 1)]
+    c = SCORE_CHUNK
+    assert chunk_bounds(0) == [] and chunk_bounds(1) == [(0, 1)]
+    assert chunk_bounds(c) == [(0, c)]
+    assert chunk_bounds(c + 2) == [(0, c), (c, c + 2)]
+    assert chunk_bounds(2 * c + 1) == [(0, c), (c, c + HALF), (c + HALF, 2 * c + 1)]
 
 
 def first_rows(data, n):
@@ -231,10 +233,10 @@ def ragged_1560():
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 255, 256, 257, 511, 512, 513, 1560])
 def test_row_chunks_leave_no_row_alone_and_keep_one_chunk_bytes(monkeypatch, ragged_1560, n):
-    bounds = metrics.chunk_bounds(n, metrics.ROW_CHUNK)
+    bounds = chunk_bounds(n, ROW_CHUNK)
     sizes = [stop - start for start, stop in bounds]
     assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
-    assert bounds[-1][1] == n and max(sizes) <= metrics.ROW_CHUNK
+    assert bounds[-1][1] == n and max(sizes) <= ROW_CHUNK
     assert 1 not in sizes or n == 1
     model, data = ragged_1560[0], first_rows(ragged_1560[1], n)
     batch_rows = []
@@ -243,11 +245,12 @@ def test_row_chunks_leave_no_row_alone_and_keep_one_chunk_bytes(monkeypatch, rag
         batch_rows.append(len(num_x))
         return forward(model, num_x, cat_x, seq, **kwargs)
 
-    monkeypatch.setattr(metrics, "forward", counting_forward)
+    monkeypatch.setattr(model_module, "forward", counting_forward)
     got = metrics.predict_all(model, data)
-    assert batch_rows == sizes
-    # One untrimmed forward of all n rows: no row of a larger set is scored alone.
-    assert got.tobytes() == forward(model, *data.inputs(model, slice(None)))[0].tobytes()
+    assert batch_rows == [max(size, 2) for size in sizes]  # a lone row is scored twice
+    # One untrimmed forward of all n rows, a lone row twice: no row is scored alone.
+    rows = np.arange(n).repeat(2 if n == 1 else 1)
+    assert got.tobytes() == forward(model, *data.inputs(model, rows))[0][:n].tobytes()
 
 
 @pytest.mark.parametrize("n, chunks", [(200, [64, 64, 64, 8]), (129, [64, 32, 33])])
@@ -263,10 +266,10 @@ def test_encoder_entries_go_in_score_chunk_entry_chunks(monkeypatch, ragged_1560
         batch_rows.append(len(num_x))
         return forward(model, num_x, cat_x, seq, **kwargs)
 
-    monkeypatch.setattr(metrics, "encode_text", counting_encode_text)
-    monkeypatch.setattr(metrics, "forward", counting_forward)
+    monkeypatch.setattr(model_module, "encode_text", counting_encode_text)
+    monkeypatch.setattr(model_module, "forward", counting_forward)
     metrics.predict_all(model, data)
-    assert metrics.SCORE_CHUNK == 64 and entries == chunks
+    assert SCORE_CHUNK == 64 and entries == chunks
     assert batch_rows == [n]
 
 
