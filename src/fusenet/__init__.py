@@ -18,7 +18,7 @@ from .model import (FusionModel, ModelConfig, Prediction, build_variant, forward
                     predict_topk, save)
 from .numcore import Rng, affine, sigmoid, softmax
 from .textprep import TokenSequence, normalize, tokenize
-from .training import TrainConfig, TrainReport, grad_check, train
+from .training import TrainConfig, TrainReport, train
 
 __version__ = "0.1.0"
 
@@ -37,8 +37,10 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # ``synth`` is imported on first use: train, eval and predict never run it.
+    # ``synth`` and ``gradcheck`` load on first use: train, eval and predict never run them.
     if name in ("synth", "generate_synthetic"):
         synth = importlib.import_module(".synth", __name__)
         return synth if name == "synth" else synth.generate_synthetic
+    if name == "grad_check":
+        return importlib.import_module(".gradcheck", __name__).grad_check
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

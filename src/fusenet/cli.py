@@ -437,12 +437,12 @@ def _cmd_predict(parser, args) -> int:
 # gradcheck
 
 def _cmd_gradcheck(parser, args) -> int:
+    from . import gradcheck
     tolerance = args.tolerance
     failures: list[str] = []
     # (printed prefix, failure prefix, seed -> {name: max relative error})
-    checks = [("layer", "layer ", training.layer_grad_checks)] + [
-        (f"{variant:<7}", f"{variant}:",
-         lambda seed, variant=variant: training.grad_check(variant, seed=seed).per_block)
+    checks = [("layer", "layer ", gradcheck.layer_grad_checks)] + [
+        (f"{variant:<7}", f"{variant}:", lambda seed, v=variant: gradcheck.grad_check(v, seed))
         for variant in modelmod.VARIANTS
     ]
     for prefix, fail_prefix, run in checks:

@@ -17,7 +17,7 @@ from fusenet.layers import BiLstmEncoder, DenseLayer, FeedforwardAttention, Lstm
 from fusenet.model import (VARIANTS, build_variant, encode_text, forward, predict_topk,
                            topk_indices)
 from fusenet.numcore import Rng, ShapeError, affine
-from fusenet.training import small_check_config
+from fusenet.gradcheck import small_check_config
 
 CONFIG = small_check_config(seed=4)
 

@@ -19,8 +19,8 @@ from fusenet.embeddings import EmbeddedSequence
 from fusenet.layers import ACTIVATIONS, AllMaskedError, DenseLayer
 from fusenet.model import VARIANTS, backward, build_variant, forward, load, save, topk_indices
 from fusenet.numcore import Rng, sigmoid
-from fusenet.training import (TrainConfig, batch_loss, max_relative_error, numeric_gradient,
-                              small_check_config, train)
+from fusenet.gradcheck import max_relative_error, numeric_gradient, small_check_config
+from fusenet.training import TrainConfig, batch_loss, train
 
 LENGTHS = (5, 1, 3)
 # Per-class scales of a row's loss and logit gradient, so backward sees

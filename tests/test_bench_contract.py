@@ -162,8 +162,8 @@ import fusenet.cli
 import tracing
 rec = tracing.Recorder()
 tracing.install(rec)
-from fusenet import dataset, embeddings, metrics, model, numcore, training
-cfg = training.small_check_config(0)
+from fusenet import dataset, embeddings, gradcheck, metrics, model, numcore
+cfg = gradcheck.small_check_config(0)
 m = model.build_variant(cfg, "fusion")
 rng = numcore.Rng(1)
 mask = np.array([[True] * cfg.max_seq_len, [True] + [False] * (cfg.max_seq_len - 1)])

@@ -4,7 +4,7 @@ import pytest
 from fusenet.layers import (AllMaskedError, BiLstmEncoder, DenseLayer,
                             FeedforwardAttention, LstmCell)
 from fusenet.numcore import Rng, ShapeError
-from fusenet.training import layer_grad_checks, max_relative_error, numeric_gradient
+from fusenet.gradcheck import layer_grad_checks
 
 
 class TestDense:

@@ -103,28 +103,35 @@ def test_predict_and_eval_never_import_numpy_random(workspace):
 
 def test_the_cli_import_loads_training_and_metrics_but_not_synth():
     # The benchmark wraps training.train and metrics.report right after
-    # this import, to mark where a command's compute starts.
+    # this import, to mark where a command's compute starts. Only the
+    # gradcheck command loads the gradient checks.
     proc = python("import sys, fusenet.cli\n"
-                  "print(*(m in sys.modules for m in "
-                  "('fusenet.training', 'fusenet.metrics', 'fusenet.synth')))\n"
+                  "print(*(m in sys.modules for m in ('fusenet.training', 'fusenet.metrics', "
+                  "'fusenet.synth', 'fusenet.gradcheck')))\n"
                   "import fusenet\n"
                   "print(fusenet.generate_synthetic is fusenet.synth.generate_synthetic)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["True True False", "True"]
+    assert proc.stdout.splitlines() == ["True True False False", "True"]
     proc = python(SCRIPT, "synth", "--help")
     assert proc.returncode == 0 and "  --num-dim NUM_DIM    default 20\n" in proc.stdout
 
 
 def test_every_exported_name_resolves_and_only_the_synth_names_import_synth():
-    # A fresh interpreter: this one may have imported fusenet.synth already.
+    # A fresh interpreter: this one may have imported fusenet.synth and
+    # fusenet.gradcheck already. grad_check loads gradcheck and nothing else.
     proc = python("import sys, fusenet\n"
-                  "lazy = ('synth', 'generate_synthetic')\n"
+                  "lazy = ('synth', 'generate_synthetic', 'grad_check')\n"
+                  "loaded = lambda: [m for m in ('fusenet.synth', 'fusenet.gradcheck') "
+                  "if m in sys.modules]\n"
                   "eager = [n for n in fusenet.__all__ if n not in lazy]\n"
-                  "print([n for n in eager if not hasattr(fusenet, n)], "
-                  "'fusenet.synth' in sys.modules)\n"
-                  "print([n for n in fusenet.__all__ if not hasattr(fusenet, n)])")
+                  "print([n for n in eager if not hasattr(fusenet, n)], loaded())\n"
+                  "print(fusenet.grad_check is sys.modules['fusenet.gradcheck'].grad_check, "
+                  "loaded())\n"
+                  "print([n for n in fusenet.__all__ if not hasattr(fusenet, n)], loaded())")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[] False", "[]"]
+    assert proc.stdout.splitlines() == [
+        "[] []", "True ['fusenet.gradcheck']",
+        "[] ['fusenet.synth', 'fusenet.gradcheck']"]
 
 
 def test_the_cli_import_keeps_glibcs_heap_thresholds():
